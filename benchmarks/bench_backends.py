@@ -73,7 +73,8 @@ def main():
     }
     # backward_kalman consumes forward_kalman outputs
     _, _, R_e, Atil = kernels.PY_KERNELS["forward_kalman"](A, B_u, sqQ)
-    cases["backward_kalman"] = (Atil, B_w, sqQ, R_e, 2.0)
+    W = sqQ @ np.linalg.solve(R_e, sqQ)
+    cases["backward_kalman"] = (Atil, B_w, W, 2.0)
 
     print(f"active backend: {kernels.BACKEND}")
     print(f"problem: T={T}, n={n}, m=p={m}, repeats={args.repeats}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system_model import LqSystem, Trajectory, evaluate_cost, validate_system
+from .system_model import LqSystem, as_validated, validate_system
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def augment_predictions(sys: LqSystem, h: int) -> AugmentedSystem:
     controller on the result is an h-lookahead controller on the base system.
     Disturbances beyond the horizon are zero.
     """
-    sys = sys if sys.validated else validate_system(sys)
+    sys = as_validated(sys)
     h = int(h)
     if not 0 <= h <= sys.T:
         raise ValueError(f"lookahead must satisfy 0 <= h <= T={sys.T}, got {h}")
@@ -82,7 +82,7 @@ def augment_delay(sys: LqSystem, d: int) -> AugmentedSystem:
     (gain indexed by emission time); the augmented state (n + d*m) stacks x_t
     with u_{t-1}..u_{t-d}, all zero before the horizon starts.
     """
-    sys = sys if sys.validated else validate_system(sys)
+    sys = as_validated(sys)
     d = int(d)
     if not 0 <= d < sys.T:
         raise ValueError(f"delay must satisfy 0 <= d < T={sys.T}, got {d}")

@@ -392,6 +392,7 @@ def certify(config_path, seed, tol, csv_path, json_path, feasibility_test):
     _echo(cfg)
     synth_sys, _ = _augmented(cfg)
     try:
+        oo.check_size(synth_sys)
         res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"], feasibility_test)
         from .system_model import normalize_control_weight
 
@@ -439,6 +440,7 @@ def pendulum_system(horizon: int, c: float = 0.1) -> LqSystem:
 @click.option(
     "--feasibility-test", type=click.Choice(["level1", "printed"]), default="level1"
 )
+@_guarded
 def pendulum(mode, horizon, trials, seed, tol, csv_path, json_path, feasibility_test):
     """Inverted-pendulum benchmark: stochastic N(0,1) noise or means
     alternating between +1 and -1 every 15 steps."""

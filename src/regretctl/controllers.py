@@ -11,7 +11,8 @@ the full disturbance there), and `step(state, t, x_t, w_t)` returns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from . import kernels, riccati
 from .system_model import (
     LqSystem,
     NormalizedSystem,
+    as_validated,
     normalize_control_weight,
-    validate_system,
 )
 
 
@@ -36,10 +37,6 @@ class InfeasibleError(ValueError):
 
 class StructuralMismatchError(AssertionError):
     """The synthesized regret controller violates a structural identity."""
-
-
-def _as_validated(sys: LqSystem) -> LqSystem:
-    return sys if sys.validated else validate_system(sys)
 
 
 class ZeroController:
@@ -96,7 +93,7 @@ def _feedback_gains(sys: LqSystem, tape_P, tape_H):
 def synthesize_h2(sys: LqSystem) -> FeedbackController:
     """H2-optimal controller: u_t = -H_t^{-1} B_u' P_{t+1}(A_t x_t + B_w_t w_t)
     with P from the backward LQR recursion."""
-    sys = _as_validated(sys)
+    sys = as_validated(sys)
     tape = riccati.backward_lqr(sys)
     K_x, K_w = _feedback_gains(sys, tape.P, tape.H)
     ctrl = FeedbackController(sys, K_x, K_w)
@@ -107,7 +104,7 @@ def synthesize_h2(sys: LqSystem) -> FeedbackController:
 def synthesize_hinf(sys: LqSystem, gamma: float) -> FeedbackController:
     """Suboptimal H-infinity controller at level gamma; raises
     InfeasibleError when the level is unattainable."""
-    sys = _as_validated(sys)
+    sys = as_validated(sys)
     tape = riccati.backward_hinf(sys, gamma)
     if not tape.feasible:
         raise InfeasibleError(gamma, tape.first_infeasible_step)
@@ -126,6 +123,11 @@ class GammaSearchResult:
     iterations: int
     final_margins: np.ndarray
     tol: float
+
+
+def _check_tol(tol):
+    if not 0.0 < tol < 1.0:  # written so that NaN fails too
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
 
 
 def _bisect_gamma(feasible, tol, max_doublings=60):
@@ -164,6 +166,8 @@ def _bisect_gamma(feasible, tol, max_doublings=60):
             )
     while (hi - lo) > tol * hi:
         mid = 0.5 * (hi + lo)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: a smaller tol cannot be met
         iters += 1
         if feasible(mid):
             hi = mid
@@ -176,7 +180,8 @@ def _bisect_gamma(feasible, tol, max_doublings=60):
 def hinf_optimal(sys: LqSystem, tol: float = 1e-6):
     """Bisection on gamma for the H-infinity-optimal controller.
     Returns (GammaSearchResult, FeedbackController)."""
-    sys = _as_validated(sys)
+    _check_tol(tol)
+    sys = as_validated(sys)
 
     def feasible(g):
         return riccati.backward_hinf(sys, g).feasible
@@ -201,7 +206,7 @@ class OfflineController:
     causal = False
 
     def __init__(self, sys: LqSystem):
-        self._sys = _as_validated(sys)
+        self._sys = as_validated(sys)
         self._tape = riccati.backward_lqr(self._sys)
 
     def plan(self, w):
@@ -245,14 +250,32 @@ def offline_noncausal(sys: LqSystem, w):
     return OfflineController(sys).plan(w)
 
 
+@dataclass(frozen=True)
+class RegretProblem:
+    """The gamma-independent part of a regret synthesis, built once by
+    `prepare_regret` and shared by every level a bisection probes: the
+    R-normalization of the validated system and the forward Kalman tape,
+    which carries the stacked Q^{1/2} and W = Q^{1/2} R_e^{-1} Q^{1/2}."""
+
+    norm: NormalizedSystem
+    fwd: riccati.ForwardKalmanTape
+
+
+def prepare_regret(sys: LqSystem) -> RegretProblem:
+    """Validate and R-normalize `sys` and run the forward Kalman recursion."""
+    norm = normalize_control_weight(as_validated(sys))
+    return RegretProblem(norm=norm, fwd=riccati.forward_kalman(norm))
+
+
 @dataclass
 class RegretSynthesis:
     """Frozen output of the regret-suboptimal synthesis at level gamma.
 
     Carries the augmented 2n-dimensional system (Ahat, Bhat_u, Bhat_w, Qhat),
     its backward value tape Phat with Hhat = I + Bhat_u' Phat Bhat_u, the
-    embedded forward/backward Kalman tapes, the per-step feasibility margins
-    of the associated H-infinity test, and the precomputed step gains.
+    embedded forward/backward Kalman tapes, and the per-step feasibility
+    margins of the associated H-infinity test. The step gains M_state and M_z
+    are computed on first access, so a feasibility probe never builds them.
     """
 
     gamma: float
@@ -266,9 +289,25 @@ class RegretSynthesis:
     Phat: np.ndarray
     Hhat: np.ndarray
     margins: np.ndarray
-    M_state: np.ndarray  # (T, m, 2n): gain on [zeta; nu]
-    M_z: np.ndarray  # (T, m, p): gain on z_t
     feasibility_test: str
+
+    @cached_property
+    def M_state(self):
+        """(T, m, 2n): gain on [zeta; nu]."""
+        return self._gain(self.Ahat)
+
+    @cached_property
+    def M_z(self):
+        """(T, m, p): gain on z_t."""
+        return self._gain(self.Bhat_w)
+
+    def _gain(self, X):
+        """-Hhat_t^{-1} Bhat_u_t' Phat_{t+1} X_t per step; zero unless every
+        margin is negative, since gains only exist on a feasible tape."""
+        if not np.all(self.margins < 0.0):
+            return np.zeros(self.Hhat.shape[:2] + X.shape[2:])
+        BtP = np.swapaxes(self.Bhat_u, 1, 2) @ self.Phat[1:]
+        return -np.linalg.solve(self.Hhat, BtP @ X)
 
     @property
     def feasible(self):
@@ -336,40 +375,37 @@ class RegretController:
 
 
 def synthesize_regret(
-    sys: LqSystem, gamma: float, feasibility_test: str = "level1"
+    sys: LqSystem | RegretProblem, gamma: float, feasibility_test: str = "level1"
 ) -> RegretSynthesis:
     """Regret-suboptimal synthesis at level gamma.
 
-    feasibility_test selects the H-infinity test applied to the transformed
-    system: "level1" runs the full attenuation-level-1 recursion on the
-    z-driven system (the reduction's prescription, the default); "printed"
-    uses the control-only value recursion with a -gamma^2 margin.
+    `sys` is a system or a problem already prepared by `prepare_regret`; a
+    system is prepared first. feasibility_test selects the H-infinity test
+    applied to the transformed system: "level1" runs the full
+    attenuation-level-1 recursion on the z-driven system (the reduction's
+    prescription, the default); "printed" uses the control-only value
+    recursion with a -gamma^2 margin.
     """
-    sys = _as_validated(sys)
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if feasibility_test not in ("level1", "printed"):
         raise ValueError(f"unknown feasibility test {feasibility_test!r}")
-    norm = normalize_control_weight(sys)
+    problem = sys if isinstance(sys, RegretProblem) else prepare_regret(sys)
+    norm, fwd = problem.norm, problem.fwd
     nsys = norm.system
-    T, n, m, p = nsys.T, nsys.n, nsys.m, nsys.p
-    fwd = riccati.forward_kalman(norm)
+    T, n, m = nsys.T, nsys.n, nsys.m
     bwd = riccati.backward_kalman(norm, fwd, gamma)
 
+    BwK = nsys.B_w @ np.swapaxes(bwd.K_bl, 1, 2)
+    Bw_scaled = nsys.B_w @ bwd.R_be_inv_sqrt
     Ahat = np.zeros((T, 2 * n, 2 * n))
-    Bhat_u = np.zeros((T, 2 * n, m))
-    Bhat_w = np.zeros((T, 2 * n, p))
+    Ahat[:, :n, :n] = nsys.A
+    Ahat[:, :n, n:] = -BwK
+    Ahat[:, n:, n:] = fwd.Atil - BwK
+    Bhat_u = np.concatenate((nsys.B_u, np.zeros_like(nsys.B_u)), axis=1)
+    Bhat_w = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
     Qhat = np.zeros((T, 2 * n, 2 * n))
-    for t in range(T):
-        BwK = nsys.B_w[t] @ bwd.K_bl[t].T
-        Ahat[t, :n, :n] = nsys.A[t]
-        Ahat[t, :n, n:] = -BwK
-        Ahat[t, n:, n:] = fwd.Atil[t] - BwK
-        Bhat_u[t, :n, :] = nsys.B_u[t]
-        Bw_scaled = nsys.B_w[t] @ bwd.R_be_inv_sqrt[t]
-        Bhat_w[t, :n, :] = Bw_scaled
-        Bhat_w[t, n:, :] = Bw_scaled
-        Qhat[t, :n, :n] = nsys.Q[t]
+    Qhat[:, :n, :n] = nsys.Q
     Phat_T = np.zeros((2 * n, 2 * n))
     Phat_T[:n, :n] = nsys.Q_T
 
@@ -387,14 +423,6 @@ def synthesize_regret(
         Phat = np.zeros((T + 1, 2 * n, 2 * n))
         Hhat = np.zeros((T, m, m))
         margins = np.ones(T)
-
-    M_state = np.zeros((T, m, 2 * n))
-    M_z = np.zeros((T, m, p))
-    if np.all(margins < 0.0):  # gains only exist on a feasible tape
-        for t in range(T):
-            BtP = Bhat_u[t].T @ Phat[t + 1]
-            M_state[t] = -np.linalg.solve(Hhat[t], BtP @ Ahat[t])
-            M_z[t] = -np.linalg.solve(Hhat[t], BtP @ Bhat_w[t])
     return RegretSynthesis(
         gamma=float(gamma),
         norm=norm,
@@ -407,8 +435,6 @@ def synthesize_regret(
         Phat=Phat,
         Hhat=Hhat,
         margins=margins,
-        M_state=M_state,
-        M_z=M_z,
         feasibility_test=feasibility_test,
     )
 
@@ -432,8 +458,11 @@ def _is_regret_degenerate(sys: LqSystem):
 
 def regret_optimal(sys: LqSystem, tol: float = 1e-6, feasibility_test: str = "level1"):
     """Bisection on gamma for the regret-optimal controller.
-    Returns (GammaSearchResult, controller)."""
-    sys = _as_validated(sys)
+    Returns (GammaSearchResult, controller). The gamma-independent work is
+    prepared once; each probe reruns only the backward Kalman recursion, the
+    assembly of the doubled system and its value recursion."""
+    _check_tol(tol)
+    sys = as_validated(sys)
     if _is_regret_degenerate(sys):
         result = GammaSearchResult(
             gamma_opt=0.0,
@@ -443,12 +472,13 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6, feasibility_test: str = "le
             tol=tol,
         )
         return result, ZeroController(sys)
+    problem = prepare_regret(sys)
 
     def feasible(g):
-        return synthesize_regret(sys, g, feasibility_test).feasible
+        return synthesize_regret(problem, g, feasibility_test).feasible
 
     gamma_opt, history, iters = _bisect_gamma(feasible, tol)
-    synthesis = synthesize_regret(sys, gamma_opt, feasibility_test)
+    synthesis = synthesize_regret(problem, gamma_opt, feasibility_test)
     result = GammaSearchResult(
         gamma_opt=gamma_opt,
         bracket_history=history,

@@ -27,17 +27,6 @@ def _sym(M):
     return (M + M.T) / 2.0
 
 
-def _psd_sqrt_k(M):
-    vals, vecs = np.linalg.eigh(_sym(M))
-    vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def _pd_inv_sqrt_k(M):
-    vals, vecs = np.linalg.eigh(_sym(M))
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
 def _max_eig(M):
     vals, _ = np.linalg.eigh(_sym(M))
     return vals[-1]
@@ -130,13 +119,15 @@ def forward_kalman(A, B_u, sqQ):
     return P, K_p, R_e, Atil
 
 
-def backward_kalman(Atil, B_w, sqQ, R_e, gamma):
+def backward_kalman(Atil, B_w, W, gamma):
     """Backward Kalman recursion producing the causal factor Delta of
     gamma^2 I + G'(I + FF')^{-1}G.
 
-    P_b[T-1] = Q_T^{1/2} R_e_T^{-1} Q_T^{1/2} (zero when there is no terminal
-    cost), then for t = T-1..1:
-    P_b[t-1] = Atil' P_b Atil + Q^{1/2} R_e^{-1} Q^{1/2} - K R_be K' with
+    W: (T+1, n, n) holds W_t = Q_t^{1/2} R_e_t^{-1} Q_t^{1/2} from the forward
+    recursion, index T carrying the terminal weight.
+    P_b[T-1] = W_T (zero when there is no terminal cost), then for
+    t = T-1..1:
+    P_b[t-1] = Atil' P_b Atil + W_t - K R_be K' with
     K^b_l[t] = Atil_t' P_b[t] B_w_t R_be[t]^{-1} and
     R_be[t] = gamma^2 I + B_w' P_b B_w.
 
@@ -149,14 +140,14 @@ def backward_kalman(Atil, B_w, sqQ, R_e, gamma):
     K_bl = np.zeros((T, n, p))
     R_be = np.zeros((T, p, p))
     g2 = gamma * gamma
-    P_b[T - 1] = _sym(sqQ[T] @ np.linalg.solve(R_e[T], sqQ[T]))
+    P_b[T - 1] = _sym(W[T])
     for t in range(T - 1, -1, -1):
         R_be[t] = _sym(g2 * np.eye(p) + B_w[t].T @ P_b[t] @ B_w[t])
         K_bl[t] = Atil[t].T @ P_b[t] @ np.linalg.solve(R_be[t], B_w[t].T).T
         if t > 0:
             P_b[t - 1] = _sym(
                 Atil[t].T @ P_b[t] @ Atil[t]
-                + sqQ[t] @ np.linalg.solve(R_e[t], sqQ[t])
+                + W[t]
                 - K_bl[t] @ R_be[t] @ K_bl[t].T
             )
     return P_b, K_bl, R_be
@@ -266,8 +257,6 @@ PY_KERNELS = {name: globals()[name] for name in _KERNEL_NAMES}
 
 if njit is not None:
     _sym = njit(cache=True)(_sym)
-    _psd_sqrt_k = njit(cache=True)(_psd_sqrt_k)
-    _pd_inv_sqrt_k = njit(cache=True)(_pd_inv_sqrt_k)
     _max_eig = njit(cache=True)(_max_eig)
     for _name in _KERNEL_NAMES:
         globals()[_name] = njit(cache=True)(PY_KERNELS[_name])

@@ -24,9 +24,9 @@ import numpy as np
 from .system_model import (
     DefinitenessError,
     LqSystem,
+    as_validated,
     normalize_control_weight,
     psd_sqrt,
-    validate_system,
 )
 
 SIZE_CAP = 2000
@@ -58,7 +58,8 @@ class OperatorPair:
     n_rows: int  # number of block rows (T or T+1)
 
 
-def _check_size(sys: LqSystem):
+def check_size(sys: LqSystem):
+    """Raise SizeCapError if the dense operators of `sys` would exceed the cap."""
     if sys.T * max(sys.n, sys.m, sys.p) > SIZE_CAP:
         raise SizeCapError(
             f"dense oracle refuses T*max(n,m,p) = "
@@ -73,14 +74,14 @@ def build_operators(sys: LqSystem) -> OperatorPair:
     likewise for G with B_w); the terminal cost contributes one extra block
     row Q_T^{1/2} A_{T-1}...A_{j+1} B_._j.
     """
-    sys = sys if sys.validated else validate_system(sys)
+    sys = as_validated(sys)
     if not np.allclose(sys.R, np.eye(sys.m)[None, :, :], atol=1e-12):
         raise ValueError("build_operators requires an R-normalized system (R_t = I)")
-    _check_size(sys)
+    check_size(sys)
     T, n, m, p = sys.T, sys.n, sys.m, sys.p
     has_terminal = bool(np.any(sys.Q_T != 0.0))
     n_rows = T + 1 if has_terminal else T
-    sqQ = [psd_sqrt(sys.Q[t]) for t in range(T)] + [psd_sqrt(sys.Q_T)]
+    sqQ = psd_sqrt(np.concatenate((sys.Q, sys.Q_T[None])))
     F = np.zeros((n_rows * n, T * m))
     G = np.zeros((n_rows * n, T * p))
     for j in range(T):
@@ -218,8 +219,8 @@ def controller_operator(sys: LqSystem, controller, tol: float = 1e-9) -> np.ndar
     """
     from .sim_bench import rollout  # local import to avoid a cycle
 
-    sys = sys if sys.validated else validate_system(sys)
-    _check_size(sys)
+    sys = as_validated(sys)
+    check_size(sys)
     norm = normalize_control_weight(sys)
     T, m, p = sys.T, sys.m, sys.p
     K = np.zeros((T * m, T * p))

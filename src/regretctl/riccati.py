@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .system_model import LqSystem, NormalizedSystem, psd_sqrt, pd_inv_sqrt, validate_system
+from .system_model import LqSystem, NormalizedSystem, as_validated, pd_inv_sqrt, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,16 @@ class HinfTape:
 @dataclass(frozen=True)
 class ForwardKalmanTape:
     """Forward Kalman quantities: P (T+1), K_p, R_e (T+1; index T carries the
-    terminal weight), Atil = A - K_p Q^{1/2}, and sqQ = Q^{1/2} (T+1, the last
-    entry being Q_T^{1/2})."""
+    terminal weight), Atil = A - K_p Q^{1/2}, sqQ = Q^{1/2} (T+1, the last
+    entry being Q_T^{1/2}), and W = Q^{1/2} R_e^{-1} Q^{1/2} (T+1), the
+    gamma-independent weight of the backward Kalman recursion."""
 
     P: np.ndarray
     K_p: np.ndarray
     R_e: np.ndarray
     Atil: np.ndarray
     sqQ: np.ndarray
+    W: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,9 @@ class BackwardKalmanTape:
     gamma: float
 
 
-def _as_validated(sys: LqSystem) -> LqSystem:
-    return sys if sys.validated else validate_system(sys)
-
-
 def backward_lqr(sys: LqSystem, P_T=None) -> LqrTape:
     """Backward LQR Riccati recursion; P_T defaults to the terminal cost Q_T."""
-    sys = _as_validated(sys)
+    sys = as_validated(sys)
     P_T = sys.Q_T if P_T is None else np.asarray(P_T, dtype=float)
     P, H = kernels.lqr_backward(sys.A, sys.B_u, sys.Q, sys.R, P_T)
     for t in range(sys.T):
@@ -88,7 +86,7 @@ def backward_lqr(sys: LqSystem, P_T=None) -> LqrTape:
 def backward_hinf(sys: LqSystem, gamma: float) -> HinfTape:
     """Backward H-infinity Riccati at performance level gamma, initialized at
     P_T = Q_T, with per-step feasibility margins."""
-    sys = _as_validated(sys)
+    sys = as_validated(sys)
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     try:
@@ -104,21 +102,14 @@ def backward_hinf(sys: LqSystem, gamma: float) -> HinfTape:
     return HinfTape(P=P, H=H, margins=margins, gamma=float(gamma))
 
 
-def _stacked_sqQ(sys: LqSystem):
-    sqQ = np.zeros((sys.T + 1, sys.n, sys.n))
-    for t in range(sys.T):
-        sqQ[t] = psd_sqrt(sys.Q[t])
-    sqQ[sys.T] = psd_sqrt(sys.Q_T)
-    return sqQ
-
-
 def forward_kalman(norm: NormalizedSystem) -> ForwardKalmanTape:
     """Forward Kalman recursion on an R-normalized system; the induced causal
     operator L satisfies LL' = I + FF'."""
     sys = norm.system
-    sqQ = _stacked_sqQ(sys)
+    sqQ = psd_sqrt(np.concatenate((sys.Q, sys.Q_T[None])))
     P, K_p, R_e, Atil = kernels.forward_kalman(sys.A, sys.B_u, sqQ)
-    return ForwardKalmanTape(P=P, K_p=K_p, R_e=R_e, Atil=Atil, sqQ=sqQ)
+    W = sqQ @ np.linalg.solve(R_e, sqQ)
+    return ForwardKalmanTape(P=P, K_p=K_p, R_e=R_e, Atil=Atil, sqQ=sqQ, W=W)
 
 
 def backward_kalman(norm: NormalizedSystem, fwd: ForwardKalmanTape, gamma: float) -> BackwardKalmanTape:
@@ -127,13 +118,14 @@ def backward_kalman(norm: NormalizedSystem, fwd: ForwardKalmanTape, gamma: float
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     sys = norm.system
-    P_b, K_bl, R_be = kernels.backward_kalman(
-        fwd.Atil, sys.B_w, fwd.sqQ, fwd.R_e, float(gamma)
-    )
-    sq = np.stack([psd_sqrt(R_be[t]) for t in range(sys.T)])
-    isq = np.stack([pd_inv_sqrt(R_be[t]) for t in range(sys.T)])
+    P_b, K_bl, R_be = kernels.backward_kalman(fwd.Atil, sys.B_w, fwd.W, float(gamma))
     return BackwardKalmanTape(
-        P_b=P_b, K_bl=K_bl, R_be=R_be, R_be_sqrt=sq, R_be_inv_sqrt=isq, gamma=float(gamma)
+        P_b=P_b,
+        K_bl=K_bl,
+        R_be=R_be,
+        R_be_sqrt=psd_sqrt(R_be),
+        R_be_inv_sqrt=pd_inv_sqrt(R_be),
+        gamma=float(gamma),
     )
 
 
@@ -157,7 +149,7 @@ def dense_l_operator(norm: NormalizedSystem, fwd: ForwardKalmanTape) -> np.ndarr
     T, n = sys.T, sys.n
     Tr = T + 1 if np.any(sys.Q_T != 0.0) else T
     L = np.zeros((Tr * n, Tr * n))
-    Re_sqrt = [psd_sqrt(fwd.R_e[t]) for t in range(T + 1)]
+    Re_sqrt = psd_sqrt(fwd.R_e)
     for i in range(Tr):
         L[i * n:(i + 1) * n, i * n:(i + 1) * n] = Re_sqrt[i]
         for j in range(i):

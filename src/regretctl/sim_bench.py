@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .system_model import LqSystem, Trajectory, evaluate_cost, validate_system
+from .system_model import LqSystem, Trajectory, as_validated, evaluate_cost
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def generate_disturbance(spec: DisturbanceSpec, sys: LqSystem) -> np.ndarray:
 def rollout(sys: LqSystem, controller, w) -> Trajectory:
     """Drive the controller along w; at each t it observes (x_t, w_t) before
     choosing u_t. The trajectory satisfies the dynamics exactly."""
-    sys = sys if sys.validated else validate_system(sys)
+    sys = as_validated(sys)
     w = np.asarray(w, dtype=float).reshape(sys.T, sys.p)
     if hasattr(controller, "control_sequence"):
         u = np.asarray(controller.control_sequence(w), dtype=float)
@@ -115,7 +115,7 @@ def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int
     against the offline-optimal baseline."""
     from .controllers import offline_noncausal
 
-    sys = sys if sys.validated else validate_system(sys)
+    sys = as_validated(sys)
     names = list(controllers)
     T = sys.T
     totals = {name: np.zeros(trials) for name in names}

@@ -19,24 +19,29 @@ class DefinitenessError(ValueError):
     """A cost matrix violates its required (semi)definiteness."""
 
 
+def _sym_eigh(M):
+    M = np.asarray(M, dtype=float)
+    return np.linalg.eigh((M + np.swapaxes(M, -1, -2)) / 2.0)
+
+
 def psd_sqrt(M):
     """Symmetric PSD square root via eigendecomposition, negative eigenvalues
-    clamped to zero."""
-    M = np.asarray(M, dtype=float)
-    vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
+    clamped to zero. M may be one (k, k) matrix or a stack (..., k, k)."""
+    vals, vecs = _sym_eigh(M)
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def pd_inv_sqrt(M):
-    """Inverse symmetric square root of a positive-definite matrix."""
-    M = np.asarray(M, dtype=float)
-    vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
+    """Inverse symmetric square root of a positive-definite matrix, or of
+    every matrix in a stack (..., k, k); raises DefinitenessError if any is
+    not positive definite."""
+    vals, vecs = _sym_eigh(M)
     if np.min(vals) <= 0:
         raise DefinitenessError(
             f"matrix is not positive definite (min eigenvalue {np.min(vals):g})"
         )
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -112,19 +117,16 @@ class Trajectory:
     total_cost: float
 
 
-def _check_shape(name, M, expected, t=None):
+def _check_shape(name, M, expected):
     if M.shape != expected:
-        where = "" if t is None else f" at t={t}"
-        raise DimensionError(
-            f"{name}{where} has shape {M.shape}, expected {expected}"
-        )
+        raise DimensionError(f"{name} has shape {M.shape}, expected {expected}")
 
 
 def validate_system(sys: LqSystem, tol_pd: float = 0.0) -> LqSystem:
-    """Check dimensions and definiteness; return the system with cost matrices
-    symmetry-projected.
+    """Check dimensions, finiteness and definiteness; return the system with
+    cost matrices symmetry-projected.
 
-    Q_t and Q_T must be PSD (min eigenvalue >= -1e-9*(1+||M||)); R_t must be PD.
+    Every entry must be finite; Q_t and Q_T must be PSD (min eigenvalue >= -1e-9*(1+||M||)); R_t must be PD.
     """
     T, n, m, p = sys.T, sys.n, sys.m, sys.p
     _check_shape("A", sys.A, (T, n, n))
@@ -133,12 +135,9 @@ def validate_system(sys: LqSystem, tol_pd: float = 0.0) -> LqSystem:
     _check_shape("Q", sys.Q, (T, n, n))
     _check_shape("R", sys.R, (T, m, m))
     _check_shape("Q_T", sys.Q_T, (n, n))
-    for t in range(T):
-        for name, M, k in (("A", sys.A[t], n), ("Q", sys.Q[t], n)):
-            _check_shape(name, M, (k, k), t)
-        _check_shape("B_u", sys.B_u[t], (n, m), t)
-        _check_shape("B_w", sys.B_w[t], (n, p), t)
-        _check_shape("R", sys.R[t], (m, m), t)
+    for name in ("A", "B_u", "B_w", "Q", "R", "Q_T"):
+        if not np.all(np.isfinite(getattr(sys, name))):
+            raise ValueError(f"{name} has a non-finite (NaN or inf) entry")
 
     Qs = (sys.Q + np.transpose(sys.Q, (0, 2, 1))) / 2.0
     Rs = (sys.R + np.transpose(sys.R, (0, 2, 1))) / 2.0
@@ -167,6 +166,11 @@ def validate_system(sys: LqSystem, tol_pd: float = 0.0) -> LqSystem:
     return replace(sys, Q=Qs, R=Rs, Q_T=QTs, validated=True)
 
 
+def as_validated(sys: LqSystem) -> LqSystem:
+    """`sys` itself if it has been validated already, else validate_system(sys)."""
+    return sys if sys.validated else validate_system(sys)
+
+
 @dataclass(frozen=True)
 class NormalizedSystem:
     """An R-normalized system (R_t = I) together with the per-step rescaling
@@ -188,11 +192,10 @@ class NormalizedSystem:
 def normalize_control_weight(sys: LqSystem) -> NormalizedSystem:
     """Rescale controls so that R_t = I: B_u_t' = B_u_t R_t^{-1/2},
     u_t' = R_t^{1/2} u_t. Costs are preserved under the rescaling maps."""
-    if not sys.validated:
-        sys = validate_system(sys)
+    sys = as_validated(sys)
     T, m = sys.T, sys.m
-    R_sqrt = np.stack([psd_sqrt(sys.R[t]) for t in range(T)])
-    R_inv_sqrt = np.stack([pd_inv_sqrt(sys.R[t]) for t in range(T)])
+    R_sqrt = psd_sqrt(sys.R)
+    R_inv_sqrt = pd_inv_sqrt(sys.R)
     B_u = np.einsum("tij,tjk->tik", sys.B_u, R_inv_sqrt)
     eye = np.broadcast_to(np.eye(m), (T, m, m)).copy()
     norm_sys = replace(sys, B_u=B_u, R=eye)
@@ -210,11 +213,10 @@ def evaluate_cost(sys: LqSystem, w, u) -> Trajectory:
     if u.shape != (T, sys.m):
         raise DimensionError(f"u has shape {u.shape}, expected {(T, sys.m)}")
     x = np.zeros((T + 1, n))
-    s = np.zeros((T, n))
     cost = 0.0
     for t in range(T):
-        s[t] = psd_sqrt(sys.Q[t]) @ x[t]
         cost += x[t] @ sys.Q[t] @ x[t] + u[t] @ sys.R[t] @ u[t]
         x[t + 1] = sys.A[t] @ x[t] + sys.B_u[t] @ u[t] + sys.B_w[t] @ w[t]
     cost += x[T] @ sys.Q_T @ x[T]
+    s = (psd_sqrt(sys.Q) @ x[:T, :, None])[..., 0]
     return Trajectory(x=x, u=u, w=w, s=s, total_cost=float(cost))

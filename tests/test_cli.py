@@ -65,6 +65,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 1, column"):
             parse_config('{"system": }')
 
+    @pytest.mark.parametrize("field, value", [("A", float("nan")), ("Q", float("inf"))])
+    def test_rejects_non_finite_matrix(self, field, value):
+        doc = json.loads(json.dumps(S1_CONFIG))
+        doc["system"]["lti"][field] = [[value]]
+        with pytest.raises(ConfigError, match=f"{field} has a non-finite"):
+            parse_config(json.dumps(doc))
+
     def test_ltv_roundtrip(self):
         doc = {
             "system": {
@@ -184,6 +191,27 @@ class TestErrors:
         result = runner.invoke(main, ["certify", "--config", str(cfg)])
         assert result.exit_code == 1
         assert "2000" in result.stderr
+
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-3", "1.0", "nan"])
+    def test_tol_outside_unit_interval(self, runner, s1_config, tol):
+        for argv in (["gamma", "--config", s1_config], ["pendulum", "--horizon", "5"]):
+            result = runner.invoke(main, argv + ["--tol", tol])
+            assert result.exit_code == 1
+            record = json.loads(result.stderr.strip().splitlines()[-1])
+            assert record["error"]["type"] == "ValueError"
+            assert "tol" in record["error"]["message"]
+
+    def test_non_finite_matrix_record(self, runner, tmp_path):
+        doc = json.loads(json.dumps(S1_CONFIG))
+        doc["system"]["lti"]["A"] = [[float("nan")]]
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["gamma", "--config", str(cfg)])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "ConfigError"
+        assert "A has a non-finite" in record["error"]["message"]
 
 
 class TestCertify:

@@ -3,6 +3,7 @@ import pytest
 
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
+from regretctl.cli import pendulum_system
 from regretctl.system_model import (
     LqSystem,
     evaluate_cost,
@@ -203,6 +204,109 @@ class TestRegretOptimal:
     def test_unknown_feasibility_test(self):
         with pytest.raises(ValueError, match="feasibility"):
             ct.synthesize_regret(s1(), 1.0, feasibility_test="bogus")
+
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, float("nan")])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            ct.regret_optimal(s1(), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            ct.hinf_optimal(s1(), tol=tol)
+
+    def test_tol_below_float_resolution_terminates(self):
+        res, _ = ct.regret_optimal(s1(), tol=1e-20)
+        lo, hi = res.bracket_history[-1]
+        assert hi == res.gamma_opt and np.nextafter(lo, np.inf) == hi
+        assert ct.hinf_optimal(s1(), tol=1e-20)[0].gamma_opt > 0
+
+    def test_pendulum_gamma_recorded_at_seed(self):
+        res, _ = ct.regret_optimal(pendulum_system(100), 1e-6)
+        assert res.gamma_opt == 1.7185392379760742
+
+
+_TAPES = (
+    "Ahat", "Bhat_u", "Bhat_w", "Qhat", "Phat", "Hhat", "margins", "M_state", "M_z",
+    "norm.R_sqrt", "norm.R_inv_sqrt", "norm.system.B_u",
+    "fwd.P", "fwd.K_p", "fwd.R_e", "fwd.Atil", "fwd.sqQ", "fwd.W",
+    "bwd.P_b", "bwd.K_bl", "bwd.R_be", "bwd.R_be_sqrt", "bwd.R_be_inv_sqrt",
+)
+
+
+def _tape(syn, path):
+    for attr in path.split("."):
+        syn = getattr(syn, attr)
+    return syn
+
+
+class TestRegretProblem:
+    @pytest.mark.parametrize("test", ["level1", "printed"])
+    @pytest.mark.parametrize(
+        "sys",
+        [s1(), s1(7, R=2.0, Q_T=[[1.5]]), pendulum_system(30)]
+        + [random_system(seed) for seed in (0, 3, 8)]
+        + [random_system(104, stable=False)],
+    )
+    def test_prepared_equals_unprepared(self, sys, test):
+        problem = ct.prepare_regret(sys)
+        g_opt = ct.regret_optimal(sys, 1e-3, test)[0].gamma_opt
+        for gamma in (0.5 * g_opt, g_opt, 2.0 * g_opt):
+            a = ct.synthesize_regret(problem, gamma, test)
+            b = ct.synthesize_regret(sys, gamma, test)
+            assert a.feasible == b.feasible
+            for path in _TAPES:
+                assert np.array_equal(_tape(a, path), _tape(b, path)), path
+
+    @pytest.mark.parametrize("seed", [0, 3, 104])
+    def test_assembly_and_gains_match_per_step_loop(self, seed):
+        sys = random_system(seed, stable=seed < 100)
+        syn = ct.synthesize_regret(sys, 2.0 * ct.regret_optimal(sys, 1e-3)[0].gamma_opt)
+        nsys, fwd, bwd = syn.norm.system, syn.fwd, syn.bwd
+        n = nsys.n
+        for t in range(nsys.T):
+            BwK = nsys.B_w[t] @ bwd.K_bl[t].T
+            Bw_scaled = nsys.B_w[t] @ bwd.R_be_inv_sqrt[t]
+            assert np.array_equal(syn.Ahat[t, :n, :n], nsys.A[t])
+            assert np.array_equal(syn.Ahat[t, :n, n:], -BwK)
+            assert np.array_equal(syn.Ahat[t, n:, n:], fwd.Atil[t] - BwK)
+            assert not syn.Ahat[t, n:, :n].any()
+            assert np.array_equal(syn.Bhat_u[t, :n], nsys.B_u[t]) and not syn.Bhat_u[t, n:].any()
+            assert np.array_equal(syn.Bhat_w[t], np.vstack((Bw_scaled, Bw_scaled)))
+            assert np.array_equal(syn.Qhat[t, :n, :n], nsys.Q[t])
+            assert np.count_nonzero(syn.Qhat[t]) == np.count_nonzero(nsys.Q[t])
+            BtP = syn.Bhat_u[t].T @ syn.Phat[t + 1]
+            assert np.array_equal(syn.M_state[t], -np.linalg.solve(syn.Hhat[t], BtP @ syn.Ahat[t]))
+            assert np.array_equal(syn.M_z[t], -np.linalg.solve(syn.Hhat[t], BtP @ syn.Bhat_w[t]))
+
+    def test_probe_builds_no_gains(self):
+        problem = ct.prepare_regret(s1())
+        syn = ct.synthesize_regret(problem, 2.0)
+        assert syn.feasible
+        assert "M_state" not in vars(syn) and "M_z" not in vars(syn)
+        M_state = syn.M_state
+        assert "M_state" in vars(syn) and "M_z" not in vars(syn)
+        assert syn.M_state is M_state
+        assert syn.M_z.shape == (3, 1, 1)
+
+    def test_bisection_builds_gains_only_when_used(self, monkeypatch):
+        built = []
+        gain = ct.RegretSynthesis._gain
+
+        def counted_gain(synthesis, X):
+            built.append(X.shape)
+            return gain(synthesis, X)
+
+        monkeypatch.setattr(ct.RegretSynthesis, "_gain", counted_gain)
+        sys = random_system(3)
+        _, ctrl = ct.regret_optimal(sys, 1e-6)
+        assert built == []
+        ctrl.control_sequence(np.ones((sys.T, sys.p)))
+        assert len(built) == 2
+
+    def test_infeasible_gains_are_zero(self):
+        syn = ct.synthesize_regret(s1(), 0.1)
+        assert not syn.feasible
+        assert syn.M_state.shape == (3, 1, 2) and not syn.M_state.any()
+        assert syn.M_z.shape == (3, 1, 1) and not syn.M_z.any()
 
 
 class TestStructure:

@@ -55,7 +55,8 @@ class TestBackendParity:
         for a, b in zip(fjit, fpy):
             _close(a, b)
         P, K_p, R_e, Atil = fjit
-        bargs = (Atil, nsys.B_w, sqQ, R_e, 1.5)
+        W = sqQ @ np.linalg.solve(R_e, sqQ)
+        bargs = (Atil, nsys.B_w, W, 1.5)
         for a, b in zip(
             kernels.backward_kalman(*bargs), kernels.PY_KERNELS["backward_kalman"](*bargs)
         ):

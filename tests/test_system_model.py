@@ -8,6 +8,8 @@ from regretctl.system_model import (
     LqSystem,
     evaluate_cost,
     normalize_control_weight,
+    pd_inv_sqrt,
+    psd_sqrt,
     validate_system,
 )
 from helpers import random_disturbance, random_system, s1
@@ -59,6 +61,67 @@ class TestValidate:
         )
         out = validate_system(sys)
         assert np.array_equal(out.Q, np.transpose(out.Q, (0, 2, 1)))
+
+
+    def test_nan_a_rejected(self):
+        sys = s1()
+        A = sys.A.copy()
+        A[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="A has a non-finite"):
+            validate_system(LqSystem(A, sys.B_u, sys.B_w, sys.Q, sys.R, sys.Q_T))
+
+    def test_inf_q_rejected(self):
+        sys = s1()
+        Q = sys.Q.copy()
+        Q[2, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="Q has a non-finite"):
+            validate_system(LqSystem(sys.A, sys.B_u, sys.B_w, Q, sys.R, sys.Q_T))
+
+
+def _psd_stack(seed, T=7):
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((T, 3, 3))
+    M = C @ np.swapaxes(C, 1, 2)
+    M[0] = np.diag([2.0, 0.0, 0.0])  # rank-deficient
+    return M
+
+
+class TestBatchedSquareRoots:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_psd_sqrt_stack_equals_per_matrix(self, seed):
+        M = _psd_stack(seed)
+        stacked = psd_sqrt(M)
+        assert stacked.shape == M.shape
+        for t in range(M.shape[0]):
+            assert np.array_equal(stacked[t], psd_sqrt(M[t]))
+        assert np.allclose(stacked @ stacked, M, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pd_inv_sqrt_stack_equals_per_matrix(self, seed):
+        M = _psd_stack(seed)[1:] + 0.1 * np.eye(3)
+        stacked = pd_inv_sqrt(M)
+        for t in range(M.shape[0]):
+            assert np.array_equal(stacked[t], pd_inv_sqrt(M[t]))
+        assert np.allclose(stacked @ M @ stacked, np.eye(3), atol=1e-10)
+
+    def test_two_dimensional_input(self):
+        M = _psd_stack(3)[2]
+        assert psd_sqrt(M).shape == (3, 3)
+        assert np.array_equal(psd_sqrt(M), psd_sqrt(M[None])[0])
+        assert np.array_equal(pd_inv_sqrt(M), pd_inv_sqrt(M[None])[0])
+
+    def test_higher_rank_stack(self):
+        M = _psd_stack(4, T=6).reshape(2, 3, 3, 3) + np.eye(3)
+        assert np.array_equal(pd_inv_sqrt(M), pd_inv_sqrt(M.reshape(6, 3, 3)).reshape(M.shape))
+
+    def test_one_indefinite_matrix_in_stack_rejected(self):
+        M = _psd_stack(5) + np.eye(3)
+        M[4] = np.diag([1.0, -1e-3, 2.0])
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            pd_inv_sqrt(M)
+        M[4] = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(DefinitenessError):
+            pd_inv_sqrt(M)
 
 
 class TestNormalize:
@@ -114,6 +177,17 @@ class TestEvaluateCost:
     def test_s1_optimal_control(self):
         traj = evaluate_cost(s1(), [1.0, 0.0, 0.0], [-0.6, -0.2, 0.0])
         assert traj.total_cost == pytest.approx(0.6, abs=1e-12)
+
+    def test_weighted_states(self):
+        for seed in range(5):
+            sys = random_system(seed)
+            rng = np.random.default_rng(seed)
+            w = rng.standard_normal((sys.T, sys.p))
+            u = rng.standard_normal((sys.T, sys.m))
+            traj = evaluate_cost(sys, w, u)
+            assert traj.s.shape == (sys.T, sys.n)
+            for t in range(sys.T):
+                assert np.allclose(traj.s[t], psd_sqrt(sys.Q[t]) @ traj.x[t], rtol=1e-12, atol=1e-12)
 
     def test_terminal_term_included(self):
         sys = s1(Q_T=[[1.0]])
