@@ -57,6 +57,14 @@ def _matrix(doc, field):
         raise ConfigError(f"field {field!r}: not a numeric array ({e})")
 
 
+def _int_field(value, field, minimum):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"field {field!r}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"field {field!r}: must be at least {minimum}, got {value}")
+    return int(value)
+
+
 def parse_config(document) -> dict:
     """Validate a config document (dict or JSON text) and resolve defaults.
 
@@ -88,7 +96,7 @@ def parse_config(document) -> dict:
     if mode == "lti":
         if "horizon" not in document:
             raise ConfigError("missing required field 'horizon' for an lti system")
-        T = int(document["horizon"])
+        T = _int_field(document["horizon"], "horizon", 1)
         sys = LqSystem.time_invariant(
             _matrix(blocks["A"], "A"),
             _matrix(blocks["Bu"], "Bu"),
@@ -101,7 +109,7 @@ def parse_config(document) -> dict:
     else:
         A = [_matrix(M, "A") for M in blocks["A"]]
         T = len(A)
-        if "horizon" in document and int(document["horizon"]) != T:
+        if "horizon" in document and _int_field(document["horizon"], "horizon", 1) != T:
             raise ConfigError("field 'horizon' disagrees with the ltv step count")
         QT = _matrix(blocks["QT"], "QT") if "QT" in blocks else np.zeros_like(A[0])
         sys = LqSystem.from_steps(
@@ -127,15 +135,20 @@ def parse_config(document) -> dict:
     d = cfg["disturbance"]
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("field 'disturbance': needs a 'kind'")
+    seed = _int_field(cfg["seed"], "seed", 0)
     resolved = {
         "system": sysdoc,
         "horizon": sys.T,
         "controllers": cfg["controllers"],
-        "lookahead": int(cfg["lookahead"]),
-        "delay": int(cfg["delay"]),
-        "disturbance": {"kind": d["kind"], "params": d.get("params", {}), "seed": int(d.get("seed", cfg["seed"]))},
-        "trials": int(cfg["trials"]),
-        "seed": int(cfg["seed"]),
+        "lookahead": _int_field(cfg["lookahead"], "lookahead", 0),
+        "delay": _int_field(cfg["delay"], "delay", 0),
+        "disturbance": {
+            "kind": d["kind"],
+            "params": d.get("params", {}),
+            "seed": _int_field(d.get("seed", seed), "disturbance.seed", 0),
+        },
+        "trials": _int_field(cfg["trials"], "trials", 1),
+        "seed": seed,
         "tol": float(cfg["tol"]),
         "output": cfg["output"],
     }
@@ -154,6 +167,13 @@ def emit_csv(path, header, rows):
     text = "\n".join(lines) + "\n"
     with open(path, "w") as f:
         f.write(text)
+
+
+def _emit_cost_csv(path, report, names, T):
+    """One row per step t < T: t, then each controller's time-averaged cost
+    at t averaged over the trials."""
+    rows = [[t] + [report.time_averaged[n][:, t].mean() for n in names] for t in range(T)]
+    emit_csv(path, ["t"] + [f"cost_{n}" for n in names], rows)
 
 
 def _jsonable(obj):
@@ -180,6 +200,8 @@ def emit_json(path, obj):
 
 
 def _load(config_path, seed, tol):
+    """Parse the config, apply the command-line overrides and echo the
+    resolved config on stdout."""
     with open(config_path) as f:
         cfg = parse_config(f.read())
     if seed is not None:
@@ -187,6 +209,7 @@ def _load(config_path, seed, tol):
         cfg["resolved"]["disturbance"]["seed"] = int(seed)
     if tol is not None:
         cfg["resolved"]["tol"] = float(tol)
+    click.echo(json.dumps(_jsonable(cfg["resolved"]), sort_keys=True))
     return cfg
 
 
@@ -241,10 +264,6 @@ def _build_controllers(cfg, feasibility_test):
     return out, gammas
 
 
-def _echo(cfg):
-    click.echo(json.dumps(_jsonable(cfg["resolved"]), sort_keys=True))
-
-
 @click.group()
 def main():
     """Finite-horizon regret-optimal control synthesis and benchmarks."""
@@ -296,7 +315,6 @@ def _guarded(fn):
 def gamma(config_path, seed, tol, csv_path, json_path, feasibility_test):
     """Bisect for the regret-optimal performance level."""
     cfg = _load(config_path, seed, tol)
-    _echo(cfg)
     synth_sys, _ = _augmented(cfg)
     res, _ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"], feasibility_test)
     click.echo(f"gamma_opt = {_float_repr(res.gamma_opt)}")
@@ -319,7 +337,6 @@ def gamma(config_path, seed, tol, csv_path, json_path, feasibility_test):
 def synth(config_path, seed, tol, csv_path, json_path, feasibility_test):
     """Synthesize the regret controller and export its per-step gains."""
     cfg = _load(config_path, seed, tol)
-    _echo(cfg)
     synth_sys, _ = _augmented(cfg)
     res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"], feasibility_test)
     if not hasattr(ctrl, "synthesis"):
@@ -348,7 +365,6 @@ def synth(config_path, seed, tol, csv_path, json_path, feasibility_test):
 def simulate(config_path, seed, tol, csv_path, json_path, feasibility_test):
     """Roll the configured controllers and write per-step time-averaged costs."""
     cfg = _load(config_path, seed, tol)
-    _echo(cfg)
     ctrls, gammas = _build_controllers(cfg, feasibility_test)
     offline_requested = ctrls.pop("offline_controller", None) is not None
     r = cfg["resolved"]
@@ -359,16 +375,8 @@ def simulate(config_path, seed, tol, csv_path, json_path, feasibility_test):
     names = list(ctrls)
     if offline_requested:
         names.append("offline")
-    header = ["t"] + [f"cost_{n}" for n in names]
-    T = cfg["system"].T
-    rows = []
-    for t in range(T):
-        row = [t]
-        for n in names:
-            row.append(report.time_averaged[n][:, t].mean())
-        rows.append(row)
     out = csv_path or r["output"].get("csv", "simulate.csv")
-    emit_csv(out, header, rows)
+    _emit_cost_csv(out, report, names, cfg["system"].T)
     click.echo(f"trace written to {out}")
     if json_path:
         emit_json(
@@ -389,7 +397,6 @@ def simulate(config_path, seed, tol, csv_path, json_path, feasibility_test):
 def certify(config_path, seed, tol, csv_path, json_path, feasibility_test):
     """Run the dense operator oracle on the synthesized regret controller."""
     cfg = _load(config_path, seed, tol)
-    _echo(cfg)
     synth_sys, _ = _augmented(cfg)
     try:
         oo.check_size(synth_sys)
@@ -464,20 +471,8 @@ def pendulum(mode, horizon, trials, seed, tol, csv_path, json_path, feasibility_
     else:
         spec = DisturbanceSpec("alternating", {"mean": [1.0, 1.0], "period": 15}, seed=seed)
     report = compare(sys, {"h2": h2, "hinf": hinf, "regret": regret}, spec, trials=trials)
-    header = ["t", "cost_h2", "cost_hinf", "cost_regret", "cost_offline"]
-    rows = []
-    for t in range(horizon):
-        rows.append(
-            [
-                t,
-                report.time_averaged["h2"][:, t].mean(),
-                report.time_averaged["hinf"][:, t].mean(),
-                report.time_averaged["regret"][:, t].mean(),
-                report.time_averaged["offline"][:, t].mean(),
-            ]
-        )
     out = csv_path or f"pendulum_{mode}.csv"
-    emit_csv(out, header, rows)
+    _emit_cost_csv(out, report, ["h2", "hinf", "regret", "offline"], horizon)
     click.echo(f"gamma_hinf = {_float_repr(hinf_res.gamma_opt)}")
     click.echo(f"gamma_regret = {_float_repr(reg_res.gamma_opt)}")
     click.echo(f"trace written to {out}")

@@ -345,32 +345,24 @@ class RegretController:
         n = self.synthesis.fwd.Atil.shape[1]
         return np.zeros(n)
 
-    def step(self, state, t, x_t, w_t):
+    @cached_property
+    def _tapes(self):
+        """The per-step tapes of `kernels.rollout_regret` after (A, B_u), in
+        its argument order; step t of the controller reads their slices at t."""
         s = self.synthesis
-        delta = state
-        n = s.fwd.Atil.shape[1]
-        norm_sys = self._norm.system
-        z = s.bwd.R_be_sqrt[t] @ (s.bwd.K_bl[t].T @ delta + w_t)
-        u_norm = s.M_state[t, :, :n] @ x_t + s.M_state[t, :, n:] @ delta + s.M_z[t] @ z
-        delta = s.fwd.Atil[t] @ delta + norm_sys.B_w[t] @ w_t
+        n = self._norm.system.n
+        M_x, M_d = s.M_state[:, :, :n], s.M_state[:, :, n:]
+        return (s.fwd.Atil, self._norm.system.B_w, s.bwd.K_bl, s.bwd.R_be_sqrt, M_x, M_d, s.M_z)
+
+    def step(self, state, t, x_t, w_t):
+        step_tapes = [tape[t] for tape in self._tapes]
+        _, u_norm, delta = kernels._regret_step(*step_tapes, x_t, state, w_t)
         return self._norm.R_inv_sqrt[t] @ u_norm, delta
 
     def control_sequence(self, w):
-        s = self.synthesis
         norm_sys = self._norm.system
         w = np.asarray(w, dtype=float).reshape(norm_sys.T, norm_sys.p)
-        u_norm, _ = kernels.rollout_regret(
-            norm_sys.A,
-            norm_sys.B_u,
-            s.fwd.Atil,
-            norm_sys.B_w,
-            s.bwd.K_bl,
-            s.bwd.R_be_sqrt,
-            np.ascontiguousarray(s.M_state[:, :, : norm_sys.n]),
-            np.ascontiguousarray(s.M_state[:, :, norm_sys.n :]),
-            s.M_z,
-            w,
-        )
+        u_norm, _ = kernels.rollout_regret(norm_sys.A, norm_sys.B_u, *self._tapes, w)
         return self._norm.to_original_u(u_norm)
 
 
@@ -386,8 +378,6 @@ def synthesize_regret(
     prescription, the default); "printed" uses the control-only value
     recursion with a -gamma^2 margin.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     if feasibility_test not in ("level1", "printed"):
         raise ValueError(f"unknown feasibility test {feasibility_test!r}")
     problem = sys if isinstance(sys, RegretProblem) else prepare_regret(sys)

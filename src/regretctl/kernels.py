@@ -1,26 +1,18 @@
-"""Hot recursion kernels.
+"""Hot recursion kernels, pure numpy over stacked (T, ., .) arrays.
 
-Every kernel is written in nopython-compatible numpy over stacked (T, ., .)
-arrays. If numba is importable and the environment variable REGRETCTL_BACKEND
-is not set to "numpy", the kernels are compiled with @njit; otherwise the pure
-numpy implementations run as-is. `PY_KERNELS` always holds the uncompiled
-versions so the two paths can be benchmarked against each other.
+The three backward value recursions are one indefinite Riccati recursion,
+`_riccati_backward`, over a control input B_u and a disturbance input B_w
+with J = blkdiag(R, -level^2 I) + B'PB (the Krein-space view of H-infinity
+control). Its three entry points are `lqr_backward` (no disturbance input,
+p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma) and
+`regret_phat_backward` (R = I on the doubled state of the regret reduction,
+stacked or control-only). The regret controller's step is `_regret_step`,
+shared by `rollout_regret` and the stepping interface of the controller.
 """
-
-import os
 
 import numpy as np
 
-_want_numba = os.environ.get("REGRETCTL_BACKEND", "numba").lower() != "numpy"
-try:
-    if _want_numba:
-        from numba import njit
-    else:
-        njit = None
-except ImportError:  # pragma: no cover
-    njit = None
-
-BACKEND = "numba" if njit is not None else "numpy"
+BACKEND = "numpy"  # the only backend; benchmark environment records report it
 
 
 def _sym(M):
@@ -32,34 +24,19 @@ def _max_eig(M):
     return vals[-1]
 
 
-def lqr_backward(A, B_u, Q, R, P_T):
-    """Backward LQR Riccati: P_t = Q_t + A'PA - A'PB (R+B'PB)^{-1} B'PA.
+def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked):
+    """The one backward Riccati recursion behind the three public entry points.
 
-    Returns (P, H) with P: (T+1, n, n), H_t = R_t + B_u' P_{t+1} B_u: (T, m, m).
-    """
-    T, n, _ = A.shape
-    m = B_u.shape[2]
-    P = np.zeros((T + 1, n, n))
-    H = np.zeros((T, m, m))
-    P[T] = _sym(P_T)
-    for t in range(T - 1, -1, -1):
-        BtP = B_u[t].T @ P[t + 1]
-        H[t] = _sym(R[t] + BtP @ B_u[t])
-        AtP = A[t].T @ P[t + 1]
-        P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ B_u[t]) @ np.linalg.solve(H[t], BtP @ A[t]))
-    return P, H
+    P_t = Q_t + A'PA - A'PB J^{-1} B'PA with P = P_{t+1}. When `stacked`, B is
+    the stacked input [B_u B_w] and J = blkdiag(R, -level^2 I) + B'PB;
+    otherwise B = B_u and J = H_t = R_t + B_u'PB_u. Whenever p > 0, the margin
+    at step t is the largest eigenvalue of
+    -level^2 I + B_w'PB_w - B_w'PB_u H_t^{-1} B_u'PB_w.
+    In the stacked case a margin >= 0 or an H_t that is not positive definite
+    makes J singular, so the recursion stops there and flags every earlier
+    step with max(margin, 1).
 
-
-def hinf_backward(A, B_u, B_w, Q, R, P_T, gamma):
-    """Backward H-infinity Riccati with per-step feasibility margins.
-
-    P_t = Q_t + A'PA - A'P Bhat Hhat^{-1} Bhat' P A with Bhat = [B_u B_w] and
-    Hhat = blkdiag(R, -gamma^2 I) + Bhat' P Bhat. The margin at step t is the
-    largest eigenvalue of
-    -gamma^2 I + B_w'PB_w - B_w'PB_u H^{-1} B_u'PB_w;
-    the synthesis is feasible iff every margin is negative.
-
-    Returns (P, H, margins).
+    Returns (P, H, margins) with P: (T+1, n, n), H: (T, m, m), margins: (T,).
     """
     T, n, _ = A.shape
     m = B_u.shape[2]
@@ -68,31 +45,47 @@ def hinf_backward(A, B_u, B_w, Q, R, P_T, gamma):
     H = np.zeros((T, m, m))
     margins = np.zeros(T)
     P[T] = _sym(P_T)
-    g2 = gamma * gamma
+    neg_l2 = -(level * level) * np.eye(p)
     for t in range(T - 1, -1, -1):
         Pn = P[t + 1]
-        H[t] = _sym(R[t] + B_u[t].T @ Pn @ B_u[t])
-        cross = B_w[t].T @ Pn @ B_u[t]
-        marg = _sym(
-            -g2 * np.eye(p)
-            + B_w[t].T @ Pn @ B_w[t]
-            - cross @ np.linalg.solve(H[t], cross.T)
-        )
-        margins[t] = _max_eig(marg)
-        if margins[t] >= 0.0 or _max_eig(-H[t]) >= 0.0:
-            # level unattainable from step t on; the stacked pivot is no
-            # longer invertible, so stop and flag every earlier step
-            for s in range(t + 1):
-                margins[s] = max(margins[t], 1.0)
-            break
-        Bhat = np.concatenate((B_u[t], B_w[t]), axis=1)
-        Hhat = np.zeros((m + p, m + p))
-        Hhat[:m, :m] = R[t]
-        Hhat[m:, m:] = -g2 * np.eye(p)
-        Hhat = _sym(Hhat + Bhat.T @ Pn @ Bhat)
+        BtP = B_u[t].T @ Pn
+        H[t] = _sym(R[t] + BtP @ B_u[t])
+        if p:
+            WtP = B_w[t].T @ Pn
+            cross = WtP @ B_u[t]
+            marg = _sym(neg_l2 + WtP @ B_w[t] - cross @ np.linalg.solve(H[t], cross.T))
+            margins[t] = _max_eig(marg)
+            if stacked and (margins[t] >= 0.0 or _max_eig(-H[t]) >= 0.0):
+                margins[: t + 1] = max(margins[t], 1.0)
+                break
         AtP = A[t].T @ Pn
-        P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ Bhat) @ np.linalg.solve(Hhat, Bhat.T @ Pn @ A[t]))
+        if stacked:
+            Bs = np.concatenate((B_u[t], B_w[t]), axis=1)
+            J = np.zeros((m + p, m + p))
+            J[:m, :m] = R[t]
+            J[m:, m:] = neg_l2
+            J = _sym(J + Bs.T @ Pn @ Bs)
+            P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ Bs) @ np.linalg.solve(J, Bs.T @ Pn @ A[t]))
+        else:
+            P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ B_u[t]) @ np.linalg.solve(H[t], BtP @ A[t]))
     return P, H, margins
+
+
+def lqr_backward(A, B_u, Q, R, P_T):
+    """Backward LQR Riccati: the recursion with no disturbance input (p = 0).
+
+    Returns (P, H) with P: (T+1, n, n), H_t = R_t + B_u' P_{t+1} B_u: (T, m, m).
+    """
+    B_w = np.zeros(B_u.shape[:2] + (0,))
+    P, H, _ = _riccati_backward(A, B_u, B_w, Q, R, P_T, 0.0, False)
+    return P, H
+
+
+def hinf_backward(A, B_u, B_w, Q, R, P_T, gamma):
+    """Backward H-infinity Riccati over the stacked input [B_u B_w] at level
+    gamma, with per-step feasibility margins; the level is attainable iff
+    every margin is negative. Returns (P, H, margins)."""
+    return _riccati_backward(A, B_u, B_w, Q, R, P_T, gamma, True)
 
 
 def forward_kalman(A, B_u, sqQ):
@@ -167,61 +160,29 @@ def rollout_feedback(A, B_u, B_w, K_x, K_w, w):
 
 def regret_phat_backward(Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form):
     """Backward recursion for the value matrices of the transformed
-    (2n-dimensional) synthesis at the given disturbance-attenuation level.
-
-    When lqr_form is False (default path) the full H-infinity recursion over
-    the stacked input [Bhat_u Bhat_w] is used; when True, the control-only
-    recursion is used. Margins are computed at `level` in both cases.
-
-    Returns (Phat, Hhat, margins).
+    (2n-dimensional) synthesis: the recursion with R = I, over the stacked
+    input [Bhat_u Bhat_w] at attenuation `level`, or over Bhat_u alone (the
+    control-only form) when lqr_form is True. Margins are computed at `level`
+    in both cases. Returns (Phat, Hhat, margins).
     """
-    T, N, _ = Ahat.shape
-    m = Bhat_u.shape[2]
-    p = Bhat_w.shape[2]
-    Phat = np.zeros((T + 1, N, N))
-    Hhat = np.zeros((T, m, m))
-    margins = np.zeros(T)
-    Phat[T] = _sym(Phat_T)
-    l2 = level * level
-    for t in range(T - 1, -1, -1):
-        Pn = Phat[t + 1]
-        Hhat[t] = _sym(np.eye(m) + Bhat_u[t].T @ Pn @ Bhat_u[t])
-        cross = Bhat_w[t].T @ Pn @ Bhat_u[t]
-        marg = _sym(
-            -l2 * np.eye(p)
-            + Bhat_w[t].T @ Pn @ Bhat_w[t]
-            - cross @ np.linalg.solve(Hhat[t], cross.T)
-        )
-        margins[t] = _max_eig(marg)
-        if not lqr_form and (margins[t] >= 0.0 or _max_eig(-Hhat[t]) >= 0.0):
-            for s in range(t + 1):
-                margins[s] = max(margins[t], 1.0)
-            break
-        AtP = Ahat[t].T @ Pn
-        if lqr_form:
-            Phat[t] = _sym(
-                Qhat[t]
-                + AtP @ Ahat[t]
-                - (AtP @ Bhat_u[t]) @ np.linalg.solve(Hhat[t], Bhat_u[t].T @ Pn @ Ahat[t])
-            )
-        else:
-            Bstk = np.concatenate((Bhat_u[t], Bhat_w[t]), axis=1)
-            Hstk = np.zeros((m + p, m + p))
-            Hstk[:m, :m] = np.eye(m)
-            Hstk[m:, m:] = -l2 * np.eye(p)
-            Hstk = _sym(Hstk + Bstk.T @ Pn @ Bstk)
-            Phat[t] = _sym(
-                Qhat[t]
-                + AtP @ Ahat[t]
-                - (AtP @ Bstk) @ np.linalg.solve(Hstk, Bstk.T @ Pn @ Ahat[t])
-            )
-    return Phat, Hhat, margins
+    T, _, m = Bhat_u.shape
+    R = np.broadcast_to(np.eye(m), (T, m, m))
+    return _riccati_backward(Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, not lqr_form)
+
+
+def _regret_step(Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, x, delta, w):
+    """One step of the regret controller; every matrix is its step-t slice.
+    Returns z = R_be^{1/2} K_bl' delta + R_be^{1/2} w, the normalized control
+    u = M_x x + M_d delta + M_z z and the next driver state
+    delta' = Atil delta + B_w w."""
+    z = sqR_be @ (K_bl.T @ delta) + sqR_be @ w
+    u = M_x @ x + M_d @ delta + M_z @ z
+    return z, u, Atil @ delta + B_w @ w
 
 
 def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
-    """Roll out the regret controller: the Delta-driver state delta feeds
-    z_t = R_be^{1/2} K_bl' delta_t + R_be^{1/2} w_t and the control is
-    u_t = M_x_t x_t + M_d_t delta_t + M_z_t z_t.
+    """Roll out the regret controller step by step (`_regret_step`) on the
+    plant x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0.
 
     In exact arithmetic the augmented state [zeta; nu] equals [x; delta], so
     the realization feeds the plant state back instead of simulating zeta
@@ -229,34 +190,14 @@ def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     between plant and internal copy would grow exponentially); delta only
     sees the stable closed-loop observer matrix Atil. Returns (u, z)."""
     T, n, _ = A.shape
-    m = B_u.shape[2]
-    p = B_w.shape[2]
-    u = np.zeros((T, m))
-    z = np.zeros((T, p))
+    u = np.zeros((T, B_u.shape[2]))
+    z = np.zeros((T, B_w.shape[2]))
     x = np.zeros(n)
     delta = np.zeros(n)
     for t in range(T):
-        z[t] = sqR_be[t] @ (K_bl[t].T @ delta) + sqR_be[t] @ w[t]
-        u[t] = M_x[t] @ x + M_d[t] @ delta + M_z[t] @ z[t]
+        z[t], u[t], delta_next = _regret_step(
+            Atil[t], B_w[t], K_bl[t], sqR_be[t], M_x[t], M_d[t], M_z[t], x, delta, w[t]
+        )
         x = A[t] @ x + B_u[t] @ u[t] + B_w[t] @ w[t]
-        delta = Atil[t] @ delta + B_w[t] @ w[t]
+        delta = delta_next
     return u, z
-
-
-_KERNEL_NAMES = [
-    "lqr_backward",
-    "hinf_backward",
-    "forward_kalman",
-    "backward_kalman",
-    "rollout_feedback",
-    "regret_phat_backward",
-    "rollout_regret",
-]
-
-PY_KERNELS = {name: globals()[name] for name in _KERNEL_NAMES}
-
-if njit is not None:
-    _sym = njit(cache=True)(_sym)
-    _max_eig = njit(cache=True)(_max_eig)
-    for _name in _KERNEL_NAMES:
-        globals()[_name] = njit(cache=True)(PY_KERNELS[_name])

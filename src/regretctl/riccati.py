@@ -72,6 +72,11 @@ class BackwardKalmanTape:
     gamma: float
 
 
+def _check_level(gamma):
+    if not 0.0 < gamma < np.inf:  # written so that NaN fails too
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
 def backward_lqr(sys: LqSystem, P_T=None) -> LqrTape:
     """Backward LQR Riccati recursion; P_T defaults to the terminal cost Q_T."""
     sys = as_validated(sys)
@@ -87,8 +92,7 @@ def backward_hinf(sys: LqSystem, gamma: float) -> HinfTape:
     """Backward H-infinity Riccati at performance level gamma, initialized at
     P_T = Q_T, with per-step feasibility margins."""
     sys = as_validated(sys)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_level(gamma)
     try:
         P, H, margins = kernels.hinf_backward(
             sys.A, sys.B_u, sys.B_w, sys.Q, sys.R, sys.Q_T, float(gamma)
@@ -115,8 +119,7 @@ def forward_kalman(norm: NormalizedSystem) -> ForwardKalmanTape:
 def backward_kalman(norm: NormalizedSystem, fwd: ForwardKalmanTape, gamma: float) -> BackwardKalmanTape:
     """Backward Kalman recursion; the induced causal operator Delta satisfies
     Delta'Delta = gamma^2 I + G'(I + FF')^{-1} G."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_level(gamma)
     sys = norm.system
     P_b, K_bl, R_be = kernels.backward_kalman(fwd.Atil, sys.B_w, fwd.W, float(gamma))
     return BackwardKalmanTape(

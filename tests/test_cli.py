@@ -72,6 +72,40 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{field} has a non-finite"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("horizon", 2.7, "expected an integer"),
+            ("horizon", True, "expected an integer"),
+            ("horizon", "3", "expected an integer"),
+            ("horizon", 0, "must be at least 1"),
+            ("trials", 0, "must be at least 1"),
+            ("trials", 2.0, "expected an integer"),
+            ("delay", 1.5, "expected an integer"),
+            ("delay", -1, "must be at least 0"),
+            ("lookahead", False, "expected an integer"),
+            ("lookahead", -2, "must be at least 0"),
+            ("seed", "7", "expected an integer"),
+            ("seed", 7.0, "expected an integer"),
+            ("disturbance.seed", True, "expected an integer"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, field, value, message):
+        doc = json.loads(json.dumps(S1_CONFIG))
+        if field == "disturbance.seed":
+            doc["disturbance"] = {"kind": "gaussian", "seed": value}
+        else:
+            doc[field] = value
+        with pytest.raises(ConfigError, match=f"field '{field}': {message}"):
+            parse_config(doc)
+
+    def test_integer_fields_accepted(self):
+        doc = dict(S1_CONFIG, horizon=4, trials=2, delay=1, lookahead=0, seed=7)
+        doc["disturbance"] = {"kind": "gaussian", "seed": np.int64(3)}
+        r = parse_config(doc)["resolved"]
+        assert (r["horizon"], r["trials"], r["delay"], r["lookahead"], r["seed"]) == (4, 2, 1, 0, 7)
+        assert type(r["disturbance"]["seed"]) is int and r["disturbance"]["seed"] == 3
+
     def test_ltv_roundtrip(self):
         doc = {
             "system": {
@@ -201,6 +235,15 @@ class TestErrors:
             record = json.loads(result.stderr.strip().splitlines()[-1])
             assert record["error"]["type"] == "ValueError"
             assert "tol" in record["error"]["message"]
+
+    def test_non_integer_horizon_record(self, runner, tmp_path):
+        cfg = tmp_path / "frac.json"
+        cfg.write_text(json.dumps(dict(S1_CONFIG, horizon=2.7)))
+        result = runner.invoke(main, ["gamma", "--config", str(cfg)])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "ConfigError"
+        assert "horizon" in record["error"]["message"]
 
     def test_non_finite_matrix_record(self, runner, tmp_path):
         doc = json.loads(json.dumps(S1_CONFIG))

@@ -3,6 +3,7 @@ import pytest
 
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
+from regretctl import sim_bench
 from regretctl.cli import pendulum_system
 from regretctl.system_model import (
     LqSystem,
@@ -76,6 +77,10 @@ class TestHinf:
         assert riccati.backward_hinf(sys, res.gamma_opt * (1 + tol)).feasible
         assert not riccati.backward_hinf(sys, res.gamma_opt * (1 - tol)).feasible
 
+    def test_pendulum_gamma_recorded_at_seed(self):
+        res, _ = ct.hinf_optimal(pendulum_system(100), 1e-6)
+        assert res.gamma_opt == 1.8820199966430664
+
     def test_achieves_gain_bound(self):
         sys = s1()
         res, ctrl = ct.hinf_optimal(sys, tol=1e-8)
@@ -147,6 +152,31 @@ class TestRegretController:
         res, _ = ct.regret_optimal(sys, tol=1e-8)
         with pytest.raises(ct.InfeasibleError):
             ct.regret_controller(sys, 0.5 * res.gamma_opt)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_level_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            ct.synthesize_regret(s1(), gamma)
+        with pytest.raises(ValueError, match="gamma must be positive and finite") as info:
+            ct.regret_controller(s1(), gamma)
+        assert not isinstance(info.value, ct.InfeasibleError)
+
+    def test_stepping_loop_matches_sequence_bitwise(self):
+        """With R = 1 the plant state of the stepping loop and of the rollout
+        kernel agree bit for bit, so both realizations must too."""
+
+        class StepOnly:
+            causal = True
+
+            def __init__(self, ctrl):
+                self.start, self.step = ctrl.start, ctrl.step
+
+        sys = pendulum_system(100)
+        _, ctrl = ct.regret_optimal(sys, 1e-6)
+        for seed in range(3):
+            w = np.random.default_rng(seed).standard_normal((sys.T, sys.p))
+            traj = sim_bench.rollout(sys, StepOnly(ctrl), w)
+            assert np.array_equal(traj.u, ctrl.control_sequence(w))
 
     def test_step_equals_sequence(self):
         sys = random_system(8, T_max=8)
@@ -222,6 +252,10 @@ class TestRegretOptimal:
     def test_pendulum_gamma_recorded_at_seed(self):
         res, _ = ct.regret_optimal(pendulum_system(100), 1e-6)
         assert res.gamma_opt == 1.7185392379760742
+
+    def test_pendulum_printed_gamma_recorded_at_seed(self):
+        res, _ = ct.regret_optimal(pendulum_system(100), 1e-6, "printed")
+        assert res.gamma_opt == 1.1840887069702148
 
 
 _TAPES = (

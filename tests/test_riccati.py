@@ -19,6 +19,9 @@ class TestBackwardLqr:
         tape = riccati.backward_lqr(s1())
         assert np.allclose(tape.P[:, 0, 0], [1.6, 1.5, 1.0, 0.0], atol=1e-12)
 
+    def test_s1_values_exact(self):
+        assert riccati.backward_lqr(s1()).P.ravel().tolist() == [1.6, 1.5, 1.0, 0.0]
+
     def test_zero_q_fixed_point(self):
         sys = s1()
         zero_q = validate_system(
@@ -93,6 +96,11 @@ class TestBackwardHinf:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             riccati.backward_hinf(s1(), -1.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_or_nonpositive_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            riccati.backward_hinf(s1(), gamma)
 
 
 class TestForwardKalman:
@@ -207,6 +215,11 @@ class TestBackwardKalman:
                     np.eye(F.shape[0]) + F @ F.T, G
                 )
                 assert np.linalg.norm(D.T @ D - target) <= 1e-8 * np.linalg.norm(target)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_or_nonpositive_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            self._delta(s1(), gamma)
 
     def test_tapes_symmetric_psd(self):
         norm, fwd, bwd = self._delta(random_system(4), 1.0)
