@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system_model import LqSystem, as_validated, validate_system
+from .system_model import LqSystem, as_signal, as_validated, validate_system
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,14 @@ class AugmentedSystem:
     length: int  # h or d
 
     def base_disturbance_to_augmented(self, w):
-        """Map a base disturbance sequence to the augmented driving signal."""
+        """Map a base disturbance sequence (T, p), or a batch (..., T, p), to
+        the augmented driving signal."""
         base = self.base
-        w = np.asarray(w, dtype=float).reshape(base.T, base.p)
+        w = as_signal(w, base.T, base.p)
         if self.mode == "prediction" and self.length > 0:
             h = self.length
-            out = np.zeros((base.T, base.p))
-            out[: base.T - h] = w[h:]
+            out = np.zeros_like(w)
+            out[..., : base.T - h, :] = w[..., h:, :]
             return out
         return w.copy()
 
@@ -129,11 +130,11 @@ class WrappedController:
         )
 
     def control_sequence(self, w):
-        base = self.aug.base
-        w = np.asarray(w, dtype=float).reshape(base.T, base.p)
-        w_aug = self.aug.base_disturbance_to_augmented(w)
+        """Base controls (..., T, m) for a base disturbance (T, p) or a batch
+        (..., T, p), from one rollout of the inner controller."""
         from .sim_bench import rollout
 
+        w_aug = self.aug.base_disturbance_to_augmented(w)
         traj = rollout(self.aug.system, self.inner, w_aug)
         return self.aug.augmented_control_to_base(traj.u)
 

@@ -451,6 +451,8 @@ def pendulum_system(horizon: int, c: float = 0.1) -> LqSystem:
 def pendulum(mode, horizon, trials, seed, tol, csv_path, json_path, feasibility_test):
     """Inverted-pendulum benchmark: stochastic N(0,1) noise or means
     alternating between +1 and -1 every 15 steps."""
+    horizon = _int_field(horizon, "horizon", 1)
+    trials = _int_field(trials, "trials", 1)
     sys = pendulum_system(horizon)
     resolved = {
         "preset": "pendulum",

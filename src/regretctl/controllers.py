@@ -6,7 +6,9 @@ All controllers share one stepping interface: `start(w)` returns a fresh
 rollout state (causal controllers ignore w; the offline controller consumes
 the full disturbance there), and `step(state, t, x_t, w_t)` returns
 (u_t, state'). Controllers with a closed-form linear rollout also expose
-`control_sequence(w)` as a fast path.
+`control_sequence(w)` as a fast path; it takes one disturbance (T, p) or a
+batch (..., T, p) and returns controls with the same leading axes, each item
+bit-identical to its own call.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels, riccati
+from .kernels import _mv
 from .system_model import (
     LqSystem,
     NormalizedSystem,
+    as_signal,
     as_validated,
     normalize_control_weight,
 )
@@ -52,7 +56,8 @@ class ZeroController:
         return np.zeros(self._sys.m), state
 
     def control_sequence(self, w):
-        return np.zeros((self._sys.T, self._sys.m))
+        w = as_signal(w, self._sys.T, self._sys.p)
+        return np.zeros(w.shape[:-2] + (self._sys.T, self._sys.m))
 
 
 class FeedbackController:
@@ -72,7 +77,7 @@ class FeedbackController:
         return self.K_x[t] @ x_t + self.K_w[t] @ w_t, state
 
     def control_sequence(self, w):
-        w = np.asarray(w, dtype=float).reshape(self._sys.T, self._sys.p)
+        w = as_signal(w, self._sys.T, self._sys.p)
         _, u = kernels.rollout_feedback(
             self._sys.A, self._sys.B_u, self._sys.B_w, self.K_x, self.K_w, w
         )
@@ -198,6 +203,12 @@ def hinf_optimal(sys: LqSystem, tol: float = 1e-6):
     return result, ctrl
 
 
+def _solve(H, b):
+    """H^{-1} b for a vector b or each vector of a stack b: (..., m), solved
+    one right-hand side at a time like np.linalg.solve(H, b) on one vector."""
+    return np.linalg.solve(H, b[..., None])[..., 0]
+
+
 class OfflineController:
     """Optimal noncausal (clairvoyant) controller in state-space form:
     u_t = -H_t^{-1} B_u'(P_{t+1} A_t x_t + P_{t+1} B_w_t w_t + v_{t+1}/2)
@@ -210,27 +221,27 @@ class OfflineController:
         self._tape = riccati.backward_lqr(self._sys)
 
     def plan(self, w):
+        """Controls (..., T, m) for a disturbance (T, p) or a batch (..., T, p)."""
         sys, tape = self._sys, self._tape
         T, n = sys.T, sys.n
-        w = np.asarray(w, dtype=float).reshape(T, sys.p)
+        w = as_signal(w, T, sys.p)
+        batch = w.shape[:-2]
         P, H = tape.P, tape.H
-        v = np.zeros((T + 1, n))
+        v = np.zeros(batch + (T + 1, n))
         for t in range(T - 1, -1, -1):
-            S = P[t + 1] - P[t + 1] @ sys.B_u[t] @ np.linalg.solve(
-                H[t], sys.B_u[t].T @ P[t + 1]
-            )
+            PB = P[t + 1] @ sys.B_u[t]
+            S = P[t + 1] - PB @ np.linalg.solve(H[t], sys.B_u[t].T @ P[t + 1])
             # A' S P^{-1} v == A'(I - P B_u H^{-1} B_u') v, avoiding singular P
-            carry = sys.A[t].T @ (
-                v[t + 1]
-                - P[t + 1] @ sys.B_u[t] @ np.linalg.solve(H[t], sys.B_u[t].T @ v[t + 1])
-            )
-            v[t] = 2.0 * sys.A[t].T @ S @ sys.B_w[t] @ w[t] + carry
-        x = np.zeros(n)
-        u = np.zeros((T, sys.m))
+            vn = v[..., t + 1, :]
+            carry = _mv(sys.A[t].T, vn - _mv(PB, _solve(H[t], _mv(sys.B_u[t].T, vn))))
+            v[..., t, :] = _mv(2.0 * sys.A[t].T @ S @ sys.B_w[t], w[..., t, :]) + carry
+        x = np.zeros(batch + (n,))
+        u = np.zeros(batch + (T, sys.m))
         for t in range(T):
-            rhs = P[t + 1] @ (sys.A[t] @ x + sys.B_w[t] @ w[t]) + 0.5 * v[t + 1]
-            u[t] = -np.linalg.solve(H[t], sys.B_u[t].T @ rhs)
-            x = sys.A[t] @ x + sys.B_u[t] @ u[t] + sys.B_w[t] @ w[t]
+            wt = w[..., t, :]
+            rhs = _mv(P[t + 1], _mv(sys.A[t], x) + _mv(sys.B_w[t], wt)) + 0.5 * v[..., t + 1, :]
+            u[..., t, :] = -_solve(H[t], _mv(sys.B_u[t].T, rhs))
+            x = _mv(sys.A[t], x) + _mv(sys.B_u[t], u[..., t, :]) + _mv(sys.B_w[t], wt)
         return u
 
     def start(self, w=None):
@@ -246,7 +257,8 @@ class OfflineController:
 
 
 def offline_noncausal(sys: LqSystem, w):
-    """Optimal control sequence for a fully known disturbance."""
+    """Optimal control sequence for a fully known disturbance (T, p), or for
+    each of a batch (..., T, p) with one LQR tape."""
     return OfflineController(sys).plan(w)
 
 
@@ -361,7 +373,7 @@ class RegretController:
 
     def control_sequence(self, w):
         norm_sys = self._norm.system
-        w = np.asarray(w, dtype=float).reshape(norm_sys.T, norm_sys.p)
+        w = as_signal(w, norm_sys.T, norm_sys.p)
         u_norm, _ = kernels.rollout_regret(norm_sys.A, norm_sys.B_u, *self._tapes, w)
         return self._norm.to_original_u(u_norm)
 

@@ -8,6 +8,11 @@ p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma) and
 `regret_phat_backward` (R = I on the doubled state of the regret reduction,
 stacked or control-only). The regret controller's step is `_regret_step`,
 shared by `rollout_regret` and the stepping interface of the controller.
+
+The two rollouts take disturbances with leading batch axes, (..., T, p), and
+run every item in one sweep over time. Each product is a stacked
+matrix-vector product (`_mv`), so an item gets the same bits as its rollout
+alone.
 """
 
 import numpy as np
@@ -146,15 +151,26 @@ def backward_kalman(Atil, B_w, W, gamma):
     return P_b, K_bl, R_be
 
 
+def _mv(M, v):
+    """M @ v for a vector v, or for each vector of a stack v: (..., k); M may
+    be one matrix or a stack broadcasting against v. Each product is one
+    matrix-vector call, so a stacked item gets the same bits as M @ v alone
+    (the row form v @ M.T would go through a matrix-matrix product)."""
+    return (M @ v[..., None])[..., 0]
+
+
 def rollout_feedback(A, B_u, B_w, K_x, K_w, w):
-    """Roll out u_t = K_x_t x_t + K_w_t w_t from x_0 = 0. Returns (x, u)."""
+    """Roll out u_t = K_x_t x_t + K_w_t w_t from x_0 = 0 for a disturbance
+    w: (..., T, p), every leading index an independent rollout. Returns
+    (x, u) with x: (..., T+1, n), u: (..., T, m)."""
     T, n, _ = A.shape
-    m = K_x.shape[1]
-    x = np.zeros((T + 1, n))
-    u = np.zeros((T, m))
+    batch = w.shape[:-2]
+    x = np.zeros(batch + (T + 1, n))
+    u = np.zeros(batch + (T, K_x.shape[1]))
     for t in range(T):
-        u[t] = K_x[t] @ x[t] + K_w[t] @ w[t]
-        x[t + 1] = A[t] @ x[t] + B_u[t] @ u[t] + B_w[t] @ w[t]
+        xt, wt = x[..., t, :], w[..., t, :]
+        u[..., t, :] = _mv(K_x[t], xt) + _mv(K_w[t], wt)
+        x[..., t + 1, :] = _mv(A[t], xt) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
     return x, u
 
 
@@ -171,33 +187,38 @@ def regret_phat_backward(Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form):
 
 
 def _regret_step(Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, x, delta, w):
-    """One step of the regret controller; every matrix is its step-t slice.
-    Returns z = R_be^{1/2} K_bl' delta + R_be^{1/2} w, the normalized control
+    """One step of the regret controller; every matrix is its step-t slice and
+    x, delta, w may carry leading batch axes. Returns
+    z = R_be^{1/2} K_bl' delta + R_be^{1/2} w, the normalized control
     u = M_x x + M_d delta + M_z z and the next driver state
     delta' = Atil delta + B_w w."""
-    z = sqR_be @ (K_bl.T @ delta) + sqR_be @ w
-    u = M_x @ x + M_d @ delta + M_z @ z
-    return z, u, Atil @ delta + B_w @ w
+    z = _mv(sqR_be, _mv(K_bl.T, delta)) + _mv(sqR_be, w)
+    u = _mv(M_x, x) + _mv(M_d, delta) + _mv(M_z, z)
+    return z, u, _mv(Atil, delta) + _mv(B_w, w)
 
 
 def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     """Roll out the regret controller step by step (`_regret_step`) on the
-    plant x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0.
+    plant x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0, for a
+    disturbance w: (..., T, p), every leading index an independent rollout.
 
     In exact arithmetic the augmented state [zeta; nu] equals [x; delta], so
     the realization feeds the plant state back instead of simulating zeta
     open-loop through a possibly unstable A (where rounding differences
     between plant and internal copy would grow exponentially); delta only
-    sees the stable closed-loop observer matrix Atil. Returns (u, z)."""
+    sees the stable closed-loop observer matrix Atil. Returns (u, z) with
+    u: (..., T, m), z: (..., T, p)."""
     T, n, _ = A.shape
-    u = np.zeros((T, B_u.shape[2]))
-    z = np.zeros((T, B_w.shape[2]))
-    x = np.zeros(n)
-    delta = np.zeros(n)
+    batch = w.shape[:-2]
+    u = np.zeros(batch + (T, B_u.shape[2]))
+    z = np.zeros(batch + (T, B_w.shape[2]))
+    x = np.zeros(batch + (n,))
+    delta = np.zeros(batch + (n,))
     for t in range(T):
-        z[t], u[t], delta_next = _regret_step(
-            Atil[t], B_w[t], K_bl[t], sqR_be[t], M_x[t], M_d[t], M_z[t], x, delta, w[t]
+        wt = w[..., t, :]
+        z[..., t, :], u[..., t, :], delta_next = _regret_step(
+            Atil[t], B_w[t], K_bl[t], sqR_be[t], M_x[t], M_d[t], M_z[t], x, delta, wt
         )
-        x = A[t] @ x + B_u[t] @ u[t] + B_w[t] @ w[t]
+        x = _mv(A[t], x) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
         delta = delta_next
     return u, z

@@ -201,21 +201,20 @@ def causal_part(M, row_block: int, col_block: int) -> np.ndarray:
     """Zero out the strictly upper block triangle (blocks (i, j) with j > i)."""
     M = np.asarray(M, dtype=float)
     out = M.copy()
-    nr = M.shape[0] // row_block
-    nc = M.shape[1] // col_block
-    for i in range(nr):
-        for j in range(nc):
-            if j > i:
-                out[i * row_block:(i + 1) * row_block, j * col_block:(j + 1) * col_block] = 0.0
+    rows = np.arange(M.shape[0] // row_block * row_block) // row_block
+    cols = np.arange(M.shape[1] // col_block * col_block) // col_block
+    out[: rows.size, : cols.size][cols[None, :] > rows[:, None]] = 0.0
     return out
 
 
 def controller_operator(sys: LqSystem, controller, tol: float = 1e-9) -> np.ndarray:
     """Extract the (Tm) x (Tp) operator of a linear causal controller by
-    probing it with unit-impulse disturbances.
+    probing it with unit-impulse disturbances, all T*p of them in one batched
+    rollout.
 
     The returned operator maps stacked disturbances to stacked R-normalized
-    controls. Raises CausalityViolationError if any upper block exceeds tol.
+    controls. Raises CausalityViolationError naming the first block (i, j),
+    j > i, in row-major order whose largest magnitude exceeds tol.
     """
     from .sim_bench import rollout  # local import to avoid a cycle
 
@@ -223,20 +222,16 @@ def controller_operator(sys: LqSystem, controller, tol: float = 1e-9) -> np.ndar
     check_size(sys)
     norm = normalize_control_weight(sys)
     T, m, p = sys.T, sys.m, sys.p
-    K = np.zeros((T * m, T * p))
-    for j in range(T):
-        for c in range(p):
-            w = np.zeros((T, p))
-            w[j, c] = 1.0
-            traj = rollout(sys, controller, w)
-            K[:, j * p + c] = norm.to_normalized_u(traj.u).reshape(-1)
-    for i in range(T):
-        for j in range(i + 1, T):
-            blkn = np.abs(K[i * m:(i + 1) * m, j * p:(j + 1) * p]).max()
-            if blkn > tol:
-                raise CausalityViolationError(
-                    f"controller block ({i}, {j}) has magnitude {blkn:g} > {tol:g}"
-                )
+    impulses = np.eye(T * p).reshape(T * p, T, p)  # item j*p + c is w[j, c] = 1
+    u = norm.to_normalized_u(rollout(sys, controller, impulses).u)
+    K = np.ascontiguousarray(u.reshape(T * p, T * m).T)
+    blocks = np.abs(K.reshape(T, m, T, p)).max(axis=(1, 3))
+    upper = np.triu(blocks > tol, k=1)
+    if upper.any():
+        i, j = np.argwhere(upper)[0]
+        raise CausalityViolationError(
+            f"controller block ({i}, {j}) has magnitude {blocks[i, j]:g} > {tol:g}"
+        )
     return K
 
 

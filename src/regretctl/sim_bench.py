@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .system_model import LqSystem, Trajectory, as_validated, evaluate_cost
+from .system_model import LqSystem, Trajectory, as_signal, as_validated, evaluate_cost
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,25 @@ def generate_disturbance(spec: DisturbanceSpec, sys: LqSystem) -> np.ndarray:
 
 def rollout(sys: LqSystem, controller, w) -> Trajectory:
     """Drive the controller along w; at each t it observes (x_t, w_t) before
-    choosing u_t. The trajectory satisfies the dynamics exactly."""
+    choosing u_t. The trajectory satisfies the dynamics exactly.
+
+    w: (T, p), or (..., T, p) for a batch of independent rollouts, which a
+    controller with `control_sequence` runs in one sweep; a controller with
+    only the stepping interface is stepped through each item in turn."""
     sys = as_validated(sys)
-    w = np.asarray(w, dtype=float).reshape(sys.T, sys.p)
+    w = as_signal(w, sys.T, sys.p)
     if hasattr(controller, "control_sequence"):
         u = np.asarray(controller.control_sequence(w), dtype=float)
     else:
-        x = np.zeros(sys.n)
-        u = np.zeros((sys.T, sys.m))
-        state = controller.start(w if not controller.causal else None)
-        for t in range(sys.T):
-            u_t, state = controller.step(state, t, x, w[t])
-            u[t] = u_t
-            x = sys.A[t] @ x + sys.B_u[t] @ u[t] + sys.B_w[t] @ w[t]
+        u = np.zeros(w.shape[:-2] + (sys.T, sys.m))
+        for item in np.ndindex(w.shape[:-2]):
+            wi, ui = w[item], u[item]
+            x = np.zeros(sys.n)
+            state = controller.start(wi if not controller.causal else None)
+            for t in range(sys.T):
+                u_t, state = controller.step(state, t, x, wi[t])
+                ui[t] = u_t
+                x = sys.A[t] @ x + sys.B_u[t] @ ui[t] + sys.B_w[t] @ wi[t]
     if not np.all(np.isfinite(u)):
         raise ArithmeticError("controller emitted a non-finite control")
     return evaluate_cost(sys, w, u)
@@ -100,44 +106,37 @@ class ComparisonReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _per_step_costs(sys: LqSystem, traj: Trajectory) -> np.ndarray:
-    T = sys.T
-    c = np.zeros(T)
-    for t in range(T):
-        c[t] = traj.x[t] @ sys.Q[t] @ traj.x[t] + traj.u[t] @ sys.R[t] @ traj.u[t]
-    c[T - 1] += traj.x[T] @ sys.Q_T @ traj.x[T]
-    return c
-
-
 def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int = 1) -> ComparisonReport:
     """Roll every controller over `trials` disturbances drawn from spec
     (seed offset by trial index) and account costs and realized regret
-    against the offline-optimal baseline."""
+    against the offline-optimal baseline. The trials are stacked into one
+    (trials, T, p) batch: one offline plan and one rollout per controller."""
     from .controllers import offline_noncausal
 
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     sys = as_validated(sys)
     names = list(controllers)
-    T = sys.T
-    totals = {name: np.zeros(trials) for name in names}
-    averaged = {name: np.zeros((trials, T)) for name in names}
-    regrets = {name: np.zeros(trials) for name in names}
-    offline_costs = np.zeros(trials)
-    averaged["offline"] = np.zeros((trials, T))
+    counts = np.arange(sys.T) + 1.0
     t0 = time.perf_counter()
-    for k in range(trials):
-        trial_spec = DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k)
-        w = generate_disturbance(trial_spec, sys)
-        u_off = offline_noncausal(sys, w)
-        off_traj = evaluate_cost(sys, w, u_off)
-        offline_costs[k] = off_traj.total_cost
-        off_steps = _per_step_costs(sys, off_traj)
-        averaged["offline"][k] = np.cumsum(off_steps) / (np.arange(T) + 1.0)
-        for name in names:
-            traj = rollout(sys, controllers[name], w)
-            steps = _per_step_costs(sys, traj)
-            averaged[name][k] = np.cumsum(steps) / (np.arange(T) + 1.0)
-            totals[name][k] = traj.total_cost
-            regrets[name][k] = traj.total_cost - off_traj.total_cost
+    w = np.stack(
+        [
+            generate_disturbance(DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), sys)
+            for k in range(trials)
+        ]
+    )
+
+    def costs(traj):
+        # only the costs outlive each batch of trajectories
+        return traj.total_cost, np.cumsum(traj.step_costs, axis=-1) / counts
+
+    off_totals, off_averaged = costs(evaluate_cost(sys, w, offline_noncausal(sys, w)))
+    totals, averaged, regrets = {}, {}, {}
+    for name in names:
+        totals[name], averaged[name] = costs(rollout(sys, controllers[name], w))
+        regrets[name] = totals[name] - off_totals
+    # the baseline's trace, unless a controller is itself named "offline"
+    averaged.setdefault("offline", off_averaged)
     meta = {
         "seed": spec.seed,
         "trials": trials,
@@ -149,6 +148,6 @@ def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int
         total_costs=totals,
         time_averaged=averaged,
         realized_regret=regrets,
-        offline_costs=offline_costs,
+        offline_costs=off_totals,
         metadata=meta,
     )

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .kernels import _mv
+
 
 class DimensionError(ValueError):
     """A matrix in the system description has the wrong shape."""
@@ -108,13 +110,25 @@ class LqSystem:
 @dataclass(frozen=True)
 class Trajectory:
     """A realized rollout: states x (T+1, n), controls u (T, m), disturbances
-    w (T, p), weighted states s_t = Q_t^{1/2} x_t (T, n), and the total cost."""
+    w (T, p), weighted states s_t = Q_t^{1/2} x_t (T, n), the total cost, and
+    the per-step costs step_costs (T,): x_t' Q_t x_t + u_t' R_t u_t, with the
+    terminal term added at the last step. A batch of rollouts carries the
+    same leading axes on every array, total_cost included."""
 
     x: np.ndarray
     u: np.ndarray
     w: np.ndarray
     s: np.ndarray
-    total_cost: float
+    total_cost: float | np.ndarray
+    step_costs: np.ndarray
+
+
+def as_signal(x, T: int, k: int) -> np.ndarray:
+    """x as a float array of shape (..., T, k): one signal of T steps with k
+    components (k = -1 infers it), or a batch of such signals along the
+    leading axes."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(x.shape[:-2] + (T, k))
 
 
 def _check_shape(name, M, expected):
@@ -143,23 +157,24 @@ def validate_system(sys: LqSystem, tol_pd: float = 0.0) -> LqSystem:
     Rs = (sys.R + np.transpose(sys.R, (0, 2, 1))) / 2.0
     QTs = (sys.Q_T + sys.Q_T.T) / 2.0
 
-    def _min_eig(M):
-        return float(np.linalg.eigvalsh(M).min())
-
-    for t in range(T):
-        tol_psd = 1e-9 * (1.0 + np.linalg.norm(Qs[t]))
-        ev = _min_eig(Qs[t])
-        if ev < -tol_psd:
+    # per-step Frobenius norms as np.linalg.norm computes them (a dot
+    # product of the flattened matrix), so the tolerances keep their bits
+    Qf = Qs.reshape(T, 1, n * n)
+    tol_psd = 1e-9 * (1.0 + np.sqrt((Qf @ np.swapaxes(Qf, 1, 2))[:, 0, 0]))
+    ev_q = np.linalg.eigvalsh(Qs).min(axis=1)
+    ev_r = np.linalg.eigvalsh(Rs).min(axis=1)
+    bad = np.nonzero((ev_q < -tol_psd) | (ev_r <= tol_pd))[0]
+    if bad.size:
+        t = int(bad[0])
+        if ev_q[t] < -tol_psd[t]:
             raise DefinitenessError(
-                f"Q at t={t} is not PSD (min eigenvalue {ev:g})"
+                f"Q at t={t} is not PSD (min eigenvalue {float(ev_q[t]):g})"
             )
-        ev = _min_eig(Rs[t])
-        if ev <= tol_pd:
-            raise DefinitenessError(
-                f"R at t={t} is not positive definite (min eigenvalue {ev:g})"
-            )
+        raise DefinitenessError(
+            f"R at t={t} is not positive definite (min eigenvalue {float(ev_r[t]):g})"
+        )
     tol_psd = 1e-9 * (1.0 + np.linalg.norm(QTs))
-    ev = _min_eig(QTs)
+    ev = float(np.linalg.eigvalsh(QTs).min())
     if ev < -tol_psd:
         raise DefinitenessError(f"Q_T is not PSD (min eigenvalue {ev:g})")
 
@@ -181,12 +196,14 @@ class NormalizedSystem:
     R_inv_sqrt: np.ndarray  # (T, m, m), R_t^{-1/2}
 
     def to_original_u(self, u_norm):
+        """Map normalized controls (..., T, m) to original ones."""
         u_norm = np.asarray(u_norm, dtype=float)
-        return np.einsum("tij,tj->ti", self.R_inv_sqrt, u_norm)
+        return np.einsum("tij,...tj->...ti", self.R_inv_sqrt, u_norm)
 
     def to_normalized_u(self, u):
+        """Map original controls (..., T, m) to normalized ones."""
         u = np.asarray(u, dtype=float)
-        return np.einsum("tij,tj->ti", self.R_sqrt, u)
+        return np.einsum("tij,...tj->...ti", self.R_sqrt, u)
 
 
 def normalize_control_weight(sys: LqSystem) -> NormalizedSystem:
@@ -202,21 +219,39 @@ def normalize_control_weight(sys: LqSystem) -> NormalizedSystem:
     return NormalizedSystem(norm_sys, R_sqrt, R_inv_sqrt)
 
 
+def _quad(M, v):
+    """v' M v for a vector v or for each vector of a stack v: (..., k),
+    evaluated as (v' M) v like `v @ M @ v`, so each item keeps its bits."""
+    return ((v[..., None, :] @ M) @ v[..., :, None])[..., 0, 0]
+
+
 def evaluate_cost(sys: LqSystem, w, u) -> Trajectory:
     """Roll the dynamics forward from x_0 = 0 under (w, u) and return the full
-    trajectory with total cost, including the terminal term x_T' Q_T x_T."""
+    trajectory with per-step and total costs, including the terminal term
+    x_T' Q_T x_T.
+
+    w: (..., T, p) and u: (..., T, m) may carry the same leading batch axes;
+    every leading index is an independent trajectory, with the bits it gets
+    alone. The costs accumulate step by step in time order."""
     T, n = sys.T, sys.n
-    w = np.atleast_2d(np.asarray(w, dtype=float).reshape(T, -1))
-    u = np.atleast_2d(np.asarray(u, dtype=float).reshape(T, -1))
-    if w.shape != (T, sys.p):
-        raise DimensionError(f"w has shape {w.shape}, expected {(T, sys.p)}")
-    if u.shape != (T, sys.m):
-        raise DimensionError(f"u has shape {u.shape}, expected {(T, sys.m)}")
-    x = np.zeros((T + 1, n))
-    cost = 0.0
+    w, u = as_signal(w, T, -1), as_signal(u, T, -1)
+    batch = w.shape[:-2]
+    if w.shape != batch + (T, sys.p):
+        raise DimensionError(f"w has shape {w.shape}, expected {batch + (T, sys.p)}")
+    if u.shape != batch + (T, sys.m):
+        raise DimensionError(f"u has shape {u.shape}, expected {batch + (T, sys.m)}")
+    x = np.zeros(batch + (T + 1, n))
+    steps = np.zeros(batch + (T,))
+    cost = np.zeros(batch)
     for t in range(T):
-        cost += x[t] @ sys.Q[t] @ x[t] + u[t] @ sys.R[t] @ u[t]
-        x[t + 1] = sys.A[t] @ x[t] + sys.B_u[t] @ u[t] + sys.B_w[t] @ w[t]
-    cost += x[T] @ sys.Q_T @ x[T]
-    s = (psd_sqrt(sys.Q) @ x[:T, :, None])[..., 0]
-    return Trajectory(x=x, u=u, w=w, s=s, total_cost=float(cost))
+        xt, ut = x[..., t, :], u[..., t, :]
+        steps[..., t] = _quad(sys.Q[t], xt) + _quad(sys.R[t], ut)
+        cost += steps[..., t]
+        x[..., t + 1, :] = _mv(sys.A[t], xt) + _mv(sys.B_u[t], ut) + _mv(sys.B_w[t], w[..., t, :])
+    terminal = _quad(sys.Q_T, x[..., T, :])
+    steps[..., T - 1] += terminal
+    cost += terminal
+    s = (psd_sqrt(sys.Q) @ x[..., :T, :, None])[..., 0]
+    return Trajectory(
+        x=x, u=u, w=w, s=s, total_cost=cost if batch else float(cost), step_costs=steps
+    )

@@ -185,3 +185,31 @@ class TestComposability:
             ga = ct.regret_optimal(a, tol=1e-9)[0].gamma_opt
             gb = ct.regret_optimal(b, tol=1e-9)[0].gamma_opt
             assert ga == pytest.approx(gb, abs=1e-8)
+
+
+class TestBatchedWrappedController:
+    @pytest.mark.parametrize("delay,lookahead", [(1, 3), (0, 2), (2, 0)])
+    def test_batch_equals_stacked_single_calls(self, delay, lookahead):
+        sys = random_system(51, T_max=10)
+        aug, synth = None, sys
+        if delay:
+            aug = augment_delay(synth, delay)
+            synth = aug.system
+        if lookahead:
+            aug = augment_predictions(synth, lookahead)
+            synth = aug.system
+        w = np.random.default_rng(8).standard_normal((5, sys.T, sys.p))
+        for inner in (ct.synthesize_h2(synth), ct.regret_optimal(synth, 1e-6)[1]):
+            wrapped = wrap_controller(aug, inner)
+            batch = wrapped.control_sequence(w)
+            for k in range(5):
+                assert np.array_equal(batch[k], wrapped.control_sequence(w[k]))
+
+    def test_base_disturbance_map_batch(self):
+        sys = s1(T=5)
+        aug = augment_predictions(sys, 2)
+        w = np.arange(10.0).reshape(2, 5, 1)
+        out = aug.base_disturbance_to_augmented(w)
+        for k in range(2):
+            assert np.array_equal(out[k], aug.base_disturbance_to_augmented(w[k]))
+        assert np.array_equal(out[1, :, 0], [7.0, 8.0, 9.0, 0.0, 0.0])

@@ -245,6 +245,22 @@ class TestErrors:
         assert record["error"]["type"] == "ConfigError"
         assert "horizon" in record["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "option,value", [("--trials", "0"), ("--horizon", "0"), ("--horizon", "-1")]
+    )
+    def test_pendulum_sizes_below_one_record(self, runner, tmp_path, option, value):
+        out = tmp_path / "pend.csv"
+        argv = ["pendulum", "--horizon", "5", "--trials", "2", "--csv", str(out)]
+        argv[argv.index(option) + 1] = value
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "ConfigError"
+        assert record["error"]["message"] == (
+            f"field {option[2:]!r}: must be at least 1, got {value}"
+        )
+        assert not out.exists()
+
     def test_non_finite_matrix_record(self, runner, tmp_path):
         doc = json.loads(json.dumps(S1_CONFIG))
         doc["system"]["lti"]["A"] = [[float("nan")]]

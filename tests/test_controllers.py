@@ -374,3 +374,52 @@ class TestStructure:
         syn = ct.synthesize_regret(zero_q, 1.0)
         assert not syn.Phat.any()
         assert not ct.structural_value_tape(syn).any()
+
+
+class TestBatchedControlSequence:
+    """control_sequence on a (k, T, p) batch equals the stacked single calls
+    bit for bit, for every controller class."""
+
+    @staticmethod
+    def _controllers(sys):
+        return [
+            ct.ZeroController(sys),
+            ct.synthesize_h2(sys),
+            ct.hinf_optimal(sys, 1e-6)[1],
+            ct.regret_optimal(sys, 1e-6)[1],
+            ct.regret_optimal(sys, 1e-6, "printed")[1],
+            ct.OfflineController(sys),
+        ]
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            s1(R=2.0),
+            pendulum_system(30),
+            random_system(41, T_max=10),
+            random_system(42, T_max=10, stable=False, with_terminal=True),
+        ],
+        ids=["s1_r2", "pendulum", "stable", "unstable"],
+    )
+    def test_batch_equals_stacked_single_calls(self, sys):
+        w = np.random.default_rng(5).standard_normal((6, sys.T, sys.p))
+        for ctrl in self._controllers(sys):
+            batch = ctrl.control_sequence(w)
+            single = np.stack([ctrl.control_sequence(w[k]) for k in range(6)])
+            assert batch.shape == (6, sys.T, sys.m)
+            assert np.array_equal(batch, single), type(ctrl).__name__
+
+    def test_two_batch_axes(self):
+        sys = random_system(43, T_max=8)
+        w = np.random.default_rng(6).standard_normal((2, 3, sys.T, sys.p))
+        for ctrl in self._controllers(sys):
+            batch = ctrl.control_sequence(w)
+            assert batch.shape == (2, 3, sys.T, sys.m)
+            assert np.array_equal(batch[1, 2], ctrl.control_sequence(w[1, 2]))
+
+    def test_offline_noncausal_batch(self):
+        sys = random_system(44, T_max=8)
+        w = np.random.default_rng(7).standard_normal((4, sys.T, sys.p))
+        batch = ct.offline_noncausal(sys, w)
+        for k in range(4):
+            assert np.array_equal(batch[k], ct.offline_noncausal(sys, w[k]))

@@ -149,6 +149,15 @@ class TestCausalPart:
         once = oo.causal_part(M, 2, 3)
         assert np.array_equal(oo.causal_part(once, 2, 3), once)
 
+    @pytest.mark.parametrize("shape,rb,cb", [((6, 9), 2, 3), ((7, 10), 2, 3), ((5, 5), 1, 1)])
+    def test_equals_per_block_loop(self, shape, rb, cb):
+        M = np.random.default_rng(0).standard_normal(shape)
+        ref = M.copy()
+        for i in range(shape[0] // rb):
+            for j in range(i + 1, shape[1] // cb):
+                ref[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = 0.0
+        assert np.array_equal(oo.causal_part(M, rb, cb), ref)
+
 
 class TestControllerOperator:
     def test_zero_controller(self):
@@ -171,6 +180,45 @@ class TestControllerOperator:
         sys = s1()
         with pytest.raises(oo.CausalityViolationError):
             oo.controller_operator(sys, ct.OfflineController(sys))
+
+    @pytest.mark.parametrize(
+        "sys,tol,message",
+        [
+            (s1(), 1e-9, "controller block (0, 1) has magnitude 0.2 > 1e-09"),
+            (random_system(6, T_max=10), 0.2, "controller block (2, 3) has magnitude 0.213002 > 0.2"),
+            (random_system(7, T_max=10), 0.5, "controller block (0, 2) has magnitude 0.500347 > 0.5"),
+        ],
+    )
+    def test_violation_names_first_block_row_major(self, sys, tol, message):
+        # messages recorded with the per-block loop the check replaced
+        with pytest.raises(oo.CausalityViolationError) as info:
+            oo.controller_operator(sys, ct.OfflineController(sys), tol=tol)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("seed,stable", [(61, True), (62, False), (63, True)])
+    def test_batched_probe_equals_per_impulse_probing(self, seed, stable):
+        """One rollout over all T*p impulses gives the bits of probing each
+        impulse alone."""
+        from regretctl.sim_bench import rollout
+
+        sys = random_system(seed, T_max=10, stable=stable)
+        norm = normalize_control_weight(sys)
+        T, m, p = sys.T, sys.m, sys.p
+        for ctrl in (
+            ct.synthesize_h2(sys),
+            ct.hinf_optimal(sys, 1e-6)[1],
+            ct.regret_optimal(sys, 1e-6)[1],
+        ):
+            K_ref = np.zeros((T * m, T * p))
+            for j in range(T):
+                for c in range(p):
+                    w = np.zeros((T, p))
+                    w[j, c] = 1.0
+                    u = norm.to_normalized_u(rollout(sys, ctrl, w).u)
+                    K_ref[:, j * p + c] = u.reshape(-1)
+            K = oo.controller_operator(sys, ctrl)
+            assert K.flags.c_contiguous
+            assert np.array_equal(K, K_ref)
 
 
 class TestRegretGain:

@@ -166,3 +166,164 @@ class TestCompare:
         assert np.allclose(
             report.time_averaged["h2"][:, -1] * sys.T, report.total_costs["h2"]
         )
+
+    def test_zero_trials_rejected(self):
+        sys = s1()
+        spec = DisturbanceSpec("gaussian", {}, seed=0)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            compare(sys, {"h2": ct.synthesize_h2(sys)}, spec, trials=0)
+
+
+def _controllers(sys):
+    return {
+        "h2": ct.synthesize_h2(sys),
+        "hinf": ct.hinf_optimal(sys, 1e-6)[1],
+        "regret": ct.regret_optimal(sys, 1e-6)[1],
+        "offline_controller": ct.OfflineController(sys),
+        "zero": ct.ZeroController(sys),
+    }
+
+
+def _wrapped_controllers(sys, delay, lookahead):
+    """h2, hinf and regret synthesized after `delay` then `lookahead`
+    augmentation, as the CLI builds them, wrapped back to base signals."""
+    from regretctl.augmentation import augment_delay, augment_predictions, wrap_controller
+
+    aug, synth = None, sys
+    if delay:
+        aug = augment_delay(synth, delay)
+        synth = aug.system
+    if lookahead:
+        aug = augment_predictions(synth, lookahead)
+        synth = aug.system
+    return {
+        "h2": wrap_controller(aug, ct.synthesize_h2(synth)),
+        "hinf": wrap_controller(aug, ct.hinf_optimal(synth, 1e-6)[1]),
+        "regret": wrap_controller(aug, ct.regret_optimal(synth, 1e-6)[1]),
+    }
+
+
+def _per_trial_reference(sys, controllers, spec, trials):
+    """`compare` as one single-trial rollout per controller and trial, with
+    the per-step costs summed in this loop."""
+
+    def averaged(traj):
+        c = np.zeros(sys.T)
+        for t in range(sys.T):
+            c[t] = traj.x[t] @ sys.Q[t] @ traj.x[t] + traj.u[t] @ sys.R[t] @ traj.u[t]
+        c[-1] += traj.x[sys.T] @ sys.Q_T @ traj.x[sys.T]
+        return np.cumsum(c) / (np.arange(sys.T) + 1.0)
+
+    ref = {"time_averaged": {}, "total_costs": {}, "realized_regret": {}}
+    offline = []
+    for k in range(trials):
+        w = generate_disturbance(DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), sys)
+        off = evaluate_cost(sys, w, ct.offline_noncausal(sys, w))
+        offline.append(off.total_cost)
+        ref["time_averaged"].setdefault("offline", []).append(averaged(off))
+        for name, ctrl in controllers.items():
+            traj = rollout(sys, ctrl, w)
+            ref["time_averaged"].setdefault(name, []).append(averaged(traj))
+            ref["total_costs"].setdefault(name, []).append(traj.total_cost)
+            ref["realized_regret"].setdefault(name, []).append(traj.total_cost - off.total_cost)
+    return ref, np.array(offline)
+
+
+def _assert_report_matches_reference(sys, controllers, spec, trials):
+    report = compare(sys, controllers, spec, trials=trials)
+    ref, offline = _per_trial_reference(sys, controllers, spec, trials)
+    assert np.array_equal(report.offline_costs, offline)
+    for field, per_name in ref.items():
+        got = getattr(report, field)
+        assert sorted(got) == sorted(per_name)
+        for name, values in per_name.items():
+            assert np.array_equal(got[name], np.array(values)), (field, name)
+
+
+class TestBatchedCompareBitIdentity:
+    """`compare` rolls every controller once over all trials; each trial must
+    give the bits of its own single-trial rollout."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: s1(),
+            lambda: s1(T=6, R=2.0, Q_T=[[3.0]]),
+            lambda: __import__("regretctl.cli").cli.pendulum_system(40),
+            lambda: random_system(21, T_max=10),
+            lambda: random_system(22, T_max=10, with_terminal=True),
+            lambda: random_system(23, T_max=10, stable=False),
+            lambda: random_system(24, T_max=10, stable=False, with_terminal=True),
+        ],
+        ids=["s1", "s1_qt_r2", "pendulum", "stable", "stable_qt", "unstable", "unstable_qt"],
+    )
+    @pytest.mark.parametrize("kind", ["gaussian", "alternating"])
+    def test_every_controller(self, make, kind):
+        sys = make()
+        spec = DisturbanceSpec(kind, {"mean": 1.0, "period": 3} if kind == "alternating" else {}, seed=4)
+        _assert_report_matches_reference(sys, _controllers(sys), spec, trials=7)
+
+    @pytest.mark.parametrize("delay,lookahead", [(1, 3), (0, 2), (2, 0)])
+    def test_wrapped_delay_and_lookahead(self, delay, lookahead):
+        from regretctl.cli import pendulum_system
+
+        sys = pendulum_system(30)
+        spec = DisturbanceSpec("alternating", {"mean": [1.0, 1.0], "period": 15}, seed=3)
+        ctrls = _wrapped_controllers(sys, delay, lookahead)
+        _assert_report_matches_reference(sys, ctrls, spec, trials=5)
+
+    def test_one_rollout_per_controller(self, monkeypatch):
+        from regretctl import sim_bench
+
+        calls = []
+        real = sim_bench.rollout
+        monkeypatch.setattr(sim_bench, "rollout", lambda *a: calls.append(a) or real(*a))
+        sys = s1(T=5)
+        compare(sys, _controllers(sys), DisturbanceSpec("gaussian", {}, seed=1), trials=6)
+        assert [np.shape(a[2]) for a in calls] == [(6, 5, 1)] * 5
+
+
+class TestBatchedRollout:
+    def test_batch_equals_single_rollouts(self):
+        sys = random_system(31, T_max=9, stable=False)
+        w = np.random.default_rng(0).standard_normal((2, 3, sys.T, sys.p))
+        for ctrl in _controllers(sys).values():
+            batch = rollout(sys, ctrl, w)
+            assert batch.total_cost.shape == (2, 3)
+            for i in range(2):
+                for j in range(3):
+                    one = rollout(sys, ctrl, w[i, j])
+                    for field in ("x", "u", "w", "s", "step_costs"):
+                        assert np.array_equal(getattr(batch, field)[i, j], getattr(one, field))
+                    assert batch.total_cost[i, j] == one.total_cost
+
+    def test_stepping_controller_runs_each_item(self):
+        class StepOnly:
+            causal = True
+
+            def __init__(self, ctrl):
+                self.start, self.step = ctrl.start, ctrl.step
+
+        sys = random_system(32, T_max=9)
+        ctrl = ct.synthesize_h2(sys)
+        w = np.random.default_rng(1).standard_normal((4, sys.T, sys.p))
+        batch = rollout(sys, StepOnly(ctrl), w)
+        for k in range(4):
+            assert np.array_equal(batch.u[k], rollout(sys, StepOnly(ctrl), w[k]).u)
+
+    def test_nonfinite_control_in_one_item_rejected(self):
+        class BrokenOnPositive:
+            causal = True
+
+            def start(self, w=None):
+                return None
+
+            def step(self, state, t, x_t, w_t):
+                return np.array([np.inf if w_t[0] > 0 else 0.0]), state
+
+        sys = s1()
+        w = np.zeros((3, sys.T, 1))
+        assert rollout(sys, BrokenOnPositive(), w).total_cost.shape == (3,)
+        w[1, 2, 0] = 1.0
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            rollout(sys, BrokenOnPositive(), w)

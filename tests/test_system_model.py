@@ -47,6 +47,35 @@ class TestValidate:
         with pytest.raises(DefinitenessError, match="Q.*PSD"):
             validate_system(LqSystem(sys.A, sys.B_u, sys.B_w, Q, sys.R, sys.Q_T))
 
+    def test_middle_step_definiteness_named(self):
+        sys = random_system(71, T_max=10)
+        mid = sys.T // 2
+        Q = sys.Q.copy()
+        Q[mid] = -np.eye(sys.n)
+        with pytest.raises(DefinitenessError, match=rf"^Q at t={mid} is not PSD \(min eigenvalue -1\)$"):
+            validate_system(LqSystem(sys.A, sys.B_u, sys.B_w, Q, sys.R, sys.Q_T))
+        R = sys.R.copy()
+        R[mid] = 0.0
+        with pytest.raises(DefinitenessError, match=rf"^R at t={mid} is not positive definite"):
+            validate_system(LqSystem(sys.A, sys.B_u, sys.B_w, sys.Q, R, sys.Q_T))
+        # the earliest failing step is named, whichever matrix fails there
+        R[mid] = sys.R[mid]
+        R[mid + 1] = -np.eye(sys.m)
+        with pytest.raises(DefinitenessError, match=rf"^Q at t={mid} "):
+            validate_system(LqSystem(sys.A, sys.B_u, sys.B_w, Q, R, sys.Q_T))
+        R[mid - 1] = -np.eye(sys.m)
+        with pytest.raises(DefinitenessError, match=rf"^R at t={mid - 1} "):
+            validate_system(LqSystem(sys.A, sys.B_u, sys.B_w, Q, R, sys.Q_T))
+
+    def test_psd_tolerance_scales_with_step_norm(self):
+        sys = s1(T=4)
+        Q = sys.Q.copy()
+        Q[2] = [[-0.5e-9]]  # within 1e-9 * (1 + ||Q_2||_F)
+        validate_system(LqSystem(sys.A, sys.B_u, sys.B_w, Q, sys.R, sys.Q_T))
+        Q[2] = [[-2e-9]]
+        with pytest.raises(DefinitenessError, match="Q at t=2"):
+            validate_system(LqSystem(sys.A, sys.B_u, sys.B_w, Q, sys.R, sys.Q_T))
+
     def test_cost_matrices_symmetrized(self):
         rng = np.random.default_rng(0)
         n, T = 3, 4
@@ -224,3 +253,32 @@ class TestEvaluateCost:
             a = evaluate_cost(sys, w, u).total_cost
             b = evaluate_cost(norm.system, w, norm.to_normalized_u(u)).total_cost
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
+
+
+class TestBatchedEvaluateCost:
+    def test_batch_equals_single_calls(self):
+        sys = random_system(72, T_max=10, stable=False, with_terminal=True)
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((2, 4, sys.T, sys.p))
+        u = rng.standard_normal((2, 4, sys.T, sys.m))
+        batch = evaluate_cost(sys, w, u)
+        assert batch.total_cost.shape == (2, 4) and batch.step_costs.shape == (2, 4, sys.T)
+        for i in range(2):
+            for j in range(4):
+                one = evaluate_cost(sys, w[i, j], u[i, j])
+                assert isinstance(one.total_cost, float)
+                for field in ("x", "u", "w", "s", "step_costs"):
+                    assert np.array_equal(getattr(batch, field)[i, j], getattr(one, field))
+                assert batch.total_cost[i, j] == one.total_cost
+
+    def test_step_costs(self):
+        sys = s1(Q_T=[[2.0]])
+        traj = evaluate_cost(sys, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        # x = 0, 1, 1, 1: stage costs 0, 1, 1 and the terminal 2 at the last step
+        assert np.array_equal(traj.step_costs, [0.0, 1.0, 3.0])
+        assert traj.total_cost == 4.0
+
+    def test_batch_shapes_must_agree(self):
+        sys = s1()
+        with pytest.raises(DimensionError, match="u has shape"):
+            evaluate_cost(sys, np.zeros((2, 3, 1)), np.zeros((3, 3, 1)))
