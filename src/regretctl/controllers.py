@@ -26,6 +26,8 @@ from .system_model import (
     as_signal,
     as_validated,
     normalize_control_weight,
+    pd_inv_sqrt,
+    psd_sqrt,
 )
 
 
@@ -106,6 +108,13 @@ def synthesize_h2(sys: LqSystem) -> FeedbackController:
     return ctrl
 
 
+def _hinf_controller(sys: LqSystem, tape: riccati.HinfTape) -> FeedbackController:
+    K_x, K_w = _feedback_gains(sys, tape.P, tape.H)
+    ctrl = FeedbackController(sys, K_x, K_w)
+    ctrl.tape = tape
+    return ctrl
+
+
 def synthesize_hinf(sys: LqSystem, gamma: float) -> FeedbackController:
     """Suboptimal H-infinity controller at level gamma; raises
     InfeasibleError when the level is unattainable."""
@@ -113,10 +122,7 @@ def synthesize_hinf(sys: LqSystem, gamma: float) -> FeedbackController:
     tape = riccati.backward_hinf(sys, gamma)
     if not tape.feasible:
         raise InfeasibleError(gamma, tape.first_infeasible_step)
-    K_x, K_w = _feedback_gains(sys, tape.P, tape.H)
-    ctrl = FeedbackController(sys, K_x, K_w)
-    ctrl.tape = tape
-    return ctrl
+    return _hinf_controller(sys, tape)
 
 
 @dataclass
@@ -137,7 +143,8 @@ def _check_tol(tol):
 
 def _bisect_gamma(feasible, tol, max_doublings=60):
     """Generic bisection: `feasible(gamma)` must be monotone in gamma.
-    Returns (gamma_opt, history, iterations)."""
+    Returns (gamma_opt, history, iterations). `hi` only ever takes a level
+    that `feasible` accepted, so gamma_opt is the last level it accepted."""
     history = []
     hi = 1.0
     iters = 0
@@ -187,20 +194,24 @@ def hinf_optimal(sys: LqSystem, tol: float = 1e-6):
     Returns (GammaSearchResult, FeedbackController)."""
     _check_tol(tol)
     sys = as_validated(sys)
+    last = None
 
     def feasible(g):
-        return riccati.backward_hinf(sys, g).feasible
+        nonlocal last
+        tape = riccati.backward_hinf(sys, g)
+        if tape.feasible:
+            last = tape  # the tape at gamma_opt once the bisection ends
+        return tape.feasible
 
     gamma_opt, history, iters = _bisect_gamma(feasible, tol)
-    ctrl = synthesize_hinf(sys, gamma_opt)
     result = GammaSearchResult(
         gamma_opt=gamma_opt,
         bracket_history=history,
         iterations=iters,
-        final_margins=ctrl.tape.margins,
+        final_margins=last.margins,
         tol=tol,
     )
-    return result, ctrl
+    return result, _hinf_controller(sys, last)
 
 
 def _solve(H, b):
@@ -266,17 +277,31 @@ def offline_noncausal(sys: LqSystem, w):
 class RegretProblem:
     """The gamma-independent part of a regret synthesis, built once by
     `prepare_regret` and shared by every level a bisection probes: the
-    R-normalization of the validated system and the forward Kalman tape,
-    which carries the stacked Q^{1/2} and W = Q^{1/2} R_e^{-1} Q^{1/2}."""
+    R-normalization of the validated system, the forward Kalman tape (which
+    carries the stacked Q^{1/2} and W = Q^{1/2} R_e^{-1} Q^{1/2}), and the
+    blocks Bhat_u, Qhat and Phat_T of the doubled system."""
 
     norm: NormalizedSystem
     fwd: riccati.ForwardKalmanTape
+    Bhat_u: np.ndarray
+    Qhat: np.ndarray
+    Phat_T: np.ndarray
 
 
 def prepare_regret(sys: LqSystem) -> RegretProblem:
-    """Validate and R-normalize `sys` and run the forward Kalman recursion."""
+    """Validate and R-normalize `sys`, run the forward Kalman recursion and
+    assemble the gamma-independent blocks of the doubled system."""
     norm = normalize_control_weight(as_validated(sys))
-    return RegretProblem(norm=norm, fwd=riccati.forward_kalman(norm))
+    nsys = norm.system
+    T, n = nsys.T, nsys.n
+    Bhat_u = np.concatenate((nsys.B_u, np.zeros_like(nsys.B_u)), axis=1)
+    Qhat = np.zeros((T, 2 * n, 2 * n))
+    Qhat[:, :n, :n] = nsys.Q
+    Phat_T = np.zeros((2 * n, 2 * n))
+    Phat_T[:n, :n] = nsys.Q_T
+    return RegretProblem(
+        norm=norm, fwd=riccati.forward_kalman(norm), Bhat_u=Bhat_u, Qhat=Qhat, Phat_T=Phat_T
+    )
 
 
 @dataclass
@@ -329,8 +354,7 @@ class RegretSynthesis:
 
     @property
     def first_infeasible_step(self):
-        bad = np.nonzero(self.margins >= 0.0)[0]
-        return int(bad[0]) if bad.size else None
+        return riccati._first_failing_step(self.margins)
 
 
 class RegretController:
@@ -378,6 +402,16 @@ class RegretController:
         return self._norm.to_original_u(u_norm)
 
 
+def _windows(T):
+    """The windows [t0, t1) of a backward sweep from t = T: 1, 2, 4, ...
+    steps, the last one clipped at t = 0."""
+    t1, k = T, 1
+    while t1 > 0:
+        t0 = max(t1 - k, 0)
+        yield t0, t1
+        t1, k = t0, 2 * k
+
+
 def synthesize_regret(
     sys: LqSystem | RegretProblem, gamma: float, feasibility_test: str = "level1"
 ) -> RegretSynthesis:
@@ -389,51 +423,86 @@ def synthesize_regret(
     attenuation-level-1 recursion on the z-driven system (the reduction's
     prescription, the default); "printed" uses the control-only value
     recursion with a -gamma^2 margin.
+
+    The sweep runs backward from t = T in windows of 1, 2, 4, ... steps. In
+    each it runs the backward Kalman recursion from the carried P_b, takes
+    the R_be roots, assembles Ahat and Bhat_w, and runs the value recursion
+    from the carried Phat. It stops after the first window with a margin
+    >= 0 and flags every earlier step with max(margin, 1), so the tapes of
+    an infeasible level hold only the swept steps. At a feasible level every
+    window runs and the tapes equal one sweep over the whole horizon.
     """
     if feasibility_test not in ("level1", "printed"):
         raise ValueError(f"unknown feasibility test {feasibility_test!r}")
+    riccati._check_level(gamma)
+    gamma = float(gamma)
     problem = sys if isinstance(sys, RegretProblem) else prepare_regret(sys)
     norm, fwd = problem.norm, problem.fwd
     nsys = norm.system
-    T, n, m = nsys.T, nsys.n, nsys.m
-    bwd = riccati.backward_kalman(norm, fwd, gamma)
-
-    BwK = nsys.B_w @ np.swapaxes(bwd.K_bl, 1, 2)
-    Bw_scaled = nsys.B_w @ bwd.R_be_inv_sqrt
-    Ahat = np.zeros((T, 2 * n, 2 * n))
-    Ahat[:, :n, :n] = nsys.A
-    Ahat[:, :n, n:] = -BwK
-    Ahat[:, n:, n:] = fwd.Atil - BwK
-    Bhat_u = np.concatenate((nsys.B_u, np.zeros_like(nsys.B_u)), axis=1)
-    Bhat_w = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
-    Qhat = np.zeros((T, 2 * n, 2 * n))
-    Qhat[:, :n, :n] = nsys.Q
-    Phat_T = np.zeros((2 * n, 2 * n))
-    Phat_T[:n, :n] = nsys.Q_T
-
+    T, n, m, p = nsys.T, nsys.n, nsys.m, nsys.p
     if feasibility_test == "level1":
         level, lqr_form = 1.0, False
     else:
-        level, lqr_form = float(gamma), True
-    try:
-        Phat, Hhat, margins = kernels.regret_phat_backward(
-            Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form
+        level, lqr_form = gamma, True
+
+    P_b = np.zeros((T, n, n))
+    K_bl = np.zeros((T, n, p))
+    R_be = np.zeros((T, p, p))
+    R_be_sqrt = np.zeros((T, p, p))
+    R_be_inv_sqrt = np.zeros((T, p, p))
+    Ahat = np.zeros((T, 2 * n, 2 * n))
+    Bhat_w = np.zeros((T, 2 * n, p))
+    Phat = np.zeros((T + 1, 2 * n, 2 * n))
+    Hhat = np.zeros((T, m, m))
+    margins = np.zeros(T)
+    P_b_carry = fwd.W[T]
+    Phat[T] = problem.Phat_T
+    for t0, t1 in _windows(T):
+        win = slice(t0, t1)
+        P_b[win], K_bl[win], R_be[win], P_b_carry = kernels.backward_kalman(
+            fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_carry
         )
-    except np.linalg.LinAlgError:
-        # value recursion blew up before a margin turned positive: the level
-        # is numerically unattainable
-        Phat = np.zeros((T + 1, 2 * n, 2 * n))
-        Hhat = np.zeros((T, m, m))
-        margins = np.ones(T)
+        R_be_sqrt[win] = psd_sqrt(R_be[win])
+        R_be_inv_sqrt[win] = pd_inv_sqrt(R_be[win])
+        BwK = nsys.B_w[win] @ np.swapaxes(K_bl[win], 1, 2)
+        Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt[win]
+        Ahat[win, :n, :n] = nsys.A[win]
+        Ahat[win, :n, n:] = -BwK
+        Ahat[win, n:, n:] = fwd.Atil[win] - BwK
+        Bhat_w[win] = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
+        try:
+            Phat[t0:t1 + 1], Hhat[win], margins[win] = kernels.regret_phat_backward(
+                Ahat[win], problem.Bhat_u[win], Bhat_w[win], problem.Qhat[win], Phat[t1],
+                level, lqr_form,
+            )
+        except np.linalg.LinAlgError:
+            # value recursion blew up before a margin turned positive: the
+            # level is numerically unattainable
+            Phat[:] = 0.0
+            Hhat[:] = 0.0
+            margins[:] = 1.0
+            break
+        failed = riccati._first_failing_step(margins[win])
+        if failed is not None:
+            margins[:t0] = max(margins[t0 + failed], 1.0)
+            break
+    bwd = riccati.BackwardKalmanTape(
+        P_b=P_b,
+        K_bl=K_bl,
+        R_be=R_be,
+        R_be_sqrt=R_be_sqrt,
+        R_be_inv_sqrt=R_be_inv_sqrt,
+        gamma=gamma,
+    )
     return RegretSynthesis(
-        gamma=float(gamma),
+        gamma=gamma,
         norm=norm,
         fwd=fwd,
         bwd=bwd,
         Ahat=Ahat,
-        Bhat_u=Bhat_u,
+        Bhat_u=problem.Bhat_u,
         Bhat_w=Bhat_w,
-        Qhat=Qhat,
+        Qhat=problem.Qhat,
         Phat=Phat,
         Hhat=Hhat,
         margins=margins,
@@ -462,7 +531,9 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6, feasibility_test: str = "le
     """Bisection on gamma for the regret-optimal controller.
     Returns (GammaSearchResult, controller). The gamma-independent work is
     prepared once; each probe reruns only the backward Kalman recursion, the
-    assembly of the doubled system and its value recursion."""
+    assembly of the doubled system and its value recursion, and stops at
+    the first window that fails. The controller is built from the last
+    feasible probe, which is the one at gamma_opt."""
     _check_tol(tol)
     sys = as_validated(sys)
     if _is_regret_degenerate(sys):
@@ -475,12 +546,17 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6, feasibility_test: str = "le
         )
         return result, ZeroController(sys)
     problem = prepare_regret(sys)
+    synthesis = None
 
     def feasible(g):
-        return synthesize_regret(problem, g, feasibility_test).feasible
+        nonlocal synthesis
+        probe = synthesize_regret(problem, g, feasibility_test)
+        ok = probe.feasible
+        if ok:
+            synthesis = probe  # the synthesis at gamma_opt once the bisection ends
+        return ok
 
     gamma_opt, history, iters = _bisect_gamma(feasible, tol)
-    synthesis = synthesize_regret(problem, gamma_opt, feasibility_test)
     result = GammaSearchResult(
         gamma_opt=gamma_opt,
         bracket_history=history,

@@ -51,6 +51,11 @@ def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked):
     margins = np.zeros(T)
     P[T] = _sym(P_T)
     neg_l2 = -(level * level) * np.eye(p)
+    if stacked:  # the stacked input and blkdiag(R, -level^2 I), once per call
+        B = np.concatenate((B_u, B_w), axis=2)
+        J0 = np.zeros((T, m + p, m + p))
+        J0[:, :m, :m] = R
+        J0[:, m:, m:] = neg_l2
     for t in range(T - 1, -1, -1):
         Pn = P[t + 1]
         BtP = B_u[t].T @ Pn
@@ -65,11 +70,8 @@ def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked):
                 break
         AtP = A[t].T @ Pn
         if stacked:
-            Bs = np.concatenate((B_u[t], B_w[t]), axis=1)
-            J = np.zeros((m + p, m + p))
-            J[:m, :m] = R[t]
-            J[m:, m:] = neg_l2
-            J = _sym(J + Bs.T @ Pn @ Bs)
+            Bs = B[t]
+            J = _sym(J0[t] + Bs.T @ Pn @ Bs)
             P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ Bs) @ np.linalg.solve(J, Bs.T @ Pn @ A[t]))
         else:
             P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ B_u[t]) @ np.linalg.solve(H[t], BtP @ A[t]))
@@ -117,38 +119,38 @@ def forward_kalman(A, B_u, sqQ):
     return P, K_p, R_e, Atil
 
 
-def backward_kalman(Atil, B_w, W, gamma):
+def backward_kalman(Atil, B_w, W, gamma, P_b_last):
     """Backward Kalman recursion producing the causal factor Delta of
-    gamma^2 I + G'(I + FF')^{-1}G.
+    gamma^2 I + G'(I + FF')^{-1}G, over the k steps of a window.
 
-    W: (T+1, n, n) holds W_t = Q_t^{1/2} R_e_t^{-1} Q_t^{1/2} from the forward
-    recursion, index T carrying the terminal weight.
-    P_b[T-1] = W_T (zero when there is no terminal cost), then for
-    t = T-1..1:
+    Atil, B_w and W hold the window's steps; W_t = Q_t^{1/2} R_e_t^{-1}
+    Q_t^{1/2} comes from the forward recursion. P_b_last is P_b at the
+    window's last step: W_T (zero when there is no terminal cost) for the
+    window that ends at the horizon, else the carry of the window after it.
+    Then, step by step backward,
     P_b[t-1] = Atil' P_b Atil + W_t - K R_be K' with
     K^b_l[t] = Atil_t' P_b[t] B_w_t R_be[t]^{-1} and
     R_be[t] = gamma^2 I + B_w' P_b B_w.
 
-    Returns (P_b, K_bl, R_be) with P_b: (T, n, n), K_bl: (T, n, p),
-    R_be: (T, p, p).
+    Returns (P_b, K_bl, R_be, carry) with P_b: (k, n, n), K_bl: (k, n, p),
+    R_be: (k, p, p) and carry the P_b of the step before the window.
     """
-    T, n, _ = Atil.shape
+    k, n, _ = Atil.shape
     p = B_w.shape[2]
-    P_b = np.zeros((T, n, n))
-    K_bl = np.zeros((T, n, p))
-    R_be = np.zeros((T, p, p))
+    P_b = np.zeros((k + 1, n, n))
+    K_bl = np.zeros((k, n, p))
+    R_be = np.zeros((k, p, p))
     g2 = gamma * gamma
-    P_b[T - 1] = _sym(W[T])
-    for t in range(T - 1, -1, -1):
-        R_be[t] = _sym(g2 * np.eye(p) + B_w[t].T @ P_b[t] @ B_w[t])
-        K_bl[t] = Atil[t].T @ P_b[t] @ np.linalg.solve(R_be[t], B_w[t].T).T
-        if t > 0:
-            P_b[t - 1] = _sym(
-                Atil[t].T @ P_b[t] @ Atil[t]
-                + W[t]
-                - K_bl[t] @ R_be[t] @ K_bl[t].T
-            )
-    return P_b, K_bl, R_be
+    P_b[k] = _sym(P_b_last)
+    for t in range(k - 1, -1, -1):
+        R_be[t] = _sym(g2 * np.eye(p) + B_w[t].T @ P_b[t + 1] @ B_w[t])
+        K_bl[t] = Atil[t].T @ P_b[t + 1] @ np.linalg.solve(R_be[t], B_w[t].T).T
+        P_b[t] = _sym(
+            Atil[t].T @ P_b[t + 1] @ Atil[t]
+            + W[t]
+            - K_bl[t] @ R_be[t] @ K_bl[t].T
+        )
+    return P_b[1:], K_bl, R_be, P_b[0]
 
 
 def _mv(M, v):

@@ -72,7 +72,9 @@ def build_operators(sys: LqSystem) -> OperatorPair:
 
     Block (i, j) of F is Q_i^{1/2} A_{i-1}...A_{j+1} B_u_j for j < i (and
     likewise for G with B_w); the terminal cost contributes one extra block
-    row Q_T^{1/2} A_{T-1}...A_{j+1} B_._j.
+    row Q_T^{1/2} A_{T-1}...A_{j+1} B_._j. The rows are filled one at a
+    time from the stacked impulse responses of all earlier inputs, which
+    advance by one product with A_i per row.
     """
     sys = as_validated(sys)
     if not np.allclose(sys.R, np.eye(sys.m)[None, :, :], atol=1e-12):
@@ -84,16 +86,15 @@ def build_operators(sys: LqSystem) -> OperatorPair:
     sqQ = psd_sqrt(np.concatenate((sys.Q, sys.Q_T[None])))
     F = np.zeros((n_rows * n, T * m))
     G = np.zeros((n_rows * n, T * p))
-    for j in range(T):
-        # propagate the impulse response of (u_j, w_j) forward
-        Mu = sys.B_u[j].copy()
-        Mw = sys.B_w[j].copy()
-        for i in range(j + 1, n_rows):
-            F[i * n:(i + 1) * n, j * m:(j + 1) * m] = sqQ[i if i < T else T] @ Mu
-            G[i * n:(i + 1) * n, j * p:(j + 1) * p] = sqQ[i if i < T else T] @ Mw
-            if i < T:
-                Mu = sys.A[i] @ Mu
-                Mw = sys.A[i] @ Mw
+    # at row i, Mu[j] = A_{i-1}...A_{j+1} B_u_j for every input j < i
+    Mu = sys.B_u.copy()
+    Mw = sys.B_w.copy()
+    for i in range(1, n_rows):
+        F[i * n:(i + 1) * n, :i * m] = np.concatenate(sqQ[i] @ Mu[:i], axis=1)
+        G[i * n:(i + 1) * n, :i * p] = np.concatenate(sqQ[i] @ Mw[:i], axis=1)
+        if i < T:
+            Mu[:i] = sys.A[i] @ Mu[:i]
+            Mw[:i] = sys.A[i] @ Mw[:i]
     return OperatorPair(F=F, G=G, T=T, n=n, m=m, p=p, n_rows=n_rows)
 
 
@@ -216,14 +217,14 @@ def controller_operator(sys: LqSystem, controller, tol: float = 1e-9) -> np.ndar
     controls. Raises CausalityViolationError naming the first block (i, j),
     j > i, in row-major order whose largest magnitude exceeds tol.
     """
-    from .sim_bench import rollout  # local import to avoid a cycle
+    from .sim_bench import controls  # local import to avoid a cycle
 
     sys = as_validated(sys)
     check_size(sys)
     norm = normalize_control_weight(sys)
     T, m, p = sys.T, sys.m, sys.p
     impulses = np.eye(T * p).reshape(T * p, T, p)  # item j*p + c is w[j, c] = 1
-    u = norm.to_normalized_u(rollout(sys, controller, impulses).u)
+    u = norm.to_normalized_u(controls(sys, controller, impulses))
     K = np.ascontiguousarray(u.reshape(T * p, T * m).T)
     blocks = np.abs(K.reshape(T, m, T, p)).max(axis=(1, 3))
     upper = np.triu(blocks > tol, k=1)

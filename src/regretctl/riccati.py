@@ -40,8 +40,7 @@ class HinfTape:
 
     @property
     def first_infeasible_step(self):
-        bad = np.nonzero(self.margins >= 0.0)[0]
-        return int(bad[0]) if bad.size else None
+        return _first_failing_step(self.margins)
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,14 @@ class BackwardKalmanTape:
     R_be_sqrt: np.ndarray
     R_be_inv_sqrt: np.ndarray
     gamma: float
+
+
+def _first_failing_step(margins):
+    """The step where a backward sweep first met a margin >= 0, which is the
+    largest such t since the sweep runs from t = T - 1 down. None when every
+    margin is negative."""
+    bad = np.nonzero(margins >= 0.0)[0]
+    return int(bad[-1]) if bad.size else None
 
 
 def _check_level(gamma):
@@ -121,7 +128,10 @@ def backward_kalman(norm: NormalizedSystem, fwd: ForwardKalmanTape, gamma: float
     Delta'Delta = gamma^2 I + G'(I + FF')^{-1} G."""
     _check_level(gamma)
     sys = norm.system
-    P_b, K_bl, R_be = kernels.backward_kalman(fwd.Atil, sys.B_w, fwd.W, float(gamma))
+    T = sys.T
+    P_b, K_bl, R_be, _ = kernels.backward_kalman(
+        fwd.Atil, sys.B_w, fwd.W[:T], float(gamma), fwd.W[T]
+    )
     return BackwardKalmanTape(
         P_b=P_b,
         K_bl=K_bl,

@@ -62,9 +62,10 @@ def generate_disturbance(spec: DisturbanceSpec, sys: LqSystem) -> np.ndarray:
     return spec.generate(sys.T, sys.p)
 
 
-def rollout(sys: LqSystem, controller, w) -> Trajectory:
-    """Drive the controller along w; at each t it observes (x_t, w_t) before
-    choosing u_t. The trajectory satisfies the dynamics exactly.
+def controls(sys: LqSystem, controller, w) -> np.ndarray:
+    """The controls (..., T, m) the controller chooses along w, observing
+    (x_t, w_t) at each t before choosing u_t; raises ArithmeticError if any
+    is not finite.
 
     w: (T, p), or (..., T, p) for a batch of independent rollouts, which a
     controller with `control_sequence` runs in one sweep; a controller with
@@ -85,7 +86,15 @@ def rollout(sys: LqSystem, controller, w) -> Trajectory:
                 x = sys.A[t] @ x + sys.B_u[t] @ ui[t] + sys.B_w[t] @ wi[t]
     if not np.all(np.isfinite(u)):
         raise ArithmeticError("controller emitted a non-finite control")
-    return evaluate_cost(sys, w, u)
+    return u
+
+
+def rollout(sys: LqSystem, controller, w) -> Trajectory:
+    """Drive the controller along w (see `controls`) and return the
+    trajectory with its costs; it satisfies the dynamics exactly."""
+    sys = as_validated(sys)
+    w = as_signal(w, sys.T, sys.p)
+    return evaluate_cost(sys, w, controls(sys, controller, w))
 
 
 @dataclass

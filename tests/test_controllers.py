@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from regretctl import controllers as ct
+from regretctl import kernels, riccati
 from regretctl import operator_oracle as oo
 from regretctl import sim_bench
 from regretctl.cli import pendulum_system
@@ -80,6 +81,30 @@ class TestHinf:
     def test_pendulum_gamma_recorded_at_seed(self):
         res, _ = ct.hinf_optimal(pendulum_system(100), 1e-6)
         assert res.gamma_opt == 1.8820199966430664
+
+    def test_infeasible_level_names_the_step_that_failed(self):
+        with pytest.raises(ct.InfeasibleError, match=r"first failing step t=98\)") as info:
+            ct.synthesize_hinf(pendulum_system(100), 1.0)
+        assert info.value.step == 98
+
+    def test_bisection_keeps_its_last_feasible_tape(self, monkeypatch):
+        tapes = []
+        backward_hinf = riccati.backward_hinf
+
+        def recorded(sys, gamma):
+            tapes.append(backward_hinf(sys, gamma))
+            return tapes[-1]
+
+        monkeypatch.setattr(riccati, "backward_hinf", recorded)
+        sys = random_system(2, T_max=8)
+        res, ctrl = ct.hinf_optimal(sys, 1e-6)
+        assert len(tapes) == res.iterations + 1  # one call per probe, none after
+        last = [tape for tape in tapes if tape.feasible][-1]
+        assert ctrl.tape is last and last.gamma == res.gamma_opt
+        assert res.final_margins is last.margins
+        monkeypatch.undo()
+        again = ct.synthesize_hinf(sys, res.gamma_opt)
+        assert np.array_equal(ctrl.K_x, again.K_x) and np.array_equal(ctrl.K_w, again.K_w)
 
     def test_achieves_gain_bound(self):
         sys = s1()
@@ -336,11 +361,142 @@ class TestRegretProblem:
         ctrl.control_sequence(np.ones((sys.T, sys.p)))
         assert len(built) == 2
 
+    def test_regret_optimal_returns_its_last_feasible_probe(self, monkeypatch):
+        probes = []
+        synthesize = ct.synthesize_regret
+
+        def recorded(*args):
+            probes.append(synthesize(*args))
+            return probes[-1]
+
+        monkeypatch.setattr(ct, "synthesize_regret", recorded)
+        for test in ("level1", "printed"):
+            probes.clear()
+            res, ctrl = ct.regret_optimal(pendulum_system(30), 1e-6, test)
+            assert len(probes) == res.iterations + 1  # one synthesis per probe, none after
+            last = [syn for syn in probes if syn.feasible][-1]
+            assert ctrl.synthesis is last and last.gamma == res.gamma_opt
+            assert res.final_margins is last.margins
+
     def test_infeasible_gains_are_zero(self):
         syn = ct.synthesize_regret(s1(), 0.1)
         assert not syn.feasible
         assert syn.M_state.shape == (3, 1, 2) and not syn.M_state.any()
         assert syn.M_z.shape == (3, 1, 1) and not syn.M_z.any()
+
+
+def _full_horizon_reference(sys, gamma, test):
+    """The regret synthesis as one sweep over the whole horizon: the backward
+    Kalman tape, the assembly of the doubled system and one value recursion.
+    Returns (bwd, Ahat, Bhat_w, Phat, Hhat, margins)."""
+    norm = normalize_control_weight(sys)
+    nsys = norm.system
+    T, n, m = nsys.T, nsys.n, nsys.m
+    fwd = riccati.forward_kalman(norm)
+    bwd = riccati.backward_kalman(norm, fwd, gamma)
+    BwK = nsys.B_w @ np.swapaxes(bwd.K_bl, 1, 2)
+    Bw_scaled = nsys.B_w @ bwd.R_be_inv_sqrt
+    Ahat = np.zeros((T, 2 * n, 2 * n))
+    Ahat[:, :n, :n] = nsys.A
+    Ahat[:, :n, n:] = -BwK
+    Ahat[:, n:, n:] = fwd.Atil - BwK
+    Bhat_u = np.concatenate((nsys.B_u, np.zeros_like(nsys.B_u)), axis=1)
+    Bhat_w = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
+    Qhat = np.zeros((T, 2 * n, 2 * n))
+    Qhat[:, :n, :n] = nsys.Q
+    Phat_T = np.zeros((2 * n, 2 * n))
+    Phat_T[:n, :n] = nsys.Q_T
+    level, lqr_form = (1.0, False) if test == "level1" else (gamma, True)
+    try:
+        Phat, Hhat, margins = kernels.regret_phat_backward(
+            Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form
+        )
+    except np.linalg.LinAlgError:
+        Phat, Hhat, margins = np.zeros((T + 1, 2 * n, 2 * n)), np.zeros((T, m, m)), np.ones(T)
+    return bwd, Ahat, Bhat_w, Phat, Hhat, margins
+
+
+_SWEEP_SYSTEMS = (
+    [s1(), s1(10), s1(7, R=2.0, Q_T=[[1.5]]), pendulum_system(30), pendulum_system(100)]
+    + [random_system(seed, T_max=20) for seed in range(120, 126)]
+    + [random_system(seed, T_max=20, stable=False) for seed in range(220, 226)]
+)
+
+
+class TestWindowedSweep:
+    """The sweep in doubling windows against one sweep over the horizon."""
+
+    @pytest.mark.parametrize("test", ["level1", "printed"])
+    @pytest.mark.parametrize("sys", _SWEEP_SYSTEMS)
+    def test_matches_full_horizon_sweep(self, sys, test):
+        g_opt = ct.regret_optimal(sys, 1e-6, test)[0].gamma_opt
+        for c in (0.3, 0.9, 0.999, 1.0, 1.001, 1.1, 3.0):
+            syn = ct.synthesize_regret(sys, c * g_opt, test)
+            bwd, Ahat, Bhat_w, Phat, Hhat, margins = _full_horizon_reference(sys, c * g_opt, test)
+            feasible = bool(np.all(margins < 0.0)) and bool(
+                np.all(np.linalg.eigvalsh(Hhat).min(axis=1) > 0)
+            )
+            assert syn.feasible == feasible, c
+            assert syn.first_infeasible_step == riccati._first_failing_step(margins), c
+            if feasible:
+                for field in ("P_b", "K_bl", "R_be", "R_be_sqrt", "R_be_inv_sqrt"):
+                    assert np.array_equal(getattr(syn.bwd, field), getattr(bwd, field)), field
+                assert np.array_equal(syn.Ahat, Ahat) and np.array_equal(syn.Bhat_w, Bhat_w)
+                assert np.array_equal(syn.Phat, Phat) and np.array_equal(syn.Hhat, Hhat)
+                assert np.array_equal(syn.margins, margins)
+            elif np.any(Hhat):  # the swept steps after the failure hold the same bits
+                t = syn.first_infeasible_step
+                assert np.array_equal(syn.margins[t + 1:], margins[t + 1:])
+                assert np.array_equal(syn.Phat[t + 1:], Phat[t + 1:])
+                assert np.array_equal(syn.bwd.P_b[t:], bwd.P_b[t:])
+                if test == "level1":  # the failure flags every earlier step
+                    assert syn.margins[t] >= 1.0 and np.all(syn.margins[:t] == syn.margins[t])
+
+    def test_infeasible_level_names_the_step_that_failed(self):
+        for test in ("level1", "printed"):
+            with pytest.raises(ct.InfeasibleError, match=r"first failing step t=97\)") as info:
+                ct.regret_controller(pendulum_system(100), 1.0, test)
+            assert info.value.step == 97
+
+    def test_infeasible_probe_stops_within_twice_its_depth(self, monkeypatch):
+        steps = []
+        backward_kalman = kernels.backward_kalman
+
+        def counted(Atil, *args):
+            steps.append(Atil.shape[0])
+            return backward_kalman(Atil, *args)
+
+        monkeypatch.setattr(kernels, "backward_kalman", counted)
+        T = 1000
+        problem = ct.prepare_regret(pendulum_system(T))
+        # 1.7185401916503906 is the last infeasible probe of the bisection
+        for gamma in (0.5, 1.0, 1.7, 1.7185401916503906):
+            steps.clear()
+            syn = ct.synthesize_regret(problem, gamma)
+            t_fail = syn.first_infeasible_step
+            assert t_fail is not None
+            assert steps == [2**k for k in range(len(steps) - 1)] + steps[-1:]
+            assert sum(steps) <= 2 * (T - t_fail) + 1
+        assert T - t_fail > 100  # the last level fails deep into the horizon
+
+    def test_feasible_probe_sweeps_every_step_once(self, monkeypatch):
+        steps = []
+        backward_kalman = kernels.backward_kalman
+
+        def counted(Atil, *args):
+            steps.append(Atil.shape[0])
+            return backward_kalman(Atil, *args)
+
+        monkeypatch.setattr(kernels, "backward_kalman", counted)
+        syn = ct.synthesize_regret(pendulum_system(100), 3.0)
+        assert syn.feasible
+        assert steps == [1, 2, 4, 8, 16, 32, 37]
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+    def test_level_rejected_before_any_work(self, gamma, monkeypatch):
+        monkeypatch.setattr(ct, "prepare_regret", None)  # any use would fail
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            ct.synthesize_regret(s1(), gamma)
 
 
 class TestStructure:

@@ -9,6 +9,7 @@ from regretctl.system_model import (
     LqSystem,
     evaluate_cost,
     normalize_control_weight,
+    psd_sqrt,
     validate_system,
 )
 from helpers import random_system, s1, stacked_s
@@ -57,6 +58,29 @@ class TestBuildOperators:
             traj = evaluate_cost(nsys, w.reshape(sys.T, sys.p), u.reshape(sys.T, sys.m))
             s = stacked_s(nsys, traj)
             assert np.abs(ops.F @ u + ops.G @ w - s).max() <= 1e-10 * (1 + np.abs(s).max())
+
+    @pytest.mark.parametrize(
+        "sys",
+        [s1(), s1(1), s1(4, Q_T=[[2.0]]), s1(1, Q_T=[[1.0]])]
+        + [random_system(seed, T_max=20, stable=seed % 2 == 0) for seed in range(70, 78)],
+    )
+    def test_rows_equal_per_block_products(self, sys):
+        """Each block is the product the per-block loop makes, bit for bit."""
+        nsys = normalize_control_weight(sys).system
+        ops = oo.build_operators(nsys)
+        T, n, m, p = sys.T, sys.n, sys.m, sys.p
+        sqQ = psd_sqrt(np.concatenate((nsys.Q, nsys.Q_T[None])))
+        F = np.zeros_like(ops.F)
+        G = np.zeros_like(ops.G)
+        for j in range(T):
+            Mu, Mw = nsys.B_u[j].copy(), nsys.B_w[j].copy()
+            for i in range(j + 1, ops.n_rows):
+                F[i * n:(i + 1) * n, j * m:(j + 1) * m] = sqQ[min(i, T)] @ Mu
+                G[i * n:(i + 1) * n, j * p:(j + 1) * p] = sqQ[min(i, T)] @ Mw
+                if i < T:
+                    Mu, Mw = nsys.A[i] @ Mu, nsys.A[i] @ Mw
+        assert ops.n_rows == T + bool(np.any(nsys.Q_T))
+        assert np.array_equal(ops.F, F) and np.array_equal(ops.G, G)
 
     def test_size_cap(self):
         big = s1(T=2001)
@@ -219,6 +243,21 @@ class TestControllerOperator:
             K = oo.controller_operator(sys, ctrl)
             assert K.flags.c_contiguous
             assert np.array_equal(K, K_ref)
+
+
+    def test_probe_evaluates_no_cost(self, monkeypatch):
+        from regretctl import sim_bench
+
+        sys = random_system(64, T_max=10)
+        ctrl = ct.regret_optimal(sys, 1e-6)[1]
+        K_ref = oo.controller_operator(sys, ctrl)
+
+        def refused(*args):
+            raise AssertionError("the probe evaluated a cost")
+
+        monkeypatch.setattr(sim_bench, "evaluate_cost", refused)
+        monkeypatch.setattr(sim_bench, "rollout", refused)
+        assert np.array_equal(oo.controller_operator(sys, ctrl), K_ref)
 
 
 class TestRegretGain:

@@ -3,7 +3,7 @@ import pytest
 
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
-from regretctl import riccati
+from regretctl import kernels, riccati
 from regretctl.system_model import (
     LqSystem,
     evaluate_cost,
@@ -220,6 +220,22 @@ class TestBackwardKalman:
     def test_non_finite_or_nonpositive_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             self._delta(s1(), gamma)
+
+    @pytest.mark.parametrize("cuts", [(), (1,), (1, 3), (2, 5, 6)])
+    def test_windows_chained_by_their_carry_equal_one_sweep(self, cuts):
+        sys = random_system(7, T_max=9, stable=False, with_terminal=True)  # T = 9
+        norm, fwd, bwd = self._delta(sys, 1.5)
+        T = sys.T
+        bounds = [0] + [T - c for c in sorted(cuts, reverse=True)] + [T]
+        carry = fwd.W[T]
+        tapes = []
+        for t0, t1 in reversed(list(zip(bounds, bounds[1:]))):
+            *tape, carry = kernels.backward_kalman(
+                fwd.Atil[t0:t1], norm.system.B_w[t0:t1], fwd.W[t0:t1], 1.5, carry
+            )
+            tapes.insert(0, tape)
+        for k, full in enumerate((bwd.P_b, bwd.K_bl, bwd.R_be)):
+            assert np.array_equal(np.concatenate([tape[k] for tape in tapes]), full)
 
     def test_tapes_symmetric_psd(self):
         norm, fwd, bwd = self._delta(random_system(4), 1.0)

@@ -7,6 +7,7 @@ from regretctl.sim_bench import (
     ComparisonReport,
     DisturbanceSpec,
     compare,
+    controls,
     generate_disturbance,
     rollout,
 )
@@ -310,6 +311,13 @@ class TestBatchedRollout:
         batch = rollout(sys, StepOnly(ctrl), w)
         for k in range(4):
             assert np.array_equal(batch.u[k], rollout(sys, StepOnly(ctrl), w[k]).u)
+
+    def test_controls_are_the_rollout_controls(self):
+        sys = random_system(33, T_max=9, stable=False)
+        w = np.random.default_rng(2).standard_normal((3, sys.T, sys.p))
+        for ctrl in _controllers(sys).values():
+            assert np.array_equal(controls(sys, ctrl, w), rollout(sys, ctrl, w).u)
+            assert np.array_equal(controls(sys, ctrl, w[0]), rollout(sys, ctrl, w[0]).u)
 
     def test_nonfinite_control_in_one_item_rejected(self):
         class BrokenOnPositive:
