@@ -87,14 +87,10 @@ class FeedbackController:
 
 
 def _feedback_gains(sys: LqSystem, tape_P, tape_H):
-    T = sys.T
-    K_x = np.zeros((T, sys.m, sys.n))
-    K_w = np.zeros((T, sys.m, sys.p))
-    for t in range(T):
-        BtP = sys.B_u[t].T @ tape_P[t + 1]
-        K_x[t] = -np.linalg.solve(tape_H[t], BtP @ sys.A[t])
-        K_w[t] = -np.linalg.solve(tape_H[t], BtP @ sys.B_w[t])
-    return K_x, K_w
+    """K_x = -H_t^{-1} B_u' P_{t+1} A_t and K_w = -H_t^{-1} B_u' P_{t+1} B_w_t,
+    stacked over t; each step gets the same bits as its own products."""
+    BtP = np.swapaxes(sys.B_u, 1, 2) @ tape_P[1:]
+    return -np.linalg.solve(tape_H, BtP @ sys.A), -np.linalg.solve(tape_H, BtP @ sys.B_w)
 
 
 def synthesize_h2(sys: LqSystem) -> FeedbackController:
@@ -459,25 +455,26 @@ def synthesize_regret(
     Phat[T] = problem.Phat_T
     for t0, t1 in _windows(T):
         win = slice(t0, t1)
-        P_b[win], K_bl[win], R_be[win], P_b_carry = kernels.backward_kalman(
-            fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_carry
-        )
-        R_be_sqrt[win] = psd_sqrt(R_be[win])
-        R_be_inv_sqrt[win] = pd_inv_sqrt(R_be[win])
-        BwK = nsys.B_w[win] @ np.swapaxes(K_bl[win], 1, 2)
-        Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt[win]
-        Ahat[win, :n, :n] = nsys.A[win]
-        Ahat[win, :n, n:] = -BwK
-        Ahat[win, n:, n:] = fwd.Atil[win] - BwK
-        Bhat_w[win] = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
         try:
+            P_b[win], K_bl[win], R_be[win], P_b_carry = kernels.backward_kalman(
+                fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_carry
+            )
+            R_be_sqrt[win] = psd_sqrt(R_be[win])
+            R_be_inv_sqrt[win] = pd_inv_sqrt(R_be[win])
+            BwK = nsys.B_w[win] @ np.swapaxes(K_bl[win], 1, 2)
+            Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt[win]
+            Ahat[win, :n, :n] = nsys.A[win]
+            Ahat[win, :n, n:] = -BwK
+            Ahat[win, n:, n:] = fwd.Atil[win] - BwK
+            Bhat_w[win] = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
             Phat[t0:t1 + 1], Hhat[win], margins[win] = kernels.regret_phat_backward(
                 Ahat[win], problem.Bhat_u[win], Bhat_w[win], problem.Qhat[win], Phat[t1],
                 level, lqr_form,
             )
         except np.linalg.LinAlgError:
-            # value recursion blew up before a margin turned positive: the
-            # level is numerically unattainable
+            # a recursion blew up before a margin turned positive (a singular
+            # pivot, or an overflow that became an invalid value): the level
+            # is numerically unattainable
             Phat[:] = 0.0
             Hhat[:] = 0.0
             margins[:] = 1.0

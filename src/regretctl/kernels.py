@@ -9,6 +9,15 @@ p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma) and
 stacked or control-only). The regret controller's step is `_regret_step`,
 shared by `rollout_regret` and the stepping interface of the controller.
 
+The recursions solve and eigendecompose 1x1 to 4x4 matrices at every step,
+where the public `np.linalg` wrappers cost more than LAPACK itself. So the
+step loops call the LAPACK gufuncs behind `np.linalg.solve` and
+`np.linalg.eigh` directly, under the floating-point error state those
+wrappers set up, entered once per kernel call (`_linalg_errstate`). The
+results are the same bits. That state also covers the loop's own arithmetic,
+so an invalid value there (an overflow that turns into inf - inf) raises
+LinAlgError like a singular pivot does.
+
 The two rollouts take disturbances with leading batch axes, (..., T, p), and
 run every item in one sweep over time. Each product is a stacked
 matrix-vector product (`_mv`), so an item gets the same bits as its rollout
@@ -16,8 +25,32 @@ alone.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 BACKEND = "numpy"  # the only backend; benchmark environment records report it
+
+# The gufuncs behind np.linalg.solve(a, b) for a 2-D b and np.linalg.eigh(a)
+# (UPLO="L"); call them with signature="dd->d" and "d->dd", inside
+# `_linalg_errstate`.
+_solve = _umath_linalg.solve
+_eigh = _umath_linalg.eigh_lo
+
+
+def _raise_linalg_error(err, flag):
+    raise np.linalg.LinAlgError(
+        f"{err} in a recursion step (singular matrix, eigensolver failure or "
+        "non-finite arithmetic)"
+    )
+
+
+def _linalg_errstate():
+    """The error state np.linalg sets around each gufunc call: a LAPACK
+    failure (flagged as an invalid value) raises LinAlgError; overflow,
+    division by zero and underflow pass silently. Inside it, an invalid value
+    in the loop's own arithmetic (inf - inf) raises LinAlgError too."""
+    return np.errstate(
+        call=_raise_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
 
 
 def _sym(M):
@@ -25,8 +58,9 @@ def _sym(M):
 
 
 def _max_eig(M):
-    vals, _ = np.linalg.eigh(_sym(M))
-    return vals[-1]
+    """Largest eigenvalue of the symmetric part of M, as np.linalg.eigh
+    computes it; call inside `_linalg_errstate`."""
+    return _eigh(_sym(M), signature="d->dd")[0][-1]
 
 
 def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked):
@@ -56,25 +90,31 @@ def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked):
         J0 = np.zeros((T, m + p, m + p))
         J0[:, :m, :m] = R
         J0[:, m:, m:] = neg_l2
-    for t in range(T - 1, -1, -1):
-        Pn = P[t + 1]
-        BtP = B_u[t].T @ Pn
-        H[t] = _sym(R[t] + BtP @ B_u[t])
-        if p:
-            WtP = B_w[t].T @ Pn
-            cross = WtP @ B_u[t]
-            marg = _sym(neg_l2 + WtP @ B_w[t] - cross @ np.linalg.solve(H[t], cross.T))
-            margins[t] = _max_eig(marg)
-            if stacked and (margins[t] >= 0.0 or _max_eig(-H[t]) >= 0.0):
-                margins[: t + 1] = max(margins[t], 1.0)
-                break
-        AtP = A[t].T @ Pn
-        if stacked:
-            Bs = B[t]
-            J = _sym(J0[t] + Bs.T @ Pn @ Bs)
-            P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ Bs) @ np.linalg.solve(J, Bs.T @ Pn @ A[t]))
-        else:
-            P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ B_u[t]) @ np.linalg.solve(H[t], BtP @ A[t]))
+    with _linalg_errstate():
+        for t in range(T - 1, -1, -1):
+            Pn = P[t + 1]
+            BtP = B_u[t].T @ Pn
+            H[t] = _sym(R[t] + BtP @ B_u[t])
+            if p:
+                WtP = B_w[t].T @ Pn
+                cross = WtP @ B_u[t]
+                marg = _sym(
+                    neg_l2 + WtP @ B_w[t] - cross @ _solve(H[t], cross.T, signature="dd->d")
+                )
+                margins[t] = _max_eig(marg)
+                if stacked and (margins[t] >= 0.0 or _max_eig(-H[t]) >= 0.0):
+                    margins[: t + 1] = max(margins[t], 1.0)
+                    break
+            AtP = A[t].T @ Pn
+            if stacked:
+                Bs = B[t]
+                BsP = Bs.T @ Pn
+                J = _sym(J0[t] + BsP @ Bs)
+                G = _solve(J, BsP @ A[t], signature="dd->d")
+                P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ Bs) @ G)
+            else:
+                G = _solve(H[t], BtP @ A[t], signature="dd->d")
+                P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ B_u[t]) @ G)
     return P, H, margins
 
 
@@ -108,14 +148,15 @@ def forward_kalman(A, B_u, sqQ):
     K_p = np.zeros((T, n, n))
     R_e = np.zeros((T + 1, n, n))
     Atil = np.zeros((T, n, n))
-    for t in range(T):
-        R_e[t] = _sym(np.eye(n) + sqQ[t] @ P[t] @ sqQ[t])
-        K_p[t] = A[t] @ P[t] @ np.linalg.solve(R_e[t], sqQ[t]).T
-        Atil[t] = A[t] - K_p[t] @ sqQ[t]
-        P[t + 1] = _sym(
-            A[t] @ P[t] @ A[t].T + B_u[t] @ B_u[t].T - K_p[t] @ R_e[t] @ K_p[t].T
-        )
-    R_e[T] = _sym(np.eye(n) + sqQ[T] @ P[T] @ sqQ[T])
+    eye = np.eye(n)
+    with _linalg_errstate():
+        for t in range(T):
+            AP = A[t] @ P[t]
+            R_e[t] = _sym(eye + sqQ[t] @ P[t] @ sqQ[t])
+            K_p[t] = AP @ _solve(R_e[t], sqQ[t], signature="dd->d").T
+            Atil[t] = A[t] - K_p[t] @ sqQ[t]
+            P[t + 1] = _sym(AP @ A[t].T + B_u[t] @ B_u[t].T - K_p[t] @ R_e[t] @ K_p[t].T)
+    R_e[T] = _sym(eye + sqQ[T] @ P[T] @ sqQ[T])
     return P, K_p, R_e, Atil
 
 
@@ -140,16 +181,15 @@ def backward_kalman(Atil, B_w, W, gamma, P_b_last):
     P_b = np.zeros((k + 1, n, n))
     K_bl = np.zeros((k, n, p))
     R_be = np.zeros((k, p, p))
-    g2 = gamma * gamma
+    g2_eye = (gamma * gamma) * np.eye(p)
     P_b[k] = _sym(P_b_last)
-    for t in range(k - 1, -1, -1):
-        R_be[t] = _sym(g2 * np.eye(p) + B_w[t].T @ P_b[t + 1] @ B_w[t])
-        K_bl[t] = Atil[t].T @ P_b[t + 1] @ np.linalg.solve(R_be[t], B_w[t].T).T
-        P_b[t] = _sym(
-            Atil[t].T @ P_b[t + 1] @ Atil[t]
-            + W[t]
-            - K_bl[t] @ R_be[t] @ K_bl[t].T
-        )
+    with _linalg_errstate():
+        for t in range(k - 1, -1, -1):
+            Pn = P_b[t + 1]
+            AtP = Atil[t].T @ Pn
+            R_be[t] = _sym(g2_eye + B_w[t].T @ Pn @ B_w[t])
+            K_bl[t] = AtP @ _solve(R_be[t], B_w[t].T, signature="dd->d").T
+            P_b[t] = _sym(AtP @ Atil[t] + W[t] - K_bl[t] @ R_be[t] @ K_bl[t].T)
     return P_b[1:], K_bl, R_be, P_b[0]
 
 

@@ -89,9 +89,9 @@ def backward_lqr(sys: LqSystem, P_T=None) -> LqrTape:
     sys = as_validated(sys)
     P_T = sys.Q_T if P_T is None else np.asarray(P_T, dtype=float)
     P, H = kernels.lqr_backward(sys.A, sys.B_u, sys.Q, sys.R, P_T)
-    for t in range(sys.T):
-        if np.linalg.eigvalsh(H[t]).min() <= 0:
-            raise ArithmeticError(f"H at t={t} is singular")  # R > 0 precludes this
+    bad = np.nonzero(np.linalg.eigvalsh(H).min(axis=1) <= 0)[0]
+    if bad.size:  # R > 0 precludes this
+        raise ArithmeticError(f"H at t={int(bad[0])} is singular")
     return LqrTape(P=P, H=H)
 
 
@@ -105,7 +105,8 @@ def backward_hinf(sys: LqSystem, gamma: float) -> HinfTape:
             sys.A, sys.B_u, sys.B_w, sys.Q, sys.R, sys.Q_T, float(gamma)
         )
     except np.linalg.LinAlgError:
-        # recursion blew up before a margin turned positive: numerically
+        # recursion blew up before a margin turned positive (a singular
+        # pivot, or an overflow that became an invalid value): numerically
         # unattainable level
         P = np.zeros((sys.T + 1, sys.n, sys.n))
         H = np.zeros((sys.T, sys.m, sys.m))

@@ -65,3 +65,126 @@ def stacked_s(sys, traj):
     if np.any(sys.Q_T != 0.0):
         rows.append(psd_sqrt(sys.Q_T) @ traj.x[sys.T])
     return np.concatenate(rows)
+
+
+# The loop kernels of regretctl.kernels as they were while every step called
+# np.linalg.solve and np.linalg.eigh (each wrapper entering its own error
+# state), kept verbatim apart from their names. The kernels now call the
+# LAPACK gufuncs behind those wrappers under one error state per call; the
+# bit-identity tests in test_kernels.py hold them to these copies.
+
+
+def _sym(M):
+    return (M + M.T) / 2.0
+
+
+def _max_eig(M):
+    vals, _ = np.linalg.eigh(_sym(M))
+    return vals[-1]
+
+
+def reference_riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked):
+    """The one backward Riccati recursion behind the three public entry points.
+
+    P_t = Q_t + A'PA - A'PB J^{-1} B'PA with P = P_{t+1}. When `stacked`, B is
+    the stacked input [B_u B_w] and J = blkdiag(R, -level^2 I) + B'PB;
+    otherwise B = B_u and J = H_t = R_t + B_u'PB_u. Whenever p > 0, the margin
+    at step t is the largest eigenvalue of
+    -level^2 I + B_w'PB_w - B_w'PB_u H_t^{-1} B_u'PB_w.
+    In the stacked case a margin >= 0 or an H_t that is not positive definite
+    makes J singular, so the recursion stops there and flags every earlier
+    step with max(margin, 1).
+
+    Returns (P, H, margins) with P: (T+1, n, n), H: (T, m, m), margins: (T,).
+    """
+    T, n, _ = A.shape
+    m = B_u.shape[2]
+    p = B_w.shape[2]
+    P = np.zeros((T + 1, n, n))
+    H = np.zeros((T, m, m))
+    margins = np.zeros(T)
+    P[T] = _sym(P_T)
+    neg_l2 = -(level * level) * np.eye(p)
+    if stacked:  # the stacked input and blkdiag(R, -level^2 I), once per call
+        B = np.concatenate((B_u, B_w), axis=2)
+        J0 = np.zeros((T, m + p, m + p))
+        J0[:, :m, :m] = R
+        J0[:, m:, m:] = neg_l2
+    for t in range(T - 1, -1, -1):
+        Pn = P[t + 1]
+        BtP = B_u[t].T @ Pn
+        H[t] = _sym(R[t] + BtP @ B_u[t])
+        if p:
+            WtP = B_w[t].T @ Pn
+            cross = WtP @ B_u[t]
+            marg = _sym(neg_l2 + WtP @ B_w[t] - cross @ np.linalg.solve(H[t], cross.T))
+            margins[t] = _max_eig(marg)
+            if stacked and (margins[t] >= 0.0 or _max_eig(-H[t]) >= 0.0):
+                margins[: t + 1] = max(margins[t], 1.0)
+                break
+        AtP = A[t].T @ Pn
+        if stacked:
+            Bs = B[t]
+            J = _sym(J0[t] + Bs.T @ Pn @ Bs)
+            P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ Bs) @ np.linalg.solve(J, Bs.T @ Pn @ A[t]))
+        else:
+            P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ B_u[t]) @ np.linalg.solve(H[t], BtP @ A[t]))
+    return P, H, margins
+
+
+def reference_forward_kalman(A, B_u, sqQ):
+    """Forward Kalman recursion factoring I + FF' = LL'.
+
+    sqQ holds Q_t^{1/2} for t = 0..T-1 plus Q_T^{1/2} at index T (the terminal
+    block row of the operators). Returns (P, K_p, R_e, Atil) with
+    P: (T+1, n, n) (P_0 = 0), K_p: (T, n, n), R_e: (T+1, n, n) (index T uses
+    the terminal weight), Atil_t = A_t - K_p_t Q_t^{1/2}.
+    """
+    T, n, _ = A.shape
+    P = np.zeros((T + 1, n, n))
+    K_p = np.zeros((T, n, n))
+    R_e = np.zeros((T + 1, n, n))
+    Atil = np.zeros((T, n, n))
+    for t in range(T):
+        R_e[t] = _sym(np.eye(n) + sqQ[t] @ P[t] @ sqQ[t])
+        K_p[t] = A[t] @ P[t] @ np.linalg.solve(R_e[t], sqQ[t]).T
+        Atil[t] = A[t] - K_p[t] @ sqQ[t]
+        P[t + 1] = _sym(
+            A[t] @ P[t] @ A[t].T + B_u[t] @ B_u[t].T - K_p[t] @ R_e[t] @ K_p[t].T
+        )
+    R_e[T] = _sym(np.eye(n) + sqQ[T] @ P[T] @ sqQ[T])
+    return P, K_p, R_e, Atil
+
+
+def reference_backward_kalman(Atil, B_w, W, gamma, P_b_last):
+    """Backward Kalman recursion producing the causal factor Delta of
+    gamma^2 I + G'(I + FF')^{-1}G, over the k steps of a window.
+
+    Atil, B_w and W hold the window's steps; W_t = Q_t^{1/2} R_e_t^{-1}
+    Q_t^{1/2} comes from the forward recursion. P_b_last is P_b at the
+    window's last step: W_T (zero when there is no terminal cost) for the
+    window that ends at the horizon, else the carry of the window after it.
+    Then, step by step backward,
+    P_b[t-1] = Atil' P_b Atil + W_t - K R_be K' with
+    K^b_l[t] = Atil_t' P_b[t] B_w_t R_be[t]^{-1} and
+    R_be[t] = gamma^2 I + B_w' P_b B_w.
+
+    Returns (P_b, K_bl, R_be, carry) with P_b: (k, n, n), K_bl: (k, n, p),
+    R_be: (k, p, p) and carry the P_b of the step before the window.
+    """
+    k, n, _ = Atil.shape
+    p = B_w.shape[2]
+    P_b = np.zeros((k + 1, n, n))
+    K_bl = np.zeros((k, n, p))
+    R_be = np.zeros((k, p, p))
+    g2 = gamma * gamma
+    P_b[k] = _sym(P_b_last)
+    for t in range(k - 1, -1, -1):
+        R_be[t] = _sym(g2 * np.eye(p) + B_w[t].T @ P_b[t + 1] @ B_w[t])
+        K_bl[t] = Atil[t].T @ P_b[t + 1] @ np.linalg.solve(R_be[t], B_w[t].T).T
+        P_b[t] = _sym(
+            Atil[t].T @ P_b[t + 1] @ Atil[t]
+            + W[t]
+            - K_bl[t] @ R_be[t] @ K_bl[t].T
+        )
+    return P_b[1:], K_bl, R_be, P_b[0]

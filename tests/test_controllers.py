@@ -114,6 +114,37 @@ class TestHinf:
         assert oo.worst_case_cost_gain(ops, K) <= res.gamma_opt**2 * (1 + 1e-6)
 
 
+def _feedback_gains_loop(sys, tape_P, tape_H):
+    """The per-step loop that `_feedback_gains` replaced."""
+    T = sys.T
+    K_x = np.zeros((T, sys.m, sys.n))
+    K_w = np.zeros((T, sys.m, sys.p))
+    for t in range(T):
+        BtP = sys.B_u[t].T @ tape_P[t + 1]
+        K_x[t] = -np.linalg.solve(tape_H[t], BtP @ sys.A[t])
+        K_w[t] = -np.linalg.solve(tape_H[t], BtP @ sys.B_w[t])
+    return K_x, K_w
+
+
+class TestFeedbackGains:
+    """The stacked gains reach CLI bytes, so they must keep the loop's bits."""
+
+    @pytest.mark.parametrize(
+        "sys",
+        [s1(), s1(7, R=2.0, Q_T=[[1.5]]), pendulum_system(100)]
+        + [random_system(seed, n_max=6, m_max=4, p_max=4, T_max=30, stable=seed % 2 == 0)
+           for seed in range(300, 312)],
+    )
+    def test_stacked_gains_equal_the_loop(self, sys):
+        tapes = [riccati.backward_lqr(sys)]
+        gamma = ct.hinf_optimal(sys, tol=1e-4)[0].gamma_opt
+        tapes.append(riccati.backward_hinf(sys, 1.5 * gamma))
+        for tape in tapes:
+            for a, b in zip(ct._feedback_gains(sys, tape.P, tape.H),
+                            _feedback_gains_loop(sys, tape.P, tape.H)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestOffline:
     def test_s1_impulse(self):
         u = ct.offline_noncausal(s1(), [[1.0], [0.0], [0.0]])

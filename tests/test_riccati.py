@@ -22,6 +22,17 @@ class TestBackwardLqr:
     def test_s1_values_exact(self):
         assert riccati.backward_lqr(s1()).P.ravel().tolist() == [1.6, 1.5, 1.0, 0.0]
 
+    def test_h_check_names_the_first_singular_step(self):
+        # R < 0 at t = 1 and 3 (validation bypassed on purpose): with B_u = 0,
+        # H_t = R_t is not positive definite there; the check names t=1
+        T = 5
+        R = np.ones((T, 1, 1))
+        R[1] = R[3] = -1.0
+        sys = LqSystem(np.ones((T, 1, 1)), np.zeros((T, 1, 1)), np.ones((T, 1, 1)),
+                       np.ones((T, 1, 1)), R, np.zeros((1, 1)), validated=True)
+        with pytest.raises(ArithmeticError, match=r"^H at t=1 is singular$"):
+            riccati.backward_lqr(sys)
+
     def test_zero_q_fixed_point(self):
         sys = s1()
         zero_q = validate_system(
