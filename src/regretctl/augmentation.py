@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sim_bench import controls
 from .system_model import LqSystem, as_signal, as_validated, validate_system
 
 
@@ -37,9 +38,6 @@ class AugmentedSystem:
             out[..., : base.T - h, :] = w[..., h:, :]
             return out
         return w.copy()
-
-    def augmented_control_to_base(self, u):
-        return np.asarray(u, dtype=float).copy()
 
 
 def augment_predictions(sys: LqSystem, h: int) -> AugmentedSystem:
@@ -131,12 +129,9 @@ class WrappedController:
 
     def control_sequence(self, w):
         """Base controls (..., T, m) for a base disturbance (T, p) or a batch
-        (..., T, p), from one rollout of the inner controller."""
-        from .sim_bench import rollout
-
-        w_aug = self.aug.base_disturbance_to_augmented(w)
-        traj = rollout(self.aug.system, self.inner, w_aug)
-        return self.aug.augmented_control_to_base(traj.u)
+        (..., T, p), from the controls of one sweep of the inner controller
+        over the augmented plant; augmented controls are base controls."""
+        return controls(self.aug.system, self.inner, self.aug.base_disturbance_to_augmented(w))
 
 
 def wrap_controller(aug: AugmentedSystem, controller) -> WrappedController:

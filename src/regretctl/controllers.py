@@ -579,61 +579,36 @@ def structural_value_tape(synthesis: RegretSynthesis) -> np.ndarray:
     """The control-only backward value recursion of the augmented system
     (P = Qhat + A'PA - A'PB_u H^{-1} B_u'PA); its top-left n x n block
     reproduces the plain LQR value matrices exactly."""
-    Phat, _, _ = kernels.regret_phat_backward(
-        synthesis.Ahat,
-        synthesis.Bhat_u,
-        synthesis.Bhat_w,
-        synthesis.Qhat,
-        synthesis.Phat[-1],
-        synthesis.gamma,
-        True,
-    )
+    s = synthesis
+    Phat, _, _ = kernels.regret_phat_backward(s.Ahat, s.Bhat_u, s.Bhat_w, s.Qhat, s.Phat[-1], s.gamma, True)
     return Phat
 
 
 def structure_check(synthesis: RegretSynthesis, tol: float = 1e-8) -> StructureReport:
     """Verify the H2-block identity P_11 == LQR P on the control-only value
     tape, and the control-action decomposition of the active gains; raises
-    StructuralMismatchError beyond tol."""
+    StructuralMismatchError beyond tol. The gains [M_state, M_z] on
+    [zeta; nu; z] must equal -Hhat^{-1} B_u' [P_11 A, P_12 (Atil - B_w K_bl')
+    - P_11 B_w K_bl', (P_11 + P_12) B_w R_be^{-1/2}] at every step, with P_ij
+    the blocks of Phat_{t+1}: the H2 action on zeta, then the (nu, z) part."""
     nsys = synthesis.norm.system
-    T, n = nsys.T, nsys.n
+    n = nsys.n
     lqr = riccati.backward_lqr(nsys)
     Pstruct = structural_value_tape(synthesis)
-    dev = 0.0
-    for t in range(T + 1):
-        dev = max(dev, float(np.abs(Pstruct[t, :n, :n] - lqr.P[t]).max()))
+    dev = float(np.abs(Pstruct[:, :n, :n] - lqr.P).max())
 
-    rng = np.random.default_rng(0)
-    resid = 0.0
-    for t in range(T):
-        P11 = synthesis.Phat[t + 1, :n, :n]
-        P12 = synthesis.Phat[t + 1, :n, n:]
-        Hh = synthesis.Hhat[t]
-        Bu = nsys.B_u[t]
-        Bw = nsys.B_w[t]
-        Kbl = synthesis.bwd.K_bl[t]
-        Atil = synthesis.fwd.Atil[t]
-        isq = synthesis.bwd.R_be_inv_sqrt[t]
-        for _ in range(5):
-            zeta = rng.standard_normal(n)
-            nu = rng.standard_normal(n)
-            z = rng.standard_normal(nsys.p)
-            full = synthesis.M_state[t] @ np.concatenate([zeta, nu]) + synthesis.M_z[t] @ z
-            h2_term = -np.linalg.solve(Hh, Bu.T @ P11 @ (nsys.A[t] @ zeta))
-            rest = (
-                -np.linalg.solve(Hh, Bu.T @ P11 @ (Bw @ (isq @ z) - Bw @ (Kbl.T @ nu)))
-                - np.linalg.solve(
-                    Hh, Bu.T @ P12 @ ((Atil - Bw @ Kbl.T) @ nu + Bw @ (isq @ z))
-                )
-            )
-            resid = max(resid, float(np.abs(full - (h2_term + rest)).max()))
+    P11, P12 = synthesis.Phat[1:, :n, :n], synthesis.Phat[1:, :n, n:]
+    BwK = nsys.B_w @ np.swapaxes(synthesis.bwd.K_bl, 1, 2)
+    Bz = nsys.B_w @ synthesis.bwd.R_be_inv_sqrt
+    X = np.concatenate(
+        (P11 @ nsys.A, P12 @ (synthesis.fwd.Atil - BwK) - P11 @ BwK, (P11 + P12) @ Bz), axis=2
+    )
+    expected = -np.linalg.solve(synthesis.Hhat, np.swapaxes(nsys.B_u, 1, 2) @ X)
+    full = np.concatenate((synthesis.M_state, synthesis.M_z), axis=2)
+    resid = float(np.abs(full - expected).max())
     report = StructureReport(max_p11_deviation=dev, max_decomposition_residual=resid)
     if dev > tol:
-        raise StructuralMismatchError(
-            f"P_11 deviates from the LQR recursion by {dev:g} > {tol:g}"
-        )
+        raise StructuralMismatchError(f"P_11 deviates from the LQR recursion by {dev:g} > {tol:g}")
     if resid > tol:
-        raise StructuralMismatchError(
-            f"control decomposition residual {resid:g} > {tol:g}"
-        )
+        raise StructuralMismatchError(f"control decomposition residual {resid:g} > {tol:g}")
     return report

@@ -2,9 +2,10 @@
 
 Everything here is O(T^3) and intended for desk-scale verification: building
 the causal operators F (controls -> weighted states) and G (disturbances ->
-weighted states), the offline-optimal controller in closed form, block-causal
-factorization of positive-definite operators, controller probing, and exact
-worst-case regret gains.
+weighted states) and the dense realizations of the Kalman factors L and Delta
+(all four from one strictly-causal builder), the offline-optimal controller in
+closed form, block-causal factorization of positive-definite operators,
+controller probing, and exact worst-case regret gains.
 
 All operators live in R-normalized control coordinates (R_t = I), so the cost
 is exactly ||Fu + Gw||^2 + ||u||^2.
@@ -21,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .riccati import BackwardKalmanTape, ForwardKalmanTape
 from .system_model import (
     DefinitenessError,
     LqSystem,
+    NormalizedSystem,
     as_validated,
     normalize_control_weight,
     psd_sqrt,
@@ -67,35 +70,80 @@ def check_size(sys: LqSystem):
         )
 
 
+def _block_rows(sys: LqSystem) -> int:
+    """T block rows of weighted states, plus one when there is a terminal cost."""
+    return sys.T + 1 if np.any(sys.Q_T != 0.0) else sys.T
+
+
+def _strictly_causal(A, B, C) -> np.ndarray:
+    """The strictly block-lower operator with block (i, j) = C_i A_{i-1}...
+    A_{j+1} B_j for j < i, and zero blocks on and above the diagonal.
+
+    C (rows, r, n) sets the block rows and B (cols, n, k) the block columns.
+    The rows are filled one at a time from the stacked impulse responses of
+    all earlier inputs, which advance by one product with A_i per row.
+    """
+    rows, r, _ = C.shape
+    cols, _, k = B.shape
+    out = np.zeros((rows * r, cols * k))
+    M = B.copy()  # at row i, M[j] = A_{i-1}...A_{j+1} B_j for every j < i
+    for i in range(1, rows):
+        out[i * r:(i + 1) * r, :i * k] = np.concatenate(C[i] @ M[:i], axis=1)
+        if i < len(A):
+            M[:i] = A[i] @ M[:i]
+    return out
+
+
+def _block_diagonal(blocks) -> np.ndarray:
+    """The block-diagonal matrix of a stack of blocks (N, r, k)."""
+    N, r, k = blocks.shape
+    out = np.zeros((N, r, N, k))
+    out[np.arange(N), :, np.arange(N), :] = blocks
+    return out.reshape(N * r, N * k)
+
+
 def build_operators(sys: LqSystem) -> OperatorPair:
     """Build the dense F and G of a validated, R-normalized system.
 
     Block (i, j) of F is Q_i^{1/2} A_{i-1}...A_{j+1} B_u_j for j < i (and
     likewise for G with B_w); the terminal cost contributes one extra block
-    row Q_T^{1/2} A_{T-1}...A_{j+1} B_._j. The rows are filled one at a
-    time from the stacked impulse responses of all earlier inputs, which
-    advance by one product with A_i per row.
+    row Q_T^{1/2} A_{T-1}...A_{j+1} B_._j.
     """
     sys = as_validated(sys)
     if not np.allclose(sys.R, np.eye(sys.m)[None, :, :], atol=1e-12):
         raise ValueError("build_operators requires an R-normalized system (R_t = I)")
     check_size(sys)
-    T, n, m, p = sys.T, sys.n, sys.m, sys.p
-    has_terminal = bool(np.any(sys.Q_T != 0.0))
-    n_rows = T + 1 if has_terminal else T
-    sqQ = psd_sqrt(np.concatenate((sys.Q, sys.Q_T[None])))
-    F = np.zeros((n_rows * n, T * m))
-    G = np.zeros((n_rows * n, T * p))
-    # at row i, Mu[j] = A_{i-1}...A_{j+1} B_u_j for every input j < i
-    Mu = sys.B_u.copy()
-    Mw = sys.B_w.copy()
-    for i in range(1, n_rows):
-        F[i * n:(i + 1) * n, :i * m] = np.concatenate(sqQ[i] @ Mu[:i], axis=1)
-        G[i * n:(i + 1) * n, :i * p] = np.concatenate(sqQ[i] @ Mw[:i], axis=1)
-        if i < T:
-            Mu[:i] = sys.A[i] @ Mu[:i]
-            Mw[:i] = sys.A[i] @ Mw[:i]
-    return OperatorPair(F=F, G=G, T=T, n=n, m=m, p=p, n_rows=n_rows)
+    n_rows = _block_rows(sys)
+    sqQ = psd_sqrt(np.concatenate((sys.Q, sys.Q_T[None])))[:n_rows]
+    F, G = _strictly_causal(sys.A, sys.B_u, sqQ), _strictly_causal(sys.A, sys.B_w, sqQ)
+    return OperatorPair(F=F, G=G, T=sys.T, n=sys.n, m=sys.m, p=sys.p, n_rows=n_rows)
+
+
+def dense_l_operator(norm: NormalizedSystem, fwd: ForwardKalmanTape) -> np.ndarray:
+    """Dense realization of L (LL' = I + FF') from the forward tape.
+
+    Block (i, j): R_e_i^{1/2} on the diagonal, Q_i^{1/2} A_{i-1}..A_{j+1}
+    K_p_j R_e_j^{1/2} below. Includes the terminal block row/column when the
+    system carries a terminal cost.
+    """
+    sys = norm.system
+    n_rows = _block_rows(sys)
+    Re_sqrt = psd_sqrt(fwd.R_e[:n_rows])
+    L = _block_diagonal(Re_sqrt)
+    # the terminal block column, if any, has only its diagonal block
+    L[:, :sys.T * sys.n] += _strictly_causal(sys.A, fwd.K_p @ Re_sqrt[:sys.T], fwd.sqQ[:n_rows])
+    return L
+
+
+def dense_delta_operator(norm: NormalizedSystem, fwd: ForwardKalmanTape, bwd: BackwardKalmanTape) -> np.ndarray:
+    """Dense realization of Delta (Delta'Delta = gamma^2 I + G'(I + FF')^{-1}G)
+    from the backward tape.
+
+    Block (i, j): R_be_i^{1/2} on the diagonal, R_be_i^{1/2} K_bl_i'
+    Atil_{i-1}..Atil_{j+1} B_w_j below.
+    """
+    C = bwd.R_be_sqrt @ np.swapaxes(bwd.K_bl, 1, 2)
+    return _block_diagonal(bwd.R_be_sqrt) + _strictly_causal(fwd.Atil, norm.system.B_w, C)
 
 
 def offline_optimal(ops: OperatorPair, w):
@@ -116,21 +164,11 @@ def offline_cost_form(ops: OperatorPair) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-@dataclass(frozen=True)
-class CausalFactor:
-    """Block-lower-triangular factor M of a positive-definite operator, with
-    symmetric positive-definite diagonal blocks. side = "lower_times_upper"
-    means M M' = target; side = "upper_times_lower" means M'M = target."""
-
-    M: np.ndarray
-    target: np.ndarray
-    side: str
-    block: int
-
-
-def causal_factor(target, block: int, side: str = "upper_times_lower") -> CausalFactor:
-    """Block Cholesky factorization of a positive-definite block operator with
-    symmetric PD diagonal pivots (the convention the Kalman realizations use).
+def causal_factor(target, block: int) -> np.ndarray:
+    """Block Cholesky factorization M'M = target of a positive-definite block
+    operator: M is block-lower-triangular with symmetric PD diagonal pivots
+    (the convention the Kalman realizations use), and is built from the last
+    block row up.
 
     Pivots are regularized by 1e-12 * mean-diagonal before the square root.
     """
@@ -139,63 +177,24 @@ def causal_factor(target, block: int, side: str = "upper_times_lower") -> Causal
     N = S.shape[0]
     if N % block != 0:
         raise ValueError(f"operator size {N} is not a multiple of block size {block}")
-    nb = N // block
+    b = block
     reg = 1e-12 * np.trace(S) / max(N, 1)
     M = np.zeros_like(S)
-    b = block
-
-    def blk(X, i, j):
-        return X[i * b:(i + 1) * b, j * b:(j + 1) * b]
-
-    def put(i, j, val):
-        M[i * b:(i + 1) * b, j * b:(j + 1) * b] = val
-
-    if side == "lower_times_upper":
-        order = range(nb)
-        for i in order:
-            D = blk(S, i, i) - sum(
-                (blk(M, i, k) @ blk(M, i, k).T for k in range(i)), np.zeros((b, b))
+    for i in range(N // b - 1, -1, -1):
+        rows, below = slice(i * b, (i + 1) * b), slice((i + 1) * b, N)
+        strip = M[below, rows]  # the blocks M_ki, k > i
+        D = S[rows, rows] - strip.T @ strip
+        D = (D + D.T) / 2.0 + reg * np.eye(b)
+        vals, vecs = np.linalg.eigh(D)
+        if vals.min() <= 0:
+            raise DefinitenessError(
+                f"operator is not positive definite at pivot block {i} "
+                f"(min eigenvalue {vals.min():g})"
             )
-            D = (D + D.T) / 2.0 + reg * np.eye(b)
-            vals, vecs = np.linalg.eigh(D)
-            if vals.min() <= 0:
-                raise DefinitenessError(
-                    f"operator is not positive definite at pivot block {i} "
-                    f"(min eigenvalue {vals.min():g})"
-                )
-            Dh = (vecs * np.sqrt(vals)) @ vecs.T
-            Dh_inv = (vecs / np.sqrt(vals)) @ vecs.T
-            put(i, i, Dh)
-            for j in range(i + 1, nb):
-                off = blk(S, j, i) - sum(
-                    (blk(M, j, k) @ blk(M, i, k).T for k in range(i)), np.zeros((b, b))
-                )
-                put(j, i, off @ Dh_inv)
-    elif side == "upper_times_lower":
-        for i in range(nb - 1, -1, -1):
-            D = blk(S, i, i) - sum(
-                (blk(M, k, i).T @ blk(M, k, i) for k in range(i + 1, nb)),
-                np.zeros((b, b)),
-            )
-            D = (D + D.T) / 2.0 + reg * np.eye(b)
-            vals, vecs = np.linalg.eigh(D)
-            if vals.min() <= 0:
-                raise DefinitenessError(
-                    f"operator is not positive definite at pivot block {i} "
-                    f"(min eigenvalue {vals.min():g})"
-                )
-            Dh = (vecs * np.sqrt(vals)) @ vecs.T
-            Dh_inv = (vecs / np.sqrt(vals)) @ vecs.T
-            put(i, i, Dh)
-            for j in range(i):
-                off = blk(S, i, j) - sum(
-                    (blk(M, k, i).T @ blk(M, k, j) for k in range(i + 1, nb)),
-                    np.zeros((b, b)),
-                )
-                put(i, j, Dh_inv @ off)
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return CausalFactor(M=M, target=S, side=side, block=block)
+        M[rows, rows] = (vecs * np.sqrt(vals)) @ vecs.T
+        left = slice(0, i * b)  # the blocks j < i of row i
+        M[rows, left] = (vecs / np.sqrt(vals)) @ vecs.T @ (S[rows, left] - strip.T @ M[below, left])
+    return M
 
 
 def causal_part(M, row_block: int, col_block: int) -> np.ndarray:
@@ -286,7 +285,7 @@ def h2_operator_form(ops: OperatorPair) -> np.ndarray:
     F, G = ops.F, ops.G
     m, p = ops.m, ops.p
     target = np.eye(F.shape[1]) + F.T @ F
-    delta = causal_factor(target, block=m, side="upper_times_lower").M
+    delta = causal_factor(target, block=m)
     inner = np.linalg.solve(delta.T, F.T @ G)
     K = -np.linalg.solve(delta, causal_part(inner, m, p))
     return K

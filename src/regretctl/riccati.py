@@ -2,7 +2,8 @@
 
 Four recursions: backward LQR, backward H-infinity with feasibility margins,
 forward Kalman (factoring I + FF' = LL') and backward Kalman (producing the
-causal factor Delta of gamma^2 I + G'(I + FF')^{-1} G).
+causal factor Delta of gamma^2 I + G'(I + FF')^{-1} G). The dense
+realizations of L and Delta are in `operator_oracle`.
 """
 
 from __future__ import annotations
@@ -141,49 +142,3 @@ def backward_kalman(norm: NormalizedSystem, fwd: ForwardKalmanTape, gamma: float
         R_be_inv_sqrt=pd_inv_sqrt(R_be),
         gamma=float(gamma),
     )
-
-
-def _transition(A, i, j):
-    """Phi(i, j) = A_{i-1} ... A_j (identity when i == j)."""
-    n = A.shape[1]
-    M = np.eye(n)
-    for k in range(j, i):
-        M = A[k] @ M
-    return M
-
-
-def dense_l_operator(norm: NormalizedSystem, fwd: ForwardKalmanTape) -> np.ndarray:
-    """Dense realization of L from the forward tape (desk-scale check).
-
-    Block (i, j): R_e_i^{1/2} on the diagonal, Q_i^{1/2} A_{i-1}..A_{j+1}
-    K_p_j R_e_j^{1/2} below. Includes the terminal block row/column when the
-    system carries a terminal cost.
-    """
-    sys = norm.system
-    T, n = sys.T, sys.n
-    Tr = T + 1 if np.any(sys.Q_T != 0.0) else T
-    L = np.zeros((Tr * n, Tr * n))
-    Re_sqrt = psd_sqrt(fwd.R_e)
-    for i in range(Tr):
-        L[i * n:(i + 1) * n, i * n:(i + 1) * n] = Re_sqrt[i]
-        for j in range(i):
-            blk = fwd.sqQ[i] @ _transition(sys.A, i, j + 1) @ fwd.K_p[j] @ Re_sqrt[j]
-            L[i * n:(i + 1) * n, j * n:(j + 1) * n] = blk
-    return L
-
-
-def dense_delta_operator(norm: NormalizedSystem, fwd: ForwardKalmanTape, bwd: BackwardKalmanTape) -> np.ndarray:
-    """Dense realization of Delta from the backward tape (desk-scale check).
-
-    Block (i, j): R_be_i^{1/2} on the diagonal, R_be_i^{1/2} K_bl_i'
-    Atil_{i-1}..Atil_{j+1} B_w_j below.
-    """
-    sys = norm.system
-    T, p = sys.T, sys.p
-    D = np.zeros((T * p, T * p))
-    for i in range(T):
-        D[i * p:(i + 1) * p, i * p:(i + 1) * p] = bwd.R_be_sqrt[i]
-        for j in range(i):
-            blk = bwd.R_be_sqrt[i] @ bwd.K_bl[i].T @ _transition(fwd.Atil, i, j + 1) @ sys.B_w[j]
-            D[i * p:(i + 1) * p, j * p:(j + 1) * p] = blk
-    return D

@@ -37,9 +37,9 @@ class DisturbanceSpec:
             return rng.multivariate_normal(mean, cov, size=T, method="cholesky")
         if self.kind == "alternating":
             mean = np.broadcast_to(np.asarray(self.params.get("mean", 1.0), dtype=float), (p,))
-            period = int(self.params.get("period", 15))
-            if period <= 0:
-                raise ValueError(f"period must be positive, got {period}")
+            period = self.params.get("period", 15)
+            if isinstance(period, bool) or not isinstance(period, (int, np.integer)) or period <= 0:
+                raise ValueError(f"period must be a positive integer, got {period!r}")
             signs = np.array([1.0 if (t // period) % 2 == 0 else -1.0 for t in range(T)])
             return signs[:, None] * mean[None, :] + rng.standard_normal((T, p))
         if self.kind == "sinusoid":

@@ -1,8 +1,17 @@
 """Shared builders for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from regretctl.system_model import LqSystem, validate_system
+from regretctl.riccati import BackwardKalmanTape, ForwardKalmanTape
+from regretctl.system_model import (
+    DefinitenessError,
+    LqSystem,
+    NormalizedSystem,
+    psd_sqrt,
+    validate_system,
+)
 
 
 def s1(T=3, R=1.0, Q_T=None):
@@ -59,8 +68,6 @@ def random_disturbance(seed, sys, scale=1.0):
 def stacked_s(sys, traj):
     """The weighted-state stack matching the operator row layout (terminal
     row included iff the system carries a terminal cost)."""
-    from regretctl.system_model import psd_sqrt
-
     rows = [psd_sqrt(sys.Q[t]) @ traj.x[t] for t in range(sys.T)]
     if np.any(sys.Q_T != 0.0):
         rows.append(psd_sqrt(sys.Q_T) @ traj.x[sys.T])
@@ -188,3 +195,138 @@ def reference_backward_kalman(Atil, B_w, W, gamma, P_b_last):
             - K_bl[t] @ R_be[t] @ K_bl[t].T
         )
     return P_b[1:], K_bl, R_be, P_b[0]
+
+
+# The dense oracle's factor realizations as they were while every block of L
+# and Delta was formed from its own transition product and the block Cholesky
+# factorization had both of its mirrored branches, kept verbatim apart from
+# their names. The tests in test_operator_oracle.py hold the strip-wise
+# factorization and the row-by-row realizations to these copies.
+
+
+@dataclass(frozen=True)
+class ReferenceCausalFactor:
+    """Block-lower-triangular factor M of a positive-definite operator, with
+    symmetric positive-definite diagonal blocks. side = "lower_times_upper"
+    means M M' = target; side = "upper_times_lower" means M'M = target."""
+
+    M: np.ndarray
+    target: np.ndarray
+    side: str
+    block: int
+
+
+def reference_causal_factor(target, block: int, side: str = "upper_times_lower") -> ReferenceCausalFactor:
+    """Block Cholesky factorization of a positive-definite block operator with
+    symmetric PD diagonal pivots (the convention the Kalman realizations use).
+
+    Pivots are regularized by 1e-12 * mean-diagonal before the square root.
+    """
+    S = np.asarray(target, dtype=float)
+    S = (S + S.T) / 2.0
+    N = S.shape[0]
+    if N % block != 0:
+        raise ValueError(f"operator size {N} is not a multiple of block size {block}")
+    nb = N // block
+    reg = 1e-12 * np.trace(S) / max(N, 1)
+    M = np.zeros_like(S)
+    b = block
+
+    def blk(X, i, j):
+        return X[i * b:(i + 1) * b, j * b:(j + 1) * b]
+
+    def put(i, j, val):
+        M[i * b:(i + 1) * b, j * b:(j + 1) * b] = val
+
+    if side == "lower_times_upper":
+        order = range(nb)
+        for i in order:
+            D = blk(S, i, i) - sum(
+                (blk(M, i, k) @ blk(M, i, k).T for k in range(i)), np.zeros((b, b))
+            )
+            D = (D + D.T) / 2.0 + reg * np.eye(b)
+            vals, vecs = np.linalg.eigh(D)
+            if vals.min() <= 0:
+                raise DefinitenessError(
+                    f"operator is not positive definite at pivot block {i} "
+                    f"(min eigenvalue {vals.min():g})"
+                )
+            Dh = (vecs * np.sqrt(vals)) @ vecs.T
+            Dh_inv = (vecs / np.sqrt(vals)) @ vecs.T
+            put(i, i, Dh)
+            for j in range(i + 1, nb):
+                off = blk(S, j, i) - sum(
+                    (blk(M, j, k) @ blk(M, i, k).T for k in range(i)), np.zeros((b, b))
+                )
+                put(j, i, off @ Dh_inv)
+    elif side == "upper_times_lower":
+        for i in range(nb - 1, -1, -1):
+            D = blk(S, i, i) - sum(
+                (blk(M, k, i).T @ blk(M, k, i) for k in range(i + 1, nb)),
+                np.zeros((b, b)),
+            )
+            D = (D + D.T) / 2.0 + reg * np.eye(b)
+            vals, vecs = np.linalg.eigh(D)
+            if vals.min() <= 0:
+                raise DefinitenessError(
+                    f"operator is not positive definite at pivot block {i} "
+                    f"(min eigenvalue {vals.min():g})"
+                )
+            Dh = (vecs * np.sqrt(vals)) @ vecs.T
+            Dh_inv = (vecs / np.sqrt(vals)) @ vecs.T
+            put(i, i, Dh)
+            for j in range(i):
+                off = blk(S, i, j) - sum(
+                    (blk(M, k, i).T @ blk(M, k, j) for k in range(i + 1, nb)),
+                    np.zeros((b, b)),
+                )
+                put(i, j, Dh_inv @ off)
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    return ReferenceCausalFactor(M=M, target=S, side=side, block=block)
+
+
+def reference_transition(A, i, j):
+    """Phi(i, j) = A_{i-1} ... A_j (identity when i == j)."""
+    n = A.shape[1]
+    M = np.eye(n)
+    for k in range(j, i):
+        M = A[k] @ M
+    return M
+
+
+def reference_dense_l_operator(norm: NormalizedSystem, fwd: ForwardKalmanTape) -> np.ndarray:
+    """Dense realization of L from the forward tape (desk-scale check).
+
+    Block (i, j): R_e_i^{1/2} on the diagonal, Q_i^{1/2} A_{i-1}..A_{j+1}
+    K_p_j R_e_j^{1/2} below. Includes the terminal block row/column when the
+    system carries a terminal cost.
+    """
+    sys = norm.system
+    T, n = sys.T, sys.n
+    Tr = T + 1 if np.any(sys.Q_T != 0.0) else T
+    L = np.zeros((Tr * n, Tr * n))
+    Re_sqrt = psd_sqrt(fwd.R_e)
+    for i in range(Tr):
+        L[i * n:(i + 1) * n, i * n:(i + 1) * n] = Re_sqrt[i]
+        for j in range(i):
+            blk = fwd.sqQ[i] @ reference_transition(sys.A, i, j + 1) @ fwd.K_p[j] @ Re_sqrt[j]
+            L[i * n:(i + 1) * n, j * n:(j + 1) * n] = blk
+    return L
+
+
+def reference_dense_delta_operator(norm: NormalizedSystem, fwd: ForwardKalmanTape, bwd: BackwardKalmanTape) -> np.ndarray:
+    """Dense realization of Delta from the backward tape (desk-scale check).
+
+    Block (i, j): R_be_i^{1/2} on the diagonal, R_be_i^{1/2} K_bl_i'
+    Atil_{i-1}..Atil_{j+1} B_w_j below.
+    """
+    sys = norm.system
+    T, p = sys.T, sys.p
+    D = np.zeros((T * p, T * p))
+    for i in range(T):
+        D[i * p:(i + 1) * p, i * p:(i + 1) * p] = bwd.R_be_sqrt[i]
+        for j in range(i):
+            blk = bwd.R_be_sqrt[i] @ bwd.K_bl[i].T @ reference_transition(fwd.Atil, i, j + 1) @ sys.B_w[j]
+            D[i * p:(i + 1) * p, j * p:(j + 1) * p] = blk
+    return D

@@ -40,7 +40,7 @@ def test_criterion_1_factorization_identities():
         sys = random_system(seed, n_max=3, m_max=3, p_max=3, T_max=15)
         norm = normalize_control_weight(sys)
         fwd = riccati.forward_kalman(norm)
-        L = riccati.dense_l_operator(norm, fwd)
+        L = oo.dense_l_operator(norm, fwd)
         ops = oo.build_operators(norm.system)
         F, G = ops.F, ops.G
         tgt_l = np.eye(F.shape[0]) + F @ F.T
@@ -48,7 +48,7 @@ def test_criterion_1_factorization_identities():
         inv = np.linalg.solve(tgt_l, G)
         for gamma in (0.5, 1.0, 2.0):
             bwd = riccati.backward_kalman(norm, fwd, gamma)
-            D = riccati.dense_delta_operator(norm, fwd, bwd)
+            D = oo.dense_delta_operator(norm, fwd, bwd)
             tgt_d = gamma**2 * np.eye(G.shape[1]) + G.T @ inv
             assert np.linalg.norm(D.T @ D - tgt_d) <= 1e-8 * np.linalg.norm(tgt_d)
     assert time.perf_counter() - t0 < 30.0

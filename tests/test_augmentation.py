@@ -213,3 +213,25 @@ class TestBatchedWrappedController:
         for k in range(2):
             assert np.array_equal(out[k], aug.base_disturbance_to_augmented(w[k]))
         assert np.array_equal(out[1, :, 0], [7.0, 8.0, 9.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("delay,lookahead", [(1, 3), (2, 0), (0, 2)])
+    def test_controls_evaluate_no_cost(self, delay, lookahead, monkeypatch):
+        from regretctl import sim_bench
+
+        sys = random_system(52, T_max=10)
+        aug, synth = None, sys
+        if delay:
+            aug = augment_delay(synth, delay)
+            synth = aug.system
+        if lookahead:
+            aug = augment_predictions(synth, lookahead)
+            synth = aug.system
+        w = np.random.default_rng(9).standard_normal((3, sys.T, sys.p))
+        wrapped = wrap_controller(aug, ct.regret_optimal(synth, 1e-6)[1])
+        expected = rollout(synth, wrapped.inner, aug.base_disturbance_to_augmented(w)).u
+
+        def refused(*args):
+            raise AssertionError("the wrapped controller evaluated a cost")
+
+        monkeypatch.setattr(sim_bench, "evaluate_cost", refused)
+        assert np.array_equal(wrapped.control_sequence(w), expected)

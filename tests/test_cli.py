@@ -245,6 +245,21 @@ class TestErrors:
         assert record["error"]["type"] == "ConfigError"
         assert "horizon" in record["error"]["message"]
 
+    def test_non_integer_period_record(self, runner, tmp_path):
+        doc = dict(
+            S1_CONFIG,
+            disturbance={"kind": "alternating", "params": {"mean": 1.0, "period": 2.7}},
+        )
+        cfg = tmp_path / "period.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "sim.csv"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--csv", str(out)])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"]["type"] == "ValueError"
+        assert record["error"]["message"] == "period must be a positive integer, got 2.7"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "option,value", [("--trials", "0"), ("--horizon", "0"), ("--horizon", "-1")]
     )

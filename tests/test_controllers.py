@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -531,6 +533,30 @@ class TestWindowedSweep:
 
 
 class TestStructure:
+    @staticmethod
+    def _feasible_synthesis():
+        sys = random_system(11, n_max=2, T_max=8)
+        res, _ = ct.regret_optimal(sys, tol=1e-8)
+        syn = ct.synthesize_regret(sys, 1.5 * res.gamma_opt)
+        assert syn.feasible
+        ct.structure_check(syn)
+        return syn
+
+    def test_p11_deviation_raises(self):
+        syn = self._feasible_synthesis()
+        n = syn.norm.system.n
+        Qhat = syn.Qhat.copy()
+        Qhat[:, :n, :n] *= 1.01  # the control-only recursion no longer tracks LQR
+        with pytest.raises(ct.StructuralMismatchError, match="P_11 deviates from the LQR"):
+            ct.structure_check(dataclasses.replace(syn, Qhat=Qhat))
+
+    def test_gain_decomposition_raises(self):
+        syn = self._feasible_synthesis()
+        tampered = dataclasses.replace(syn, Bhat_w=1.01 * syn.Bhat_w)  # moves M_z only
+        assert np.array_equal(tampered.M_state, syn.M_state)
+        with pytest.raises(ct.StructuralMismatchError, match="control decomposition residual"):
+            ct.structure_check(tampered)
+
     def test_s1_structure_report(self):
         sys = s1()
         res, _ = ct.regret_optimal(sys, tol=1e-8)

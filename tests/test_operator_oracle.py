@@ -12,7 +12,15 @@ from regretctl.system_model import (
     psd_sqrt,
     validate_system,
 )
-from helpers import random_system, s1, stacked_s
+from regretctl import riccati
+from helpers import (
+    random_system,
+    reference_causal_factor,
+    reference_dense_delta_operator,
+    reference_dense_l_operator,
+    s1,
+    stacked_s,
+)
 
 
 def ops_for(sys):
@@ -120,43 +128,113 @@ class TestOffline:
         assert w @ oo.offline_cost_form(ops) @ w == pytest.approx(cost, abs=1e-12)
 
 
+# stable and unstable, with and without a terminal cost, n, m, p up to 4
+DENSE_FACTOR_SYSTEMS = [s1(), s1(4, Q_T=[[2.0]])] + [
+    random_system(seed, n_max=4, m_max=4, p_max=4, T_max=14, stable=seed % 2 == 0,
+                  with_terminal=seed % 4 < 2)
+    for seed in range(80, 90)
+]
+
+
+class TestDenseFactors:
+    """L and Delta, built row by row from one strictly-causal builder, against
+    the per-block transition products of the reference copies."""
+
+    @staticmethod
+    def _close(X, ref):
+        assert X.shape == ref.shape
+        assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("sys", DENSE_FACTOR_SYSTEMS)
+    def test_l_matches_reference(self, sys):
+        norm = normalize_control_weight(sys)
+        fwd = riccati.forward_kalman(norm)
+        self._close(oo.dense_l_operator(norm, fwd), reference_dense_l_operator(norm, fwd))
+
+    @pytest.mark.parametrize("sys", DENSE_FACTOR_SYSTEMS)
+    def test_delta_matches_reference(self, sys):
+        norm = normalize_control_weight(sys)
+        fwd = riccati.forward_kalman(norm)
+        for gamma in (0.3, 1.0, 2.5):
+            bwd = riccati.backward_kalman(norm, fwd, gamma)
+            self._close(
+                oo.dense_delta_operator(norm, fwd, bwd),
+                reference_dense_delta_operator(norm, fwd, bwd),
+            )
+
+    def test_l_block_layout(self):
+        # the terminal block column of L holds only its diagonal block
+        sys = s1(3, Q_T=[[1.0]])
+        norm = normalize_control_weight(sys)
+        fwd = riccati.forward_kalman(norm)
+        L = oo.dense_l_operator(norm, fwd)
+        assert L.shape == (4, 4)
+        assert not np.triu(L, k=1).any()
+        assert np.array_equal(np.diag(L), psd_sqrt(fwd.R_e)[:, 0, 0])
+
+
 class TestCausalFactor:
     def test_identity(self):
-        f = oo.causal_factor(np.eye(6), block=2)
-        assert np.allclose(f.M, np.eye(6), atol=1e-9)
+        M = oo.causal_factor(np.eye(6), block=2)
+        assert np.allclose(M, np.eye(6), atol=1e-9)
 
     def test_scalar_blocks(self):
-        f = oo.causal_factor(np.diag([4.0, 9.0]), block=1)
-        assert np.allclose(f.M, np.diag([2.0, 3.0]), atol=1e-10)
+        M = oo.causal_factor(np.diag([4.0, 9.0]), block=1)
+        assert np.allclose(M, np.diag([2.0, 3.0]), atol=1e-10)
 
     def test_s1_delta_target(self):
         ops = ops_for(s1())
         F, G = ops.F, ops.G
         target = np.eye(3) + G.T @ np.linalg.solve(np.eye(3) + F @ F.T, G)
-        f = oo.causal_factor(target, block=1)
-        resid = np.linalg.norm(f.M.T @ f.M - target) / np.linalg.norm(target)
+        M = oo.causal_factor(target, block=1)
+        resid = np.linalg.norm(M.T @ M - target) / np.linalg.norm(target)
         assert resid <= 1e-8
 
     def test_both_sides(self):
+        # M'M = S directly; the MM' = S factor as E N' E, where N'N = E S E
+        # and E reverses the block order
         rng = np.random.default_rng(3)
         M = rng.standard_normal((8, 8))
         S = M @ M.T + 8 * np.eye(8)
-        lo = oo.causal_factor(S, block=2, side="lower_times_upper")
-        up = oo.causal_factor(S, block=2, side="upper_times_lower")
-        assert np.linalg.norm(lo.M @ lo.M.T - S) <= 1e-8 * np.linalg.norm(S)
-        assert np.linalg.norm(up.M.T @ up.M - S) <= 1e-8 * np.linalg.norm(S)
+        E = np.kron(np.eye(4)[::-1], np.eye(2))
+        up = oo.causal_factor(S, block=2)
+        lo = E @ oo.causal_factor(E @ S @ E, block=2).T @ E
+        assert np.linalg.norm(lo @ lo.T - S) <= 1e-8 * np.linalg.norm(S)
+        assert np.linalg.norm(up.T @ up - S) <= 1e-8 * np.linalg.norm(S)
         # both factors block-lower-triangular with PD symmetric pivots
         for f in (lo, up):
             for i in range(4):
-                blk = f.M[i * 2:(i + 1) * 2, i * 2:(i + 1) * 2]
+                blk = f[i * 2:(i + 1) * 2, i * 2:(i + 1) * 2]
                 assert np.allclose(blk, blk.T, atol=1e-9)
                 assert np.linalg.eigvalsh(blk).min() > 0
                 for j in range(i + 1, 4):
-                    assert not f.M[i * 2:(i + 1) * 2, j * 2:(j + 1) * 2].any()
+                    assert not f[i * 2:(i + 1) * 2, j * 2:(j + 1) * 2].any()
 
     def test_indefinite_rejected(self):
         with pytest.raises(DefinitenessError, match="pivot"):
             oo.causal_factor(np.diag([1.0, -1.0]), block=1)
+
+    def test_indefinite_names_its_pivot_block(self):
+        # the factorization runs from the last block up, so it meets -1 first
+        with pytest.raises(DefinitenessError, match=r"at pivot block 1 \(min eigenvalue -1"):
+            oo.causal_factor(np.diag([1.0, -1.0]), block=1)
+        with pytest.raises(DefinitenessError, match="at pivot block 0 "):
+            oo.causal_factor(np.diag([-1.0, 1.0, 2.0, 3.0]), block=2)
+
+    def test_size_not_a_multiple_of_block(self):
+        with pytest.raises(ValueError, match="not a multiple of block size 2"):
+            oo.causal_factor(np.eye(3), block=2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_matches_reference(self, seed, block):
+        rng = np.random.default_rng(seed)
+        nb = int(rng.integers(1, 7))
+        X = rng.standard_normal((nb * block, nb * block))
+        S = X @ X.T + rng.uniform(0.1, 3.0) * np.eye(nb * block)
+        ref = reference_causal_factor(S, block, side="upper_times_lower").M
+        M = oo.causal_factor(S, block)
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestCausalPart:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,17 @@ class TestDisturbanceSpec:
         assert w[1, 0] == pytest.approx(2.0, abs=1e-12)
         w = DisturbanceSpec("constant", {"vector": [1.0, -1.0]}).generate(3, 2)
         assert np.allclose(w, [[1.0, -1.0]] * 3)
+
+    @pytest.mark.parametrize("period", [2.7, True, "3", 0.5, 0, -2, None])
+    def test_alternating_period_must_be_a_positive_integer(self, period):
+        spec = DisturbanceSpec("alternating", {"mean": 1.0, "period": period})
+        with pytest.raises(ValueError, match=re.escape(f"period must be a positive integer, got {period!r}")):
+            spec.generate(6, 1)
+
+    def test_alternating_integer_period_types(self):
+        w = DisturbanceSpec("alternating", {"mean": 1.0, "period": 2}, seed=1).generate(6, 1)
+        w_np = DisturbanceSpec("alternating", {"mean": 1.0, "period": np.int64(2)}, seed=1).generate(6, 1)
+        assert np.array_equal(w, w_np)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown disturbance"):
