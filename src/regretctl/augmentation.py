@@ -116,16 +116,6 @@ class WrappedController:
     def __init__(self, aug: AugmentedSystem, inner):
         self.aug = aug
         self.inner = inner
-        # a wrapped prediction controller uses future base disturbances
-        self.causal = getattr(inner, "causal", True) and aug.mode == "delay"
-
-    def start(self, w=None):
-        return None
-
-    def step(self, state, t, x_t, w_t):
-        raise NotImplementedError(
-            "wrapped controllers replay full sequences; use control_sequence"
-        )
 
     def control_sequence(self, w):
         """Base controls (..., T, m) for a base disturbance (T, p) or a batch

@@ -65,6 +65,12 @@ def _int_field(value, field, minimum):
     return int(value)
 
 
+def _number_field(value, field):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"field {field!r}: expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(document) -> dict:
     """Validate a config document (dict or JSON text) and resolve defaults.
 
@@ -129,12 +135,26 @@ def parse_config(document) -> dict:
     cfg.update({k: v for k, v in document.items() if k not in ("system",)})
     cfg["horizon"] = sys.T
     for spec in cfg["controllers"]:
-        name = spec if isinstance(spec, str) else next(iter(spec), None)
+        name, level = spec, "auto"
+        if isinstance(spec, dict) and len(spec) == 1:
+            name, level = next(iter(spec.items()))
         if name not in ("h2", "hinf", "regret", "offline"):
             raise ConfigError(f"field 'controllers': unknown controller {spec!r}")
+        if level != "auto" and not 0.0 < _number_field(level, f"controllers.{name}") < np.inf:
+            raise ConfigError(f"field 'controllers.{name}': the level must be positive and finite")
     d = cfg["disturbance"]
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("field 'disturbance': needs a 'kind'")
+    extra = set(d) - {"kind", "params", "seed"}
+    if extra:
+        raise ConfigError(f"field 'disturbance': unknown fields {sorted(extra)}")
+    if not isinstance(d["kind"], str) or d["kind"] not in DisturbanceSpec.PARAMS:
+        raise ConfigError(f"field 'disturbance.kind': unknown kind {d['kind']!r}")
+    if not isinstance(d.get("params", {}), dict):
+        raise ConfigError("field 'disturbance.params': expected an object")
+    output = cfg["output"]
+    if not isinstance(output, dict) or not all(isinstance(v, str) for v in output.values()):
+        raise ConfigError("field 'output': expected an object of file paths")
     seed = _int_field(cfg["seed"], "seed", 0)
     resolved = {
         "system": sysdoc,
@@ -149,8 +169,8 @@ def parse_config(document) -> dict:
         },
         "trials": _int_field(cfg["trials"], "trials", 1),
         "seed": seed,
-        "tol": float(cfg["tol"]),
-        "output": cfg["output"],
+        "tol": _number_field(cfg["tol"], "tol"),
+        "output": output,
     }
     return {"system": sys, "resolved": resolved}
 

@@ -2,13 +2,12 @@
 noncausal, and the regret-suboptimal/regret-optimal controller obtained by
 reduction to H-infinity synthesis through two Kalman spectral factorizations.
 
-All controllers share one stepping interface: `start(w)` returns a fresh
-rollout state (causal controllers ignore w; the offline controller consumes
-the full disturbance there), and `step(state, t, x_t, w_t)` returns
-(u_t, state'). Controllers with a closed-form linear rollout also expose
-`control_sequence(w)` as a fast path; it takes one disturbance (T, p) or a
-batch (..., T, p) and returns controls with the same leading axes, each item
-bit-identical to its own call.
+Every controller has one interface, `control_sequence(w)`: it takes one
+disturbance (T, p) or a batch (..., T, p) and returns the controls
+(..., T, m) of a rollout from x_0 = 0, each item bit-identical to its own
+call. Causality is not declared but measured:
+`operator_oracle.controller_operator` probes a controller with unit impulses
+and refuses an operator that is not block lower triangular.
 """
 
 from __future__ import annotations
@@ -46,16 +45,8 @@ class StructuralMismatchError(AssertionError):
 
 
 class ZeroController:
-    causal = True
-
     def __init__(self, sys: LqSystem):
         self._sys = sys
-
-    def start(self, w=None):
-        return None
-
-    def step(self, state, t, x_t, w_t):
-        return np.zeros(self._sys.m), state
 
     def control_sequence(self, w):
         w = as_signal(w, self._sys.T, self._sys.p)
@@ -65,18 +56,10 @@ class ZeroController:
 class FeedbackController:
     """u_t = K_x_t x_t + K_w_t w_t (the H2 and H-infinity central forms)."""
 
-    causal = True
-
     def __init__(self, sys: LqSystem, K_x, K_w):
         self._sys = sys
         self.K_x = np.asarray(K_x, dtype=float)
         self.K_w = np.asarray(K_w, dtype=float)
-
-    def start(self, w=None):
-        return None
-
-    def step(self, state, t, x_t, w_t):
-        return self.K_x[t] @ x_t + self.K_w[t] @ w_t, state
 
     def control_sequence(self, w):
         w = as_signal(w, self._sys.T, self._sys.p)
@@ -93,22 +76,19 @@ def _feedback_gains(sys: LqSystem, tape_P, tape_H):
     return -np.linalg.solve(tape_H, BtP @ sys.A), -np.linalg.solve(tape_H, BtP @ sys.B_w)
 
 
+def _feedback_controller(sys: LqSystem, tape) -> FeedbackController:
+    """The feedback controller of an LQR or H-infinity tape, carrying it."""
+    K_x, K_w = _feedback_gains(sys, tape.P, tape.H)
+    ctrl = FeedbackController(sys, K_x, K_w)
+    ctrl.tape = tape
+    return ctrl
+
+
 def synthesize_h2(sys: LqSystem) -> FeedbackController:
     """H2-optimal controller: u_t = -H_t^{-1} B_u' P_{t+1}(A_t x_t + B_w_t w_t)
     with P from the backward LQR recursion."""
     sys = as_validated(sys)
-    tape = riccati.backward_lqr(sys)
-    K_x, K_w = _feedback_gains(sys, tape.P, tape.H)
-    ctrl = FeedbackController(sys, K_x, K_w)
-    ctrl.tape = tape
-    return ctrl
-
-
-def _hinf_controller(sys: LqSystem, tape: riccati.HinfTape) -> FeedbackController:
-    K_x, K_w = _feedback_gains(sys, tape.P, tape.H)
-    ctrl = FeedbackController(sys, K_x, K_w)
-    ctrl.tape = tape
-    return ctrl
+    return _feedback_controller(sys, riccati.backward_lqr(sys))
 
 
 def synthesize_hinf(sys: LqSystem, gamma: float) -> FeedbackController:
@@ -118,7 +98,7 @@ def synthesize_hinf(sys: LqSystem, gamma: float) -> FeedbackController:
     tape = riccati.backward_hinf(sys, gamma)
     if not tape.feasible:
         raise InfeasibleError(gamma, tape.first_infeasible_step)
-    return _hinf_controller(sys, tape)
+    return _feedback_controller(sys, tape)
 
 
 @dataclass
@@ -137,10 +117,22 @@ def _check_tol(tol):
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
 
 
-def _bisect_gamma(feasible, tol, max_doublings=60):
-    """Generic bisection: `feasible(gamma)` must be monotone in gamma.
-    Returns (gamma_opt, history, iterations). `hi` only ever takes a level
-    that `feasible` accepted, so gamma_opt is the last level it accepted."""
+def _bisect_gamma(probe, tol, max_doublings=60):
+    """Bisection on gamma: `probe(gamma)` returns a tape or synthesis with
+    `.feasible`, monotone in gamma, and `.gamma`. Returns
+    (GammaSearchResult, best) with best the last feasible probe. `hi` only
+    ever takes a level that was feasible, so best.gamma is hi, which is
+    gamma_opt. No infeasible probe outlives its verdict."""
+    best = None
+
+    def feasible(g):
+        nonlocal best
+        result = probe(g)
+        ok = result.feasible
+        if ok:
+            best = result
+        return ok
+
     history = []
     hi = 1.0
     iters = 0
@@ -154,9 +146,7 @@ def _bisect_gamma(feasible, tol, max_doublings=60):
                 lo = g
                 break
             hi = g
-        if lo is None:
-            # feasible down to ~0: degenerate, essentially zero level
-            return hi, history, iters
+        # lo is None when feasible down to ~0: degenerate, essentially zero level
     else:
         lo = hi
         g = hi
@@ -172,7 +162,7 @@ def _bisect_gamma(feasible, tol, max_doublings=60):
                 f"no feasible level found after {max_doublings} doublings "
                 "(degenerate system)"
             )
-    while (hi - lo) > tol * hi:
+    while lo is not None and (hi - lo) > tol * hi:
         mid = 0.5 * (hi + lo)
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats: a smaller tol cannot be met
@@ -182,7 +172,14 @@ def _bisect_gamma(feasible, tol, max_doublings=60):
         else:
             lo = mid
         history.append((lo, hi))
-    return hi, history, iters
+    result = GammaSearchResult(
+        gamma_opt=hi,
+        bracket_history=history,
+        iterations=iters,
+        final_margins=best.margins,
+        tol=tol,
+    )
+    return result, best
 
 
 def hinf_optimal(sys: LqSystem, tol: float = 1e-6):
@@ -190,24 +187,8 @@ def hinf_optimal(sys: LqSystem, tol: float = 1e-6):
     Returns (GammaSearchResult, FeedbackController)."""
     _check_tol(tol)
     sys = as_validated(sys)
-    last = None
-
-    def feasible(g):
-        nonlocal last
-        tape = riccati.backward_hinf(sys, g)
-        if tape.feasible:
-            last = tape  # the tape at gamma_opt once the bisection ends
-        return tape.feasible
-
-    gamma_opt, history, iters = _bisect_gamma(feasible, tol)
-    result = GammaSearchResult(
-        gamma_opt=gamma_opt,
-        bracket_history=history,
-        iterations=iters,
-        final_margins=last.margins,
-        tol=tol,
-    )
-    return result, _hinf_controller(sys, last)
+    result, tape = _bisect_gamma(lambda g: riccati.backward_hinf(sys, g), tol)
+    return result, _feedback_controller(sys, tape)
 
 
 def _solve(H, b):
@@ -220,8 +201,6 @@ class OfflineController:
     """Optimal noncausal (clairvoyant) controller in state-space form:
     u_t = -H_t^{-1} B_u'(P_{t+1} A_t x_t + P_{t+1} B_w_t w_t + v_{t+1}/2)
     where v runs backward over the full disturbance."""
-
-    causal = False
 
     def __init__(self, sys: LqSystem):
         self._sys = as_validated(sys)
@@ -250,14 +229,6 @@ class OfflineController:
             u[..., t, :] = -_solve(H[t], _mv(sys.B_u[t].T, rhs))
             x = _mv(sys.A[t], x) + _mv(sys.B_u[t], u[..., t, :]) + _mv(sys.B_w[t], wt)
         return u
-
-    def start(self, w=None):
-        if w is None:
-            raise ValueError("offline controller needs the full disturbance upfront")
-        return self.plan(w)
-
-    def step(self, state, t, x_t, w_t):
-        return state[t], state
 
     def control_sequence(self, w):
         return self.plan(w)
@@ -356,46 +327,30 @@ class RegretSynthesis:
 class RegretController:
     """Regret-suboptimal controller at a fixed performance level.
 
-    Internally runs the Delta-driver state delta_t producing
-    z_t = R_be^{1/2} K_bl' delta_t + R_be^{1/2} w_t; the control depends
-    causally on w_0..w_t only.
+    Its one realization, `kernels.rollout_regret`, runs the Delta-driver
+    state delta_t producing z_t = R_be^{1/2} K_bl' delta_t + R_be^{1/2} w_t
+    next to the plant state x_t that the rollout itself simulates; the
+    control depends causally on w_0..w_t only.
 
     The augmented state [zeta_t; nu_t] of the synthesis equals [x_t; delta_t]
-    in exact arithmetic, so the realization feeds the measured plant state
-    back instead of simulating zeta through a possibly unstable A (rounding
+    in exact arithmetic, so the realization feeds that plant state back
+    instead of simulating zeta through a possibly unstable A (rounding
     differences would grow exponentially there); delta only sees the stable
     closed-loop observer matrix Atil.
     """
 
-    causal = True
-
     def __init__(self, synthesis: RegretSynthesis):
         self.synthesis = synthesis
-        self._norm = synthesis.norm
-
-    def start(self, w=None):
-        n = self.synthesis.fwd.Atil.shape[1]
-        return np.zeros(n)
-
-    @cached_property
-    def _tapes(self):
-        """The per-step tapes of `kernels.rollout_regret` after (A, B_u), in
-        its argument order; step t of the controller reads their slices at t."""
-        s = self.synthesis
-        n = self._norm.system.n
-        M_x, M_d = s.M_state[:, :, :n], s.M_state[:, :, n:]
-        return (s.fwd.Atil, self._norm.system.B_w, s.bwd.K_bl, s.bwd.R_be_sqrt, M_x, M_d, s.M_z)
-
-    def step(self, state, t, x_t, w_t):
-        step_tapes = [tape[t] for tape in self._tapes]
-        _, u_norm, delta = kernels._regret_step(*step_tapes, x_t, state, w_t)
-        return self._norm.R_inv_sqrt[t] @ u_norm, delta
 
     def control_sequence(self, w):
-        norm_sys = self._norm.system
-        w = as_signal(w, norm_sys.T, norm_sys.p)
-        u_norm, _ = kernels.rollout_regret(norm_sys.A, norm_sys.B_u, *self._tapes, w)
-        return self._norm.to_original_u(u_norm)
+        s = self.synthesis
+        nsys = s.norm.system
+        w = as_signal(w, nsys.T, nsys.p)
+        M_x, M_d = s.M_state[:, :, :nsys.n], s.M_state[:, :, nsys.n:]
+        u_norm, _ = kernels.rollout_regret(
+            nsys.A, nsys.B_u, s.fwd.Atil, nsys.B_w, s.bwd.K_bl, s.bwd.R_be_sqrt, M_x, M_d, s.M_z, w
+        )
+        return s.norm.to_original_u(u_norm)
 
 
 def _windows(T):
@@ -508,7 +463,7 @@ def synthesize_regret(
 
 
 def regret_controller(sys: LqSystem, gamma: float, feasibility_test: str = "level1"):
-    """Synthesize at level gamma and wrap as a stepping controller; raises
+    """Synthesize at level gamma and wrap it as a controller; raises
     InfeasibleError when the level is unattainable."""
     synthesis = synthesize_regret(sys, gamma, feasibility_test)
     if not synthesis.feasible:
@@ -543,23 +498,8 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6, feasibility_test: str = "le
         )
         return result, ZeroController(sys)
     problem = prepare_regret(sys)
-    synthesis = None
-
-    def feasible(g):
-        nonlocal synthesis
-        probe = synthesize_regret(problem, g, feasibility_test)
-        ok = probe.feasible
-        if ok:
-            synthesis = probe  # the synthesis at gamma_opt once the bisection ends
-        return ok
-
-    gamma_opt, history, iters = _bisect_gamma(feasible, tol)
-    result = GammaSearchResult(
-        gamma_opt=gamma_opt,
-        bracket_history=history,
-        iterations=iters,
-        final_margins=synthesis.margins,
-        tol=tol,
+    result, synthesis = _bisect_gamma(
+        lambda g: synthesize_regret(problem, g, feasibility_test), tol
     )
     return result, RegretController(synthesis)
 

@@ -6,8 +6,8 @@ with J = blkdiag(R, -level^2 I) + B'PB (the Krein-space view of H-infinity
 control). Its three entry points are `lqr_backward` (no disturbance input,
 p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma) and
 `regret_phat_backward` (R = I on the doubled state of the regret reduction,
-stacked or control-only). The regret controller's step is `_regret_step`,
-shared by `rollout_regret` and the stepping interface of the controller.
+stacked or control-only). `rollout_regret` is the one realization of the
+regret controller.
 
 The recursions solve and eigendecompose 1x1 to 4x4 matrices at every step,
 where the public `np.linalg` wrappers cost more than LAPACK itself. So the
@@ -228,28 +228,20 @@ def regret_phat_backward(Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form):
     return _riccati_backward(Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, not lqr_form)
 
 
-def _regret_step(Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, x, delta, w):
-    """One step of the regret controller; every matrix is its step-t slice and
-    x, delta, w may carry leading batch axes. Returns
+def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
+    """Roll out the regret controller on the plant
+    x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0, for a disturbance
+    w: (..., T, p), every leading index an independent rollout. Step t forms
     z = R_be^{1/2} K_bl' delta + R_be^{1/2} w, the normalized control
     u = M_x x + M_d delta + M_z z and the next driver state
-    delta' = Atil delta + B_w w."""
-    z = _mv(sqR_be, _mv(K_bl.T, delta)) + _mv(sqR_be, w)
-    u = _mv(M_x, x) + _mv(M_d, delta) + _mv(M_z, z)
-    return z, u, _mv(Atil, delta) + _mv(B_w, w)
-
-
-def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
-    """Roll out the regret controller step by step (`_regret_step`) on the
-    plant x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0, for a
-    disturbance w: (..., T, p), every leading index an independent rollout.
+    delta' = Atil delta + B_w w.
 
     In exact arithmetic the augmented state [zeta; nu] equals [x; delta], so
-    the realization feeds the plant state back instead of simulating zeta
-    open-loop through a possibly unstable A (where rounding differences
-    between plant and internal copy would grow exponentially); delta only
-    sees the stable closed-loop observer matrix Atil. Returns (u, z) with
-    u: (..., T, m), z: (..., T, p)."""
+    the controller reads the plant state this rollout simulates instead of
+    simulating zeta open-loop through a possibly unstable A (where rounding
+    differences between plant and internal copy would grow exponentially);
+    delta only sees the stable closed-loop observer matrix Atil. Returns
+    (u, z) with u: (..., T, m), z: (..., T, p)."""
     T, n, _ = A.shape
     batch = w.shape[:-2]
     u = np.zeros(batch + (T, B_u.shape[2]))
@@ -258,9 +250,9 @@ def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     delta = np.zeros(batch + (n,))
     for t in range(T):
         wt = w[..., t, :]
-        z[..., t, :], u[..., t, :], delta_next = _regret_step(
-            Atil[t], B_w[t], K_bl[t], sqR_be[t], M_x[t], M_d[t], M_z[t], x, delta, wt
-        )
+        zt = _mv(sqR_be[t], _mv(K_bl[t].T, delta)) + _mv(sqR_be[t], wt)
+        z[..., t, :] = zt
+        u[..., t, :] = _mv(M_x[t], x) + _mv(M_d[t], delta) + _mv(M_z[t], zt)
         x = _mv(A[t], x) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
-        delta = delta_next
+        delta = _mv(Atil[t], delta) + _mv(B_w[t], wt)
     return u, z

@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .system_model import LqSystem, Trajectory, as_signal, as_validated, evaluate_cost
+
+
+def _is_numeric(value):
+    """True for a number, or a nested list or array of numbers; a bool or a
+    string is neither, though numpy would read both as one."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(_is_numeric(v) for v in value)
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -19,42 +30,62 @@ class DisturbanceSpec:
     starting positive, with unit-variance components), "sinusoid" (params:
     amplitude vector, frequency in cycles/step, phase), "constant" (params:
     vector), or "worst_case" (params: witness, a (T, p) array, typically a
-    regret-certificate eigenvector).
+    regret-certificate eigenvector). `generate` refuses a parameter its kind
+    does not read, and a bool or a string where it reads a number.
     """
+
+    PARAMS: ClassVar[dict] = {
+        "gaussian": ("mean", "cov"),
+        "alternating": ("mean", "period"),
+        "sinusoid": ("amplitude", "frequency", "phase"),
+        "constant": ("vector",),
+        "worst_case": ("witness",),
+    }
 
     kind: str
     params: dict
     seed: int = 0
 
+    def _number(self, key, default):
+        value = self.params.get(key, default)
+        if not _is_numeric(value):
+            raise ValueError(f"disturbance parameter {key!r} must be numeric, got {value!r}")
+        return np.asarray(value, dtype=float)
+
     def generate(self, T: int, p: int) -> np.ndarray:
+        reads = self.PARAMS.get(self.kind)
+        if reads is None:
+            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        for key in self.params:
+            if key not in reads:
+                raise ValueError(
+                    f"{self.kind} disturbance has no parameter {key!r} (it reads {', '.join(reads)})"
+                )
         rng = np.random.Generator(np.random.PCG64(self.seed))
         if self.kind == "gaussian":
-            mean = np.broadcast_to(np.asarray(self.params.get("mean", 0.0), dtype=float), (p,))
-            cov = self.params.get("cov")
-            cov = np.eye(p) if cov is None else np.atleast_2d(np.asarray(cov, dtype=float))
+            mean = np.broadcast_to(self._number("mean", 0.0), (p,))
+            cov = np.eye(p) if self.params.get("cov") is None else np.atleast_2d(self._number("cov", None))
             if cov.shape != (p, p):
                 raise ValueError(f"cov has shape {cov.shape}, expected {(p, p)}")
             return rng.multivariate_normal(mean, cov, size=T, method="cholesky")
         if self.kind == "alternating":
-            mean = np.broadcast_to(np.asarray(self.params.get("mean", 1.0), dtype=float), (p,))
+            mean = np.broadcast_to(self._number("mean", 1.0), (p,))
             period = self.params.get("period", 15)
             if isinstance(period, bool) or not isinstance(period, (int, np.integer)) or period <= 0:
                 raise ValueError(f"period must be a positive integer, got {period!r}")
             signs = np.array([1.0 if (t // period) % 2 == 0 else -1.0 for t in range(T)])
             return signs[:, None] * mean[None, :] + rng.standard_normal((T, p))
         if self.kind == "sinusoid":
-            amp = np.broadcast_to(np.asarray(self.params.get("amplitude", 1.0), dtype=float), (p,))
-            freq = float(self.params.get("frequency", 0.05))
-            phase = float(self.params.get("phase", 0.0))
+            amp = np.broadcast_to(self._number("amplitude", 1.0), (p,))
+            freq = float(self._number("frequency", 0.05))
+            phase = float(self._number("phase", 0.0))
             t = np.arange(T)
             return amp[None, :] * np.sin(2.0 * np.pi * freq * t + phase)[:, None]
         if self.kind == "constant":
-            vec = np.broadcast_to(np.asarray(self.params.get("vector", 0.0), dtype=float), (p,))
+            vec = np.broadcast_to(self._number("vector", 0.0), (p,))
             return np.tile(vec, (T, 1))
-        if self.kind == "worst_case":
-            w = np.asarray(self.params["witness"], dtype=float).reshape(T, p)
-            return w.copy()
-        raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        w = self._number("witness", None).reshape(T, p)
+        return w.copy()
 
 
 def generate_disturbance(spec: DisturbanceSpec, sys: LqSystem) -> np.ndarray:
@@ -63,27 +94,12 @@ def generate_disturbance(spec: DisturbanceSpec, sys: LqSystem) -> np.ndarray:
 
 
 def controls(sys: LqSystem, controller, w) -> np.ndarray:
-    """The controls (..., T, m) the controller chooses along w, observing
-    (x_t, w_t) at each t before choosing u_t; raises ArithmeticError if any
-    is not finite.
-
-    w: (T, p), or (..., T, p) for a batch of independent rollouts, which a
-    controller with `control_sequence` runs in one sweep; a controller with
-    only the stepping interface is stepped through each item in turn."""
+    """The controls (..., T, m) that `controller.control_sequence` chooses
+    along w: (T, p), or (..., T, p) for a batch of independent rollouts run
+    in one sweep; raises ArithmeticError if any is not finite."""
     sys = as_validated(sys)
     w = as_signal(w, sys.T, sys.p)
-    if hasattr(controller, "control_sequence"):
-        u = np.asarray(controller.control_sequence(w), dtype=float)
-    else:
-        u = np.zeros(w.shape[:-2] + (sys.T, sys.m))
-        for item in np.ndindex(w.shape[:-2]):
-            wi, ui = w[item], u[item]
-            x = np.zeros(sys.n)
-            state = controller.start(wi if not controller.causal else None)
-            for t in range(sys.T):
-                u_t, state = controller.step(state, t, x, wi[t])
-                ui[t] = u_t
-                x = sys.A[t] @ x + sys.B_u[t] @ ui[t] + sys.B_w[t] @ wi[t]
+    u = np.asarray(controller.control_sequence(w), dtype=float)
     if not np.all(np.isfinite(u)):
         raise ArithmeticError("controller emitted a non-finite control")
     return u

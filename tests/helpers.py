@@ -330,3 +330,55 @@ def reference_dense_delta_operator(norm: NormalizedSystem, fwd: ForwardKalmanTap
             blk = bwd.R_be_sqrt[i] @ bwd.K_bl[i].T @ reference_transition(fwd.Atil, i, j + 1) @ sys.B_w[j]
             D[i * p:(i + 1) * p, j * p:(j + 1) * p] = blk
     return D
+
+
+# The regret controller's step and rollout as they were while the controller
+# also had a stepping realization, kept verbatim apart from their names (and
+# `_mv`, copied with them). `kernels.rollout_regret` and
+# `RegretController.control_sequence` are held to them bit for bit.
+
+
+def _mv(M, v):
+    """M @ v for a vector v, or for each vector of a stack v: (..., k); M may
+    be one matrix or a stack broadcasting against v. Each product is one
+    matrix-vector call, so a stacked item gets the same bits as M @ v alone
+    (the row form v @ M.T would go through a matrix-matrix product)."""
+    return (M @ v[..., None])[..., 0]
+
+
+def reference_regret_step(Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, x, delta, w):
+    """One step of the regret controller; every matrix is its step-t slice and
+    x, delta, w may carry leading batch axes. Returns
+    z = R_be^{1/2} K_bl' delta + R_be^{1/2} w, the normalized control
+    u = M_x x + M_d delta + M_z z and the next driver state
+    delta' = Atil delta + B_w w."""
+    z = _mv(sqR_be, _mv(K_bl.T, delta)) + _mv(sqR_be, w)
+    u = _mv(M_x, x) + _mv(M_d, delta) + _mv(M_z, z)
+    return z, u, _mv(Atil, delta) + _mv(B_w, w)
+
+
+def reference_rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
+    """Roll out the regret controller step by step (`_regret_step`) on the
+    plant x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0, for a
+    disturbance w: (..., T, p), every leading index an independent rollout.
+
+    In exact arithmetic the augmented state [zeta; nu] equals [x; delta], so
+    the realization feeds the plant state back instead of simulating zeta
+    open-loop through a possibly unstable A (where rounding differences
+    between plant and internal copy would grow exponentially); delta only
+    sees the stable closed-loop observer matrix Atil. Returns (u, z) with
+    u: (..., T, m), z: (..., T, p)."""
+    T, n, _ = A.shape
+    batch = w.shape[:-2]
+    u = np.zeros(batch + (T, B_u.shape[2]))
+    z = np.zeros(batch + (T, B_w.shape[2]))
+    x = np.zeros(batch + (n,))
+    delta = np.zeros(batch + (n,))
+    for t in range(T):
+        wt = w[..., t, :]
+        z[..., t, :], u[..., t, :], delta_next = reference_regret_step(
+            Atil[t], B_w[t], K_bl[t], sqR_be[t], M_x[t], M_d[t], M_z[t], x, delta, wt
+        )
+        x = _mv(A[t], x) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
+        delta = delta_next
+    return u, z

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from regretctl import controllers as ct
+from regretctl import operator_oracle as oo
 from regretctl.augmentation import (
     augment_delay,
     augment_predictions,
@@ -140,7 +141,8 @@ class TestWrapController:
         aug = augment_predictions(sys, 1)
         inner = ct.synthesize_h2(aug.system)
         wrapped = wrap_controller(aug, inner)
-        assert not wrapped.causal  # uses future base disturbances
+        with pytest.raises(oo.CausalityViolationError):  # uses future base disturbances
+            oo.controller_operator(sys, wrapped)
         rng = np.random.default_rng(3)
         w = rng.standard_normal((3, 1))
         w[0] = 0.0
@@ -154,7 +156,7 @@ class TestWrapController:
         aug = augment_delay(sys, 1)
         inner = ct.synthesize_h2(aug.system)
         wrapped = wrap_controller(aug, inner)
-        assert wrapped.causal
+        oo.controller_operator(sys, wrapped)  # raises if it is not causal
         rng = np.random.default_rng(4)
         w = rng.standard_normal((3, 1))
         u = wrapped.control_sequence(w)
@@ -167,13 +169,6 @@ class TestWrapController:
             fed = sys.B_u[t - 1] @ u[t - 1] if t >= 1 else 0.0
             x = sys.A[t] @ x + fed + sys.B_w[t] @ w[t]
         assert float(cost) == pytest.approx(base_aug_cost, rel=1e-10, abs=1e-10)
-
-    def test_step_interface_refused(self):
-        sys = s1()
-        aug = augment_predictions(sys, 1)
-        wrapped = wrap_controller(aug, ct.synthesize_h2(aug.system))
-        with pytest.raises(NotImplementedError):
-            wrapped.step(None, 0, np.zeros(1), np.zeros(1))
 
 
 class TestComposability:

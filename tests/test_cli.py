@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,38 @@ class TestParseConfig:
             doc[field] = value
         with pytest.raises(ConfigError, match=f"field '{field}': {message}"):
             parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "update, message",
+        [
+            ({"tol": "1e-3"}, "field 'tol': expected a number, got '1e-3'"),
+            ({"tol": True}, "field 'tol': expected a number, got True"),
+            ({"tol": [1]}, "field 'tol': expected a number, got [1]"),
+            ({"output": []}, "field 'output': expected an object of file paths"),
+            ({"output": {"csv": 5}}, "field 'output': expected an object of file paths"),
+            ({"controllers": [{"hinf": "1.5"}]}, "field 'controllers.hinf': expected a number, got '1.5'"),
+            ({"controllers": [{"hinf": True}]}, "field 'controllers.hinf': expected a number, got True"),
+            ({"controllers": [{"regret": 0}]}, "field 'controllers.regret': the level must be positive"),
+            ({"controllers": [{"h2": "auto", "hinf": "auto"}]}, "field 'controllers': unknown controller"),
+            ({"disturbance": {"kind": "gaussian", "params": [1]}},
+             "field 'disturbance.params': expected an object"),
+            ({"disturbance": {"kind": "perlin"}}, "field 'disturbance.kind': unknown kind 'perlin'"),
+            ({"disturbance": {"kind": ["gaussian"]}}, "field 'disturbance.kind': unknown kind ['gaussian']"),
+            ({"disturbance": {"kind": "gaussian", "parms": {}}},
+             "field 'disturbance': unknown fields ['parms']"),
+        ],
+    )
+    def test_rejects_malformed_fields(self, update, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(dict(S1_CONFIG, **update))
+
+    def test_numbers_and_levels_accepted(self):
+        doc = dict(S1_CONFIG, tol=1, controllers=[{"hinf": 2}, {"regret": "auto"}, "h2"],
+                   output={"csv": "out.csv"})
+        doc["disturbance"] = {"kind": "alternating", "params": {"period": 2}, "seed": 1}
+        r = parse_config(doc)["resolved"]
+        assert type(r["tol"]) is float and r["tol"] == 1.0
+        assert r["controllers"] == [{"hinf": 2}, {"regret": "auto"}, "h2"]
 
     def test_integer_fields_accepted(self):
         doc = dict(S1_CONFIG, horizon=4, trials=2, delay=1, lookahead=0, seed=7)
@@ -244,6 +277,20 @@ class TestErrors:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "ConfigError"
         assert "horizon" in record["error"]["message"]
+
+    def test_unknown_disturbance_kind_record_before_synthesis(self, runner, tmp_path, monkeypatch):
+        def refused(*args):
+            raise AssertionError("synthesis ran")
+
+        monkeypatch.setattr(ct, "synthesize_h2", refused)
+        cfg = tmp_path / "kind.json"
+        cfg.write_text(json.dumps(dict(S1_CONFIG, controllers=["h2"], disturbance={"kind": "perlin"})))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--csv", str(tmp_path / "o.csv")])
+        assert result.exit_code == 1
+        record = json.loads(result.stderr.strip().splitlines()[-1])
+        assert record["error"] == {
+            "type": "ConfigError", "message": "field 'disturbance.kind': unknown kind 'perlin'"
+        }
 
     def test_non_integer_period_record(self, runner, tmp_path):
         doc = dict(

@@ -13,6 +13,7 @@ from helpers import (
     reference_backward_kalman,
     reference_forward_kalman,
     reference_riccati_backward,
+    reference_rollout_regret,
     s1,
 )
 
@@ -246,6 +247,38 @@ class TestEndToEndBitIdentity:
 
         for a, b in zip(run(), _run_with_reference_kernels(run)):
             assert_same_bits(a, b)
+
+
+def _rollout_args(ctrl):
+    """The arguments of `kernels.rollout_regret` before w, for a regret controller."""
+    s = ctrl.synthesis
+    nsys = s.norm.system
+    n = nsys.n
+    return (nsys.A, nsys.B_u, s.fwd.Atil, nsys.B_w, s.bwd.K_bl, s.bwd.R_be_sqrt,
+            s.M_state[:, :, :n], s.M_state[:, :, n:], s.M_z)
+
+
+class TestRegretRolloutBitIdentity:
+    """The rollout kernel is the regret controller's one realization; its
+    loop and the controller's controls keep the bits of the step function
+    they were folded from (helpers.reference_rollout_regret)."""
+
+    @pytest.mark.parametrize(
+        "sys",
+        [pendulum_system(100)]
+        + [random_system(seed, n_max=4, T_max=30, stable=seed % 2 == 0) for seed in range(400, 408)],
+        ids=["pendulum"] + [f"random{seed}-{'stable' if seed % 2 == 0 else 'unstable'}"
+                            for seed in range(400, 408)],
+    )
+    def test_rollout_and_controls_equal_the_reference(self, sys):
+        _, ctrl = ct.regret_optimal(sys, 1e-6)
+        args = _rollout_args(ctrl)
+        rng = np.random.default_rng(sys.T)
+        for w in (rng.standard_normal((sys.T, sys.p)), rng.standard_normal((3, sys.T, sys.p))):
+            expected = reference_rollout_regret(*args, w)
+            for a, b in zip(kernels.rollout_regret(*args, w), expected):
+                assert_same_bits(a, b)
+            assert_same_bits(ctrl.control_sequence(w), ctrl.synthesis.norm.to_original_u(expected[0]))
 
 
 def _overflow_system(T=30):

@@ -56,6 +56,54 @@ class TestDisturbanceSpec:
         w_np = DisturbanceSpec("alternating", {"mean": 1.0, "period": np.int64(2)}, seed=1).generate(6, 1)
         assert np.array_equal(w, w_np)
 
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("alternating", {"periode": 2}, "periode"),
+            ("gaussian", {"mean": 0.0, "period": 3}, "period"),
+            ("sinusoid", {"vector": 1.0}, "vector"),
+            ("constant", {"mean": 1.0}, "mean"),
+            ("worst_case", {"witness": [0.0] * 3, "seed": 1}, "seed"),
+        ],
+    )
+    def test_unread_parameter_refused(self, kind, params, key):
+        with pytest.raises(ValueError, match=f"{kind} disturbance has no parameter {key!r}"):
+            DisturbanceSpec(kind, params).generate(3, 1)
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("sinusoid", {"frequency": "0.25"}, "frequency"),
+            ("sinusoid", {"amplitude": True}, "amplitude"),
+            ("sinusoid", {"phase": None}, "phase"),
+            ("gaussian", {"mean": [1.0, True]}, "mean"),
+            ("gaussian", {"cov": [["1", 0.0], [0.0, 1.0]]}, "cov"),
+            ("gaussian", {"cov": np.eye(2, dtype=bool)}, "cov"),
+            ("alternating", {"mean": "1"}, "mean"),
+            ("constant", {"vector": [np.True_, 1.0]}, "vector"),
+            ("worst_case", {}, "witness"),
+        ],
+    )
+    def test_bool_or_string_for_a_number_refused(self, kind, params, key):
+        with pytest.raises(ValueError, match=f"disturbance parameter {key!r} must be numeric"):
+            DisturbanceSpec(kind, params).generate(3, 2)
+
+    def test_valid_params_keep_their_bits(self):
+        w = DisturbanceSpec("alternating", {"mean": [1.0, 1.0], "period": 15}, seed=3).generate(40, 2)
+        signs = np.where((np.arange(40) // 15) % 2 == 0, 1.0, -1.0)
+        noise = np.random.Generator(np.random.PCG64(3)).standard_normal((40, 2))
+        assert np.array_equal(w, signs[:, None] * np.array([1.0, 1.0])[None, :] + noise)
+        a = DisturbanceSpec("sinusoid", {"amplitude": [2, 1], "frequency": 0.25, "phase": 1}).generate(5, 2)
+        b = DisturbanceSpec(
+            "sinusoid", {"amplitude": np.array([2.0, 1.0]), "frequency": np.float64(0.25), "phase": 1.0}
+        ).generate(5, 2)
+        assert np.array_equal(a, b)
+        c = DisturbanceSpec("gaussian", {"mean": 0.5, "cov": [[2.0, 0.5], [0.5, 1.0]]}, seed=2).generate(6, 2)
+        d = np.random.Generator(np.random.PCG64(2)).multivariate_normal(
+            np.full(2, 0.5), np.array([[2.0, 0.5], [0.5, 1.0]]), size=6, method="cholesky"
+        )
+        assert np.array_equal(c, d)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown disturbance"):
             DisturbanceSpec("perlin", {}).generate(3, 1)
@@ -100,13 +148,8 @@ class TestRollout:
         sys = s1()
 
         class Broken:
-            causal = True
-
-            def start(self, w=None):
-                return None
-
-            def step(self, state, t, x_t, w_t):
-                return np.array([np.inf]), state
+            def control_sequence(self, w):
+                return np.full(w.shape[:-2] + (sys.T, sys.m), np.inf)
 
         with pytest.raises(ArithmeticError, match="non-finite"):
             rollout(sys, Broken(), np.ones((3, 1)))
@@ -311,20 +354,6 @@ class TestBatchedRollout:
                         assert np.array_equal(getattr(batch, field)[i, j], getattr(one, field))
                     assert batch.total_cost[i, j] == one.total_cost
 
-    def test_stepping_controller_runs_each_item(self):
-        class StepOnly:
-            causal = True
-
-            def __init__(self, ctrl):
-                self.start, self.step = ctrl.start, ctrl.step
-
-        sys = random_system(32, T_max=9)
-        ctrl = ct.synthesize_h2(sys)
-        w = np.random.default_rng(1).standard_normal((4, sys.T, sys.p))
-        batch = rollout(sys, StepOnly(ctrl), w)
-        for k in range(4):
-            assert np.array_equal(batch.u[k], rollout(sys, StepOnly(ctrl), w[k]).u)
-
     def test_controls_are_the_rollout_controls(self):
         sys = random_system(33, T_max=9, stable=False)
         w = np.random.default_rng(2).standard_normal((3, sys.T, sys.p))
@@ -334,13 +363,8 @@ class TestBatchedRollout:
 
     def test_nonfinite_control_in_one_item_rejected(self):
         class BrokenOnPositive:
-            causal = True
-
-            def start(self, w=None):
-                return None
-
-            def step(self, state, t, x_t, w_t):
-                return np.array([np.inf if w_t[0] > 0 else 0.0]), state
+            def control_sequence(self, w):
+                return np.where(w[..., :1] > 0, np.inf, 0.0)
 
         sys = s1()
         w = np.zeros((3, sys.T, 1))
