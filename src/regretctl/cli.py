@@ -134,12 +134,18 @@ def parse_config(document) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update({k: v for k, v in document.items() if k not in ("system",)})
     cfg["horizon"] = sys.T
+    if not isinstance(cfg["controllers"], list) or not cfg["controllers"]:
+        raise ConfigError("field 'controllers': expected a non-empty list")
+    names = set()
     for spec in cfg["controllers"]:
         name, level = spec, "auto"
         if isinstance(spec, dict) and len(spec) == 1:
             name, level = next(iter(spec.items()))
         if name not in ("h2", "hinf", "regret", "offline"):
             raise ConfigError(f"field 'controllers': unknown controller {spec!r}")
+        if name in names:
+            raise ConfigError(f"field 'controllers': controller {name!r} is listed more than once")
+        names.add(name)
         if level != "auto" and not 0.0 < _number_field(level, f"controllers.{name}") < np.inf:
             raise ConfigError(f"field 'controllers.{name}': the level must be positive and finite")
     d = cfg["disturbance"]
@@ -156,12 +162,18 @@ def parse_config(document) -> dict:
     if not isinstance(output, dict) or not all(isinstance(v, str) for v in output.values()):
         raise ConfigError("field 'output': expected an object of file paths")
     seed = _int_field(cfg["seed"], "seed", 0)
+    lookahead = _int_field(cfg["lookahead"], "lookahead", 0)
+    if lookahead > sys.T:
+        raise ConfigError(f"field 'lookahead': must be at most the horizon {sys.T}, got {lookahead}")
+    delay = _int_field(cfg["delay"], "delay", 0)
+    if delay >= sys.T:
+        raise ConfigError(f"field 'delay': must be less than the horizon {sys.T}, got {delay}")
     resolved = {
         "system": sysdoc,
         "horizon": sys.T,
         "controllers": cfg["controllers"],
-        "lookahead": _int_field(cfg["lookahead"], "lookahead", 0),
-        "delay": _int_field(cfg["delay"], "delay", 0),
+        "lookahead": lookahead,
+        "delay": delay,
         "disturbance": {
             "kind": d["kind"],
             "params": d.get("params", {}),
@@ -196,27 +208,66 @@ def _emit_cost_csv(path, report, names, T):
     emit_csv(path, ["t"] + [f"cost_{n}" for n in names], rows)
 
 
-def _jsonable(obj):
+def _plain(obj):
+    """The encoder's `default` hook: numpy scalars as Python numbers, numpy
+    arrays as lists."""
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _layout(obj, inner, out):
+    """Append the text `json.dumps(sort_keys=True, indent=2)` writes for obj
+    to the chunk list out; `inner` is the newline and indentation of obj's
+    items.
+
+    Dicts, and sequences holding containers, are laid out here. A sequence
+    of scalars (a 1-D array's `tolist()` among them) is one call of the C
+    encoder whose item separator carries the indentation: the same text as
+    the pure-Python encoder that `indent` selects.
+    """
+    if isinstance(obj, np.ndarray):
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
+    if isinstance(obj, dict) and obj:
+        # the encoder's own key conversion: int, float, bool and None keys
+        # become strings, other keys are refused
+        opening, closing = "{", "}"
+        items = [(json.dumps({k: None})[1:-7] + ": ", v) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)) and any(
+        issubclass(t, (dict, list, tuple, np.ndarray)) for t in set(map(type, obj))
+    ):
+        opening, closing = "[", "]"
+        items = [("", v) for v in obj]
+    elif isinstance(obj, (list, tuple)) and obj:
+        body = json.dumps(obj, separators=("," + inner, ": "), default=_plain)
+        out.append("[" + inner + body[1:-1] + inner[:-2] + "]")
+        return
+    else:  # a scalar, {} or []
+        out.append(json.dumps(obj, default=_plain))
+        return
+    out.append(opening)
+    for i, (key, value) in enumerate(items):
+        out.append(("," if i else "") + inner + key)
+        _layout(value, inner + "  ", out)
+    out.append(inner[:-2] + closing)
 
 
 def emit_json(path, obj):
-    """Stable key ordering, schema-version field, newline-terminated."""
-    doc = dict(_jsonable(obj))
+    """Stable key ordering, schema-version field, newline-terminated: the
+    bytes of `json.dumps(doc, sort_keys=True, indent=2) + "\n"`. The whole
+    text is built before the file is opened, so an unencodable value leaves
+    no partial file."""
+    doc = dict(obj)
     doc["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    chunks = []
+    _layout(doc, "\n  ", chunks)
+    chunks.append("\n")
     with open(path, "w") as f:
-        f.write(text)
+        f.writelines(chunks)
 
 
 def _load(config_path, seed, tol):
@@ -229,7 +280,7 @@ def _load(config_path, seed, tol):
         cfg["resolved"]["disturbance"]["seed"] = int(seed)
     if tol is not None:
         cfg["resolved"]["tol"] = float(tol)
-    click.echo(json.dumps(_jsonable(cfg["resolved"]), sort_keys=True))
+    click.echo(json.dumps(cfg["resolved"], sort_keys=True, default=_plain))
     return cfg
 
 
@@ -241,7 +292,7 @@ def _augmented(cfg):
         aug = augment_delay(sys, r["delay"])
         sys = aug.system
     if r["lookahead"]:
-        aug = augment_predictions(sys, min(r["lookahead"], sys.T))
+        aug = augment_predictions(sys, r["lookahead"])
         sys = aug.system
     return sys, aug
 

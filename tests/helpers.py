@@ -1,9 +1,11 @@
 """Shared builders for the test suite."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from regretctl.cli import SCHEMA_VERSION
 from regretctl.riccati import BackwardKalmanTape, ForwardKalmanTape
 from regretctl.system_model import (
     DefinitenessError,
@@ -382,3 +384,35 @@ def reference_rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
         x = _mv(A[t], x) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
         delta = delta_next
     return u, z
+
+
+# The JSON writer of regretctl.cli as it was while it ran the stdlib's
+# pure-Python encoder (`json.dumps(indent=2)`) over the whole document, kept
+# verbatim apart from its names and one fix: `reference_jsonable` tests `bool`
+# before the integer branch, so booleans stay booleans. test_cli.py holds
+# `cli.emit_json` to its bytes.
+
+
+def reference_jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {k: reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    return obj
+
+
+def reference_emit_json(path, obj):
+    """Stable key ordering, schema-version field, newline-terminated."""
+    doc = dict(reference_jsonable(obj))
+    doc["schema_version"] = SCHEMA_VERSION
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    with open(path, "w") as f:
+        f.write(text)

@@ -1,14 +1,19 @@
 import json
 import re
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+from helpers import random_system, reference_emit_json
+from regretctl import cli
 from regretctl import controllers as ct
 from regretctl.cli import (
     ConfigError,
     emit_csv,
+    emit_json,
     main,
     parse_config,
     pendulum_system,
@@ -118,6 +123,14 @@ class TestParseConfig:
             ({"disturbance": {"kind": ["gaussian"]}}, "field 'disturbance.kind': unknown kind ['gaussian']"),
             ({"disturbance": {"kind": "gaussian", "parms": {}}},
              "field 'disturbance': unknown fields ['parms']"),
+            ({"controllers": []}, "field 'controllers': expected a non-empty list"),
+            ({"controllers": "h2"}, "field 'controllers': expected a non-empty list"),
+            ({"controllers": ["h2", "h2", {"hinf": 3.0}, "hinf"]},
+             "field 'controllers': controller 'h2' is listed more than once"),
+            ({"controllers": [{"hinf": 3.0}, "hinf"]},
+             "field 'controllers': controller 'hinf' is listed more than once"),
+            ({"lookahead": 4}, "field 'lookahead': must be at most the horizon 3, got 4"),
+            ({"delay": 3}, "field 'delay': must be less than the horizon 3, got 3"),
         ],
     )
     def test_rejects_malformed_fields(self, update, message):
@@ -133,10 +146,10 @@ class TestParseConfig:
         assert r["controllers"] == [{"hinf": 2}, {"regret": "auto"}, "h2"]
 
     def test_integer_fields_accepted(self):
-        doc = dict(S1_CONFIG, horizon=4, trials=2, delay=1, lookahead=0, seed=7)
+        doc = dict(S1_CONFIG, horizon=4, trials=2, delay=3, lookahead=4, seed=7)
         doc["disturbance"] = {"kind": "gaussian", "seed": np.int64(3)}
         r = parse_config(doc)["resolved"]
-        assert (r["horizon"], r["trials"], r["delay"], r["lookahead"], r["seed"]) == (4, 2, 1, 0, 7)
+        assert (r["horizon"], r["trials"], r["delay"], r["lookahead"], r["seed"]) == (4, 2, 3, 4, 7)
         assert type(r["disturbance"]["seed"]) is int and r["disturbance"]["seed"] == 3
 
     def test_ltv_roundtrip(self):
@@ -161,7 +174,54 @@ class TestParseConfig:
             parse_config(doc)
 
 
+_keys = st.text(st.sampled_from('aZ_09 "\\/\b\f\n\r\t\x00\x1f\x7fé€\u2028\ud800😀'), max_size=6)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**100), 2**100),
+    st.floats(),  # NaN, ±inf, −0.0 and subnormals included
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    _keys,
+)
+_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+)
+_documents = st.dictionaries(
+    _keys,
+    st.recursive(
+        st.one_of(_scalars, _arrays),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(_keys, inner, max_size=4),
+        ),
+        max_leaves=12,
+    ),
+    max_size=5,
+)
+
+
 class TestEmitters:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_documents)
+    def test_json_bytes_equal_reference(self, tmp_path_factory, doc):
+        d = tmp_path_factory.mktemp("json")
+        emit_json(str(d / "got.json"), doc)
+        reference_emit_json(str(d / "ref.json"), doc)
+        assert (d / "got.json").read_bytes() == (d / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("bad", [object(), [1.0, 2j], {"z": np.complex128(1)}])
+    def test_unencodable_value_leaves_target_untouched(self, tmp_path, bad):
+        path = tmp_path / "out.json"
+        path.write_text("previous\n")
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_json(str(path), {"a": np.arange(3.0), "b": bad})
+        assert path.read_text() == "previous\n"
+
     def test_csv_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv(str(path), ["t", "cost"], [])
@@ -333,6 +393,43 @@ class TestErrors:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "ConfigError"
         assert "A has a non-finite" in record["error"]["message"]
+
+
+def _ltv_config(tmp_path, seed):
+    sys = random_system(seed, n_max=2, m_max=2, p_max=2, T_max=5)
+    blocks = {"A": sys.A, "Bu": sys.B_u, "Bw": sys.B_w, "Q": sys.Q, "R": sys.R, "QT": sys.Q_T}
+    path = tmp_path / "ltv.json"
+    path.write_text(json.dumps({"system": {"ltv": {k: v.tolist() for k, v in blocks.items()}}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["certify", "synth"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_cli_json_equals_reference_bytes(runner, tmp_path, monkeypatch, command, seed):
+    documents = []
+
+    def capture(path, obj):
+        documents.append(obj)
+        emit_json(path, obj)
+
+    monkeypatch.setattr(cli, "emit_json", capture)
+    out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+    result = runner.invoke(main, [command, "--config", _ltv_config(tmp_path, seed), "--json", str(out)])
+    assert result.exit_code == 0, result.output
+    reference_emit_json(str(ref), documents[0])
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_booleans_echoed_and_written_as_booleans(runner, tmp_path):
+    params = {"flag": False, "mean": [True, 0.5]}
+    cfg = tmp_path / "bool.json"
+    cfg.write_text(json.dumps(dict(S1_CONFIG, disturbance={"kind": "gaussian", "params": params})))
+    out = tmp_path / "gamma.json"
+    result = runner.invoke(main, ["gamma", "--config", str(cfg), "--json", str(out)])
+    assert result.exit_code == 0, result.output
+    assert '"params": {"flag": false, "mean": [true, 0.5]}' in result.output.splitlines()[0]
+    written = json.loads(out.read_text())["config"]["disturbance"]["params"]
+    assert written["flag"] is False and written["mean"][0] is True
 
 
 class TestCertify:
