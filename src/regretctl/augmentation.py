@@ -40,6 +40,20 @@ class AugmentedSystem:
         return w.copy()
 
 
+def _assemble(sys, mode, length, A, B_u, B_w) -> AugmentedSystem:
+    """The augmentation with dynamics A, B_u, B_w on the stacked state (its
+    top-left block of A is written here), the base state cost on the first n
+    coordinates, and the base control weight."""
+    T, n, N = sys.T, sys.n, A.shape[-1]
+    A[:, :n, :n] = sys.A
+    Q = np.zeros((T, N, N))
+    Q[:, :n, :n] = sys.Q
+    Q_T = np.zeros((N, N))
+    Q_T[:n, :n] = sys.Q_T
+    aug = LqSystem(A, B_u, B_w, Q, sys.R.copy(), Q_T)
+    return AugmentedSystem(base=sys, system=validate_system(aug), mode=mode, length=length)
+
+
 def augment_predictions(sys: LqSystem, h: int) -> AugmentedSystem:
     """Reduce h-step lookahead control to the standard problem.
 
@@ -56,22 +70,13 @@ def augment_predictions(sys: LqSystem, h: int) -> AugmentedSystem:
     T, n, m, p = sys.T, sys.n, sys.m, sys.p
     N = n + h * p
     A = np.zeros((T, N, N))
+    A[:, :n, n:n + p] = sys.B_w
+    A[:, n:N - p, n + p:] = np.eye((h - 1) * p)  # shift register over the prediction window
     B_u = np.zeros((T, N, m))
+    B_u[:, :n] = sys.B_u
     B_w = np.zeros((T, N, p))
-    Q = np.zeros((T, N, N))
-    R = sys.R.copy()
-    for t in range(T):
-        A[t, :n, :n] = sys.A[t]
-        A[t, :n, n:n + p] = sys.B_w[t]
-        for k in range(h - 1):  # shift register over the prediction window
-            A[t, n + k * p:n + (k + 1) * p, n + (k + 1) * p:n + (k + 2) * p] = np.eye(p)
-        B_u[t, :n, :] = sys.B_u[t]
-        B_w[t, N - p:, :] = np.eye(p)
-        Q[t, :n, :n] = sys.Q[t]
-    Q_T = np.zeros((N, N))
-    Q_T[:n, :n] = sys.Q_T
-    aug = LqSystem(A, B_u, B_w, Q, R, Q_T)
-    return AugmentedSystem(base=sys, system=validate_system(aug), mode="prediction", length=h)
+    B_w[:, N - p:] = np.eye(p)
+    return _assemble(sys, "prediction", h, A, B_u, B_w)
 
 
 def augment_delay(sys: LqSystem, d: int) -> AugmentedSystem:
@@ -90,23 +95,13 @@ def augment_delay(sys: LqSystem, d: int) -> AugmentedSystem:
     T, n, m, p = sys.T, sys.n, sys.m, sys.p
     N = n + d * m
     A = np.zeros((T, N, N))
+    A[d:, :n, N - m:] = sys.B_u[:T - d]
+    A[:, n + m:, n:N - m] = np.eye((d - 1) * m)  # shift register over the control transcript
     B_u = np.zeros((T, N, m))
+    B_u[:, n:n + m] = np.eye(m)
     B_w = np.zeros((T, N, p))
-    Q = np.zeros((T, N, N))
-    R = sys.R.copy()
-    for t in range(T):
-        A[t, :n, :n] = sys.A[t]
-        if t - d >= 0:
-            A[t, :n, N - m:] = sys.B_u[t - d]
-        for k in range(d - 1):  # shift register over the control transcript
-            A[t, n + (k + 1) * m:n + (k + 2) * m, n + k * m:n + (k + 1) * m] = np.eye(m)
-        B_u[t, n:n + m, :] = np.eye(m)
-        B_w[t, :n, :] = sys.B_w[t]
-        Q[t, :n, :n] = sys.Q[t]
-    Q_T = np.zeros((N, N))
-    Q_T[:n, :n] = sys.Q_T
-    aug = LqSystem(A, B_u, B_w, Q, R, Q_T)
-    return AugmentedSystem(base=sys, system=validate_system(aug), mode="delay", length=d)
+    B_w[:, :n] = sys.B_w
+    return _assemble(sys, "delay", d, A, B_u, B_w)
 
 
 class WrappedController:

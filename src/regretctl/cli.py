@@ -8,6 +8,7 @@ inverted-pendulum benchmark presets).
 
 from __future__ import annotations
 
+import functools
 import json
 import sys as _sys
 
@@ -17,25 +18,14 @@ import numpy as np
 from . import controllers as ct
 from . import operator_oracle as oo
 from .augmentation import augment_delay, augment_predictions, wrap_controller
-from .sim_bench import DisturbanceSpec, compare
+from .sim_bench import DisturbanceError, DisturbanceSpec, _is_numeric, compare
 from .system_model import LqSystem, validate_system
 
 SCHEMA_VERSION = "1"
 
-_CONFIG_FIELDS = {
-    "system",
-    "horizon",
-    "controllers",
-    "lookahead",
-    "delay",
-    "disturbance",
-    "trials",
-    "seed",
-    "tol",
-    "output",
-}
+_CONTROLLERS = ("h2", "hinf", "regret", "offline")
 _DEFAULTS = {
-    "controllers": ["h2", "hinf", "regret", "offline"],
+    "controllers": list(_CONTROLLERS),
     "lookahead": 0,
     "delay": 0,
     "disturbance": {"kind": "gaussian", "params": {}},
@@ -44,6 +34,7 @@ _DEFAULTS = {
     "tol": 1e-6,
     "output": {},
 }
+_CONFIG_FIELDS = {"system", "horizon", *_DEFAULTS}
 
 
 class ConfigError(ValueError):
@@ -51,10 +42,18 @@ class ConfigError(ValueError):
 
 
 def _matrix(doc, field):
+    if not _is_numeric(doc):  # numpy would read "1" and true as 1.0
+        raise ConfigError(f"field {field!r}: not a numeric array")
     try:
         return np.array(doc, dtype=float)
-    except (TypeError, ValueError) as e:
+    except OverflowError as e:  # an integer beyond the float range
         raise ConfigError(f"field {field!r}: not a numeric array ({e})")
+
+
+def _steps(doc, field):
+    if not isinstance(doc, list) or not doc:
+        raise ConfigError(f"field {field!r}: expected a non-empty list of per-step matrices")
+    return [_matrix(M, field) for M in doc]
 
 
 def _int_field(value, field, minimum):
@@ -71,10 +70,12 @@ def _number_field(value, field):
     return float(value)
 
 
-def parse_config(document) -> dict:
-    """Validate a config document (dict or JSON text) and resolve defaults.
+def parse_config(document, seed=None, tol=None) -> dict:
+    """Validate a config document (dict or JSON text) and resolve defaults;
+    `seed` and `tol`, when given, replace the document's before the checks.
 
-    Returns {"system": LqSystem, "resolved": echo-able dict, ...fields}.
+    Returns {"system": LqSystem, "resolved": echo-able dict, ...}; see
+    `_resolve`.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -93,75 +94,86 @@ def parse_config(document) -> dict:
     if not isinstance(sysdoc, dict) or len(sysdoc) != 1 or next(iter(sysdoc)) not in ("lti", "ltv"):
         raise ConfigError("field 'system': expected {'lti': {...}} or {'ltv': {...}}")
     mode, blocks = next(iter(sysdoc.items()))
-    needed = {"A", "Bu", "Bw", "Q", "R"}
-    if not isinstance(blocks, dict) or not needed <= set(blocks):
+    needed = ("A", "Bu", "Bw", "Q", "R")
+    if not isinstance(blocks, dict) or not set(needed) <= set(blocks):
         raise ConfigError(f"field 'system.{mode}': needs fields {sorted(needed)} (optional QT)")
-    extra = set(blocks) - needed - {"QT"}
+    extra = set(blocks) - {*needed, "QT"}
     if extra:
         raise ConfigError(f"field 'system.{mode}': unknown fields {sorted(extra)}")
     if mode == "lti":
         if "horizon" not in document:
             raise ConfigError("missing required field 'horizon' for an lti system")
         T = _int_field(document["horizon"], "horizon", 1)
-        sys = LqSystem.time_invariant(
-            _matrix(blocks["A"], "A"),
-            _matrix(blocks["Bu"], "Bu"),
-            _matrix(blocks["Bw"], "Bw"),
-            _matrix(blocks["Q"], "Q"),
-            _matrix(blocks["R"], "R"),
-            _matrix(blocks["QT"], "QT") if "QT" in blocks else None,
-            horizon=T,
+        QT = _matrix(blocks["QT"], "QT") if "QT" in blocks else None
+        build = functools.partial(
+            LqSystem.time_invariant, *(_matrix(blocks[k], k) for k in needed), QT, horizon=T
         )
     else:
-        A = [_matrix(M, "A") for M in blocks["A"]]
-        T = len(A)
-        if "horizon" in document and _int_field(document["horizon"], "horizon", 1) != T:
+        steps = [_steps(blocks[k], k) for k in needed]
+        if "horizon" in document and _int_field(document["horizon"], "horizon", 1) != len(steps[0]):
             raise ConfigError("field 'horizon' disagrees with the ltv step count")
-        QT = _matrix(blocks["QT"], "QT") if "QT" in blocks else np.zeros_like(A[0])
-        sys = LqSystem.from_steps(
-            A,
-            [_matrix(M, "Bu") for M in blocks["Bu"]],
-            [_matrix(M, "Bw") for M in blocks["Bw"]],
-            [_matrix(M, "Q") for M in blocks["Q"]],
-            [_matrix(M, "R") for M in blocks["R"]],
-            QT,
-        )
-    try:
-        sys = validate_system(sys)
+        QT = _matrix(blocks["QT"], "QT") if "QT" in blocks else np.zeros_like(steps[0][0])
+        build = functools.partial(LqSystem.from_steps, *steps, QT)
+    try:  # the blocks' shapes, finiteness and definiteness
+        sys = validate_system(build())
     except ValueError as e:
         raise ConfigError(f"field 'system': {e}")
 
-    cfg = dict(_DEFAULTS)
-    cfg.update({k: v for k, v in document.items() if k not in ("system",)})
-    cfg["horizon"] = sys.T
+    cfg = _resolve(sys, {k: v for k, v in document.items() if k != "system"}, seed, tol)
+    cfg["resolved"]["system"] = sysdoc
+    return cfg
+
+
+def _resolve(sys, fields, seed, tol) -> dict:
+    """Check the experiment fields of a config for the validated system sys,
+    after the command-line `seed` (which also reseeds the disturbance) and
+    `tol` replace the fields' own. With parse_config's system checks, this
+    raises every config error before any synthesis runs.
+
+    Returns {"system": sys, "resolved": echo-able fields, "controllers":
+    [(name, "auto" or a level)], "disturbance": DisturbanceSpec}.
+    """
+    cfg = {**_DEFAULTS, **fields}
+    if seed is not None:
+        cfg["seed"] = seed
+    if tol is not None:
+        cfg["tol"] = tol
     if not isinstance(cfg["controllers"], list) or not cfg["controllers"]:
         raise ConfigError("field 'controllers': expected a non-empty list")
-    names = set()
+    controllers = []
     for spec in cfg["controllers"]:
         name, level = spec, "auto"
         if isinstance(spec, dict) and len(spec) == 1:
             name, level = next(iter(spec.items()))
-        if name not in ("h2", "hinf", "regret", "offline"):
+        if name not in _CONTROLLERS:
             raise ConfigError(f"field 'controllers': unknown controller {spec!r}")
-        if name in names:
+        if name in dict(controllers):
             raise ConfigError(f"field 'controllers': controller {name!r} is listed more than once")
-        names.add(name)
-        if level != "auto" and not 0.0 < _number_field(level, f"controllers.{name}") < np.inf:
-            raise ConfigError(f"field 'controllers.{name}': the level must be positive and finite")
+        if level != "auto":
+            level = _number_field(level, f"controllers.{name}")
+            if not 0.0 < level < np.inf:
+                raise ConfigError(f"field 'controllers.{name}': the level must be positive and finite")
+        controllers.append((name, level))
+    resolved_seed = _int_field(cfg["seed"], "seed", 0)
     d = cfg["disturbance"]
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("field 'disturbance': needs a 'kind'")
     extra = set(d) - {"kind", "params", "seed"}
     if extra:
         raise ConfigError(f"field 'disturbance': unknown fields {sorted(extra)}")
-    if not isinstance(d["kind"], str) or d["kind"] not in DisturbanceSpec.PARAMS:
-        raise ConfigError(f"field 'disturbance.kind': unknown kind {d['kind']!r}")
-    if not isinstance(d.get("params", {}), dict):
-        raise ConfigError("field 'disturbance.params': expected an object")
+    disturbance_seed = _int_field(d.get("seed", resolved_seed), "disturbance.seed", 0)
+    try:
+        disturbance = DisturbanceSpec(
+            d["kind"], d.get("params", {}), seed=resolved_seed if seed is not None else disturbance_seed
+        )
+    except DisturbanceError as e:
+        raise ConfigError(f"field 'disturbance.{e.field}': {e}")
     output = cfg["output"]
     if not isinstance(output, dict) or not all(isinstance(v, str) for v in output.values()):
         raise ConfigError("field 'output': expected an object of file paths")
-    seed = _int_field(cfg["seed"], "seed", 0)
+    extra = set(output) - {"csv", "gains", "certificate"}
+    if extra:
+        raise ConfigError(f"field 'output': unknown fields {sorted(extra)}")
     lookahead = _int_field(cfg["lookahead"], "lookahead", 0)
     if lookahead > sys.T:
         raise ConfigError(f"field 'lookahead': must be at most the horizon {sys.T}, got {lookahead}")
@@ -169,22 +181,17 @@ def parse_config(document) -> dict:
     if delay >= sys.T:
         raise ConfigError(f"field 'delay': must be less than the horizon {sys.T}, got {delay}")
     resolved = {
-        "system": sysdoc,
         "horizon": sys.T,
         "controllers": cfg["controllers"],
         "lookahead": lookahead,
         "delay": delay,
-        "disturbance": {
-            "kind": d["kind"],
-            "params": d.get("params", {}),
-            "seed": _int_field(d.get("seed", seed), "disturbance.seed", 0),
-        },
+        "disturbance": {"kind": disturbance.kind, "params": disturbance.params, "seed": disturbance.seed},
         "trials": _int_field(cfg["trials"], "trials", 1),
-        "seed": seed,
+        "seed": resolved_seed,
         "tol": _number_field(cfg["tol"], "tol"),
         "output": output,
     }
-    return {"system": sys, "resolved": resolved}
+    return {"system": sys, "resolved": resolved, "controllers": controllers, "disturbance": disturbance}
 
 
 def _float_repr(x):
@@ -199,13 +206,6 @@ def emit_csv(path, header, rows):
     text = "\n".join(lines) + "\n"
     with open(path, "w") as f:
         f.write(text)
-
-
-def _emit_cost_csv(path, report, names, T):
-    """One row per step t < T: t, then each controller's time-averaged cost
-    at t averaged over the trials."""
-    rows = [[t] + [report.time_averaged[n][:, t].mean() for n in names] for t in range(T)]
-    emit_csv(path, ["t"] + [f"cost_{n}" for n in names], rows)
 
 
 def _plain(obj):
@@ -271,15 +271,10 @@ def emit_json(path, obj):
 
 
 def _load(config_path, seed, tol):
-    """Parse the config, apply the command-line overrides and echo the
+    """Parse the config with the command-line overrides and echo the
     resolved config on stdout."""
     with open(config_path) as f:
-        cfg = parse_config(f.read())
-    if seed is not None:
-        cfg["resolved"]["seed"] = int(seed)
-        cfg["resolved"]["disturbance"]["seed"] = int(seed)
-    if tol is not None:
-        cfg["resolved"]["tol"] = float(tol)
+        cfg = parse_config(f.read(), seed, tol)
     click.echo(json.dumps(cfg["resolved"], sort_keys=True, default=_plain))
     return cfg
 
@@ -298,41 +293,50 @@ def _augmented(cfg):
 
 
 def _build_controllers(cfg, feasibility_test):
-    """Instantiate the configured controllers on the (possibly augmented)
-    synthesis system, wrapped back to base signals."""
-    base = cfg["system"]
+    """Synthesize the configured controllers on the (possibly augmented)
+    system, wrapped back to base signals, and their levels. "offline" is
+    compare's own baseline and needs no synthesis."""
     synth_sys, aug = _augmented(cfg)
     tol = cfg["resolved"]["tol"]
     out = {}
     gammas = {}
-    for spec in cfg["resolved"]["controllers"]:
-        if isinstance(spec, str):
-            name, level = spec, "auto"
-        else:
-            name, level = next(iter(spec.items()))
+    for name, level in cfg["controllers"]:
         if name == "h2":
             ctrl = ct.synthesize_h2(synth_sys)
         elif name == "hinf":
             if level == "auto":
                 res, ctrl = ct.hinf_optimal(synth_sys, tol)
-                gammas["hinf"] = res.gamma_opt
+                level = res.gamma_opt
             else:
-                ctrl = ct.synthesize_hinf(synth_sys, float(level))
-                gammas["hinf"] = float(level)
+                ctrl = ct.synthesize_hinf(synth_sys, level)
+            gammas[name] = level
         elif name == "regret":
             if level == "auto":
                 res, ctrl = ct.regret_optimal(synth_sys, tol, feasibility_test)
-                gammas["regret"] = res.gamma_opt
+                level = res.gamma_opt
             else:
-                ctrl = ct.regret_controller(synth_sys, float(level), feasibility_test)
-                gammas["regret"] = float(level)
-        elif name == "offline":
-            out["offline_controller"] = ct.OfflineController(base)
+                ctrl = ct.regret_controller(synth_sys, level, feasibility_test)
+            gammas[name] = level
+        else:
             continue
-        if aug is not None:
-            ctrl = wrap_controller(aug, ctrl)
-        out[name] = ctrl
+        out[name] = ctrl if aug is None else wrap_controller(aug, ctrl)
     return out, gammas
+
+
+def _simulate(cfg, feasibility_test, csv_path):
+    """Synthesize the configured controllers, compare them over the
+    configured disturbance and write the cost CSV: one row per step t, then
+    each controller's time-averaged cost at t averaged over the trials, in
+    config order with the offline baseline last if requested. Returns the
+    report, the controllers' levels and the CSV path."""
+    ctrls, gammas = _build_controllers(cfg, feasibility_test)
+    r = cfg["resolved"]
+    report = compare(cfg["system"], ctrls, cfg["disturbance"], trials=r["trials"])
+    names = list(ctrls) + [n for n, _ in cfg["controllers"] if n == "offline"]
+    rows = [[t] + [report.time_averaged[n][:, t].mean() for n in names] for t in range(cfg["system"].T)]
+    out = csv_path or r["output"].get("csv", "simulate.csv")
+    emit_csv(out, ["t"] + [f"cost_{n}" for n in names], rows)
+    return report, gammas, out
 
 
 @click.group()
@@ -340,30 +344,32 @@ def main():
     """Finite-horizon regret-optimal control synthesis and benchmarks."""
 
 
-_common = [
-    click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
-    click.option("--seed", type=int, default=None),
-    click.option("--tol", type=float, default=None),
-    click.option("--csv", "csv_path", type=click.Path(), default=None),
-    click.option("--json", "json_path", type=click.Path(), default=None),
-    click.option(
-        "--feasibility-test",
-        type=click.Choice(["level1", "printed"]),
-        default="level1",
+_OPTIONS = {
+    "config": click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
+    "seed": click.option("--seed", type=int, default=None),
+    "tol": click.option("--tol", type=float, default=None),
+    "csv": click.option("--csv", "csv_path", type=click.Path(), default=None),
+    "json": click.option("--json", "json_path", type=click.Path(), default=None),
+    "feasibility_test": click.option(
+        "--feasibility-test", type=click.Choice(["level1", "printed"]), default="level1"
     ),
-]
+}
 
 
-def _with_common(cmd):
-    for opt in reversed(_common):
-        cmd = opt(cmd)
-    return cmd
+def _options(*names):
+    """Declare the named shared options on a subcommand, in this order."""
+
+    def decorate(cmd):
+        for name in reversed(names):
+            cmd = _OPTIONS[name](cmd)
+        return cmd
+
+    return decorate
 
 
 def _guarded(fn):
     """Turn any failure into a machine-readable error record on stderr plus a
     nonzero exit code."""
-    import functools
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -381,9 +387,9 @@ def _guarded(fn):
 
 
 @main.command()
-@_with_common
+@_options("config", "seed", "tol", "json", "feasibility_test")
 @_guarded
-def gamma(config_path, seed, tol, csv_path, json_path, feasibility_test):
+def gamma(config_path, seed, tol, json_path, feasibility_test):
     """Bisect for the regret-optimal performance level."""
     cfg = _load(config_path, seed, tol)
     synth_sys, _ = _augmented(cfg)
@@ -403,9 +409,9 @@ def gamma(config_path, seed, tol, csv_path, json_path, feasibility_test):
 
 
 @main.command()
-@_with_common
+@_options("config", "seed", "tol", "json", "feasibility_test")
 @_guarded
-def synth(config_path, seed, tol, csv_path, json_path, feasibility_test):
+def synth(config_path, seed, tol, json_path, feasibility_test):
     """Synthesize the regret controller and export its per-step gains."""
     cfg = _load(config_path, seed, tol)
     synth_sys, _ = _augmented(cfg)
@@ -431,41 +437,30 @@ def synth(config_path, seed, tol, csv_path, json_path, feasibility_test):
 
 
 @main.command()
-@_with_common
+@_options("config", "seed", "tol", "csv", "json", "feasibility_test")
 @_guarded
 def simulate(config_path, seed, tol, csv_path, json_path, feasibility_test):
     """Roll the configured controllers and write per-step time-averaged costs."""
     cfg = _load(config_path, seed, tol)
-    ctrls, gammas = _build_controllers(cfg, feasibility_test)
-    offline_requested = ctrls.pop("offline_controller", None) is not None
-    r = cfg["resolved"]
-    spec = DisturbanceSpec(
-        r["disturbance"]["kind"], r["disturbance"]["params"], seed=r["disturbance"]["seed"]
-    )
-    report = compare(cfg["system"], ctrls, spec, trials=r["trials"])
-    names = list(ctrls)
-    if offline_requested:
-        names.append("offline")
-    out = csv_path or r["output"].get("csv", "simulate.csv")
-    _emit_cost_csv(out, report, names, cfg["system"].T)
+    report, gammas, out = _simulate(cfg, feasibility_test, csv_path)
     click.echo(f"trace written to {out}")
     if json_path:
         emit_json(
             json_path,
             {
-                "config": r,
+                "config": cfg["resolved"],
                 "gamma_levels": gammas,
-                "mean_total_costs": {n: report.total_costs[n].mean() for n in ctrls},
+                "mean_total_costs": {n: c.mean() for n, c in report.total_costs.items()},
                 "mean_offline_cost": report.offline_costs.mean(),
-                "mean_realized_regret": {n: report.realized_regret[n].mean() for n in ctrls},
+                "mean_realized_regret": {n: c.mean() for n, c in report.realized_regret.items()},
             },
         )
 
 
 @main.command()
-@_with_common
+@_options("config", "seed", "tol", "json", "feasibility_test")
 @_guarded
-def certify(config_path, seed, tol, csv_path, json_path, feasibility_test):
+def certify(config_path, seed, tol, json_path, feasibility_test):
     """Run the dense operator oracle on the synthesized regret controller."""
     cfg = _load(config_path, seed, tol)
     synth_sys, _ = _augmented(cfg)
@@ -511,55 +506,43 @@ def pendulum_system(horizon: int, c: float = 0.1) -> LqSystem:
 @click.option("--mode", type=click.Choice(["stochastic", "alternating"]), default="stochastic")
 @click.option("--horizon", type=int, default=100)
 @click.option("--trials", type=int, default=50)
-@click.option("--seed", type=int, default=0)
-@click.option("--tol", type=float, default=1e-6)
-@click.option("--csv", "csv_path", type=click.Path(), default=None)
-@click.option("--json", "json_path", type=click.Path(), default=None)
-@click.option(
-    "--feasibility-test", type=click.Choice(["level1", "printed"]), default="level1"
-)
+@_options("seed", "tol", "csv", "json", "feasibility_test")
 @_guarded
 def pendulum(mode, horizon, trials, seed, tol, csv_path, json_path, feasibility_test):
     """Inverted-pendulum benchmark: stochastic N(0,1) noise or means
-    alternating between +1 and -1 every 15 steps."""
+    alternating between +1 and -1 every 15 steps. A preset on simulate's
+    path: the four default controllers on `pendulum_system(horizon)`."""
     horizon = _int_field(horizon, "horizon", 1)
-    trials = _int_field(trials, "trials", 1)
-    sys = pendulum_system(horizon)
+    if mode == "stochastic":
+        disturbance = {"kind": "gaussian", "params": {"mean": [0.0, 0.0]}}
+    else:
+        disturbance = {"kind": "alternating", "params": {"mean": [1.0, 1.0], "period": 15}}
+    fields = {"disturbance": disturbance, "trials": trials, "output": {"csv": f"pendulum_{mode}.csv"}}
+    cfg = _resolve(pendulum_system(horizon), fields, seed, tol)
+    r = cfg["resolved"]
     resolved = {
         "preset": "pendulum",
         "mode": mode,
         "horizon": horizon,
-        "trials": trials,
-        "seed": seed,
-        "tol": tol,
+        "trials": r["trials"],
+        "seed": r["seed"],
+        "tol": r["tol"],
         "c": 0.1,
         "alternating_period": 15,
     }
     click.echo(json.dumps(resolved, sort_keys=True))
-    h2 = ct.synthesize_h2(sys)
-    hinf_res, hinf = ct.hinf_optimal(sys, tol)
-    reg_res, regret = ct.regret_optimal(sys, tol, feasibility_test)
-    if mode == "stochastic":
-        spec = DisturbanceSpec("gaussian", {"mean": [0.0, 0.0]}, seed=seed)
-    else:
-        spec = DisturbanceSpec("alternating", {"mean": [1.0, 1.0], "period": 15}, seed=seed)
-    report = compare(sys, {"h2": h2, "hinf": hinf, "regret": regret}, spec, trials=trials)
-    out = csv_path or f"pendulum_{mode}.csv"
-    _emit_cost_csv(out, report, ["h2", "hinf", "regret", "offline"], horizon)
-    click.echo(f"gamma_hinf = {_float_repr(hinf_res.gamma_opt)}")
-    click.echo(f"gamma_regret = {_float_repr(reg_res.gamma_opt)}")
+    report, gammas, out = _simulate(cfg, feasibility_test, csv_path)
+    click.echo(f"gamma_hinf = {_float_repr(gammas['hinf'])}")
+    click.echo(f"gamma_regret = {_float_repr(gammas['regret'])}")
     click.echo(f"trace written to {out}")
     if json_path:
         emit_json(
             json_path,
             {
                 "config": resolved,
-                "gamma_hinf": hinf_res.gamma_opt,
-                "gamma_regret": reg_res.gamma_opt,
-                "mean_final_time_averaged": {
-                    n: report.time_averaged[n][:, -1].mean()
-                    for n in ("h2", "hinf", "regret", "offline")
-                },
+                "gamma_hinf": gammas["hinf"],
+                "gamma_regret": gammas["regret"],
+                "mean_final_time_averaged": {n: a[:, -1].mean() for n, a in report.time_averaged.items()},
             },
         )
 

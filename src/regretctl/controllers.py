@@ -117,7 +117,11 @@ def _check_tol(tol):
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
 
 
-def _bisect_gamma(probe, tol, max_doublings=60):
+# level doublings from gamma = 1 before a system counts as degenerate
+_MAX_DOUBLINGS = 60
+
+
+def _bisect_gamma(probe, tol):
     """Bisection on gamma: `probe(gamma)` returns a tape or synthesis with
     `.feasible`, monotone in gamma, and `.gamma`. Returns
     (GammaSearchResult, best) with best the last feasible probe. `hi` only
@@ -150,7 +154,7 @@ def _bisect_gamma(probe, tol, max_doublings=60):
     else:
         lo = hi
         g = hi
-        for _ in range(max_doublings):
+        for _ in range(_MAX_DOUBLINGS):
             g *= 2.0
             iters += 1
             if feasible(g):
@@ -159,7 +163,7 @@ def _bisect_gamma(probe, tol, max_doublings=60):
             lo = g
         else:
             raise ArithmeticError(
-                f"no feasible level found after {max_doublings} doublings "
+                f"no feasible level found after {_MAX_DOUBLINGS} doublings "
                 "(degenerate system)"
             )
     while lo is not None and (hi - lo) > tol * hi:

@@ -85,11 +85,10 @@ def _check_level(gamma):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
-def backward_lqr(sys: LqSystem, P_T=None) -> LqrTape:
-    """Backward LQR Riccati recursion; P_T defaults to the terminal cost Q_T."""
+def backward_lqr(sys: LqSystem) -> LqrTape:
+    """Backward LQR Riccati recursion from the terminal cost Q_T."""
     sys = as_validated(sys)
-    P_T = sys.Q_T if P_T is None else np.asarray(P_T, dtype=float)
-    P, H = kernels.lqr_backward(sys.A, sys.B_u, sys.Q, sys.R, P_T)
+    P, H = kernels.lqr_backward(sys.A, sys.B_u, sys.Q, sys.R, sys.Q_T)
     bad = np.nonzero(np.linalg.eigvalsh(H).min(axis=1) <= 0)[0]
     if bad.size:  # R > 0 precludes this
         raise ArithmeticError(f"H at t={int(bad[0])} is singular")

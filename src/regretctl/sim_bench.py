@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -13,12 +12,23 @@ from .system_model import LqSystem, Trajectory, as_signal, as_validated, evaluat
 
 def _is_numeric(value):
     """True for a number, or a nested list or array of numbers; a bool or a
-    string is neither, though numpy would read both as one."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "iuf"
-    if isinstance(value, (list, tuple)):
-        return all(_is_numeric(v) for v in value)
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    string is neither, though numpy would read both as one. The items' types
+    are collected in one pass over an object array, not a Python recursion."""
+    try:
+        types = set(map(type, np.array(value, dtype=object).flat))
+    except ValueError:
+        return False
+    numbers, bools = (int, float, np.integer, np.floating), (bool, np.bool_)
+    return all(issubclass(t, numbers) and not issubclass(t, bools) for t in types)
+
+
+class DisturbanceError(ValueError):
+    """A disturbance recipe that no horizon makes valid; `field` names the
+    offending entry, "kind" or "params"."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -30,8 +40,10 @@ class DisturbanceSpec:
     starting positive, with unit-variance components), "sinusoid" (params:
     amplitude vector, frequency in cycles/step, phase), "constant" (params:
     vector), or "worst_case" (params: witness, a (T, p) array, typically a
-    regret-certificate eigenvector). `generate` refuses a parameter its kind
-    does not read, and a bool or a string where it reads a number.
+    regret-certificate eigenvector). Construction refuses, with a
+    DisturbanceError, an unknown kind, a parameter the kind does not read,
+    and a bool or a string where it reads a number; `generate` checks only
+    what depends on (T, p).
     """
 
     PARAMS: ClassVar[dict] = {
@@ -46,21 +58,33 @@ class DisturbanceSpec:
     params: dict
     seed: int = 0
 
-    def _number(self, key, default):
-        value = self.params.get(key, default)
-        if not _is_numeric(value):
-            raise ValueError(f"disturbance parameter {key!r} must be numeric, got {value!r}")
-        return np.asarray(value, dtype=float)
-
-    def generate(self, T: int, p: int) -> np.ndarray:
-        reads = self.PARAMS.get(self.kind)
+    def __post_init__(self):
+        reads = self.PARAMS.get(self.kind) if isinstance(self.kind, str) else None
         if reads is None:
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+            raise DisturbanceError("kind", f"unknown kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise DisturbanceError("params", "expected an object")
         for key in self.params:
             if key not in reads:
-                raise ValueError(
-                    f"{self.kind} disturbance has no parameter {key!r} (it reads {', '.join(reads)})"
+                raise DisturbanceError(
+                    "params",
+                    f"{self.kind} disturbance has no parameter {key!r} (it reads {', '.join(reads)})",
                 )
+        values = dict(self.params)
+        if self.kind == "worst_case":
+            values.setdefault("witness", None)  # the one parameter without a default
+        for key, value in values.items():
+            if key == "period":
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+                    raise DisturbanceError("params", f"period must be a positive integer, got {value!r}")
+            elif not (_is_numeric(value) or (key == "cov" and value is None)):
+                message = f"disturbance parameter {key!r} must be numeric, got {value!r}"
+                raise DisturbanceError("params", message)
+
+    def _number(self, key, default):
+        return np.asarray(self.params.get(key, default), dtype=float)
+
+    def generate(self, T: int, p: int) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(self.seed))
         if self.kind == "gaussian":
             mean = np.broadcast_to(self._number("mean", 0.0), (p,))
@@ -71,8 +95,6 @@ class DisturbanceSpec:
         if self.kind == "alternating":
             mean = np.broadcast_to(self._number("mean", 1.0), (p,))
             period = self.params.get("period", 15)
-            if isinstance(period, bool) or not isinstance(period, (int, np.integer)) or period <= 0:
-                raise ValueError(f"period must be a positive integer, got {period!r}")
             signs = np.array([1.0 if (t // period) % 2 == 0 else -1.0 for t in range(T)])
             return signs[:, None] * mean[None, :] + rng.standard_normal((T, p))
         if self.kind == "sinusoid":
@@ -123,12 +145,10 @@ class ComparisonReport:
     total cost minus the offline cost of the same disturbance.
     """
 
-    controllers: list
     total_costs: dict
     time_averaged: dict
     realized_regret: dict
     offline_costs: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
 def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int = 1) -> ComparisonReport:
@@ -141,9 +161,7 @@ def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     sys = as_validated(sys)
-    names = list(controllers)
     counts = np.arange(sys.T) + 1.0
-    t0 = time.perf_counter()
     w = np.stack(
         [
             generate_disturbance(DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), sys)
@@ -157,22 +175,14 @@ def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int
 
     off_totals, off_averaged = costs(evaluate_cost(sys, w, offline_noncausal(sys, w)))
     totals, averaged, regrets = {}, {}, {}
-    for name in names:
+    for name in controllers:
         totals[name], averaged[name] = costs(rollout(sys, controllers[name], w))
         regrets[name] = totals[name] - off_totals
     # the baseline's trace, unless a controller is itself named "offline"
     averaged.setdefault("offline", off_averaged)
-    meta = {
-        "seed": spec.seed,
-        "trials": trials,
-        "kind": spec.kind,
-        "runtime_s": time.perf_counter() - t0,
-    }
     return ComparisonReport(
-        controllers=names,
         total_costs=totals,
         time_averaged=averaged,
         realized_regret=regrets,
         offline_costs=off_totals,
-        metadata=meta,
     )

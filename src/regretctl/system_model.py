@@ -136,7 +136,7 @@ def _check_shape(name, M, expected):
         raise DimensionError(f"{name} has shape {M.shape}, expected {expected}")
 
 
-def validate_system(sys: LqSystem, tol_pd: float = 0.0) -> LqSystem:
+def validate_system(sys: LqSystem) -> LqSystem:
     """Check dimensions, finiteness and definiteness; return the system with
     cost matrices symmetry-projected.
 
@@ -163,7 +163,7 @@ def validate_system(sys: LqSystem, tol_pd: float = 0.0) -> LqSystem:
     tol_psd = 1e-9 * (1.0 + np.sqrt((Qf @ np.swapaxes(Qf, 1, 2))[:, 0, 0]))
     ev_q = np.linalg.eigvalsh(Qs).min(axis=1)
     ev_r = np.linalg.eigvalsh(Rs).min(axis=1)
-    bad = np.nonzero((ev_q < -tol_psd) | (ev_r <= tol_pd))[0]
+    bad = np.nonzero((ev_q < -tol_psd) | (ev_r <= 0.0))[0]
     if bad.size:
         t = int(bad[0])
         if ev_q[t] < -tol_psd[t]:

@@ -416,3 +416,45 @@ def reference_emit_json(path, obj):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     with open(path, "w") as f:
         f.write(text)
+
+
+# The augmentations of regretctl.augmentation as they were while they filled
+# each step's blocks in a Python loop; test_augmentation.py holds the stacked
+# slice assignments to their arrays.
+
+
+def reference_augment_predictions(sys, h):
+    """(A, B_u, B_w, Q, R, Q_T) of the h-step lookahead augmentation."""
+    T, n, m, p = sys.T, sys.n, sys.m, sys.p
+    N = n + h * p
+    A, B_u, B_w, Q = (np.zeros((T, N, k)) for k in (N, m, p, N))
+    for t in range(T):
+        A[t, :n, :n] = sys.A[t]
+        A[t, :n, n:n + p] = sys.B_w[t]
+        for k in range(h - 1):
+            A[t, n + k * p:n + (k + 1) * p, n + (k + 1) * p:n + (k + 2) * p] = np.eye(p)
+        B_u[t, :n, :] = sys.B_u[t]
+        B_w[t, N - p:, :] = np.eye(p)
+        Q[t, :n, :n] = sys.Q[t]
+    Q_T = np.zeros((N, N))
+    Q_T[:n, :n] = sys.Q_T
+    return A, B_u, B_w, Q, sys.R.copy(), Q_T
+
+
+def reference_augment_delay(sys, d):
+    """(A, B_u, B_w, Q, R, Q_T) of the d-step input-delay augmentation."""
+    T, n, m, p = sys.T, sys.n, sys.m, sys.p
+    N = n + d * m
+    A, B_u, B_w, Q = (np.zeros((T, N, k)) for k in (N, m, p, N))
+    for t in range(T):
+        A[t, :n, :n] = sys.A[t]
+        if t - d >= 0:
+            A[t, :n, N - m:] = sys.B_u[t - d]
+        for k in range(d - 1):
+            A[t, n + (k + 1) * m:n + (k + 2) * m, n + k * m:n + (k + 1) * m] = np.eye(m)
+        B_u[t, n:n + m, :] = np.eye(m)
+        B_w[t, :n, :] = sys.B_w[t]
+        Q[t, :n, :n] = sys.Q[t]
+    Q_T = np.zeros((N, N))
+    Q_T[:n, :n] = sys.Q_T
+    return A, B_u, B_w, Q, sys.R.copy(), Q_T

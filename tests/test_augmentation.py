@@ -10,7 +10,7 @@ from regretctl.augmentation import (
 )
 from regretctl.sim_bench import rollout
 from regretctl.system_model import LqSystem, evaluate_cost, validate_system
-from helpers import random_system, s1
+from helpers import random_system, reference_augment_delay, reference_augment_predictions, s1
 
 
 class TestAugmentPredictions:
@@ -230,3 +230,32 @@ class TestBatchedWrappedController:
 
         monkeypatch.setattr(sim_bench, "evaluate_cost", refused)
         assert np.array_equal(wrapped.control_sequence(w), expected)
+
+
+def _systems():
+    yield s1()
+    yield validate_system(
+        LqSystem.time_invariant(np.eye(2) * 0.5, np.ones((2, 1)), np.eye(2), np.eye(2), [[1.0]], horizon=6)
+    )
+    for seed in (30, 31, 32):
+        yield random_system(seed, T_max=8)
+
+
+@pytest.mark.parametrize("lookahead, delay", [(1, 0), (0, 1), (3, 1), (2, 2), (1, 3), ("T", 0), (0, "T-1")])
+def test_stacked_blocks_equal_the_per_step_construction(lookahead, delay):
+    """Delay then lookahead, as the CLI composes them: every array of each
+    stage equals the per-step loop's, bit for bit."""
+    for sys in _systems():
+        d = sys.T - 1 if delay == "T-1" else min(delay, sys.T - 1)
+        got = augment_delay(sys, d)
+        stage = got.system
+        if d:
+            want = validate_system(LqSystem(*reference_augment_delay(sys, d)))
+            for name in ("A", "B_u", "B_w", "Q", "R", "Q_T"):
+                assert np.array_equal(getattr(stage, name), getattr(want, name)), (name, d)
+        h = stage.T if lookahead == "T" else min(lookahead, stage.T)
+        got = augment_predictions(stage, h)
+        if h:
+            want = validate_system(LqSystem(*reference_augment_predictions(stage, h)))
+            for name in ("A", "B_u", "B_w", "Q", "R", "Q_T"):
+                assert np.array_equal(getattr(got.system, name), getattr(want, name)), (name, h)

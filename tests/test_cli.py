@@ -1,5 +1,7 @@
+import copy
 import json
 import re
+from datetime import timedelta
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -18,6 +20,7 @@ from regretctl.cli import (
     parse_config,
     pendulum_system,
 )
+from regretctl.sim_bench import DisturbanceSpec
 
 S1_CONFIG = {
     "system": {
@@ -25,6 +28,16 @@ S1_CONFIG = {
     },
     "horizon": 3,
 }
+
+
+def _refuse_synthesis(monkeypatch):
+    """Make every synthesis entry point the CLI calls fail the test."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("synthesis ran")
+
+    for name in ("synthesize_h2", "synthesize_hinf", "hinf_optimal", "regret_controller", "regret_optimal"):
+        monkeypatch.setattr(ct, name, refused)
 
 
 @pytest.fixture
@@ -352,7 +365,8 @@ class TestErrors:
             "type": "ConfigError", "message": "field 'disturbance.kind': unknown kind 'perlin'"
         }
 
-    def test_non_integer_period_record(self, runner, tmp_path):
+    def test_non_integer_period_record(self, runner, tmp_path, monkeypatch):
+        _refuse_synthesis(monkeypatch)
         doc = dict(
             S1_CONFIG,
             disturbance={"kind": "alternating", "params": {"mean": 1.0, "period": 2.7}},
@@ -363,8 +377,43 @@ class TestErrors:
         result = runner.invoke(main, ["simulate", "--config", str(cfg), "--csv", str(out)])
         assert result.exit_code == 1
         record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert record["error"]["type"] == "ValueError"
-        assert record["error"]["message"] == "period must be a positive integer, got 2.7"
+        assert record["error"]["type"] == "ConfigError"
+        assert record["error"]["message"] == (
+            "field 'disturbance.params': period must be a positive integer, got 2.7"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["simulate", "--seed", "-1"], S1_CONFIG, "field 'seed': must be at least 0, got -1"),
+            (["pendulum", "--horizon", "5", "--seed", "-3"], None, "field 'seed': must be at least 0, got -3"),
+            (
+                ["simulate"],
+                dict(S1_CONFIG, disturbance={"kind": "alternating", "params": {"periode": 2}}),
+                "field 'disturbance.params': alternating disturbance has no parameter 'periode' "
+                "(it reads mean, period)",
+            ),
+            (
+                ["simulate"],
+                dict(S1_CONFIG, disturbance={"kind": "sinusoid", "params": {"frequency": "0.25"}}),
+                "field 'disturbance.params': disturbance parameter 'frequency' must be numeric, got '0.25'",
+            ),
+        ],
+    )
+    def test_config_error_records_before_synthesis(self, runner, tmp_path, monkeypatch, argv, doc, message):
+        _refuse_synthesis(monkeypatch)
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, argv + ["--csv", str(out)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert [json.loads(line) for line in result.stderr.splitlines()] == [
+            {"error": {"type": "ConfigError", "message": message}, "schema_version": "1"}
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -420,16 +469,21 @@ def test_cli_json_equals_reference_bytes(runner, tmp_path, monkeypatch, command,
     assert out.read_bytes() == ref.read_bytes()
 
 
-def test_booleans_echoed_and_written_as_booleans(runner, tmp_path):
-    params = {"flag": False, "mean": [True, 0.5]}
+def test_boolean_disturbance_params_refused_before_echo(runner, tmp_path):
+    """Every subcommand that reads a config refuses a boolean where a
+    disturbance parameter is read as a number, before it echoes the config."""
     cfg = tmp_path / "bool.json"
+    params = {"mean": [True, 0.5]}
     cfg.write_text(json.dumps(dict(S1_CONFIG, disturbance={"kind": "gaussian", "params": params})))
     out = tmp_path / "gamma.json"
     result = runner.invoke(main, ["gamma", "--config", str(cfg), "--json", str(out)])
-    assert result.exit_code == 0, result.output
-    assert '"params": {"flag": false, "mean": [true, 0.5]}' in result.output.splitlines()[0]
-    written = json.loads(out.read_text())["config"]["disturbance"]["params"]
-    assert written["flag"] is False and written["mean"][0] is True
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == {
+        "type": "ConfigError",
+        "message": "field 'disturbance.params': disturbance parameter 'mean' must be numeric, got [True, 0.5]",
+    }
+    assert not out.exists()
 
 
 class TestCertify:
@@ -476,3 +530,162 @@ class TestPendulum:
         assert lines[0] == "t,cost_h2,cost_hinf,cost_regret,cost_offline"
         assert len(lines) == 21
         assert "gamma_regret = " in result.output
+
+
+def test_each_subcommand_declares_only_the_options_it_reads(runner, s1_config):
+    shared = ["--config", "--feasibility-test", "--json", "--seed", "--tol"]
+    declared = {name: sorted(o for p in cmd.params for o in p.opts) for name, cmd in main.commands.items()}
+    assert declared == {
+        "gamma": shared,
+        "synth": shared,
+        "certify": shared,
+        "simulate": sorted(shared + ["--csv"]),
+        "pendulum": ["--csv", "--feasibility-test", "--horizon", "--json", "--mode", "--seed", "--tol", "--trials"],
+    }
+    assert sum(map(len, declared.values())) == 29
+    result = runner.invoke(main, ["gamma", "--config", s1_config, "--csv", "x.csv"])
+    assert result.exit_code == 2
+    assert "No such option '--csv'" in result.stderr
+
+
+# The one config boundary: a small valid S1 experiment, and mutations of one
+# field each that `parse_config` must refuse before any synthesis runs.
+_VALID = dict(
+    S1_CONFIG,
+    controllers=["h2", {"regret": "auto"}, "offline"],
+    trials=2,
+    seed=1,
+    disturbance={"kind": "alternating", "params": {"mean": 1.0, "period": 2}, "seed": 4},
+    output={"gains": "gains.json"},
+)
+_not_int = st.one_of(
+    st.floats(), st.booleans(), st.text(max_size=3), st.none(), st.lists(st.integers(), max_size=2)
+)
+_not_number = st.one_of(
+    st.booleans(), st.text(max_size=3), st.none(), st.lists(st.floats(), max_size=2), st.just({})
+)
+
+
+def _bad_int(minimum, maximum=None):
+    below = st.integers(max_value=minimum - 1)
+    return st.one_of(_not_int, below) if maximum is None else st.one_of(_not_int, below, st.integers(min_value=maximum + 1))
+
+
+def _unknown(known):
+    return st.text(max_size=6).filter(lambda k: k not in known)
+
+
+_mutations = st.one_of(
+    st.tuples(st.just(("horizon",)), _bad_int(1)),
+    st.tuples(st.just(("trials",)), _bad_int(1)),
+    st.tuples(st.just(("seed",)), _bad_int(0)),
+    st.tuples(st.just(("lookahead",)), _bad_int(0, 3)),
+    st.tuples(st.just(("delay",)), _bad_int(0, 2)),
+    st.tuples(st.just(("tol",)), _not_number),
+    st.tuples(st.just(("output",)), st.one_of(st.lists(st.text(max_size=2), max_size=2), st.text(max_size=2))),
+    st.tuples(
+        st.tuples(st.just("output"), st.sampled_from(["csv", "gains", "certificate"])),
+        st.one_of(st.integers(), st.none(), st.booleans(), st.lists(st.text(max_size=2), max_size=1)),
+    ),
+    st.tuples(st.tuples(st.just("output"), _unknown({"csv", "gains", "certificate"})), st.just("x.csv")),
+    st.tuples(st.tuples(_unknown(cli._CONFIG_FIELDS)), st.integers()),
+    st.tuples(
+        st.just(("controllers",)),
+        st.one_of(
+            st.just([]),
+            st.text(max_size=3),
+            st.lists(_unknown(cli._CONTROLLERS), min_size=1, max_size=2),
+            st.sampled_from([["h2", "h2"], [{"hinf": 2.0}, "hinf"], [{"h2": "auto", "hinf": "auto"}]]),
+            st.one_of(
+                _not_number.filter(lambda v: v != "auto"),
+                st.floats(max_value=0.0),
+                st.sampled_from([float("inf"), float("nan")]),
+            ).map(lambda level: [{"regret": level}]),
+        ),
+    ),
+    st.tuples(st.just(("system", "lti", "R")), st.floats(max_value=0.0).map(lambda r: [[r]])),
+    st.tuples(
+        st.tuples(st.just("system"), st.just("lti"), st.sampled_from(["A", "Bu", "Bw", "Q", "R", "QT"])),
+        st.one_of(st.text(max_size=2), st.sampled_from(["1", [["1.0"]], [[True]], True, None, [[1.0], [1.0, 2.0]], [[10**400]]])),
+    ),
+    st.tuples(st.tuples(st.just("system"), st.just("lti"), _unknown({"A", "Bu", "Bw", "Q", "R", "QT"})), st.just([[1.0]])),
+    st.tuples(st.just(("disturbance",)), st.one_of(st.none(), st.text(max_size=3), st.just({"params": {}}))),
+    st.tuples(st.tuples(st.just("disturbance"), _unknown({"kind", "params", "seed"})), st.integers()),
+    st.tuples(
+        st.just(("disturbance", "kind")),
+        st.one_of(_unknown(DisturbanceSpec.PARAMS), st.integers(), st.none(), st.lists(st.text(max_size=2), max_size=1)),
+    ),
+    st.tuples(st.just(("disturbance", "seed")), _bad_int(0)),
+    st.tuples(st.just(("disturbance", "params")), st.one_of(st.lists(st.integers(), max_size=2), st.text(max_size=2))),
+    st.tuples(st.tuples(st.just("disturbance"), st.just("params"), _unknown({"mean", "period"})), st.integers()),
+    st.tuples(
+        st.just(("disturbance", "params", "period")),
+        st.one_of(st.integers(max_value=0), st.floats(), st.booleans(), st.text(max_size=2), st.none()),
+    ),
+    st.tuples(
+        st.just(("disturbance", "params", "mean")),
+        st.one_of(st.booleans(), st.text(max_size=2), st.none(), st.lists(st.booleans(), min_size=1, max_size=2)),
+    ),
+)
+
+
+def _simulate(directory, doc, refuse_synthesis):
+    cfg = directory / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.MonkeyPatch.context() as mp:
+        if refuse_synthesis:
+            _refuse_synthesis(mp)
+        return CliRunner().invoke(main, ["simulate", "--config", str(cfg), "--csv", str(directory / "o.csv")])
+
+
+class TestConfigBoundary:
+    @settings(max_examples=150, deadline=timedelta(seconds=2))
+    @given(mutation=_mutations)
+    def test_one_bad_field_is_one_config_error_before_synthesis(self, tmp_path_factory, mutation):
+        path, value = mutation
+        doc = copy.deepcopy(_VALID)
+        *parents, key = path
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        directory = tmp_path_factory.mktemp("bad")
+        result = _simulate(directory, doc, refuse_synthesis=True)
+        assert result.exit_code == 1, (doc, result.output)
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert json.loads(line)["error"]["type"] == "ConfigError", line
+        assert not (directory / "o.csv").exists()
+
+    @settings(max_examples=20, deadline=timedelta(seconds=10))
+    @given(
+        seed=st.integers(0, 2**32),
+        trials=st.integers(1, 3),
+        lookahead=st.integers(0, 3),
+        delay=st.integers(0, 2),
+        controllers=st.lists(
+            st.sampled_from(["h2", "hinf", "regret", "offline", {"hinf": "auto"}, {"regret": "auto"}]),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda c: c if isinstance(c, str) else next(iter(c)),
+        ),
+        disturbance=st.sampled_from(
+            [
+                {"kind": "gaussian", "params": {}},
+                {"kind": "gaussian", "params": {"mean": 0.5, "cov": None}},
+                {"kind": "alternating", "params": {"mean": [1.0], "period": 1}},
+                {"kind": "sinusoid", "params": {"amplitude": 2, "frequency": 0.25, "phase": 1.0}},
+                {"kind": "constant", "params": {"vector": -1.0}, "seed": 3},
+            ]
+        ),
+    )
+    def test_valid_configs_run(self, tmp_path_factory, seed, trials, lookahead, delay, controllers, disturbance):
+        doc = dict(
+            _VALID, seed=seed, trials=trials, lookahead=lookahead, delay=delay,
+            controllers=controllers, disturbance=disturbance,
+        )
+        directory = tmp_path_factory.mktemp("ok")
+        result = _simulate(directory, doc, refuse_synthesis=False)
+        assert result.exit_code == 0, (doc, result.output)
+        assert json.loads(result.stdout.splitlines()[0])["seed"] == seed
+        assert (directory / "o.csv").exists()
