@@ -180,6 +180,11 @@ def _resolve(sys, fields, seed, tol) -> dict:
     delay = _int_field(cfg["delay"], "delay", 0)
     if delay >= sys.T:
         raise ConfigError(f"field 'delay': must be less than the horizon {sys.T}, got {delay}")
+    tol = _number_field(cfg["tol"], "tol")
+    try:
+        ct._check_tol(tol)
+    except ValueError as e:
+        raise ConfigError(f"field 'tol': {e}")
     resolved = {
         "horizon": sys.T,
         "controllers": cfg["controllers"],
@@ -188,7 +193,7 @@ def _resolve(sys, fields, seed, tol) -> dict:
         "disturbance": {"kind": disturbance.kind, "params": disturbance.params, "seed": disturbance.seed},
         "trials": _int_field(cfg["trials"], "trials", 1),
         "seed": resolved_seed,
-        "tol": _number_field(cfg["tol"], "tol"),
+        "tol": tol,
         "output": output,
     }
     return {"system": sys, "resolved": resolved, "controllers": controllers, "disturbance": disturbance}
@@ -292,7 +297,7 @@ def _augmented(cfg):
     return sys, aug
 
 
-def _build_controllers(cfg, feasibility_test):
+def _build_controllers(cfg):
     """Synthesize the configured controllers on the (possibly augmented)
     system, wrapped back to base signals, and their levels. "offline" is
     compare's own baseline and needs no synthesis."""
@@ -312,10 +317,10 @@ def _build_controllers(cfg, feasibility_test):
             gammas[name] = level
         elif name == "regret":
             if level == "auto":
-                res, ctrl = ct.regret_optimal(synth_sys, tol, feasibility_test)
+                res, ctrl = ct.regret_optimal(synth_sys, tol)
                 level = res.gamma_opt
             else:
-                ctrl = ct.regret_controller(synth_sys, level, feasibility_test)
+                ctrl = ct.regret_controller(synth_sys, level)
             gammas[name] = level
         else:
             continue
@@ -323,13 +328,13 @@ def _build_controllers(cfg, feasibility_test):
     return out, gammas
 
 
-def _simulate(cfg, feasibility_test, csv_path):
+def _simulate(cfg, csv_path):
     """Synthesize the configured controllers, compare them over the
     configured disturbance and write the cost CSV: one row per step t, then
     each controller's time-averaged cost at t averaged over the trials, in
     config order with the offline baseline last if requested. Returns the
     report, the controllers' levels and the CSV path."""
-    ctrls, gammas = _build_controllers(cfg, feasibility_test)
+    ctrls, gammas = _build_controllers(cfg)
     r = cfg["resolved"]
     report = compare(cfg["system"], ctrls, cfg["disturbance"], trials=r["trials"])
     names = list(ctrls) + [n for n, _ in cfg["controllers"] if n == "offline"]
@@ -350,9 +355,6 @@ _OPTIONS = {
     "tol": click.option("--tol", type=float, default=None),
     "csv": click.option("--csv", "csv_path", type=click.Path(), default=None),
     "json": click.option("--json", "json_path", type=click.Path(), default=None),
-    "feasibility_test": click.option(
-        "--feasibility-test", type=click.Choice(["level1", "printed"]), default="level1"
-    ),
 }
 
 
@@ -387,13 +389,13 @@ def _guarded(fn):
 
 
 @main.command()
-@_options("config", "seed", "tol", "json", "feasibility_test")
+@_options("config", "seed", "tol", "json")
 @_guarded
-def gamma(config_path, seed, tol, json_path, feasibility_test):
+def gamma(config_path, seed, tol, json_path):
     """Bisect for the regret-optimal performance level."""
     cfg = _load(config_path, seed, tol)
     synth_sys, _ = _augmented(cfg)
-    res, _ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"], feasibility_test)
+    res, _ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"])
     click.echo(f"gamma_opt = {_float_repr(res.gamma_opt)}")
     if json_path:
         emit_json(
@@ -409,20 +411,20 @@ def gamma(config_path, seed, tol, json_path, feasibility_test):
 
 
 @main.command()
-@_options("config", "seed", "tol", "json", "feasibility_test")
+@_options("config", "seed", "tol", "json")
 @_guarded
-def synth(config_path, seed, tol, json_path, feasibility_test):
+def synth(config_path, seed, tol, json_path):
     """Synthesize the regret controller and export its per-step gains."""
     cfg = _load(config_path, seed, tol)
     synth_sys, _ = _augmented(cfg)
-    res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"], feasibility_test)
+    res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"])
     if not hasattr(ctrl, "synthesis"):
         raise click.ClickException("degenerate system: the zero controller has no gains to export")
     s = ctrl.synthesis
     doc = {
         "config": cfg["resolved"],
         "gamma": s.gamma,
-        "feasibility_test": s.feasibility_test,
+        "feasibility_test": "level1",  # the one test; the key keeps the file's bytes
         "A_hat": s.Ahat,
         "B_hat_u": s.Bhat_u,
         "B_hat_w": s.Bhat_w,
@@ -437,12 +439,12 @@ def synth(config_path, seed, tol, json_path, feasibility_test):
 
 
 @main.command()
-@_options("config", "seed", "tol", "csv", "json", "feasibility_test")
+@_options("config", "seed", "tol", "csv", "json")
 @_guarded
-def simulate(config_path, seed, tol, csv_path, json_path, feasibility_test):
+def simulate(config_path, seed, tol, csv_path, json_path):
     """Roll the configured controllers and write per-step time-averaged costs."""
     cfg = _load(config_path, seed, tol)
-    report, gammas, out = _simulate(cfg, feasibility_test, csv_path)
+    report, gammas, out = _simulate(cfg, csv_path)
     click.echo(f"trace written to {out}")
     if json_path:
         emit_json(
@@ -458,15 +460,15 @@ def simulate(config_path, seed, tol, csv_path, json_path, feasibility_test):
 
 
 @main.command()
-@_options("config", "seed", "tol", "json", "feasibility_test")
+@_options("config", "seed", "tol", "json")
 @_guarded
-def certify(config_path, seed, tol, json_path, feasibility_test):
+def certify(config_path, seed, tol, json_path):
     """Run the dense operator oracle on the synthesized regret controller."""
     cfg = _load(config_path, seed, tol)
     synth_sys, _ = _augmented(cfg)
     try:
         oo.check_size(synth_sys)
-        res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"], feasibility_test)
+        res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"])
         from .system_model import normalize_control_weight
 
         ops = oo.build_operators(normalize_control_weight(synth_sys).system)
@@ -506,9 +508,9 @@ def pendulum_system(horizon: int, c: float = 0.1) -> LqSystem:
 @click.option("--mode", type=click.Choice(["stochastic", "alternating"]), default="stochastic")
 @click.option("--horizon", type=int, default=100)
 @click.option("--trials", type=int, default=50)
-@_options("seed", "tol", "csv", "json", "feasibility_test")
+@_options("seed", "tol", "csv", "json")
 @_guarded
-def pendulum(mode, horizon, trials, seed, tol, csv_path, json_path, feasibility_test):
+def pendulum(mode, horizon, trials, seed, tol, csv_path, json_path):
     """Inverted-pendulum benchmark: stochastic N(0,1) noise or means
     alternating between +1 and -1 every 15 steps. A preset on simulate's
     path: the four default controllers on `pendulum_system(horizon)`."""
@@ -531,7 +533,7 @@ def pendulum(mode, horizon, trials, seed, tol, csv_path, json_path, feasibility_
         "alternating_period": 15,
     }
     click.echo(json.dumps(resolved, sort_keys=True))
-    report, gammas, out = _simulate(cfg, feasibility_test, csv_path)
+    report, gammas, out = _simulate(cfg, csv_path)
     click.echo(f"gamma_hinf = {_float_repr(gammas['hinf'])}")
     click.echo(f"gamma_regret = {_float_repr(gammas['regret'])}")
     click.echo(f"trace written to {out}")

@@ -276,7 +276,7 @@ def prepare_regret(sys: LqSystem) -> RegretProblem:
 
 
 @dataclass
-class RegretSynthesis:
+class RegretSynthesis(riccati.Verdict):
     """Frozen output of the regret-suboptimal synthesis at level gamma.
 
     Carries the augmented 2n-dimensional system (Ahat, Bhat_u, Bhat_w, Qhat),
@@ -297,7 +297,6 @@ class RegretSynthesis:
     Phat: np.ndarray
     Hhat: np.ndarray
     margins: np.ndarray
-    feasibility_test: str
 
     @cached_property
     def M_state(self):
@@ -312,20 +311,10 @@ class RegretSynthesis:
     def _gain(self, X):
         """-Hhat_t^{-1} Bhat_u_t' Phat_{t+1} X_t per step; zero unless every
         margin is negative, since gains only exist on a feasible tape."""
-        if not np.all(self.margins < 0.0):
+        if not self.feasible:
             return np.zeros(self.Hhat.shape[:2] + X.shape[2:])
         BtP = np.swapaxes(self.Bhat_u, 1, 2) @ self.Phat[1:]
         return -np.linalg.solve(self.Hhat, BtP @ X)
-
-    @property
-    def feasible(self):
-        if np.any(np.linalg.eigvalsh(self.Hhat).min(axis=1) <= 0):
-            return False
-        return bool(np.all(self.margins < 0.0))
-
-    @property
-    def first_infeasible_step(self):
-        return riccati._first_failing_step(self.margins)
 
 
 class RegretController:
@@ -367,17 +356,12 @@ def _windows(T):
         t1, k = t0, 2 * k
 
 
-def synthesize_regret(
-    sys: LqSystem | RegretProblem, gamma: float, feasibility_test: str = "level1"
-) -> RegretSynthesis:
+def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynthesis:
     """Regret-suboptimal synthesis at level gamma.
 
     `sys` is a system or a problem already prepared by `prepare_regret`; a
-    system is prepared first. feasibility_test selects the H-infinity test
-    applied to the transformed system: "level1" runs the full
-    attenuation-level-1 recursion on the z-driven system (the reduction's
-    prescription, the default); "printed" uses the control-only value
-    recursion with a -gamma^2 margin.
+    system is prepared first. Its feasibility test is the reduction's: the
+    attenuation-level-1 recursion on the z-driven doubled system.
 
     The sweep runs backward from t = T in windows of 1, 2, 4, ... steps. In
     each it runs the backward Kalman recursion from the carried P_b, takes
@@ -387,18 +371,12 @@ def synthesize_regret(
     an infeasible level hold only the swept steps. At a feasible level every
     window runs and the tapes equal one sweep over the whole horizon.
     """
-    if feasibility_test not in ("level1", "printed"):
-        raise ValueError(f"unknown feasibility test {feasibility_test!r}")
     riccati._check_level(gamma)
     gamma = float(gamma)
     problem = sys if isinstance(sys, RegretProblem) else prepare_regret(sys)
     norm, fwd = problem.norm, problem.fwd
     nsys = norm.system
     T, n, m, p = nsys.T, nsys.n, nsys.m, nsys.p
-    if feasibility_test == "level1":
-        level, lqr_form = 1.0, False
-    else:
-        level, lqr_form = gamma, True
 
     P_b = np.zeros((T, n, n))
     K_bl = np.zeros((T, n, p))
@@ -428,7 +406,7 @@ def synthesize_regret(
             Bhat_w[win] = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
             Phat[t0:t1 + 1], Hhat[win], margins[win] = kernels.regret_phat_backward(
                 Ahat[win], problem.Bhat_u[win], Bhat_w[win], problem.Qhat[win], Phat[t1],
-                level, lqr_form,
+                1.0, False,
             )
         except np.linalg.LinAlgError:
             # a recursion blew up before a margin turned positive (a singular
@@ -462,14 +440,13 @@ def synthesize_regret(
         Phat=Phat,
         Hhat=Hhat,
         margins=margins,
-        feasibility_test=feasibility_test,
     )
 
 
-def regret_controller(sys: LqSystem, gamma: float, feasibility_test: str = "level1"):
+def regret_controller(sys: LqSystem, gamma: float):
     """Synthesize at level gamma and wrap it as a controller; raises
     InfeasibleError when the level is unattainable."""
-    synthesis = synthesize_regret(sys, gamma, feasibility_test)
+    synthesis = synthesize_regret(sys, gamma)
     if not synthesis.feasible:
         raise InfeasibleError(gamma, synthesis.first_infeasible_step)
     return RegretController(synthesis)
@@ -483,7 +460,7 @@ def _is_regret_degenerate(sys: LqSystem):
     return no_weight or no_disturbance
 
 
-def regret_optimal(sys: LqSystem, tol: float = 1e-6, feasibility_test: str = "level1"):
+def regret_optimal(sys: LqSystem, tol: float = 1e-6):
     """Bisection on gamma for the regret-optimal controller.
     Returns (GammaSearchResult, controller). The gamma-independent work is
     prepared once; each probe reruns only the backward Kalman recursion, the
@@ -502,9 +479,7 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6, feasibility_test: str = "le
         )
         return result, ZeroController(sys)
     problem = prepare_regret(sys)
-    result, synthesis = _bisect_gamma(
-        lambda g: synthesize_regret(problem, g, feasibility_test), tol
-    )
+    result, synthesis = _bisect_gamma(lambda g: synthesize_regret(problem, g), tol)
     return result, RegretController(synthesis)
 
 

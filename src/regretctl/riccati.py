@@ -24,16 +24,9 @@ class LqrTape:
     H: np.ndarray  # (T, m, m)
 
 
-@dataclass(frozen=True)
-class HinfTape:
-    """H-infinity value matrices, gains data, and per-step feasibility margins
-    (largest eigenvalue of the disturbance block Schur complement; the level
-    gamma is attainable iff every margin is negative)."""
-
-    P: np.ndarray
-    H: np.ndarray
-    margins: np.ndarray  # (T,)
-    gamma: float
+class Verdict:
+    """The verdict of a tape with per-step feasibility margins `margins`: its
+    level is attainable iff every margin is negative."""
 
     @property
     def feasible(self):
@@ -42,6 +35,17 @@ class HinfTape:
     @property
     def first_infeasible_step(self):
         return _first_failing_step(self.margins)
+
+
+@dataclass(frozen=True)
+class HinfTape(Verdict):
+    """H-infinity value matrices, gains data, and per-step feasibility margins
+    (largest eigenvalue of the disturbance block Schur complement)."""
+
+    P: np.ndarray
+    H: np.ndarray
+    margins: np.ndarray  # (T,)
+    gamma: float
 
 
 @dataclass(frozen=True)

@@ -88,10 +88,6 @@ class LqSystem:
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         R = np.atleast_2d(np.asarray(R, dtype=float))
         n = A.shape[0]
-        if B_u.shape[0] != n:
-            B_u = B_u.reshape(n, -1)
-        if B_w.shape[0] != n:
-            B_w = B_w.reshape(n, -1)
         Q_T = np.zeros((n, n)) if Q_T is None else np.atleast_2d(np.asarray(Q_T, dtype=float))
         T = int(horizon)
         if T <= 0:
@@ -136,11 +132,20 @@ def _check_shape(name, M, expected):
         raise DimensionError(f"{name} has shape {M.shape}, expected {expected}")
 
 
+def _finite(name, what, M):
+    """M, refused when the arithmetic that made it overflowed."""
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} overflows the float range in {what}")
+    return M
+
+
 def validate_system(sys: LqSystem) -> LqSystem:
     """Check dimensions, finiteness and definiteness; return the system with
     cost matrices symmetry-projected.
 
-    Every entry must be finite; Q_t and Q_T must be PSD (min eigenvalue >= -1e-9*(1+||M||)); R_t must be PD.
+    Every entry must be finite, and so must the symmetrized cost matrices and
+    the PSD tolerances; Q_t and Q_T must be PSD (min eigenvalue >=
+    -1e-9*(1+||M||)); R_t must be PD.
     """
     T, n, m, p = sys.T, sys.n, sys.m, sys.p
     _check_shape("A", sys.A, (T, n, n))
@@ -153,14 +158,18 @@ def validate_system(sys: LqSystem) -> LqSystem:
         if not np.all(np.isfinite(getattr(sys, name))):
             raise ValueError(f"{name} has a non-finite (NaN or inf) entry")
 
-    Qs = (sys.Q + np.transpose(sys.Q, (0, 2, 1))) / 2.0
-    Rs = (sys.R + np.transpose(sys.R, (0, 2, 1))) / 2.0
-    QTs = (sys.Q_T + sys.Q_T.T) / 2.0
-
-    # per-step Frobenius norms as np.linalg.norm computes them (a dot
-    # product of the flattened matrix), so the tolerances keep their bits
-    Qf = Qs.reshape(T, 1, n * n)
-    tol_psd = 1e-9 * (1.0 + np.sqrt((Qf @ np.swapaxes(Qf, 1, 2))[:, 0, 0]))
+    # an overflow below is refused by name, not warned about
+    with np.errstate(over="ignore"):
+        Qs = _finite("Q", "its symmetrization", (sys.Q + np.transpose(sys.Q, (0, 2, 1))) / 2.0)
+        Rs = _finite("R", "its symmetrization", (sys.R + np.transpose(sys.R, (0, 2, 1))) / 2.0)
+        QTs = _finite("Q_T", "its symmetrization", (sys.Q_T + sys.Q_T.T) / 2.0)
+        # per-step Frobenius norms as np.linalg.norm computes them (a dot
+        # product of the flattened matrix), so the tolerances keep their bits
+        Qf = Qs.reshape(T, 1, n * n)
+        tol_psd = 1e-9 * (1.0 + np.sqrt((Qf @ np.swapaxes(Qf, 1, 2))[:, 0, 0]))
+        tol_psd_T = 1e-9 * (1.0 + np.linalg.norm(QTs))
+    _finite("Q", "its PSD tolerance", tol_psd)
+    _finite("Q_T", "its PSD tolerance", tol_psd_T)
     ev_q = np.linalg.eigvalsh(Qs).min(axis=1)
     ev_r = np.linalg.eigvalsh(Rs).min(axis=1)
     bad = np.nonzero((ev_q < -tol_psd) | (ev_r <= 0.0))[0]
@@ -173,9 +182,8 @@ def validate_system(sys: LqSystem) -> LqSystem:
         raise DefinitenessError(
             f"R at t={t} is not positive definite (min eigenvalue {float(ev_r[t]):g})"
         )
-    tol_psd = 1e-9 * (1.0 + np.linalg.norm(QTs))
     ev = float(np.linalg.eigvalsh(QTs).min())
-    if ev < -tol_psd:
+    if ev < -tol_psd_T:
         raise DefinitenessError(f"Q_T is not PSD (min eigenvalue {ev:g})")
 
     return replace(sys, Q=Qs, R=Rs, Q_T=QTs, validated=True)

@@ -5,12 +5,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from regretctl import controllers as ct
+from regretctl import kernels, riccati
 from regretctl.cli import SCHEMA_VERSION
 from regretctl.riccati import BackwardKalmanTape, ForwardKalmanTape
 from regretctl.system_model import (
     DefinitenessError,
     LqSystem,
     NormalizedSystem,
+    normalize_control_weight,
     psd_sqrt,
     validate_system,
 )
@@ -60,6 +63,53 @@ def random_system(seed, n_max=3, m_max=3, p_max=3, T_max=15, stable=True,
     else:
         Q_T = np.zeros((n, n))
     return validate_system(LqSystem(A, B_u, B_w, Q, R, Q_T))
+
+
+def full_horizon_reference(sys, gamma, test):
+    """The regret synthesis at level gamma as one sweep over the whole
+    horizon: the backward Kalman tape, the assembly of the doubled system and
+    one value recursion, with a margin of 1 at every step if it breaks down.
+
+    test="level1" is the library's feasibility test (the attenuation-level-1
+    recursion on the z-driven doubled system). test="printed" is the test the
+    library no longer offers: the control-only value recursion with a
+    -gamma^2 margin, whose level its own controller does not attain (see
+    `printed_regret_optimal`)."""
+    norm = normalize_control_weight(sys)
+    nsys = norm.system
+    T, n, m = nsys.T, nsys.n, nsys.m
+    fwd = riccati.forward_kalman(norm)
+    bwd = riccati.backward_kalman(norm, fwd, gamma)
+    BwK = nsys.B_w @ np.swapaxes(bwd.K_bl, 1, 2)
+    Bw_scaled = nsys.B_w @ bwd.R_be_inv_sqrt
+    Ahat = np.zeros((T, 2 * n, 2 * n))
+    Ahat[:, :n, :n] = nsys.A
+    Ahat[:, :n, n:] = -BwK
+    Ahat[:, n:, n:] = fwd.Atil - BwK
+    Bhat_u = np.concatenate((nsys.B_u, np.zeros_like(nsys.B_u)), axis=1)
+    Bhat_w = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
+    Qhat = np.zeros((T, 2 * n, 2 * n))
+    Qhat[:, :n, :n] = nsys.Q
+    Phat_T = np.zeros((2 * n, 2 * n))
+    Phat_T[:n, :n] = nsys.Q_T
+    level, lqr_form = {"level1": (1.0, False), "printed": (gamma, True)}[test]
+    try:
+        Phat, Hhat, margins = kernels.regret_phat_backward(
+            Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form
+        )
+    except np.linalg.LinAlgError:
+        Phat, Hhat, margins = np.zeros((T + 1, 2 * n, 2 * n)), np.zeros((T, m, m)), np.ones(T)
+    return ct.RegretSynthesis(
+        gamma=gamma, norm=norm, fwd=fwd, bwd=bwd, Ahat=Ahat, Bhat_u=Bhat_u, Bhat_w=Bhat_w,
+        Qhat=Qhat, Phat=Phat, Hhat=Hhat, margins=margins,
+    )
+
+
+def printed_regret_optimal(sys, tol):
+    """The regret bisection under the "printed" feasibility test, over
+    full-horizon syntheses. Returns (GammaSearchResult, RegretController)."""
+    result, synthesis = ct._bisect_gamma(lambda g: full_horizon_reference(sys, g, "printed"), tol)
+    return result, ct.RegretController(synthesis)
 
 
 def random_disturbance(seed, sys, scale=1.0):

@@ -151,11 +151,11 @@ class TestParseConfig:
             parse_config(dict(S1_CONFIG, **update))
 
     def test_numbers_and_levels_accepted(self):
-        doc = dict(S1_CONFIG, tol=1, controllers=[{"hinf": 2}, {"regret": "auto"}, "h2"],
+        doc = dict(S1_CONFIG, tol=np.float32(0.5), controllers=[{"hinf": 2}, {"regret": "auto"}, "h2"],
                    output={"csv": "out.csv"})
         doc["disturbance"] = {"kind": "alternating", "params": {"period": 2}, "seed": 1}
         r = parse_config(doc)["resolved"]
-        assert type(r["tol"]) is float and r["tol"] == 1.0
+        assert type(r["tol"]) is float and r["tol"] == 0.5
         assert r["controllers"] == [{"hinf": 2}, {"regret": "auto"}, "h2"]
 
     def test_integer_fields_accepted(self):
@@ -256,12 +256,10 @@ class TestGamma:
         assert doc["schema_version"] == "1"
         assert doc["gamma_opt"] ** 2 == pytest.approx(0.1, rel=1e-4)
 
-    def test_printed_feasibility_variant(self, runner, s1_config):
-        result = runner.invoke(
-            main, ["gamma", "--config", s1_config, "--feasibility-test", "printed"]
-        )
-        assert result.exit_code == 0, result.output
-        assert "gamma_opt = " in result.output
+    def test_feasibility_test_option_is_gone(self, runner, s1_config):
+        result = runner.invoke(main, ["gamma", "--config", s1_config, "--feasibility-test", "level1"])
+        assert result.exit_code == 2
+        assert "No such option '--feasibility-test'" in result.stderr
 
     def test_byte_identical_reruns(self, runner, s1_config, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -334,13 +332,36 @@ class TestErrors:
 
 
     @pytest.mark.parametrize("tol", ["0", "-1e-3", "1.0", "nan"])
-    def test_tol_outside_unit_interval(self, runner, s1_config, tol):
+    def test_tol_outside_unit_interval(self, runner, s1_config, tol, monkeypatch):
+        _refuse_synthesis(monkeypatch)
         for argv in (["gamma", "--config", s1_config], ["pendulum", "--horizon", "5"]):
             result = runner.invoke(main, argv + ["--tol", tol])
             assert result.exit_code == 1
-            record = json.loads(result.stderr.strip().splitlines()[-1])
-            assert record["error"]["type"] == "ValueError"
-            assert "tol" in record["error"]["message"]
+            assert result.stdout == ""
+            [line] = result.stderr.splitlines()
+            assert json.loads(line)["error"] == {
+                "type": "ConfigError",
+                "message": f"field 'tol': tol must lie strictly between 0 and 1, got {float(tol)}",
+            }
+
+    @pytest.mark.parametrize(
+        "Bw, shape",
+        [([[1.0, 2.0, 3.0, 4.0]], "(3, 1, 4), expected (3, 2, 4)"), ([], "(3, 1, 0), expected (3, 2, 0)")],
+    )
+    def test_wrong_block_shape_record(self, runner, tmp_path, monkeypatch, Bw, shape):
+        """A block is read with the shape it is written in: B_w with one row
+        on a 2-state plant is refused, not reshaped to two rows."""
+        _refuse_synthesis(monkeypatch)
+        lti = {"A": np.eye(2).tolist(), "Bu": [[0.0], [1.0]], "Bw": Bw, "Q": np.eye(2).tolist(), "R": [[1.0]]}
+        cfg = tmp_path / "bw.json"
+        cfg.write_text(json.dumps({"system": {"lti": lti}, "horizon": 3}))
+        result = runner.invoke(main, ["gamma", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert json.loads(line)["error"] == {
+            "type": "ConfigError", "message": f"field 'system': B_w has shape {shape}",
+        }
 
     def test_non_integer_horizon_record(self, runner, tmp_path):
         cfg = tmp_path / "frac.json"
@@ -533,16 +554,16 @@ class TestPendulum:
 
 
 def test_each_subcommand_declares_only_the_options_it_reads(runner, s1_config):
-    shared = ["--config", "--feasibility-test", "--json", "--seed", "--tol"]
+    shared = ["--config", "--json", "--seed", "--tol"]
     declared = {name: sorted(o for p in cmd.params for o in p.opts) for name, cmd in main.commands.items()}
     assert declared == {
         "gamma": shared,
         "synth": shared,
         "certify": shared,
         "simulate": sorted(shared + ["--csv"]),
-        "pendulum": ["--csv", "--feasibility-test", "--horizon", "--json", "--mode", "--seed", "--tol", "--trials"],
+        "pendulum": ["--csv", "--horizon", "--json", "--mode", "--seed", "--tol", "--trials"],
     }
-    assert sum(map(len, declared.values())) == 29
+    assert sum(map(len, declared.values())) == 24
     result = runner.invoke(main, ["gamma", "--config", s1_config, "--csv", "x.csv"])
     assert result.exit_code == 2
     assert "No such option '--csv'" in result.stderr
@@ -581,7 +602,7 @@ _mutations = st.one_of(
     st.tuples(st.just(("seed",)), _bad_int(0)),
     st.tuples(st.just(("lookahead",)), _bad_int(0, 3)),
     st.tuples(st.just(("delay",)), _bad_int(0, 2)),
-    st.tuples(st.just(("tol",)), _not_number),
+    st.tuples(st.just(("tol",)), st.one_of(_not_number, st.sampled_from([0, 1, -1e-3]))),
     st.tuples(st.just(("output",)), st.one_of(st.lists(st.text(max_size=2), max_size=2), st.text(max_size=2))),
     st.tuples(
         st.tuples(st.just("output"), st.sampled_from(["csv", "gains", "certificate"])),

@@ -106,6 +106,35 @@ class TestValidate:
         with pytest.raises(ValueError, match="Q has a non-finite"):
             validate_system(LqSystem(sys.A, sys.B_u, sys.B_w, Q, sys.R, sys.Q_T))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_symmetrization_rejected(self):
+        # finite entries whose sum (R + R')/2 overflows to inf
+        bad = LqSystem.time_invariant([[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.7e308]], horizon=3)
+        with pytest.raises(ValueError, match=r"^R overflows the float range in its symmetrization$"):
+            validate_system(bad)
+        bad = LqSystem.time_invariant([[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[-1.7e308]], horizon=3)
+        with pytest.raises(ValueError, match=r"^Q_T overflows the float range in its symmetrization$"):
+            validate_system(bad)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_psd_tolerance_rejected(self):
+        # an indefinite Q whose Frobenius norm overflows: an infinite
+        # tolerance would accept it
+        Q = [[1e200, 0.0], [0.0, -1e200]]
+        bad = LqSystem.time_invariant(np.eye(2), np.ones((2, 1)), np.eye(2), Q, [[1.0]], horizon=3)
+        with pytest.raises(ValueError, match=r"^Q overflows the float range in its PSD tolerance$"):
+            validate_system(bad)
+        bad = LqSystem.time_invariant(np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(2), [[1.0]], Q, horizon=3)
+        with pytest.raises(ValueError, match=r"^Q_T overflows the float range in its PSD tolerance$"):
+            validate_system(bad)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_finite_costs_keep_their_tolerance(self):
+        # 1e150 squares to 1e300: near the range, but finite throughout
+        Q = np.diag([1e150, 0.0])
+        sys = validate_system(LqSystem.time_invariant(np.eye(2), np.ones((2, 1)), np.eye(2), Q, [[1e300]], Q, horizon=2))
+        assert np.array_equal(sys.Q[0], Q) and np.array_equal(sys.Q_T, Q) and sys.R[0, 0, 0] == 1e300
+
 
 def _psd_stack(seed, T=7):
     rng = np.random.default_rng(seed)
