@@ -106,7 +106,14 @@ def augment_delay(sys: LqSystem, d: int) -> AugmentedSystem:
 
 class WrappedController:
     """Drives a controller synthesized on the augmented system with
-    base-system signals, owning all index bookkeeping."""
+    base-system signals, owning all index bookkeeping.
+
+    In prediction mode the wrapped controller is exact only when the first h
+    base disturbances are zero: the augmented plant starts with an empty
+    preview window, so the inner controller's model never sees w_0..w_{h-1}.
+    A nonzero prefix drives the base plant off that model, and on an unstable
+    plant the rollout diverges. In delay mode the controls are those of the
+    delayed plant: each acts d steps after it is chosen."""
 
     def __init__(self, aug: AugmentedSystem, inner):
         self.aug = aug
@@ -121,7 +128,8 @@ class WrappedController:
 
 def wrap_controller(aug: AugmentedSystem, controller) -> WrappedController:
     """Re-index an augmented-system controller so the harness can drive it
-    with base-system disturbances."""
+    with base-system disturbances whose first h samples are zero (see
+    WrappedController: a nonzero prefix diverges on an unstable plant)."""
     if aug.length == 0:
         return controller
     return WrappedController(aug, controller)

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import controllers as ct
 from . import operator_oracle as oo
-from .augmentation import augment_delay, augment_predictions, wrap_controller
+from .augmentation import augment_delay, augment_predictions
 from .sim_bench import DisturbanceError, DisturbanceSpec, _is_numeric, compare
-from .system_model import LqSystem, validate_system
+from .system_model import LqSystem, normalize_control_weight, validate_system
 
 SCHEMA_VERSION = "1"
 
@@ -285,60 +285,54 @@ def _load(config_path, seed, tol):
 
 
 def _augmented(cfg):
+    """The system every subcommand synthesizes for: the config's plant with
+    its delay, then its lookahead, augmented into the state."""
     sys = cfg["system"]
     r = cfg["resolved"]
-    aug = None
     if r["delay"]:
-        aug = augment_delay(sys, r["delay"])
-        sys = aug.system
+        sys = augment_delay(sys, r["delay"]).system
     if r["lookahead"]:
-        aug = augment_predictions(sys, r["lookahead"])
-        sys = aug.system
-    return sys, aug
+        sys = augment_predictions(sys, r["lookahead"]).system
+    return sys
 
 
-def _build_controllers(cfg):
-    """Synthesize the configured controllers on the (possibly augmented)
-    system, wrapped back to base signals, and their levels. "offline" is
-    compare's own baseline and needs no synthesis."""
-    synth_sys, aug = _augmented(cfg)
+def _build_controllers(synth_sys, cfg):
+    """Synthesize the configured controllers on synth_sys, and their levels.
+    "offline" is compare's own baseline and needs no synthesis."""
     tol = cfg["resolved"]["tol"]
     out = {}
     gammas = {}
     for name, level in cfg["controllers"]:
         if name == "h2":
-            ctrl = ct.synthesize_h2(synth_sys)
-        elif name == "hinf":
+            out[name] = ct.synthesize_h2(synth_sys)
+        elif name != "offline":
+            optimal, at_level = {
+                "hinf": (ct.hinf_optimal, ct.synthesize_hinf),
+                "regret": (ct.regret_optimal, ct.regret_controller),
+            }[name]
             if level == "auto":
-                res, ctrl = ct.hinf_optimal(synth_sys, tol)
+                res, out[name] = optimal(synth_sys, tol)
                 level = res.gamma_opt
             else:
-                ctrl = ct.synthesize_hinf(synth_sys, level)
+                out[name] = at_level(synth_sys, level)
             gammas[name] = level
-        elif name == "regret":
-            if level == "auto":
-                res, ctrl = ct.regret_optimal(synth_sys, tol)
-                level = res.gamma_opt
-            else:
-                ctrl = ct.regret_controller(synth_sys, level)
-            gammas[name] = level
-        else:
-            continue
-        out[name] = ctrl if aug is None else wrap_controller(aug, ctrl)
     return out, gammas
 
 
 def _simulate(cfg, csv_path):
     """Synthesize the configured controllers, compare them over the
-    configured disturbance and write the cost CSV: one row per step t, then
-    each controller's time-averaged cost at t averaged over the trials, in
-    config order with the offline baseline last if requested. Returns the
-    report, the controllers' levels and the CSV path."""
-    ctrls, gammas = _build_controllers(cfg)
+    configured disturbance on the system they were synthesized for and write
+    the cost CSV: one row per step t, then each controller's time-averaged
+    cost at t averaged over the trials, in config order with the offline
+    baseline last if requested. Returns the report, the controllers' levels
+    and the CSV path. With a lookahead h, disturbance sample k is previewed
+    at step k and reaches the plant at step k + h."""
+    synth_sys = _augmented(cfg)
+    ctrls, gammas = _build_controllers(synth_sys, cfg)
     r = cfg["resolved"]
-    report = compare(cfg["system"], ctrls, cfg["disturbance"], trials=r["trials"])
+    report = compare(synth_sys, ctrls, cfg["disturbance"], trials=r["trials"])
     names = list(ctrls) + [n for n, _ in cfg["controllers"] if n == "offline"]
-    rows = [[t] + [report.time_averaged[n][:, t].mean() for n in names] for t in range(cfg["system"].T)]
+    rows = [[t] + [report.time_averaged[n][:, t].mean() for n in names] for t in range(synth_sys.T)]
     out = csv_path or r["output"].get("csv", "simulate.csv")
     emit_csv(out, ["t"] + [f"cost_{n}" for n in names], rows)
     return report, gammas, out
@@ -394,8 +388,7 @@ def _guarded(fn):
 def gamma(config_path, seed, tol, json_path):
     """Bisect for the regret-optimal performance level."""
     cfg = _load(config_path, seed, tol)
-    synth_sys, _ = _augmented(cfg)
-    res, _ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"])
+    res, _ctrl = ct.regret_optimal(_augmented(cfg), cfg["resolved"]["tol"])
     click.echo(f"gamma_opt = {_float_repr(res.gamma_opt)}")
     if json_path:
         emit_json(
@@ -416,11 +409,9 @@ def gamma(config_path, seed, tol, json_path):
 def synth(config_path, seed, tol, json_path):
     """Synthesize the regret controller and export its per-step gains."""
     cfg = _load(config_path, seed, tol)
-    synth_sys, _ = _augmented(cfg)
-    res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"])
-    if not hasattr(ctrl, "synthesis"):
+    res, s = ct.regret_optimal(_augmented(cfg), cfg["resolved"]["tol"])
+    if isinstance(s, ct.ZeroController):
         raise click.ClickException("degenerate system: the zero controller has no gains to export")
-    s = ctrl.synthesis
     doc = {
         "config": cfg["resolved"],
         "gamma": s.gamma,
@@ -465,12 +456,10 @@ def simulate(config_path, seed, tol, csv_path, json_path):
 def certify(config_path, seed, tol, json_path):
     """Run the dense operator oracle on the synthesized regret controller."""
     cfg = _load(config_path, seed, tol)
-    synth_sys, _ = _augmented(cfg)
+    synth_sys = _augmented(cfg)
     try:
         oo.check_size(synth_sys)
         res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"])
-        from .system_model import normalize_control_weight
-
         ops = oo.build_operators(normalize_control_weight(synth_sys).system)
         K = oo.controller_operator(synth_sys, ctrl)
         cert = oo.worst_case_regret_gain(ops, K)
@@ -493,10 +482,13 @@ def certify(config_path, seed, tol, json_path):
     click.echo(f"certificate written to {out}")
 
 
-def pendulum_system(horizon: int, c: float = 0.1) -> LqSystem:
-    """Linearized inverted pendulum: A = [[1, 1], [1, 1-c]], B_u = [0, 1]',
-    B_w = I, Q = I, R = 1, no terminal cost."""
-    A = np.array([[1.0, 1.0], [1.0, 1.0 - c]])
+PENDULUM_C = 0.1  # the c of pendulum_system's A
+
+
+def pendulum_system(horizon: int) -> LqSystem:
+    """Linearized inverted pendulum: A = [[1, 1], [1, 1-c]] with c =
+    PENDULUM_C, B_u = [0, 1]', B_w = I, Q = I, R = 1, no terminal cost."""
+    A = np.array([[1.0, 1.0], [1.0, 1.0 - PENDULUM_C]])
     B_u = np.array([[0.0], [1.0]])
     B_w = np.eye(2)
     return validate_system(
@@ -529,7 +521,7 @@ def pendulum(mode, horizon, trials, seed, tol, csv_path, json_path):
         "trials": r["trials"],
         "seed": r["seed"],
         "tol": r["tol"],
-        "c": 0.1,
+        "c": PENDULUM_C,
         "alternating_period": 15,
     }
     click.echo(json.dumps(resolved, sort_keys=True))

@@ -53,13 +53,22 @@ class ZeroController:
         return np.zeros(w.shape[:-2] + (self._sys.T, self._sys.m))
 
 
-class FeedbackController:
-    """u_t = K_x_t x_t + K_w_t w_t (the H2 and H-infinity central forms)."""
+def _gain(B_u, P, H, X):
+    """-H_t^{-1} B_u_t' P_{t+1} X_t, stacked over t; each step gets the same
+    bits as its own products."""
+    return -np.linalg.solve(H, (np.swapaxes(B_u, 1, 2) @ P[1:]) @ X)
 
-    def __init__(self, sys: LqSystem, K_x, K_w):
+
+class FeedbackController:
+    """u_t = K_x_t x_t + K_w_t w_t (the H2 and H-infinity central forms),
+    carrying the LQR or H-infinity tape its gains K_x = -H^{-1} B_u' P A and
+    K_w = -H^{-1} B_u' P B_w come from."""
+
+    def __init__(self, sys: LqSystem, tape):
         self._sys = sys
-        self.K_x = np.asarray(K_x, dtype=float)
-        self.K_w = np.asarray(K_w, dtype=float)
+        self.tape = tape
+        self.K_x = _gain(sys.B_u, tape.P, tape.H, sys.A)
+        self.K_w = _gain(sys.B_u, tape.P, tape.H, sys.B_w)
 
     def control_sequence(self, w):
         w = as_signal(w, self._sys.T, self._sys.p)
@@ -69,26 +78,11 @@ class FeedbackController:
         return u
 
 
-def _feedback_gains(sys: LqSystem, tape_P, tape_H):
-    """K_x = -H_t^{-1} B_u' P_{t+1} A_t and K_w = -H_t^{-1} B_u' P_{t+1} B_w_t,
-    stacked over t; each step gets the same bits as its own products."""
-    BtP = np.swapaxes(sys.B_u, 1, 2) @ tape_P[1:]
-    return -np.linalg.solve(tape_H, BtP @ sys.A), -np.linalg.solve(tape_H, BtP @ sys.B_w)
-
-
-def _feedback_controller(sys: LqSystem, tape) -> FeedbackController:
-    """The feedback controller of an LQR or H-infinity tape, carrying it."""
-    K_x, K_w = _feedback_gains(sys, tape.P, tape.H)
-    ctrl = FeedbackController(sys, K_x, K_w)
-    ctrl.tape = tape
-    return ctrl
-
-
 def synthesize_h2(sys: LqSystem) -> FeedbackController:
     """H2-optimal controller: u_t = -H_t^{-1} B_u' P_{t+1}(A_t x_t + B_w_t w_t)
     with P from the backward LQR recursion."""
     sys = as_validated(sys)
-    return _feedback_controller(sys, riccati.backward_lqr(sys))
+    return FeedbackController(sys, riccati.backward_lqr(sys))
 
 
 def synthesize_hinf(sys: LqSystem, gamma: float) -> FeedbackController:
@@ -98,7 +92,7 @@ def synthesize_hinf(sys: LqSystem, gamma: float) -> FeedbackController:
     tape = riccati.backward_hinf(sys, gamma)
     if not tape.feasible:
         raise InfeasibleError(gamma, tape.first_infeasible_step)
-    return _feedback_controller(sys, tape)
+    return FeedbackController(sys, tape)
 
 
 @dataclass
@@ -109,7 +103,6 @@ class GammaSearchResult:
     bracket_history: list
     iterations: int
     final_margins: np.ndarray
-    tol: float
 
 
 def _check_tol(tol):
@@ -181,7 +174,6 @@ def _bisect_gamma(probe, tol):
         bracket_history=history,
         iterations=iters,
         final_margins=best.margins,
-        tol=tol,
     )
     return result, best
 
@@ -192,7 +184,7 @@ def hinf_optimal(sys: LqSystem, tol: float = 1e-6):
     _check_tol(tol)
     sys = as_validated(sys)
     result, tape = _bisect_gamma(lambda g: riccati.backward_hinf(sys, g), tol)
-    return result, _feedback_controller(sys, tape)
+    return result, FeedbackController(sys, tape)
 
 
 def _solve(H, b):
@@ -277,13 +269,25 @@ def prepare_regret(sys: LqSystem) -> RegretProblem:
 
 @dataclass
 class RegretSynthesis(riccati.Verdict):
-    """Frozen output of the regret-suboptimal synthesis at level gamma.
+    """Frozen output of the regret-suboptimal synthesis at level gamma, and
+    the regret controller it defines.
 
     Carries the augmented 2n-dimensional system (Ahat, Bhat_u, Bhat_w, Qhat),
     its backward value tape Phat with Hhat = I + Bhat_u' Phat Bhat_u, the
     embedded forward/backward Kalman tapes, and the per-step feasibility
     margins of the associated H-infinity test. The step gains M_state and M_z
     are computed on first access, so a feasibility probe never builds them.
+
+    Its one realization, `control_sequence` through `kernels.rollout_regret`,
+    runs the Delta-driver state delta_t producing z_t = R_be^{1/2} K_bl'
+    delta_t + R_be^{1/2} w_t next to the plant state x_t that the rollout
+    itself simulates; the control depends causally on w_0..w_t only.
+
+    The augmented state [zeta_t; nu_t] of the synthesis equals [x_t; delta_t]
+    in exact arithmetic, so the realization feeds that plant state back
+    instead of simulating zeta through a possibly unstable A (rounding
+    differences would grow exponentially there); delta only sees the stable
+    closed-loop observer matrix Atil.
     """
 
     gamma: float
@@ -313,37 +317,21 @@ class RegretSynthesis(riccati.Verdict):
         margin is negative, since gains only exist on a feasible tape."""
         if not self.feasible:
             return np.zeros(self.Hhat.shape[:2] + X.shape[2:])
-        BtP = np.swapaxes(self.Bhat_u, 1, 2) @ self.Phat[1:]
-        return -np.linalg.solve(self.Hhat, BtP @ X)
-
-
-class RegretController:
-    """Regret-suboptimal controller at a fixed performance level.
-
-    Its one realization, `kernels.rollout_regret`, runs the Delta-driver
-    state delta_t producing z_t = R_be^{1/2} K_bl' delta_t + R_be^{1/2} w_t
-    next to the plant state x_t that the rollout itself simulates; the
-    control depends causally on w_0..w_t only.
-
-    The augmented state [zeta_t; nu_t] of the synthesis equals [x_t; delta_t]
-    in exact arithmetic, so the realization feeds that plant state back
-    instead of simulating zeta through a possibly unstable A (rounding
-    differences would grow exponentially there); delta only sees the stable
-    closed-loop observer matrix Atil.
-    """
-
-    def __init__(self, synthesis: RegretSynthesis):
-        self.synthesis = synthesis
+        return _gain(self.Bhat_u, self.Phat, self.Hhat, X)
 
     def control_sequence(self, w):
-        s = self.synthesis
-        nsys = s.norm.system
+        """Controls (..., T, m) for w (T, p) or (..., T, p); raises
+        InfeasibleError on a synthesis whose level is not attainable."""
+        if not self.feasible:
+            raise InfeasibleError(self.gamma, self.first_infeasible_step)
+        nsys = self.norm.system
         w = as_signal(w, nsys.T, nsys.p)
-        M_x, M_d = s.M_state[:, :, :nsys.n], s.M_state[:, :, nsys.n:]
+        M_x, M_d = self.M_state[:, :, :nsys.n], self.M_state[:, :, nsys.n:]
         u_norm, _ = kernels.rollout_regret(
-            nsys.A, nsys.B_u, s.fwd.Atil, nsys.B_w, s.bwd.K_bl, s.bwd.R_be_sqrt, M_x, M_d, s.M_z, w
+            nsys.A, nsys.B_u, self.fwd.Atil, nsys.B_w, self.bwd.K_bl, self.bwd.R_be_sqrt,
+            M_x, M_d, self.M_z, w,
         )
-        return s.norm.to_original_u(u_norm)
+        return self.norm.to_original_u(u_norm)
 
 
 def _windows(T):
@@ -443,13 +431,13 @@ def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynt
     )
 
 
-def regret_controller(sys: LqSystem, gamma: float):
-    """Synthesize at level gamma and wrap it as a controller; raises
+def regret_controller(sys: LqSystem, gamma: float) -> RegretSynthesis:
+    """The regret controller at level gamma: its synthesis; raises
     InfeasibleError when the level is unattainable."""
     synthesis = synthesize_regret(sys, gamma)
     if not synthesis.feasible:
         raise InfeasibleError(gamma, synthesis.first_infeasible_step)
-    return RegretController(synthesis)
+    return synthesis
 
 
 def _is_regret_degenerate(sys: LqSystem):
@@ -465,8 +453,9 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6):
     Returns (GammaSearchResult, controller). The gamma-independent work is
     prepared once; each probe reruns only the backward Kalman recursion, the
     assembly of the doubled system and its value recursion, and stops at
-    the first window that fails. The controller is built from the last
-    feasible probe, which is the one at gamma_opt."""
+    the first window that fails. The controller is the last feasible probe's
+    synthesis, which is the one at gamma_opt (a ZeroController when the
+    disturbance cannot produce cost)."""
     _check_tol(tol)
     sys = as_validated(sys)
     if _is_regret_degenerate(sys):
@@ -475,12 +464,10 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6):
             bracket_history=[],
             iterations=0,
             final_margins=np.full(sys.T, -np.inf),
-            tol=tol,
         )
         return result, ZeroController(sys)
     problem = prepare_regret(sys)
-    result, synthesis = _bisect_gamma(lambda g: synthesize_regret(problem, g), tol)
-    return result, RegretController(synthesis)
+    return _bisect_gamma(lambda g: synthesize_regret(problem, g), tol)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .riccati import BackwardKalmanTape, ForwardKalmanTape
+from .sim_bench import controls
 from .system_model import (
     DefinitenessError,
     LqSystem,
@@ -216,8 +217,6 @@ def controller_operator(sys: LqSystem, controller, tol: float = 1e-9) -> np.ndar
     controls. Raises CausalityViolationError naming the first block (i, j),
     j > i, in row-major order whose largest magnitude exceeds tol.
     """
-    from .sim_bench import controls  # local import to avoid a cycle
-
     sys = as_validated(sys)
     check_size(sys)
     norm = normalize_control_weight(sys)

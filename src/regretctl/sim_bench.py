@@ -7,6 +7,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .controllers import offline_noncausal
 from .system_model import LqSystem, Trajectory, as_signal, as_validated, evaluate_cost
 
 
@@ -156,8 +157,6 @@ def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int
     (seed offset by trial index) and account costs and realized regret
     against the offline-optimal baseline. The trials are stacked into one
     (trials, T, p) batch: one offline plan and one rollout per controller."""
-    from .controllers import offline_noncausal
-
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     sys = as_validated(sys)

@@ -106,15 +106,14 @@ class LqSystem:
 @dataclass(frozen=True)
 class Trajectory:
     """A realized rollout: states x (T+1, n), controls u (T, m), disturbances
-    w (T, p), weighted states s_t = Q_t^{1/2} x_t (T, n), the total cost, and
-    the per-step costs step_costs (T,): x_t' Q_t x_t + u_t' R_t u_t, with the
-    terminal term added at the last step. A batch of rollouts carries the
-    same leading axes on every array, total_cost included."""
+    w (T, p), the total cost, and the per-step costs step_costs (T,):
+    x_t' Q_t x_t + u_t' R_t u_t, with the terminal term added at the last
+    step. A batch of rollouts carries the same leading axes on every array,
+    total_cost included."""
 
     x: np.ndarray
     u: np.ndarray
     w: np.ndarray
-    s: np.ndarray
     total_cost: float | np.ndarray
     step_costs: np.ndarray
 
@@ -148,6 +147,10 @@ def validate_system(sys: LqSystem) -> LqSystem:
     -1e-9*(1+||M||)); R_t must be PD.
     """
     T, n, m, p = sys.T, sys.n, sys.m, sys.p
+    for name, B in (("B_u", sys.B_u), ("B_w", sys.B_w)):
+        rows = B.shape[1]  # named alone: a (T, n, k) shape would take k from the bad block
+        if rows != n:
+            raise DimensionError(f"{name} has {rows} row{'' if rows == 1 else 's'}, expected n = {n}")
     _check_shape("A", sys.A, (T, n, n))
     _check_shape("B_u", sys.B_u, (T, n, m))
     _check_shape("B_w", sys.B_w, (T, n, p))
@@ -259,7 +262,4 @@ def evaluate_cost(sys: LqSystem, w, u) -> Trajectory:
     terminal = _quad(sys.Q_T, x[..., T, :])
     steps[..., T - 1] += terminal
     cost += terminal
-    s = (psd_sqrt(sys.Q) @ x[..., :T, :, None])[..., 0]
-    return Trajectory(
-        x=x, u=u, w=w, s=s, total_cost=cost if batch else float(cost), step_costs=steps
-    )
+    return Trajectory(x=x, u=u, w=w, total_cost=cost if batch else float(cost), step_costs=steps)

@@ -107,9 +107,8 @@ def full_horizon_reference(sys, gamma, test):
 
 def printed_regret_optimal(sys, tol):
     """The regret bisection under the "printed" feasibility test, over
-    full-horizon syntheses. Returns (GammaSearchResult, RegretController)."""
-    result, synthesis = ct._bisect_gamma(lambda g: full_horizon_reference(sys, g, "printed"), tol)
-    return result, ct.RegretController(synthesis)
+    full-horizon syntheses. Returns (GammaSearchResult, RegretSynthesis)."""
+    return ct._bisect_gamma(lambda g: full_horizon_reference(sys, g, "printed"), tol)
 
 
 def random_disturbance(seed, sys, scale=1.0):
@@ -387,7 +386,7 @@ def reference_dense_delta_operator(norm: NormalizedSystem, fwd: ForwardKalmanTap
 # The regret controller's step and rollout as they were while the controller
 # also had a stepping realization, kept verbatim apart from their names (and
 # `_mv`, copied with them). `kernels.rollout_regret` and
-# `RegretController.control_sequence` are held to them bit for bit.
+# `RegretSynthesis.control_sequence` are held to them bit for bit.
 
 
 def _mv(M, v):

@@ -275,8 +275,7 @@ class TestSynth:
         result = runner.invoke(main, ["synth", "--config", s1_config, "--json", str(out)])
         assert result.exit_code == 0, result.output
         doc = json.loads(out.read_text())
-        res, ctrl = ct.regret_optimal(parse_config(S1_CONFIG)["system"], tol=1e-6)
-        s = ctrl.synthesis
+        res, s = ct.regret_optimal(parse_config(S1_CONFIG)["system"], tol=1e-6)
         assert np.array_equal(np.array(doc["P_hat"]), s.Phat)
         assert np.array_equal(np.array(doc["K_bl"]), s.bwd.K_bl)
         assert np.array_equal(np.array(doc["A_til"]), s.fwd.Atil)
@@ -307,6 +306,22 @@ class TestSimulate:
             )
             assert result.exit_code == 0, result.output
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSimulateAugmented:
+    @pytest.mark.parametrize("lookahead, delay", [(2, 0), (0, 1), (3, 1)])
+    def test_pathwise_regret_bound(self, tmp_path, lookahead, delay):
+        """simulate scores its controllers on the system they were
+        synthesized for, so the regret controller meets the paper's pathwise
+        bound on every trial: realized regret <= gamma_opt^2 ||w||^2."""
+        disturbance = {"kind": "alternating", "params": {"mean": [1.0, 1.0], "period": 15}}
+        fields = {"lookahead": lookahead, "delay": delay, "disturbance": disturbance, "trials": 5}
+        cfg = cli._resolve(pendulum_system(30), fields, None, None)
+        report, gammas, _ = cli._simulate(cfg, str(tmp_path / "sim.csv"))
+        spec = cfg["disturbance"]
+        for k, regret in enumerate(report.realized_regret["regret"]):
+            w = DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k).generate(30, 2)
+            assert regret <= gammas["regret"] ** 2 * np.sum(w**2) * (1 + 1e-9), k
 
 
 class TestErrors:
@@ -345,22 +360,26 @@ class TestErrors:
             }
 
     @pytest.mark.parametrize(
-        "Bw, shape",
-        [([[1.0, 2.0, 3.0, 4.0]], "(3, 1, 4), expected (3, 2, 4)"), ([], "(3, 1, 0), expected (3, 2, 0)")],
+        "block, value, name",
+        [("Bw", [[1.0, 2.0, 3.0, 4.0]], "B_w"), ("Bw", [], "B_w"), ("Bu", [0.0, 1.0], "B_u")],
+        ids=["Bw-flat", "Bw-empty", "Bu-flat"],
     )
-    def test_wrong_block_shape_record(self, runner, tmp_path, monkeypatch, Bw, shape):
-        """A block is read with the shape it is written in: B_w with one row
-        on a 2-state plant is refused, not reshaped to two rows."""
+    def test_wrong_block_shape_record(self, runner, tmp_path, monkeypatch, block, value, name):
+        """A block is read with the shape it is written in: an input block
+        with one row on a 2-state plant is refused, not reshaped to two rows,
+        and the record names the row count, not a shape built from the
+        malformed block's own column count."""
         _refuse_synthesis(monkeypatch)
-        lti = {"A": np.eye(2).tolist(), "Bu": [[0.0], [1.0]], "Bw": Bw, "Q": np.eye(2).tolist(), "R": [[1.0]]}
-        cfg = tmp_path / "bw.json"
+        eye = np.eye(2).tolist()
+        lti = {"A": eye, "Bu": [[0.0], [1.0]], "Bw": eye, "Q": eye, "R": [[1.0]], block: value}
+        cfg = tmp_path / "b.json"
         cfg.write_text(json.dumps({"system": {"lti": lti}, "horizon": 3}))
         result = runner.invoke(main, ["gamma", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stdout == ""
         [line] = result.stderr.splitlines()
         assert json.loads(line)["error"] == {
-            "type": "ConfigError", "message": f"field 'system': B_w has shape {shape}",
+            "type": "ConfigError", "message": f"field 'system': {name} has 1 row, expected n = 2",
         }
 
     def test_non_integer_horizon_record(self, runner, tmp_path):

@@ -103,7 +103,7 @@ class TestHinf:
 
 
 def _feedback_gains_loop(sys, tape_P, tape_H):
-    """The per-step loop that `_feedback_gains` replaced."""
+    """The per-step loop that the stacked `_gain` replaced."""
     T = sys.T
     K_x = np.zeros((T, sys.m, sys.n))
     K_w = np.zeros((T, sys.m, sys.p))
@@ -128,8 +128,8 @@ class TestFeedbackGains:
         gamma = ct.hinf_optimal(sys, tol=1e-4)[0].gamma_opt
         tapes.append(riccati.backward_hinf(sys, 1.5 * gamma))
         for tape in tapes:
-            for a, b in zip(ct._feedback_gains(sys, tape.P, tape.H),
-                            _feedback_gains_loop(sys, tape.P, tape.H)):
+            stacked = [ct._gain(sys.B_u, tape.P, tape.H, X) for X in (sys.A, sys.B_w)]
+            for a, b in zip(stacked, _feedback_gains_loop(sys, tape.P, tape.H)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -353,7 +353,7 @@ class TestRegretProblem:
         res, ctrl = ct.regret_optimal(pendulum_system(30), 1e-6)
         assert len(probes) == res.iterations + 1  # one synthesis per probe, none after
         last = [syn for syn in probes if syn.feasible][-1]
-        assert ctrl.synthesis is last and last.gamma == res.gamma_opt
+        assert ctrl is last and last.gamma == res.gamma_opt
         assert res.final_margins is last.margins
 
     def test_infeasible_gains_are_zero(self):
@@ -361,6 +361,12 @@ class TestRegretProblem:
         assert not syn.feasible
         assert syn.M_state.shape == (3, 1, 2) and not syn.M_state.any()
         assert syn.M_z.shape == (3, 1, 1) and not syn.M_z.any()
+
+    def test_infeasible_synthesis_refuses_to_run(self):
+        syn = ct.synthesize_regret(s1(), 0.1)
+        with pytest.raises(ct.InfeasibleError, match=r"gamma=0\.1 \(first failing step t=") as info:
+            syn.control_sequence(np.ones((3, 1)))
+        assert info.value.step == syn.first_infeasible_step
 
 
 _SWEEP_SYSTEMS = (

@@ -238,7 +238,7 @@ class TestEndToEndBitIdentity:
             out = []
             res, ctrl = ct.regret_optimal(sys, tol=1e-6)
             out += [res.gamma_opt, res.bracket_history, res.final_margins,
-                    ctrl.synthesis.M_state, ctrl.synthesis.M_z]
+                    ctrl.M_state, ctrl.M_z]
             res, ctrl = ct.hinf_optimal(sys, tol=1e-6)
             out += [res.gamma_opt, res.bracket_history, res.final_margins, ctrl.K_x, ctrl.K_w]
             h2 = ct.synthesize_h2(sys)
@@ -248,9 +248,8 @@ class TestEndToEndBitIdentity:
             assert_same_bits(a, b)
 
 
-def _rollout_args(ctrl):
+def _rollout_args(s):
     """The arguments of `kernels.rollout_regret` before w, for a regret controller."""
-    s = ctrl.synthesis
     nsys = s.norm.system
     n = nsys.n
     return (nsys.A, nsys.B_u, s.fwd.Atil, nsys.B_w, s.bwd.K_bl, s.bwd.R_be_sqrt,
@@ -277,7 +276,7 @@ class TestRegretRolloutBitIdentity:
             expected = reference_rollout_regret(*args, w)
             for a, b in zip(kernels.rollout_regret(*args, w), expected):
                 assert_same_bits(a, b)
-            assert_same_bits(ctrl.control_sequence(w), ctrl.synthesis.norm.to_original_u(expected[0]))
+            assert_same_bits(ctrl.control_sequence(w), ctrl.norm.to_original_u(expected[0]))
 
 
 def _overflow_system(T=30):

@@ -242,7 +242,7 @@ def _controllers(sys):
 
 def _wrapped_controllers(sys, delay, lookahead):
     """h2, hinf and regret synthesized after `delay` then `lookahead`
-    augmentation, as the CLI builds them, wrapped back to base signals."""
+    augmentation, wrapped back to base signals."""
     from regretctl.augmentation import augment_delay, augment_predictions, wrap_controller
 
     aug, synth = None, sys
@@ -349,7 +349,7 @@ class TestBatchedRollout:
             for i in range(2):
                 for j in range(3):
                     one = rollout(sys, ctrl, w[i, j])
-                    for field in ("x", "u", "w", "s", "step_costs"):
+                    for field in ("x", "u", "w", "step_costs"):
                         assert np.array_equal(getattr(batch, field)[i, j], getattr(one, field))
                     assert batch.total_cost[i, j] == one.total_cost
 

@@ -236,17 +236,6 @@ class TestEvaluateCost:
         traj = evaluate_cost(s1(), [1.0, 0.0, 0.0], [-0.6, -0.2, 0.0])
         assert traj.total_cost == pytest.approx(0.6, abs=1e-12)
 
-    def test_weighted_states(self):
-        for seed in range(5):
-            sys = random_system(seed)
-            rng = np.random.default_rng(seed)
-            w = rng.standard_normal((sys.T, sys.p))
-            u = rng.standard_normal((sys.T, sys.m))
-            traj = evaluate_cost(sys, w, u)
-            assert traj.s.shape == (sys.T, sys.n)
-            for t in range(sys.T):
-                assert np.allclose(traj.s[t], psd_sqrt(sys.Q[t]) @ traj.x[t], rtol=1e-12, atol=1e-12)
-
     def test_terminal_term_included(self):
         sys = s1(Q_T=[[1.0]])
         base = evaluate_cost(s1(), [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]).total_cost
@@ -296,7 +285,7 @@ class TestBatchedEvaluateCost:
             for j in range(4):
                 one = evaluate_cost(sys, w[i, j], u[i, j])
                 assert isinstance(one.total_cost, float)
-                for field in ("x", "u", "w", "s", "step_costs"):
+                for field in ("x", "u", "w", "step_costs"):
                     assert np.array_equal(getattr(batch, field)[i, j], getattr(one, field))
                 assert batch.total_cost[i, j] == one.total_cost
 
