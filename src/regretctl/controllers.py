@@ -357,7 +357,9 @@ def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynt
     from the carried Phat. It stops after the first window with a margin
     >= 0 and flags every earlier step with max(margin, 1), so the tapes of
     an infeasible level hold only the swept steps. At a feasible level every
-    window runs and the tapes equal one sweep over the whole horizon.
+    window runs. The kernels run a window of 128 steps or more as a chunked
+    scan, which agrees with the step loop to rounding; below that the tapes
+    equal one loop over the whole horizon.
     """
     riccati._check_level(gamma)
     gamma = float(gamma)

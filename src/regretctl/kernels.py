@@ -18,11 +18,28 @@ results are the same bits. That state also covers the loop's own arithmetic,
 so an invalid value there (an overflow that turns into inf - inf) raises
 LinAlgError like a singular pivot does.
 
+The backward Kalman recursion and the stacked value recursion run a window
+of at least `_SCAN_MIN_STEPS` steps as a chunked scan (Sarkka and
+Garcia-Fernandez, "Temporal parallelization of dynamic programming and
+linear quadratic control", IEEE TAC 2023). Each of their steps is the map
+P -> J + A'P(I + CP)^{-1}A with C = B R0^{-1} B', and these maps compose
+associatively (Blelloch's O(k) schedule, in three phases). The last steps
+of a k-step window are cut into chunks of c ~ sqrt(k/2) steps, laid out as
+views of the window. Phase 1 composes the maps of each chunk, one position
+at a time, batched over chunks; phase 2 carries P across the chunk
+boundaries, one after another (`_chunk_ends`); phase 3 runs the step body
+on all chunks at once, each from its boundary P. The loop is the same body
+over one chunk, and it runs the k mod c steps before the chunks. A scan
+that raises LinAlgError falls back to the loop (`_scheduled`), so a
+breakdown means what it means in the loop.
+
 The two rollouts take disturbances with leading batch axes, (..., T, p), and
 run every item in one sweep over time. Each product is a stacked
 matrix-vector product (`_mv`), so an item gets the same bits as its rollout
 alone.
 """
+
+import math
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -54,16 +71,83 @@ def _linalg_errstate():
 
 
 def _sym(M):
-    return (M + M.T) / 2.0
+    """The symmetric part of a matrix, or of each matrix of a stack."""
+    return (M + M.mT) / 2.0
 
 
 def _max_eig(M):
-    """Largest eigenvalue of the symmetric part of M, as np.linalg.eigh
-    computes it; call inside `_linalg_errstate`."""
-    return _eigh(_sym(M), signature="d->dd")[0][-1]
+    """Largest eigenvalue of the symmetric part of M (or of each matrix of a
+    stack), as np.linalg.eigh computes it; call inside `_linalg_errstate`."""
+    return _eigh(_sym(M), signature="d->dd")[0][..., -1]
 
 
-def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked):
+# windows of at least this many steps run as a chunked scan. The scan beats
+# the loop from about 32 steps on, but every window of a horizon under 255
+# steps is shorter than 128, so those horizons keep the loop's bits
+_SCAN_MIN_STEPS = 128
+
+
+def _chunk_length(k):
+    """Steps per chunk of a k-step window: k (one chunk, the loop) below
+    `_SCAN_MIN_STEPS`, else about sqrt(k/2), which makes the scan's 2c + k/c
+    interpreted steps (c in each of phases 1 and 3, k/c in phase 2) least."""
+    return k if k < _SCAN_MIN_STEPS else math.isqrt(k // 2)
+
+
+def _scheduled(sweep, k, *args):
+    """sweep(*args) over a window of k steps, as a chunked scan when
+    `_chunk_length` cuts the window, else as the loop. A scan that raises
+    LinAlgError is rerun as the loop, which decides what the breakdown
+    means."""
+    c = _chunk_length(k)
+    if c < k:
+        try:
+            return sweep(*args, chunk=c)
+        except np.linalg.LinAlgError:
+            pass
+    return sweep(*args)
+
+
+def _chunked(x, c, r=0):
+    """Steps r.. of a window x: (k, ...) in chunks of c steps, laid out by
+    position, (c, N, ...) with step r + j*c + i at [i, j]; a view of x when
+    x is contiguous. With c None (the loop), x itself."""
+    if c is None:
+        return x
+    return x[r:].reshape((-1, c) + x.shape[1:]).swapaxes(0, 1)
+
+
+def _chunk_ends(A, B, R0, J, P_last):
+    """Phases 1 and 2 of the scan over chunked steps (c, N, ...) whose maps
+    are P -> J + A'P(I + CP)^{-1}A with C = B R0^{-1} B': compose the maps
+    of each chunk but the first, batched over chunks, then carry P_last back
+    across the chunk boundaries. Returns (N, n, n), the P at the end of each
+    chunk (P_last for the last one). Call inside `_linalg_errstate`."""
+    c, N, n, _ = A.shape
+    eye = np.eye(n)
+
+    def step(i):
+        A_i, B_i = A[i, 1:], B[i, 1:]
+        return A_i, B_i @ _solve(R0[i, 1:], B_i.mT, signature="dd->d"), J[i, 1:]
+
+    # the composed map of steps i..c-1 of chunks 1..N-1, one earlier step at a time
+    cA, cC, cJ = step(c - 1)
+    for i in range(c - 2, -1, -1):
+        A_i, C_i, J_i = step(i)
+        Y = _solve(eye + C_i @ cJ, np.concatenate((A_i, C_i), axis=2), signature="dd->d")
+        cJ = _sym(J_i + A_i.mT @ cJ @ Y[..., :n])
+        cC = _sym(cA @ Y[..., n:] @ cA.mT + cC)
+        cA = cA @ Y[..., :n]
+    ends = np.empty((N, n, n))
+    ends[N - 1] = P_last
+    for j in range(N - 1, 0, -1):
+        X = ends[j]
+        ends[j - 1] = _sym(cJ[j - 1] + cA[j - 1].T @ X @ _solve(
+            eye + cC[j - 1] @ X, cA[j - 1], signature="dd->d"))
+    return ends
+
+
+def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked, chunk=None):
     """The one backward Riccati recursion behind the three public entry points.
 
     P_t = Q_t + A'PA - A'PB J^{-1} B'PA with P = P_{t+1}. When `stacked`, B is
@@ -75,46 +159,72 @@ def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked):
     makes J singular, so the recursion stops there and flags every earlier
     step with max(margin, 1).
 
+    `chunk` runs the recursion as a chunked scan with chunks of that many
+    steps (see the module docstring); by default it is the loop. The scan
+    covers the last chunk * (T // chunk) steps and runs every step of every
+    chunk; if none of them fails, the loop runs the T % chunk steps before
+    them. A failure flags the last failing step and every earlier one as
+    the loop does, and zeros what the loop would not have reached.
+
     Returns (P, H, margins) with P: (T+1, n, n), H: (T, m, m), margins: (T,).
     """
     T, n, _ = A.shape
     m = B_u.shape[2]
     p = B_w.shape[2]
-    P = np.zeros((T + 1, n, n))
-    H = np.zeros((T, m, m))
-    margins = np.zeros(T)
-    P[T] = _sym(P_T)
     neg_l2 = -(level * level) * np.eye(p)
     if stacked:  # the stacked input and blkdiag(R, -level^2 I), once per call
         B = np.concatenate((B_u, B_w), axis=2)
         J0 = np.zeros((T, m + p, m + p))
         J0[:, :m, :m] = R
         J0[:, m:, m:] = neg_l2
+    else:
+        B, J0 = B_u, R
+    P = np.zeros((T + 1, n, n))
+    H = np.zeros((T, m, m))
+    margins = np.zeros(T)
+    P[T] = _sym(P_T)
+    head = T % chunk if chunk else 0  # the steps before the scan
+    A_, B_u_, B_w_, B_, Q_, R_, J0_, P_, H_, margins_ = (
+        _chunked(x, chunk, head) for x in (A, B_u, B_w, B, Q, R, J0, P[:T], H, margins)
+    )
+    AT, B_uT, B_wT, BT = A_.mT, B_u_.mT, B_w_.mT, B_.mT  # transposed once per call
+    t_fail = None  # the last failing step of a stacked recursion
     with _linalg_errstate():
-        for t in range(T - 1, -1, -1):
-            Pn = P[t + 1]
-            BtP = B_u[t].T @ Pn
-            H[t] = _sym(R[t] + BtP @ B_u[t])
+        Pn = ends = _chunk_ends(A_, B_, J0_, Q_, P[T]) if chunk else P[T]
+        for i in range(P_.shape[0] - 1, -1, -1):
+            BtP = B_uT[i] @ Pn
+            H_[i] = _sym(R_[i] + BtP @ B_u_[i])
             if p:
-                WtP = B_w[t].T @ Pn
-                cross = WtP @ B_u[t]
+                WtP = B_wT[i] @ Pn
+                cross = WtP @ B_u_[i]
                 marg = _sym(
-                    neg_l2 + WtP @ B_w[t] - cross @ _solve(H[t], cross.T, signature="dd->d")
+                    neg_l2 + WtP @ B_w_[i] - cross @ _solve(H_[i], cross.mT, signature="dd->d")
                 )
-                margins[t] = _max_eig(marg)
-                if stacked and (margins[t] >= 0.0 or _max_eig(-H[t]) >= 0.0):
-                    margins[: t + 1] = max(margins[t], 1.0)
+                margins_[i] = _max_eig(marg)
+                if stacked and not chunk and (margins_[i] >= 0.0 or _max_eig(-H_[i]) >= 0.0):
+                    t_fail = i  # the loop stops at the failure
                     break
-            AtP = A[t].T @ Pn
             if stacked:
-                Bs = B[t]
-                BsP = Bs.T @ Pn
-                J = _sym(J0[t] + BsP @ Bs)
-                G = _solve(J, BsP @ A[t], signature="dd->d")
-                P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ Bs) @ G)
-            else:
-                G = _solve(H[t], BtP @ A[t], signature="dd->d")
-                P[t] = _sym(Q[t] + AtP @ A[t] - (AtP @ B_u[t]) @ G)
+                BsP = BT[i] @ Pn
+                J = _sym(J0_[i] + BsP @ B_[i])
+            else:  # J is H
+                BsP, J = BtP, H_[i]
+            AtP = AT[i] @ Pn
+            G = _solve(J, BsP @ A_[i], signature="dd->d")
+            P_[i] = Pn = _sym(Q_[i] + AtP @ A_[i] - (AtP @ B_[i]) @ G)
+        if chunk:
+            P_[0, 1:] = ends[:-1]  # a chunk's first P is the one the step before it read
+            if stacked and p:  # the scan ran every step; its last failure counts
+                bad = np.flatnonzero((margins[head:] >= 0.0) | (_max_eig(-H[head:]) >= 0.0))
+                t_fail = head + bad[-1] if bad.size else None
+    if chunk and head and t_fail is None:
+        P[: head + 1], H[:head], margins[:head] = _riccati_backward(
+            A[:head], B_u[:head], B_w[:head], Q[:head], R[:head], P[head], level, stacked
+        )
+    if t_fail is not None:  # flag it and every earlier step; zero what the loop never reached
+        P[: t_fail + 1] = 0.0
+        H[:t_fail] = 0.0
+        margins[: t_fail + 1] = max(margins[t_fail], 1.0)
     return P, H, margins
 
 
@@ -175,21 +285,45 @@ def backward_kalman(Atil, B_w, W, gamma, P_b_last):
 
     Returns (P_b, K_bl, R_be, carry) with P_b: (k, n, n), K_bl: (k, n, p),
     R_be: (k, p, p) and carry the P_b of the step before the window.
+    A window of `_SCAN_MIN_STEPS` or more steps runs as a chunked scan.
     """
+    return _scheduled(_backward_kalman, Atil.shape[0], Atil, B_w, W, gamma, P_b_last)
+
+
+def _backward_kalman(Atil, B_w, W, gamma, P_b_last, chunk=None):
+    """`backward_kalman` as the loop, or as a chunked scan with chunks of
+    `chunk` steps over the last chunk * (k // chunk) steps followed by the
+    loop over the k % chunk steps before them. Its step map is
+    P -> W + Atil'P(I + CP)^{-1}Atil with C = B_w B_w' / gamma^2."""
     k, n, _ = Atil.shape
     p = B_w.shape[2]
-    P_b = np.zeros((k + 1, n, n))
+    P_b = np.zeros((k + 1, n, n))  # P_b[t + 1] is the P_b step t reads
     K_bl = np.zeros((k, n, p))
     R_be = np.zeros((k, p, p))
     g2_eye = (gamma * gamma) * np.eye(p)
     P_b[k] = _sym(P_b_last)
+    head = k % chunk if chunk else 0  # the steps before the scan
+    Atil_, B_w_, W_, P_b_, K_bl_, R_be_ = (
+        _chunked(x, chunk, head) for x in (Atil, B_w, W, P_b[:k], K_bl, R_be)
+    )
+    AtilT, B_wT = Atil_.mT, B_w_.mT  # transposed once per call
     with _linalg_errstate():
-        for t in range(k - 1, -1, -1):
-            Pn = P_b[t + 1]
-            AtP = Atil[t].T @ Pn
-            R_be[t] = _sym(g2_eye + B_w[t].T @ Pn @ B_w[t])
-            K_bl[t] = AtP @ _solve(R_be[t], B_w[t].T, signature="dd->d").T
-            P_b[t] = _sym(AtP @ Atil[t] + W[t] - K_bl[t] @ R_be[t] @ K_bl[t].T)
+        if chunk:
+            g2 = np.broadcast_to(g2_eye, (k, p, p))
+            Pn = ends = _chunk_ends(Atil_, B_w_, _chunked(g2, chunk, head), W_, P_b[k])
+        else:
+            Pn = P_b[k]
+        for i in range(P_b_.shape[0] - 1, -1, -1):
+            AtP = AtilT[i] @ Pn
+            R_be_[i] = _sym(g2_eye + B_wT[i] @ Pn @ B_w_[i])
+            K_bl_[i] = AtP @ _solve(R_be_[i], B_wT[i], signature="dd->d").mT
+            P_b_[i] = Pn = _sym(AtP @ Atil_[i] + W_[i] - K_bl_[i] @ R_be_[i] @ K_bl_[i].mT)
+    if chunk:
+        P_b_[0, 1:] = ends[:-1]  # a chunk's first P_b is the one the step before it read
+        if head:
+            P_b[1: head + 1], K_bl[:head], R_be[:head], P_b[0] = _backward_kalman(
+                Atil[:head], B_w[:head], W[:head], gamma, P_b[head]
+            )
     return P_b[1:], K_bl, R_be, P_b[0]
 
 
@@ -221,11 +355,15 @@ def regret_phat_backward(Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form):
     (2n-dimensional) synthesis: the recursion with R = I, over the stacked
     input [Bhat_u Bhat_w] at attenuation `level`, or over Bhat_u alone (the
     control-only form) when lqr_form is True. Margins are computed at `level`
-    in both cases. Returns (Phat, Hhat, margins).
+    in both cases. Returns (Phat, Hhat, margins). The stacked form runs a
+    window of `_SCAN_MIN_STEPS` or more steps as a chunked scan.
     """
     T, _, m = Bhat_u.shape
     R = np.broadcast_to(np.eye(m), (T, m, m))
-    return _riccati_backward(Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, not lqr_form)
+    args = (Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, not lqr_form)
+    if lqr_form:
+        return _riccati_backward(*args)
+    return _scheduled(_riccati_backward, T, *args)
 
 
 def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):

@@ -7,7 +7,7 @@ import numpy as np
 
 from regretctl import controllers as ct
 from regretctl import kernels, riccati
-from regretctl.cli import SCHEMA_VERSION
+from regretctl.cli import SCHEMA_VERSION, pendulum_system
 from regretctl.riccati import BackwardKalmanTape, ForwardKalmanTape
 from regretctl.system_model import (
     DefinitenessError,
@@ -26,6 +26,17 @@ def s1(T=3, R=1.0, Q_T=None):
             [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[float(R)]], Q_T, horizon=T
         )
     )
+
+
+def quiet_tail_pendulum(T=1000, quiet_from=600):
+    """The pendulum with no disturbance input from step `quiet_from` on: no
+    disturbance reaches the steps after it, so a backward sweep at a level
+    below gamma_opt fails only once it reaches t < quiet_from, deep in the
+    horizon and clear of rounding noise."""
+    sys = pendulum_system(T)
+    B_w = sys.B_w.copy()
+    B_w[quiet_from:] = 0.0
+    return validate_system(LqSystem(sys.A, sys.B_u, B_w, sys.Q, sys.R, sys.Q_T))
 
 
 def random_system(seed, n_max=3, m_max=3, p_max=3, T_max=15, stable=True,

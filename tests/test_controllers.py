@@ -13,7 +13,13 @@ from regretctl.system_model import (
     normalize_control_weight,
     validate_system,
 )
-from helpers import full_horizon_reference, printed_regret_optimal, random_system, s1
+from helpers import (
+    full_horizon_reference,
+    printed_regret_optimal,
+    quiet_tail_pendulum,
+    random_system,
+    s1,
+)
 
 
 def ops_for(sys):
@@ -419,16 +425,19 @@ class TestWindowedSweep:
 
         monkeypatch.setattr(kernels, "backward_kalman", counted)
         T = 1000
-        problem = ct.prepare_regret(pendulum_system(T))
-        # 1.7185401916503906 is the last infeasible probe of the bisection
-        for gamma in (0.5, 1.0, 1.7, 1.7185401916503906):
-            steps.clear()
-            syn = ct.synthesize_regret(problem, gamma)
-            t_fail = syn.first_infeasible_step
-            assert t_fail is not None
-            assert steps == [2**k for k in range(len(steps) - 1)] + steps[-1:]
-            assert sum(steps) <= 2 * (T - t_fail) + 1
-        assert T - t_fail > 100  # the last level fails deep into the horizon
+        # the pendulum fails within ~10 steps of T at levels clear of
+        # gamma_opt; with no disturbance after t = 600 a level fails only
+        # once the sweep gets there, in the window of 256 steps
+        for sys, levels in ((pendulum_system(T), (0.5, 1.0, 1.7)), (quiet_tail_pendulum(T), (0.5, 1.7))):
+            problem = ct.prepare_regret(sys)
+            for gamma in levels:
+                steps.clear()
+                syn = ct.synthesize_regret(problem, gamma)
+                t_fail = syn.first_infeasible_step
+                assert t_fail is not None
+                assert steps == [2**k for k in range(len(steps) - 1)] + steps[-1:]
+                assert sum(steps) <= 2 * (T - t_fail) + 1
+        assert T - t_fail > 256  # the last level fails deep into the horizon
 
     def test_feasible_probe_sweeps_every_step_once(self, monkeypatch):
         steps = []

@@ -1,3 +1,5 @@
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -6,9 +8,12 @@ from numpy.linalg import _umath_linalg
 
 from regretctl import controllers as ct
 from regretctl import kernels, riccati
+from regretctl import operator_oracle as oo
 from regretctl.cli import pendulum_system
 from regretctl.system_model import LqSystem, normalize_control_weight, psd_sqrt, validate_system
 from helpers import (
+    full_horizon_reference,
+    quiet_tail_pendulum,
     random_system,
     reference_backward_kalman,
     reference_forward_kalman,
@@ -334,3 +339,159 @@ class TestNonFiniteArithmetic:
                     run()
                 errors.append((type(exc.value), str(exc.value)))
             assert errors[0] == errors[1]
+
+
+def _long_ltv(seed, stable, T=300):
+    """Random LTV data long enough for the scan, n = 3 and m = p = 2; an
+    unstable A has spectral radius 1.2 at every step."""
+    rng = np.random.default_rng(seed)
+    n, m, p = 3, 2, 2
+    A = rng.standard_normal((T, n, n))
+    A *= (0.9 if stable else 1.2) / np.abs(np.linalg.eigvals(A)).max(axis=1)[:, None, None]
+    C = rng.standard_normal((T, n, n))
+    D = rng.standard_normal((T, m, m))
+    return validate_system(
+        LqSystem(
+            A,
+            rng.standard_normal((T, n, m)),
+            rng.standard_normal((T, n, p)),
+            C @ np.swapaxes(C, 1, 2) / n,
+            D @ np.swapaxes(D, 1, 2) / m + 0.5 * np.eye(m),
+            np.eye(n),
+        )
+    )
+
+
+_SCAN_SYSTEMS = {
+    "pendulum-T300": lambda: pendulum_system(300),
+    "pendulum-T1000": lambda: pendulum_system(1000),
+    "ltv-stable-T300": lambda: _long_ltv(7, stable=True),
+    "ltv-unstable-T300": lambda: _long_ltv(7, stable=False),
+    "quiet-tail-pendulum-T1000": lambda: quiet_tail_pendulum(1000),
+}
+
+
+@functools.cache
+def _scan_case(name):
+    """(system, prepared problem, gamma_opt at tol 1e-6) of a scan test system."""
+    sys = _SCAN_SYSTEMS[name]()
+    return sys, ct.prepare_regret(sys), ct.regret_optimal(sys, 1e-6)[0].gamma_opt
+
+
+def _loop_only(fn):
+    """fn() with every window run as the loop (one chunk)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_SCAN_MIN_STEPS", math.inf)
+        return fn()
+
+
+def _scanned(fn):
+    """fn() as the library runs it, checking that some window ran as a scan."""
+    calls = []
+    chunk_ends = kernels._chunk_ends
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_chunk_ends", lambda *a: calls.append(1) or chunk_ends(*a))
+        out = fn()
+    assert calls
+    return out
+
+
+def _syntheses(problem, sys, gamma):
+    """The windowed synthesis and the one-window sweep over the horizon."""
+    return ct.synthesize_regret(problem, gamma), full_horizon_reference(sys, gamma, "level1")
+
+
+def _assert_close(a, b, rtol=1e-9):
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+class TestChunkedScan:
+    """Windows of `_SCAN_MIN_STEPS` or more steps run as a chunked scan; the
+    loop is the same kernel over one chunk. The two schedules agree to
+    rounding, and a failure is flagged as the loop flags it."""
+
+    @pytest.mark.parametrize("mult", [1.02, 1.1, 3.0])
+    @pytest.mark.parametrize("name", [k for k in _SCAN_SYSTEMS if "quiet" not in k])
+    def test_feasible_tapes_agree_with_the_loop(self, name, mult):
+        sys, problem, g_opt = _scan_case(name)
+        gamma = mult * g_opt
+        scan = _scanned(lambda: _syntheses(problem, sys, gamma))
+        loop = _loop_only(lambda: _syntheses(problem, sys, gamma))
+        for s, l in zip(scan, loop):
+            assert s.feasible and l.feasible
+            for field in ("P_b", "K_bl", "R_be"):
+                _assert_close(getattr(s.bwd, field), getattr(l.bwd, field))
+            for field in ("Phat", "Hhat", "margins"):
+                _assert_close(getattr(s, field), getattr(l, field))
+
+    @pytest.mark.parametrize("mult", [0.5, 0.9])
+    @pytest.mark.parametrize("name", list(_SCAN_SYSTEMS))
+    def test_infeasible_levels_fail_where_the_loop_fails(self, name, mult):
+        sys, problem, g_opt = _scan_case(name)
+        gamma = mult * g_opt
+        scan = _scanned(lambda: _syntheses(problem, sys, gamma))
+        loop = _loop_only(lambda: _syntheses(problem, sys, gamma))
+        for s, l in zip(scan, loop):
+            assert not s.feasible and not l.feasible
+            t = s.first_infeasible_step
+            assert t == l.first_infeasible_step
+            # flagged as the loop flags: every step up to the failure, and
+            # nothing the loop never reached
+            assert s.margins[t] >= 1.0 and np.all(s.margins[:t] == s.margins[t])
+            assert not s.Phat[: t + 1].any() and not s.Hhat[:t].any()
+            _assert_close(s.margins[t + 1:], l.margins[t + 1:])
+            _assert_close(s.Phat[t + 1:], l.Phat[t + 1:])
+
+    @staticmethod
+    def _breakdown_window(k=200):
+        """Scalar data (A = B = 1, R = 1) whose loop runs through but whose
+        scan meets an exactly singular I + CJ in phase 1: the weight is 1 at
+        every step but -1 at the last step of the second chunk, and C = 1."""
+        c = kernels._chunk_length(k)
+        weight = np.ones((k, 1, 1))
+        weight[k % c + 2 * c - 1] = -1.0
+        one = np.ones((k, 1, 1))
+        return c, one, weight
+
+    def test_scan_that_raises_returns_the_loop_bits(self):
+        c, one, weight = self._breakdown_window()
+        kalman = (one, one, weight, 1.0, np.zeros((1, 1)))
+        with pytest.raises(np.linalg.LinAlgError):
+            kernels._backward_kalman(*kalman, chunk=c)
+        for a, b in zip(kernels.backward_kalman(*kalman), kernels._backward_kalman(*kalman)):
+            assert_same_bits(a, b)
+        # the value recursion over [B_u B_w] = [1 0] at level 1: C = 1 as well
+        value = (one, one, np.zeros_like(one), weight, np.zeros((1, 1)), 1.0, False)
+        R = np.ones_like(one)
+        with pytest.raises(np.linalg.LinAlgError):
+            kernels._riccati_backward(*value[:4], R, *value[4:6], True, chunk=c)
+        loop = kernels._riccati_backward(*value[:4], R, *value[4:6], True)
+        assert np.all(loop[2] < 0.0)  # the loop runs through, feasible
+        for a, b in zip(kernels.regret_phat_backward(*value), loop):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("sys", [pendulum_system(1000), s1(T=2001)], ids=["pendulum-T1000", "s1-T2001"])
+    def test_gamma_opt_within_one_final_bracket_of_the_loop(self, sys):
+        scan, _ = _scanned(lambda: ct.regret_optimal(sys, 1e-6))
+        loop, _ = _loop_only(lambda: ct.regret_optimal(sys, 1e-6))
+        lo, hi = loop.bracket_history[-1]
+        assert abs(scan.gamma_opt - loop.gamma_opt) <= hi - lo
+
+    def test_regret_bound_and_structure_hold_through_the_scan(self):
+        # criteria 4 and 6 on a horizon with a window of 128 steps
+        sys = s1(T=300)
+        res, _ = _scanned(lambda: ct.regret_optimal(sys, 1e-8))
+        norm = normalize_control_weight(sys)
+        ops = oo.build_operators(norm.system)
+        cost_form = oo.offline_cost_form(ops)
+        W = np.random.default_rng(300).standard_normal((200, sys.T * sys.p))
+        for mult in (1.02, 1.5, 3.0):
+            gamma = mult * res.gamma_opt
+            syn = _scanned(lambda: ct.regret_controller(sys, gamma))
+            assert ct.structure_check(syn).max_p11_deviation <= 1e-8
+            K = oo.controller_operator(sys, syn)
+            U = W @ K.T
+            S = U @ ops.F.T + W @ ops.G.T
+            regret = (S * S).sum(axis=1) + (U * U).sum(axis=1) - np.einsum("ij,jk,ik->i", W, cost_form, W)
+            assert np.all(regret < gamma**2 * (W * W).sum(axis=1))
