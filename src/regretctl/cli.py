@@ -166,6 +166,7 @@ def _resolve(sys, fields, seed, tol) -> dict:
         disturbance = DisturbanceSpec(
             d["kind"], d.get("params", {}), seed=resolved_seed if seed is not None else disturbance_seed
         )
+        disturbance._sampler(sys.T, sys.p)  # neither augmentation changes T or p
     except DisturbanceError as e:
         raise ConfigError(f"field 'disturbance.{e.field}': {e}")
     output = cfg["output"]

@@ -119,7 +119,9 @@ def _bisect_gamma(probe, tol):
     `.feasible`, monotone in gamma, and `.gamma`. Returns
     (GammaSearchResult, best) with best the last feasible probe. `hi` only
     ever takes a level that was feasible, so best.gamma is hi, which is
-    gamma_opt. No infeasible probe outlives its verdict."""
+    gamma_opt, unless every halving down to the 1e-8 floor is feasible:
+    then the level is essentially zero and gamma_opt is 0.0. No infeasible
+    probe outlives its verdict."""
     best = None
 
     def feasible(g):
@@ -143,7 +145,7 @@ def _bisect_gamma(probe, tol):
                 lo = g
                 break
             hi = g
-        # lo is None when feasible down to ~0: degenerate, essentially zero level
+        # lo is None when feasible down to the floor: gamma_opt is 0.0
     else:
         lo = hi
         g = hi
@@ -170,7 +172,7 @@ def _bisect_gamma(probe, tol):
             lo = mid
         history.append((lo, hi))
     result = GammaSearchResult(
-        gamma_opt=hi,
+        gamma_opt=hi if lo is not None else 0.0,
         bracket_history=history,
         iterations=iters,
         final_margins=best.margins,

@@ -1,13 +1,15 @@
 """Hot recursion kernels, pure numpy over stacked (T, ., .) arrays.
 
-The three backward value recursions are one indefinite Riccati recursion,
+The backward recursions are one indefinite Riccati recursion,
 `_riccati_backward`, over a control input B_u and a disturbance input B_w
 with J = blkdiag(R, -level^2 I) + B'PB (the Krein-space view of H-infinity
-control). Its three entry points are `lqr_backward` (no disturbance input,
-p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma) and
+control). Its four entry points are `lqr_backward` (no disturbance input,
+p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma),
 `regret_phat_backward` (R = I on the doubled state of the regret reduction,
-stacked or control-only). `rollout_regret` is the one realization of the
-regret controller.
+stacked or control-only) and `backward_kalman` (A = Atil, B_u = B_w,
+R = gamma^2 I and no disturbance input). With `forward_kalman`, that makes
+two step loops. `rollout_regret` is the one realization of the regret
+controller.
 
 The recursions solve and eigendecompose 1x1 to 4x4 matrices at every step,
 where the public `np.linalg` wrappers cost more than LAPACK itself. So the
@@ -94,18 +96,19 @@ def _chunk_length(k):
     return k if k < _SCAN_MIN_STEPS else math.isqrt(k // 2)
 
 
-def _scheduled(sweep, k, *args):
-    """sweep(*args) over a window of k steps, as a chunked scan when
-    `_chunk_length` cuts the window, else as the loop. A scan that raises
-    LinAlgError is rerun as the loop, which decides what the breakdown
-    means."""
+def _scheduled(A, *args):
+    """`_riccati_backward(A, *args)` over the window of A's steps, as a
+    chunked scan when `_chunk_length` cuts the window, else as the loop. A
+    scan that raises LinAlgError is rerun as the loop, which decides what the
+    breakdown means."""
+    k = A.shape[0]
     c = _chunk_length(k)
     if c < k:
         try:
-            return sweep(*args, chunk=c)
+            return _riccati_backward(A, *args, chunk=c)
         except np.linalg.LinAlgError:
             pass
-    return sweep(*args)
+    return _riccati_backward(A, *args)
 
 
 def _chunked(x, c, r=0):
@@ -114,7 +117,7 @@ def _chunked(x, c, r=0):
     x is contiguous. With c None (the loop), x itself."""
     if c is None:
         return x
-    return x[r:].reshape((-1, c) + x.shape[1:]).swapaxes(0, 1)
+    return x[r:].reshape(((x.shape[0] - r) // c, c) + x.shape[1:]).swapaxes(0, 1)
 
 
 def _chunk_ends(A, B, R0, J, P_last):
@@ -148,7 +151,7 @@ def _chunk_ends(A, B, R0, J, P_last):
 
 
 def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked, chunk=None):
-    """The one backward Riccati recursion behind the three public entry points.
+    """The one backward Riccati recursion behind the four public entry points.
 
     P_t = Q_t + A'PA - A'PB J^{-1} B'PA with P = P_{t+1}. When `stacked`, B is
     the stacked input [B_u B_w] and J = blkdiag(R, -level^2 I) + B'PB;
@@ -272,59 +275,24 @@ def forward_kalman(A, B_u, sqQ):
 
 def backward_kalman(Atil, B_w, W, gamma, P_b_last):
     """Backward Kalman recursion producing the causal factor Delta of
-    gamma^2 I + G'(I + FF')^{-1}G, over the k steps of a window.
+    gamma^2 I + G'(I + FF')^{-1}G, over the k steps of a window: the Riccati
+    recursion with A = Atil, B_u = B_w, no disturbance input, Q = W and
+    R = gamma^2 I, whose P_{t+1} is P_b[t] and whose H is R_be[t], and then
+    K^b_l[t] = Atil_t' P_b[t] B_w_t R_be[t]^{-1}.
 
-    Atil, B_w and W hold the window's steps; W_t = Q_t^{1/2} R_e_t^{-1}
-    Q_t^{1/2} comes from the forward recursion. P_b_last is P_b at the
-    window's last step: W_T (zero when there is no terminal cost) for the
-    window that ends at the horizon, else the carry of the window after it.
-    Then, step by step backward,
-    P_b[t-1] = Atil' P_b Atil + W_t - K R_be K' with
-    K^b_l[t] = Atil_t' P_b[t] B_w_t R_be[t]^{-1} and
-    R_be[t] = gamma^2 I + B_w' P_b B_w.
-
-    Returns (P_b, K_bl, R_be, carry) with P_b: (k, n, n), K_bl: (k, n, p),
-    R_be: (k, p, p) and carry the P_b of the step before the window.
-    A window of `_SCAN_MIN_STEPS` or more steps runs as a chunked scan.
+    W_t = Q_t^{1/2} R_e_t^{-1} Q_t^{1/2} comes from the forward recursion.
+    P_b_last is P_b at the window's last step: W_T (zero when there is no
+    terminal cost) for the window that ends at the horizon, else the carry
+    of the window after it. Returns (P_b, K_bl, R_be, carry) with P_b:
+    (k, n, n), K_bl: (k, n, p), R_be: (k, p, p) and carry the P_b of the
+    step before the window.
     """
-    return _scheduled(_backward_kalman, Atil.shape[0], Atil, B_w, W, gamma, P_b_last)
-
-
-def _backward_kalman(Atil, B_w, W, gamma, P_b_last, chunk=None):
-    """`backward_kalman` as the loop, or as a chunked scan with chunks of
-    `chunk` steps over the last chunk * (k // chunk) steps followed by the
-    loop over the k % chunk steps before them. Its step map is
-    P -> W + Atil'P(I + CP)^{-1}Atil with C = B_w B_w' / gamma^2."""
-    k, n, _ = Atil.shape
-    p = B_w.shape[2]
-    P_b = np.zeros((k + 1, n, n))  # P_b[t + 1] is the P_b step t reads
-    K_bl = np.zeros((k, n, p))
-    R_be = np.zeros((k, p, p))
-    g2_eye = (gamma * gamma) * np.eye(p)
-    P_b[k] = _sym(P_b_last)
-    head = k % chunk if chunk else 0  # the steps before the scan
-    Atil_, B_w_, W_, P_b_, K_bl_, R_be_ = (
-        _chunked(x, chunk, head) for x in (Atil, B_w, W, P_b[:k], K_bl, R_be)
-    )
-    AtilT, B_wT = Atil_.mT, B_w_.mT  # transposed once per call
+    k, n, p = B_w.shape
+    R = np.full((k, p, p), (gamma * gamma) * np.eye(p))
+    P, R_be, _ = _scheduled(Atil, B_w, np.zeros((k, n, 0)), W, R, P_b_last, 0.0, False)
     with _linalg_errstate():
-        if chunk:
-            g2 = np.broadcast_to(g2_eye, (k, p, p))
-            Pn = ends = _chunk_ends(Atil_, B_w_, _chunked(g2, chunk, head), W_, P_b[k])
-        else:
-            Pn = P_b[k]
-        for i in range(P_b_.shape[0] - 1, -1, -1):
-            AtP = AtilT[i] @ Pn
-            R_be_[i] = _sym(g2_eye + B_wT[i] @ Pn @ B_w_[i])
-            K_bl_[i] = AtP @ _solve(R_be_[i], B_wT[i], signature="dd->d").mT
-            P_b_[i] = Pn = _sym(AtP @ Atil_[i] + W_[i] - K_bl_[i] @ R_be_[i] @ K_bl_[i].mT)
-    if chunk:
-        P_b_[0, 1:] = ends[:-1]  # a chunk's first P_b is the one the step before it read
-        if head:
-            P_b[1: head + 1], K_bl[:head], R_be[:head], P_b[0] = _backward_kalman(
-                Atil[:head], B_w[:head], W[:head], gamma, P_b[head]
-            )
-    return P_b[1:], K_bl, R_be, P_b[0]
+        K_bl = Atil.mT @ P[1:] @ _solve(R_be, B_w.mT, signature="dd->d").mT
+    return P[1:], K_bl, R_be, P[0]
 
 
 def _mv(M, v):
@@ -360,10 +328,8 @@ def regret_phat_backward(Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form):
     """
     T, _, m = Bhat_u.shape
     R = np.broadcast_to(np.eye(m), (T, m, m))
-    args = (Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, not lqr_form)
-    if lqr_form:
-        return _riccati_backward(*args)
-    return _scheduled(_riccati_backward, T, *args)
+    sweep = _riccati_backward if lqr_form else _scheduled
+    return sweep(Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, not lqr_form)
 
 
 def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):

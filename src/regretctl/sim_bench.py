@@ -43,8 +43,8 @@ class DisturbanceSpec:
     vector), or "worst_case" (params: witness, a (T, p) array, typically a
     regret-certificate eigenvector). Construction refuses, with a
     DisturbanceError, an unknown kind, a parameter the kind does not read,
-    and a bool or a string where it reads a number; `generate` checks only
-    what depends on (T, p).
+    and a bool or a string where it reads a number; `generate` refuses a
+    parameter whose shape does not fit (T, p) the same way.
     """
 
     PARAMS: ClassVar[dict] = {
@@ -85,30 +85,56 @@ class DisturbanceSpec:
     def _number(self, key, default):
         return np.asarray(self.params.get(key, default), dtype=float)
 
+    def _scalar(self, key, default):
+        value = self._number(key, default)
+        if value.ndim:
+            raise DisturbanceError("params", f"{key} must be a number, got shape {value.shape}")
+        return float(value)
+
+    def _vector(self, key, default, p):
+        """Parameter `key` as a length-p vector; a number is repeated."""
+        value = self._number(key, default)
+        try:
+            return np.broadcast_to(value, (p,))
+        except ValueError:
+            message = f"{key} has shape {value.shape}, expected a number or a vector of length p = {p}"
+            raise DisturbanceError("params", message) from None
+
     def generate(self, T: int, p: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.PCG64(self.seed))
+        return self._sampler(T, p)(np.random.Generator(np.random.PCG64(self.seed)))
+
+    def _sampler(self, T, p):
+        """`generate`'s draw as a function of the random generator, once every
+        parameter is checked against (T, p). Building it draws nothing, so a
+        config check does not load numpy.random (about 6 MB of memory)."""
         if self.kind == "gaussian":
-            mean = np.broadcast_to(self._number("mean", 0.0), (p,))
+            mean = self._vector("mean", 0.0, p)
             cov = np.eye(p) if self.params.get("cov") is None else np.atleast_2d(self._number("cov", None))
             if cov.shape != (p, p):
-                raise ValueError(f"cov has shape {cov.shape}, expected {(p, p)}")
-            return rng.multivariate_normal(mean, cov, size=T, method="cholesky")
+                raise DisturbanceError("params", f"cov has shape {cov.shape}, expected {(p, p)}")
+            try:
+                np.linalg.cholesky(cov)  # the factor multivariate_normal draws with
+            except np.linalg.LinAlgError:
+                raise DisturbanceError("params", "cov must be positive definite") from None
+            return lambda rng: rng.multivariate_normal(mean, cov, size=T, method="cholesky")
         if self.kind == "alternating":
-            mean = np.broadcast_to(self._number("mean", 1.0), (p,))
+            mean = self._vector("mean", 1.0, p)
             period = self.params.get("period", 15)
             signs = np.array([1.0 if (t // period) % 2 == 0 else -1.0 for t in range(T)])
-            return signs[:, None] * mean[None, :] + rng.standard_normal((T, p))
+            return lambda rng: signs[:, None] * mean[None, :] + rng.standard_normal((T, p))
         if self.kind == "sinusoid":
-            amp = np.broadcast_to(self._number("amplitude", 1.0), (p,))
-            freq = float(self._number("frequency", 0.05))
-            phase = float(self._number("phase", 0.0))
-            t = np.arange(T)
-            return amp[None, :] * np.sin(2.0 * np.pi * freq * t + phase)[:, None]
-        if self.kind == "constant":
-            vec = np.broadcast_to(self._number("vector", 0.0), (p,))
-            return np.tile(vec, (T, 1))
-        w = self._number("witness", None).reshape(T, p)
-        return w.copy()
+            amp = self._vector("amplitude", 1.0, p)
+            freq = self._scalar("frequency", 0.05)
+            phase = self._scalar("phase", 0.0)
+            w = amp[None, :] * np.sin(2.0 * np.pi * freq * np.arange(T) + phase)[:, None]
+        elif self.kind == "constant":
+            w = np.tile(self._vector("vector", 0.0, p), (T, 1))
+        else:
+            w = self._number("witness", None)
+            if w.size != T * p:
+                raise DisturbanceError("params", f"witness has {w.size} entries, expected T * p = {T} * {p}")
+            w = w.reshape(T, p).copy()
+        return lambda rng: w
 
 
 def generate_disturbance(spec: DisturbanceSpec, sys: LqSystem) -> np.ndarray:

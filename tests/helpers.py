@@ -140,7 +140,9 @@ def stacked_s(sys, traj):
 # np.linalg.solve and np.linalg.eigh (each wrapper entering its own error
 # state), kept verbatim apart from their names. The kernels now call the
 # LAPACK gufuncs behind those wrappers under one error state per call; the
-# bit-identity tests in test_kernels.py hold them to these copies.
+# bit-identity tests in test_kernels.py hold them to these copies. The
+# backward Kalman recursion has since moved onto the Riccati kernel, so
+# `reference_backward_kalman`, its own loop, holds it only to rounding.
 
 
 def _sym(M):

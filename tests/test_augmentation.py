@@ -34,7 +34,7 @@ class TestAugmentPredictions:
         sys = s1()
         aug = augment_predictions(sys, sys.T)
         res, _ = ct.regret_optimal(aug.system, tol=1e-8)
-        assert res.gamma_opt <= 1e-6
+        assert res.gamma_opt == 0.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="lookahead"):

@@ -2,6 +2,7 @@ import copy
 import json
 import re
 from datetime import timedelta
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -28,6 +29,13 @@ S1_CONFIG = {
     },
     "horizon": 3,
 }
+
+
+def _pendulum_doc(kind, params):
+    """The pendulum config of tests/data/bad_disturbance.json (T = 100,
+    p = 2) with the given disturbance."""
+    doc = json.loads((Path(__file__).parent / "data" / "bad_disturbance.json").read_text())
+    return dict(doc, disturbance={"kind": kind, "params": params})
 
 
 def _refuse_synthesis(monkeypatch):
@@ -438,6 +446,32 @@ class TestErrors:
                 ["simulate"],
                 dict(S1_CONFIG, disturbance={"kind": "sinusoid", "params": {"frequency": "0.25"}}),
                 "field 'disturbance.params': disturbance parameter 'frequency' must be numeric, got '0.25'",
+            ),
+            # a disturbance that does not fit the pendulum (p = 2, T = 100)
+            (
+                ["simulate"],
+                _pendulum_doc("gaussian", {"mean": [1, 2, 3]}),
+                "field 'disturbance.params': mean has shape (3,), expected a number or a vector of length p = 2",
+            ),
+            (
+                ["simulate"],
+                _pendulum_doc("gaussian", {"cov": [[1.0, 0.0], [0.0, -1.0]]}),
+                "field 'disturbance.params': cov must be positive definite",
+            ),
+            (
+                ["simulate"],
+                _pendulum_doc("worst_case", {"witness": [1.0, 2.0]}),
+                "field 'disturbance.params': witness has 2 entries, expected T * p = 100 * 2",
+            ),
+            (
+                ["simulate"],
+                _pendulum_doc("sinusoid", {"frequency": [0.1, 0.2]}),
+                "field 'disturbance.params': frequency must be a number, got shape (2,)",
+            ),
+            (
+                ["simulate"],
+                _pendulum_doc("sinusoid", {"phase": [[1]]}),
+                "field 'disturbance.params': phase must be a number, got shape (1, 1)",
             ),
         ],
     )

@@ -211,6 +211,19 @@ class TestRegretOptimal:
         assert res.gamma_opt == 0.0
         assert isinstance(ctrl, ct.ZeroController)
 
+    @pytest.mark.parametrize(
+        "search, T", [(ct.regret_optimal, 1), (ct.regret_optimal, 2), (ct.hinf_optimal, 1)],
+        ids=["regret-T1", "regret-T2", "hinf-T1"],
+    )
+    def test_feasible_down_to_the_floor_reports_zero(self, search, T):
+        """A level feasible at every halving down to the 1e-8 floor is
+        reported as 0.0; the controller stays the last feasible synthesis."""
+        res, ctrl = search(s1(T=T), tol=1e-6)
+        assert res.gamma_opt == 0.0
+        assert res.iterations == 27 and res.bracket_history == []
+        synthesis = getattr(ctrl, "tape", ctrl)
+        assert synthesis.feasible and synthesis.gamma == 2.0**-27
+
     def test_s1_certificate_match(self):
         sys = s1()
         res, ctrl = ct.regret_optimal(sys, tol=1e-8)

@@ -187,11 +187,23 @@ class TestBitIdentityWithNpLinalgLoops:
             assert_same_bits(a, b)
         Atil, R_e = fwd[3], fwd[2]
         W = sqQ @ np.linalg.solve(R_e, sqQ)
-        T = sys.T
+        T, n, p = sys.T, sys.n, sys.p
         for gamma in (1e-3, 0.3, 1.0, 30.0):
             args = (Atil, nsys.B_w, W[:T], gamma, W[T])
-            for a, b in zip(kernels.backward_kalman(*args), reference_backward_kalman(*args)):
+            P_b, K_bl, R_be, carry = kernels.backward_kalman(*args)
+            # the Riccati recursion with A = Atil, B_u = B_w, no disturbance
+            # input, Q = W and R = gamma^2 I, bit for bit
+            R = np.broadcast_to(gamma * gamma * np.eye(p), (T, p, p))
+            P, H, _ = reference_riccati_backward(
+                Atil, nsys.B_w, np.zeros((T, n, 0)), W[:T], R, W[T], 0.0, False
+            )
+            for a, b in zip((P_b, R_be, carry), (P[1:], H, P[0])):
                 assert_same_bits(a, b)
+            K = [Atil[t].T @ P_b[t] @ np.linalg.solve(R_be[t], nsys.B_w[t].T).T for t in range(T)]
+            assert_same_bits(K_bl, np.array(K))
+            # and the backward Kalman loop it replaced, to rounding
+            for a, b in zip((P_b, K_bl, R_be, carry), reference_backward_kalman(*args)):
+                _assert_close(a, b, rtol=1e-10)
 
     def test_breakdown_level(self):
         data = _breakdown_system()
@@ -224,11 +236,11 @@ class TestBitIdentityWithNpLinalgLoops:
 
 
 def _run_with_reference_kernels(fn):
-    """fn() with the three loop kernels replaced by their np.linalg copies."""
+    """fn() with the two loop kernels replaced by their np.linalg copies;
+    `backward_kalman` runs on the swapped `_riccati_backward`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_riccati_backward", reference_riccati_backward)
         mp.setattr(kernels, "forward_kalman", reference_forward_kalman)
-        mp.setattr(kernels, "backward_kalman", reference_backward_kalman)
         return fn()
 
 
@@ -456,10 +468,13 @@ class TestChunkedScan:
 
     def test_scan_that_raises_returns_the_loop_bits(self):
         c, one, weight = self._breakdown_window()
-        kalman = (one, one, weight, 1.0, np.zeros((1, 1)))
+        # the backward Kalman recursion at gamma = 1: R = 1, so C = 1
+        kalman = (one, one, np.zeros((len(one), 1, 0)), weight, one, np.zeros((1, 1)), 0.0, False)
         with pytest.raises(np.linalg.LinAlgError):
-            kernels._backward_kalman(*kalman, chunk=c)
-        for a, b in zip(kernels.backward_kalman(*kalman), kernels._backward_kalman(*kalman)):
+            kernels._riccati_backward(*kalman, chunk=c)
+        P, H, _ = kernels._riccati_backward(*kalman)
+        P_b, _, R_be, carry = kernels.backward_kalman(one, one, weight, 1.0, np.zeros((1, 1)))
+        for a, b in zip((P_b, R_be, carry), (P[1:], H, P[0])):
             assert_same_bits(a, b)
         # the value recursion over [B_u B_w] = [1 0] at level 1: C = 1 as well
         value = (one, one, np.zeros_like(one), weight, np.zeros((1, 1)), 1.0, False)
