@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import random_system, reference_emit_json
 from regretctl import cli
 from regretctl import controllers as ct
+from regretctl import operator_oracle as oo
 from regretctl.cli import (
     ConfigError,
     emit_csv,
@@ -22,6 +23,7 @@ from regretctl.cli import (
     pendulum_system,
 )
 from regretctl.sim_bench import DisturbanceSpec
+from regretctl.system_model import normalize_control_weight
 
 S1_CONFIG = {
     "system": {
@@ -261,7 +263,7 @@ class TestGamma:
         result = runner.invoke(main, ["gamma", "--config", s1_config, "--json", str(out)])
         assert result.exit_code == 0, result.output
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["gamma_opt"] ** 2 == pytest.approx(0.1, rel=1e-4)
 
     def test_feasibility_test_option_is_gone(self, runner, s1_config):
@@ -288,6 +290,7 @@ class TestSynth:
         assert np.array_equal(np.array(doc["K_bl"]), s.bwd.K_bl)
         assert np.array_equal(np.array(doc["A_til"]), s.fwd.Atil)
         assert doc["gamma"] == s.gamma
+        assert "feasibility_test" not in doc
 
 
 class TestSimulate:
@@ -343,7 +346,7 @@ class TestErrors:
         record = json.loads(result.stderr.strip().splitlines()[-1])
         assert record["error"]["type"] == "ConfigError"
         assert "positive definite" in record["error"]["message"]
-        assert record["schema_version"] == "1"
+        assert record["schema_version"] == "2"
 
     def test_certify_size_cap_refusal(self, runner, tmp_path):
         doc = dict(S1_CONFIG, horizon=2001)
@@ -352,6 +355,11 @@ class TestErrors:
         result = runner.invoke(main, ["certify", "--config", str(cfg)])
         assert result.exit_code == 1
         assert "2000" in result.stderr
+        [line] = result.stderr.splitlines()
+        assert json.loads(line)["error"] == {
+            "type": "SizeCapError",
+            "message": "dense oracle refuses T*max(n,m,p) = 2001 > 2000",
+        }
 
 
     @pytest.mark.parametrize("tol", ["0", "-1e-3", "1.0", "nan"])
@@ -486,7 +494,7 @@ class TestErrors:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert [json.loads(line) for line in result.stderr.splitlines()] == [
-            {"error": {"type": "ConfigError", "message": message}, "schema_version": "1"}
+            {"error": {"type": "ConfigError", "message": message}, "schema_version": "2"}
         ]
         assert not out.exists()
 
@@ -568,6 +576,15 @@ class TestCertify:
         doc = json.loads(out.read_text())
         assert doc["gain"] == pytest.approx(doc["gamma_opt_squared"], rel=1e-4)
         assert doc["gamma_opt_squared"] == pytest.approx(0.1, rel=1e-4)
+        assert set(doc) == {
+            "config", "gamma_opt", "gamma_opt_squared", "gain", "witness", "controller_operator", "schema_version"
+        }
+        # the regret form is not written: the echoed config and K give it back
+        synth_sys = cli._augmented(cli.parse_config(doc["config"]))
+        ops = oo.build_operators(normalize_control_weight(synth_sys).system)
+        cert = oo.worst_case_regret_gain(ops, np.array(doc["controller_operator"]))
+        assert cert.gain == doc["gain"]
+        assert np.array_equal(cert.witness, doc["witness"])
 
 
 class TestPendulum:
