@@ -22,11 +22,10 @@ from .kernels import _mv
 from .system_model import (
     LqSystem,
     NormalizedSystem,
+    _pd_roots,
     as_signal,
     as_validated,
     normalize_control_weight,
-    pd_inv_sqrt,
-    psd_sqrt,
 )
 
 
@@ -336,16 +335,6 @@ class RegretSynthesis(riccati.Verdict):
         return self.norm.to_original_u(u_norm)
 
 
-def _windows(T):
-    """The windows [t0, t1) of a backward sweep from t = T: 1, 2, 4, ...
-    steps, the last one clipped at t = 0."""
-    t1, k = T, 1
-    while t1 > 0:
-        t0 = max(t1 - k, 0)
-        yield t0, t1
-        t1, k = t0, 2 * k
-
-
 def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynthesis:
     """Regret-suboptimal synthesis at level gamma.
 
@@ -359,9 +348,10 @@ def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynt
     from the carried Phat. It stops after the first window with a margin
     >= 0 and flags every earlier step with max(margin, 1), so the tapes of
     an infeasible level hold only the swept steps. At a feasible level every
-    window runs. The kernels run a window of 128 steps or more as a chunked
-    scan, which agrees with the step loop to rounding; below that the tapes
-    equal one loop over the whole horizon.
+    window runs. The kernels run a window of 32 steps or more as a chunked
+    scan, which agrees with the step loop to rounding; a horizon under 63
+    steps has no such window, and its tapes equal one loop over the whole
+    horizon.
     """
     riccati._check_level(gamma)
     gamma = float(gamma)
@@ -382,14 +372,13 @@ def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynt
     margins = np.zeros(T)
     P_b_carry = fwd.W[T]
     Phat[T] = problem.Phat_T
-    for t0, t1 in _windows(T):
+    for t0, t1 in riccati._windows(T):
         win = slice(t0, t1)
         try:
             P_b[win], K_bl[win], R_be[win], P_b_carry = kernels.backward_kalman(
                 fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_carry
             )
-            R_be_sqrt[win] = psd_sqrt(R_be[win])
-            R_be_inv_sqrt[win] = pd_inv_sqrt(R_be[win])
+            R_be_sqrt[win], R_be_inv_sqrt[win] = _pd_roots(R_be[win])
             BwK = nsys.B_w[win] @ np.swapaxes(K_bl[win], 1, 2)
             Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt[win]
             Ahat[win, :n, :n] = nsys.A[win]

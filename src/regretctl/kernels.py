@@ -1,7 +1,7 @@
 """Hot recursion kernels, pure numpy over stacked (T, ., .) arrays.
 
 The backward recursions are one indefinite Riccati recursion,
-`_riccati_backward`, over a control input B_u and a disturbance input B_w
+`_riccati_sweep`, over a control input B_u and a disturbance input B_w
 with J = blkdiag(R, -level^2 I) + B'PB (the Krein-space view of H-infinity
 control). Its four entry points are `lqr_backward` (no disturbance input,
 p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma),
@@ -20,8 +20,9 @@ results are the same bits. That state also covers the loop's own arithmetic,
 so an invalid value there (an overflow that turns into inf - inf) raises
 LinAlgError like a singular pivot does.
 
-The backward Kalman recursion and the stacked value recursion run a window
-of at least `_SCAN_MIN_STEPS` steps as a chunked scan (Sarkka and
+The backward Kalman recursion, the stacked value recursion and the
+H-infinity recursion run a window of at least `_SCAN_MIN_STEPS` steps as a
+chunked scan (Sarkka and
 Garcia-Fernandez, "Temporal parallelization of dynamic programming and
 linear quadratic control", IEEE TAC 2023). Each of their steps is the map
 P -> J + A'P(I + CP)^{-1}A with C = B R0^{-1} B', and these maps compose
@@ -33,7 +34,9 @@ boundaries, one after another (`_chunk_ends`); phase 3 runs the step body
 on all chunks at once, each from its boundary P. The loop is the same body
 over one chunk, and it runs the k mod c steps before the chunks. A scan
 that raises LinAlgError falls back to the loop (`_scheduled`), so a
-breakdown means what it means in the loop.
+breakdown means what it means in the loop. The callers sweep in windows of
+1, 2, 4, ... steps (`riccati._windows`), so a horizon under 63 steps has no
+window of 32 and keeps the loop's bits.
 
 The two rollouts take disturbances with leading batch axes, (..., T, p), and
 run every item in one sweep over time. Each product is a stacked
@@ -83,10 +86,9 @@ def _max_eig(M):
     return _eigh(_sym(M), signature="d->dd")[0][..., -1]
 
 
-# windows of at least this many steps run as a chunked scan. The scan beats
-# the loop from about 32 steps on, but every window of a horizon under 255
-# steps is shorter than 128, so those horizons keep the loop's bits
-_SCAN_MIN_STEPS = 128
+# windows of at least this many steps run as a chunked scan, from where the
+# scan beats the loop
+_SCAN_MIN_STEPS = 32
 
 
 def _chunk_length(k):
@@ -97,18 +99,18 @@ def _chunk_length(k):
 
 
 def _scheduled(A, *args):
-    """`_riccati_backward(A, *args)` over the window of A's steps, as a
-    chunked scan when `_chunk_length` cuts the window, else as the loop. A
-    scan that raises LinAlgError is rerun as the loop, which decides what the
-    breakdown means."""
+    """`_riccati_sweep(A, *args)` over the window of A's steps, as a chunked
+    scan when `_chunk_length` cuts the window, else as the loop. A scan that
+    raises LinAlgError is rerun as the loop, which decides what the breakdown
+    means. Call inside `_linalg_errstate`."""
     k = A.shape[0]
     c = _chunk_length(k)
     if c < k:
         try:
-            return _riccati_backward(A, *args, chunk=c)
+            return _riccati_sweep(A, *args, chunk=c)
         except np.linalg.LinAlgError:
             pass
-    return _riccati_backward(A, *args)
+    return _riccati_sweep(A, *args)
 
 
 def _chunked(x, c, r=0):
@@ -151,7 +153,15 @@ def _chunk_ends(A, B, R0, J, P_last):
 
 
 def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked, chunk=None):
-    """The one backward Riccati recursion behind the four public entry points.
+    """`_riccati_sweep` inside its own `_linalg_errstate`, for a caller not
+    yet inside it."""
+    with _linalg_errstate():
+        return _riccati_sweep(A, B_u, B_w, Q, R, P_T, level, stacked, chunk=chunk)
+
+
+def _riccati_sweep(A, B_u, B_w, Q, R, P_T, level, stacked, chunk=None):
+    """The one backward Riccati recursion behind the four public entry
+    points; call inside `_linalg_errstate`.
 
     P_t = Q_t + A'PA - A'PB J^{-1} B'PA with P = P_{t+1}. When `stacked`, B is
     the stacked input [B_u B_w] and J = blkdiag(R, -level^2 I) + B'PB;
@@ -192,38 +202,37 @@ def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked, chunk=None):
     )
     AT, B_uT, B_wT, BT = A_.mT, B_u_.mT, B_w_.mT, B_.mT  # transposed once per call
     t_fail = None  # the last failing step of a stacked recursion
-    with _linalg_errstate():
-        Pn = ends = _chunk_ends(A_, B_, J0_, Q_, P[T]) if chunk else P[T]
-        for i in range(P_.shape[0] - 1, -1, -1):
-            BtP = B_uT[i] @ Pn
-            H_[i] = _sym(R_[i] + BtP @ B_u_[i])
-            if p:
-                WtP = B_wT[i] @ Pn
-                cross = WtP @ B_u_[i]
-                marg = _sym(
-                    neg_l2 + WtP @ B_w_[i] - cross @ _solve(H_[i], cross.mT, signature="dd->d")
-                )
-                margins_[i] = _max_eig(marg)
-                if stacked and not chunk and (margins_[i] >= 0.0 or _max_eig(-H_[i]) >= 0.0):
-                    t_fail = i  # the loop stops at the failure
-                    break
-            if stacked:
-                BsP = BT[i] @ Pn
-                J = _sym(J0_[i] + BsP @ B_[i])
-            else:  # J is H
-                BsP, J = BtP, H_[i]
-            AtP = AT[i] @ Pn
-            G = _solve(J, BsP @ A_[i], signature="dd->d")
-            P_[i] = Pn = _sym(Q_[i] + AtP @ A_[i] - (AtP @ B_[i]) @ G)
-        if chunk:
-            P_[0, 1:] = ends[:-1]  # a chunk's first P is the one the step before it read
-            if stacked and p:  # the scan ran every step; its last failure counts
-                bad = np.flatnonzero((margins[head:] >= 0.0) | (_max_eig(-H[head:]) >= 0.0))
-                t_fail = head + bad[-1] if bad.size else None
-    if chunk and head and t_fail is None:
-        P[: head + 1], H[:head], margins[:head] = _riccati_backward(
-            A[:head], B_u[:head], B_w[:head], Q[:head], R[:head], P[head], level, stacked
-        )
+    Pn = ends = _chunk_ends(A_, B_, J0_, Q_, P[T]) if chunk else P[T]
+    for i in range(P_.shape[0] - 1, -1, -1):
+        BtP = B_uT[i] @ Pn
+        H_[i] = _sym(R_[i] + BtP @ B_u_[i])
+        if p:
+            WtP = B_wT[i] @ Pn
+            cross = WtP @ B_u_[i]
+            marg = _sym(
+                neg_l2 + WtP @ B_w_[i] - cross @ _solve(H_[i], cross.mT, signature="dd->d")
+            )
+            margins_[i] = _max_eig(marg)
+            if stacked and not chunk and (margins_[i] >= 0.0 or _max_eig(-H_[i]) >= 0.0):
+                t_fail = i  # the loop stops at the failure
+                break
+        if stacked:
+            BsP = BT[i] @ Pn
+            J = _sym(J0_[i] + BsP @ B_[i])
+        else:  # J is H
+            BsP, J = BtP, H_[i]
+        AtP = AT[i] @ Pn
+        G = _solve(J, BsP @ A_[i], signature="dd->d")
+        P_[i] = Pn = _sym(Q_[i] + AtP @ A_[i] - (AtP @ B_[i]) @ G)
+    if chunk:
+        P_[0, 1:] = ends[:-1]  # a chunk's first P is the one the step before it read
+        if stacked and p:  # the scan ran every step; its last failure counts
+            bad = np.flatnonzero((margins[head:] >= 0.0) | (_max_eig(-H[head:]) >= 0.0))
+            t_fail = head + bad[-1] if bad.size else None
+        if head and t_fail is None:
+            P[: head + 1], H[:head], margins[:head] = _riccati_sweep(
+                A[:head], B_u[:head], B_w[:head], Q[:head], R[:head], P[head], level, stacked
+            )
     if t_fail is not None:  # flag it and every earlier step; zero what the loop never reached
         P[: t_fail + 1] = 0.0
         H[:t_fail] = 0.0
@@ -244,8 +253,10 @@ def lqr_backward(A, B_u, Q, R, P_T):
 def hinf_backward(A, B_u, B_w, Q, R, P_T, gamma):
     """Backward H-infinity Riccati over the stacked input [B_u B_w] at level
     gamma, with per-step feasibility margins; the level is attainable iff
-    every margin is negative. Returns (P, H, margins)."""
-    return _riccati_backward(A, B_u, B_w, Q, R, P_T, gamma, True)
+    every margin is negative. Runs a window of `_SCAN_MIN_STEPS` or more
+    steps as a chunked scan. Returns (P, H, margins)."""
+    with _linalg_errstate():
+        return _scheduled(A, B_u, B_w, Q, R, P_T, gamma, True)
 
 
 def forward_kalman(A, B_u, sqQ):
@@ -289,8 +300,8 @@ def backward_kalman(Atil, B_w, W, gamma, P_b_last):
     """
     k, n, p = B_w.shape
     R = np.full((k, p, p), (gamma * gamma) * np.eye(p))
-    P, R_be, _ = _scheduled(Atil, B_w, np.zeros((k, n, 0)), W, R, P_b_last, 0.0, False)
     with _linalg_errstate():
+        P, R_be, _ = _scheduled(Atil, B_w, np.zeros((k, n, 0)), W, R, P_b_last, 0.0, False)
         K_bl = Atil.mT @ P[1:] @ _solve(R_be, B_w.mT, signature="dd->d").mT
     return P[1:], K_bl, R_be, P[0]
 
@@ -328,8 +339,10 @@ def regret_phat_backward(Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form):
     """
     T, _, m = Bhat_u.shape
     R = np.broadcast_to(np.eye(m), (T, m, m))
-    sweep = _riccati_backward if lqr_form else _scheduled
-    return sweep(Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, not lqr_form)
+    if lqr_form:
+        return _riccati_backward(Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, False)
+    with _linalg_errstate():
+        return _scheduled(Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, True)
 
 
 def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):

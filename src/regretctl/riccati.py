@@ -84,6 +84,16 @@ def _first_failing_step(margins):
     return int(bad[-1]) if bad.size else None
 
 
+def _windows(T):
+    """The windows [t0, t1) of a backward sweep from t = T: 1, 2, 4, ...
+    steps, the last one clipped at t = 0."""
+    t1, k = T, 1
+    while t1 > 0:
+        t0 = max(t1 - k, 0)
+        yield t0, t1
+        t1, k = t0, 2 * k
+
+
 def _check_level(gamma):
     if not 0.0 < gamma < np.inf:  # written so that NaN fails too
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -101,21 +111,42 @@ def backward_lqr(sys: LqSystem) -> LqrTape:
 
 def backward_hinf(sys: LqSystem, gamma: float) -> HinfTape:
     """Backward H-infinity Riccati at performance level gamma, initialized at
-    P_T = Q_T, with per-step feasibility margins."""
+    P_T = Q_T, with per-step feasibility margins.
+
+    The sweep runs backward from t = T in windows of 1, 2, 4, ... steps, each
+    from the carried P. It stops after the first window with a margin >= 0
+    and flags every earlier step with max(margin, 1), P being zero there, as
+    one sweep over the horizon does. The kernel runs a window of 32 steps or
+    more as a chunked scan, which agrees with the loop to rounding; a horizon
+    under 63 steps has no such window and keeps the loop's bits.
+    """
     sys = as_validated(sys)
     _check_level(gamma)
-    try:
-        P, H, margins = kernels.hinf_backward(
-            sys.A, sys.B_u, sys.B_w, sys.Q, sys.R, sys.Q_T, float(gamma)
-        )
-    except np.linalg.LinAlgError:
-        # recursion blew up before a margin turned positive (a singular
-        # pivot, or an overflow that became an invalid value): numerically
-        # unattainable level
-        P = np.zeros((sys.T + 1, sys.n, sys.n))
-        H = np.zeros((sys.T, sys.m, sys.m))
-        margins = np.ones(sys.T)
-    return HinfTape(P=P, H=H, margins=margins, gamma=float(gamma))
+    gamma = float(gamma)
+    T = sys.T
+    P = np.zeros((T + 1, sys.n, sys.n))
+    H = np.zeros((T, sys.m, sys.m))
+    margins = np.zeros(T)
+    P[T] = sys.Q_T
+    for t0, t1 in _windows(T):
+        win = slice(t0, t1)
+        try:
+            P[t0:t1 + 1], H[win], margins[win] = kernels.hinf_backward(
+                sys.A[win], sys.B_u[win], sys.B_w[win], sys.Q[win], sys.R[win], P[t1], gamma
+            )
+        except np.linalg.LinAlgError:
+            # recursion blew up before a margin turned positive (a singular
+            # pivot, or an overflow that became an invalid value): numerically
+            # unattainable level
+            P[:] = 0.0
+            H[:] = 0.0
+            margins[:] = 1.0
+            break
+        failed = _first_failing_step(margins[win])
+        if failed is not None:
+            margins[:t0] = max(margins[t0 + failed], 1.0)
+            break
+    return HinfTape(P=P, H=H, margins=margins, gamma=gamma)
 
 
 def forward_kalman(norm: NormalizedSystem) -> ForwardKalmanTape:

@@ -34,16 +34,30 @@ def psd_sqrt(M):
     return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def pd_inv_sqrt(M):
-    """Inverse symmetric square root of a positive-definite matrix, or of
-    every matrix in a stack (..., k, k); raises DefinitenessError if any is
-    not positive definite."""
+def _pd_eigh(M):
     vals, vecs = _sym_eigh(M)
     if np.min(vals) <= 0:
         raise DefinitenessError(
             f"matrix is not positive definite (min eigenvalue {np.min(vals):g})"
         )
+    return vals, vecs
+
+
+def pd_inv_sqrt(M):
+    """Inverse symmetric square root of a positive-definite matrix, or of
+    every matrix in a stack (..., k, k); raises DefinitenessError if any is
+    not positive definite."""
+    vals, vecs = _pd_eigh(M)
     return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+
+
+def _pd_roots(M):
+    """(psd_sqrt(M), pd_inv_sqrt(M)) of a positive-definite M or stack, bit
+    for bit, from one eigendecomposition."""
+    vals, vecs = _pd_eigh(M)
+    root = np.sqrt(vals)[..., None, :]
+    vecs_T = np.swapaxes(vecs, -1, -2)
+    return (vecs * root) @ vecs_T, (vecs / root) @ vecs_T
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import warnings
@@ -235,11 +236,20 @@ class TestBitIdentityWithNpLinalgLoops:
         assert not syn.feasible
 
 
+def _reference_sweep(*args, chunk=None):
+    assert chunk is None  # the np.linalg copy is a loop
+    return reference_riccati_backward(*args)
+
+
 def _run_with_reference_kernels(fn):
-    """fn() with the two loop kernels replaced by their np.linalg copies;
-    `backward_kalman` runs on the swapped `_riccati_backward`."""
+    """fn() with the two loop kernels replaced by their np.linalg copies,
+    which run every window as the loop and under the caller's error state;
+    `backward_kalman` and the other recursions run on the swapped
+    `_riccati_sweep`."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_riccati_backward", reference_riccati_backward)
+        mp.setattr(kernels, "_riccati_sweep", _reference_sweep)
+        mp.setattr(kernels, "_SCAN_MIN_STEPS", math.inf)
+        mp.setattr(kernels, "_linalg_errstate", contextlib.nullcontext)
         mp.setattr(kernels, "forward_kalman", reference_forward_kalman)
         return fn()
 
@@ -375,12 +385,17 @@ def _long_ltv(seed, stable, T=300):
 
 
 _SCAN_SYSTEMS = {
+    "pendulum-T100": lambda: pendulum_system(100),  # windows of 32 and 37 steps
     "pendulum-T300": lambda: pendulum_system(300),
     "pendulum-T1000": lambda: pendulum_system(1000),
     "ltv-stable-T300": lambda: _long_ltv(7, stable=True),
     "ltv-unstable-T300": lambda: _long_ltv(7, stable=False),
     "quiet-tail-pendulum-T1000": lambda: quiet_tail_pendulum(1000),
 }
+
+
+# the scan systems whose disturbance reaches every step (all but the quiet tail)
+_FULL_SCAN_SYSTEMS = [k for k in _SCAN_SYSTEMS if "quiet" not in k]
 
 
 @functools.cache
@@ -408,6 +423,24 @@ def _scanned(fn):
     return out
 
 
+@functools.cache
+def _hinf_case(name):
+    """(system, H-infinity gamma_opt at tol 1e-6) of a scan test system."""
+    sys = _SCAN_SYSTEMS[name]()
+    return sys, ct.hinf_optimal(sys, 1e-6)[0].gamma_opt
+
+
+def _hinf_sweeps(sys, gamma):
+    """The windowed H-infinity sweep and one kernel call over the horizon, as
+    functions returning (P, H, margins)."""
+
+    def windowed():
+        tape = riccati.backward_hinf(sys, gamma)
+        return tape.P, tape.H, tape.margins
+
+    return windowed, lambda: kernels.hinf_backward(sys.A, sys.B_u, sys.B_w, sys.Q, sys.R, sys.Q_T, gamma)
+
+
 def _syntheses(problem, sys, gamma):
     """The windowed synthesis and the one-window sweep over the horizon."""
     return ct.synthesize_regret(problem, gamma), full_horizon_reference(sys, gamma, "level1")
@@ -424,7 +457,7 @@ class TestChunkedScan:
     rounding, and a failure is flagged as the loop flags it."""
 
     @pytest.mark.parametrize("mult", [1.02, 1.1, 3.0])
-    @pytest.mark.parametrize("name", [k for k in _SCAN_SYSTEMS if "quiet" not in k])
+    @pytest.mark.parametrize("name", _FULL_SCAN_SYSTEMS)
     def test_feasible_tapes_agree_with_the_loop(self, name, mult):
         sys, problem, g_opt = _scan_case(name)
         gamma = mult * g_opt
@@ -454,6 +487,34 @@ class TestChunkedScan:
             assert not s.Phat[: t + 1].any() and not s.Hhat[:t].any()
             _assert_close(s.margins[t + 1:], l.margins[t + 1:])
             _assert_close(s.Phat[t + 1:], l.Phat[t + 1:])
+
+    @pytest.mark.parametrize("mult", [1.02, 1.1, 3.0])
+    @pytest.mark.parametrize("name", _FULL_SCAN_SYSTEMS)
+    def test_hinf_feasible_tapes_agree_with_the_loop(self, name, mult):
+        sys, g_opt = _hinf_case(name)
+        for sweep in _hinf_sweeps(sys, mult * g_opt):
+            scan, loop = _scanned(sweep), _loop_only(sweep)
+            assert np.all(scan[2] < 0.0) and np.all(loop[2] < 0.0)
+            for a, b in zip(scan, loop):
+                _assert_close(a, b)
+
+    @pytest.mark.parametrize("mult", [0.5, 0.9])
+    @pytest.mark.parametrize("name", _FULL_SCAN_SYSTEMS)
+    def test_hinf_infeasible_levels_fail_where_the_loop_fails(self, name, mult):
+        sys, g_opt = _hinf_case(name)
+        sweeps = _hinf_sweeps(sys, mult * g_opt)
+        # the windowed sweep may fail before its first scanned window
+        scan = _scanned(lambda: [sweep() for sweep in sweeps])
+        loop = _loop_only(lambda: [sweep() for sweep in sweeps])
+        for (P, H, margins), (P_l, _, margins_l) in zip(scan, loop):
+            t = riccati._first_failing_step(margins)
+            assert t is not None and t == riccati._first_failing_step(margins_l)
+            # flagged as the loop flags: every step up to the failure, and
+            # nothing the loop never reached
+            assert margins[t] >= 1.0 and np.all(margins[:t] == margins[t])
+            assert not P[: t + 1].any() and not H[:t].any()
+            _assert_close(margins[t + 1:], margins_l[t + 1:])
+            _assert_close(P[t + 1:], P_l[t + 1:])
 
     @staticmethod
     def _breakdown_window(k=200):
@@ -485,6 +546,9 @@ class TestChunkedScan:
         assert np.all(loop[2] < 0.0)  # the loop runs through, feasible
         for a, b in zip(kernels.regret_phat_backward(*value), loop):
             assert_same_bits(a, b)
+        # the H-infinity recursion over the same input at gamma = 1
+        for a, b in zip(kernels.hinf_backward(*value[:4], R, *value[4:6]), loop):
+            assert_same_bits(a, b)
 
     @pytest.mark.parametrize("sys", [pendulum_system(1000), s1(T=2001)], ids=["pendulum-T1000", "s1-T2001"])
     def test_gamma_opt_within_one_final_bracket_of_the_loop(self, sys):
@@ -494,7 +558,7 @@ class TestChunkedScan:
         assert abs(scan.gamma_opt - loop.gamma_opt) <= hi - lo
 
     def test_regret_bound_and_structure_hold_through_the_scan(self):
-        # criteria 4 and 6 on a horizon with a window of 128 steps
+        # criteria 4 and 6 on a horizon with scanned windows of 32 to 128 steps
         sys = s1(T=300)
         res, _ = _scanned(lambda: ct.regret_optimal(sys, 1e-8))
         norm = normalize_control_weight(sys)

@@ -4,6 +4,7 @@ import pytest
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
 from regretctl import kernels, riccati
+from regretctl.cli import pendulum_system
 from regretctl.system_model import (
     LqSystem,
     evaluate_cost,
@@ -107,6 +108,42 @@ class TestBackwardHinf:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             riccati.backward_hinf(s1(), -1.0)
+
+    @pytest.mark.parametrize(
+        "sys",
+        [pendulum_system(62)] + [random_system(seed, T_max=40, stable=seed % 2 == 0) for seed in range(500, 506)],
+        ids=["pendulum-T62"] + [f"random{seed}" for seed in range(500, 506)],
+    )
+    def test_windows_equal_one_loop_below_63_steps(self, sys):
+        # no window reaches 32 steps, so every window runs the loop
+        g_opt = ct.hinf_optimal(sys, 1e-6)[0].gamma_opt
+        verdicts = set()
+        for c in (0.5, 0.999, 1.0, 1.001, 2.0):
+            tape = riccati.backward_hinf(sys, c * g_opt)
+            loop = kernels._riccati_backward(sys.A, sys.B_u, sys.B_w, sys.Q, sys.R, sys.Q_T, c * g_opt, True)
+            for a, b in zip((tape.P, tape.H, tape.margins), loop):
+                assert np.array_equal(a, b)
+            verdicts.add(tape.feasible)
+        assert verdicts == {True, False}
+
+    def test_sweep_stops_after_the_first_failing_window(self, monkeypatch):
+        steps = []
+        hinf_backward = kernels.hinf_backward
+
+        def counted(A, *args):
+            steps.append(A.shape[0])
+            return hinf_backward(A, *args)
+
+        monkeypatch.setattr(kernels, "hinf_backward", counted)
+        sys = pendulum_system(100)
+        assert riccati.backward_hinf(sys, 3.0).feasible
+        assert steps == [1, 2, 4, 8, 16, 32, 37]
+        steps.clear()
+        tape = riccati.backward_hinf(sys, 1.0)
+        t = tape.first_infeasible_step
+        assert steps == [2**k for k in range(len(steps))] and sum(steps) <= 2 * (sys.T - t) + 1
+        assert tape.margins[t] >= 1.0 and np.all(tape.margins[:t] == tape.margins[t])
+        assert not tape.P[: t + 1].any() and not tape.H[:t].any()
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0])
     def test_non_finite_or_nonpositive_gamma(self, gamma):

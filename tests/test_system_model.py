@@ -6,6 +6,7 @@ from regretctl.system_model import (
     DefinitenessError,
     DimensionError,
     LqSystem,
+    _pd_roots,
     evaluate_cost,
     normalize_control_weight,
     pd_inv_sqrt,
@@ -161,6 +162,16 @@ class TestBatchedSquareRoots:
         for t in range(M.shape[0]):
             assert np.array_equal(stacked[t], pd_inv_sqrt(M[t]))
         assert np.allclose(stacked @ M @ stacked, np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_both_roots_from_one_eigendecomposition(self, seed):
+        M = _psd_stack(seed)[1:] + 0.1 * np.eye(3)
+        root, inv_root = _pd_roots(M)
+        assert np.array_equal(root, psd_sqrt(M))
+        assert np.array_equal(inv_root, pd_inv_sqrt(M))
+        M[2] = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(DefinitenessError):
+            _pd_roots(M)
 
     def test_two_dimensional_input(self):
         M = _psd_stack(3)[2]
