@@ -231,12 +231,6 @@ class OfflineController:
         return self.plan(w)
 
 
-def offline_noncausal(sys: LqSystem, w):
-    """Optimal control sequence for a fully known disturbance (T, p), or for
-    each of a batch (..., T, p) with one LQR tape."""
-    return OfflineController(sys).plan(w)
-
-
 @dataclass(frozen=True)
 class RegretProblem:
     """The gamma-independent part of a regret synthesis, built once by
@@ -342,23 +336,22 @@ def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynt
     system is prepared first. Its feasibility test is the reduction's: the
     attenuation-level-1 recursion on the z-driven doubled system.
 
-    The sweep runs backward from t = T in windows of 1, 2, 4, ... steps. In
-    each it runs the backward Kalman recursion from the carried P_b, takes
-    the R_be roots, assembles Ahat and Bhat_w, and runs the value recursion
-    from the carried Phat. It stops after the first window with a margin
-    >= 0 and flags every earlier step with max(margin, 1), so the tapes of
-    an infeasible level hold only the swept steps. At a feasible level every
-    window runs. The kernels run a window of 32 steps or more as a chunked
-    scan, which agrees with the step loop to rounding; a horizon under 63
-    steps has no such window, and its tapes equal one loop over the whole
-    horizon.
+    The sweep (`riccati._sweep`) runs backward from t = T in windows of 1,
+    2, 4, ... steps. In each it runs the backward Kalman recursion from the
+    carried P_b, takes the R_be roots, assembles Ahat and Bhat_w, and runs
+    the value recursion from the carried Phat. It stops after the first
+    window with a margin >= 0, so the tapes of an infeasible level hold only
+    the swept steps. At a feasible level every window runs. The kernels run
+    a window of 32 steps or more as a chunked scan, which agrees with the
+    step loop to rounding; a horizon under 63 steps has no such window, and
+    its tapes equal one loop over the whole horizon.
     """
     riccati._check_level(gamma)
     gamma = float(gamma)
     problem = sys if isinstance(sys, RegretProblem) else prepare_regret(sys)
     norm, fwd = problem.norm, problem.fwd
     nsys = norm.system
-    T, n, m, p = nsys.T, nsys.n, nsys.m, nsys.p
+    T, n, p = nsys.T, nsys.n, nsys.p
 
     P_b = np.zeros((T, n, n))
     K_bl = np.zeros((T, n, p))
@@ -367,40 +360,26 @@ def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynt
     R_be_inv_sqrt = np.zeros((T, p, p))
     Ahat = np.zeros((T, 2 * n, 2 * n))
     Bhat_w = np.zeros((T, 2 * n, p))
-    Phat = np.zeros((T + 1, 2 * n, 2 * n))
-    Hhat = np.zeros((T, m, m))
-    margins = np.zeros(T)
     P_b_carry = fwd.W[T]
-    Phat[T] = problem.Phat_T
-    for t0, t1 in riccati._windows(T):
+
+    def window(t0, t1, Phat):
+        nonlocal P_b_carry
         win = slice(t0, t1)
-        try:
-            P_b[win], K_bl[win], R_be[win], P_b_carry = kernels.backward_kalman(
-                fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_carry
-            )
-            R_be_sqrt[win], R_be_inv_sqrt[win] = _pd_roots(R_be[win])
-            BwK = nsys.B_w[win] @ np.swapaxes(K_bl[win], 1, 2)
-            Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt[win]
-            Ahat[win, :n, :n] = nsys.A[win]
-            Ahat[win, :n, n:] = -BwK
-            Ahat[win, n:, n:] = fwd.Atil[win] - BwK
-            Bhat_w[win] = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
-            Phat[t0:t1 + 1], Hhat[win], margins[win] = kernels.regret_phat_backward(
-                Ahat[win], problem.Bhat_u[win], Bhat_w[win], problem.Qhat[win], Phat[t1],
-                1.0, False,
-            )
-        except np.linalg.LinAlgError:
-            # a recursion blew up before a margin turned positive (a singular
-            # pivot, or an overflow that became an invalid value): the level
-            # is numerically unattainable
-            Phat[:] = 0.0
-            Hhat[:] = 0.0
-            margins[:] = 1.0
-            break
-        failed = riccati._first_failing_step(margins[win])
-        if failed is not None:
-            margins[:t0] = max(margins[t0 + failed], 1.0)
-            break
+        P_b[win], K_bl[win], R_be[win], P_b_carry = kernels.backward_kalman(
+            fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_carry
+        )
+        R_be_sqrt[win], R_be_inv_sqrt[win] = _pd_roots(R_be[win])
+        BwK = nsys.B_w[win] @ np.swapaxes(K_bl[win], 1, 2)
+        Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt[win]
+        Ahat[win, :n, :n] = nsys.A[win]
+        Ahat[win, :n, n:] = -BwK
+        Ahat[win, n:, n:] = fwd.Atil[win] - BwK
+        Bhat_w[win] = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
+        return kernels.regret_phat_backward(
+            Ahat[win], problem.Bhat_u[win], Bhat_w[win], problem.Qhat[win], Phat, 1.0, False
+        )
+
+    Phat, Hhat, margins = riccati._sweep(problem.Phat_T, nsys.m, window, T)
     bwd = riccati.BackwardKalmanTape(
         P_b=P_b,
         K_bl=K_bl,
@@ -456,7 +435,8 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6):
             gamma_opt=0.0,
             bracket_history=[],
             iterations=0,
-            final_margins=np.full(sys.T, -np.inf),
+            # every probe's margin: the level-1 test is -I where Bhat_w = 0 or Phat = 0
+            final_margins=np.full(sys.T, -1.0),
         )
         return result, ZeroController(sys)
     problem = prepare_regret(sys)

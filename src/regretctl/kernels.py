@@ -34,8 +34,8 @@ boundaries, one after another (`_chunk_ends`); phase 3 runs the step body
 on all chunks at once, each from its boundary P. The loop is the same body
 over one chunk, and it runs the k mod c steps before the chunks. A scan
 that raises LinAlgError falls back to the loop (`_scheduled`), so a
-breakdown means what it means in the loop. The callers sweep in windows of
-1, 2, 4, ... steps (`riccati._windows`), so a horizon under 63 steps has no
+breakdown means what it means in the loop. Every probe sweeps in windows of
+1, 2, 4, ... steps (`riccati._sweep`), so a horizon under 63 steps has no
 window of 32 and keeps the loop's bits.
 
 The two rollouts take disturbances with leading batch axes, (..., T, p), and

@@ -94,6 +94,33 @@ def _windows(T):
         t1, k = t0, 2 * k
 
 
+def _sweep(P_T, m, window, T):
+    """The backward sweep (P, H, margins) of one probe from P_T, where
+    `window(t0, t1, P_{t1})` returns (P[t0:t1+1], H[t0:t1], margins[t0:t1]).
+    It stops after the first window with a margin >= 0 and flags every
+    earlier step with max(margin, 1), P and H being zero there. A LinAlgError
+    (a singular pivot, or an overflow that became an invalid value) makes
+    the level numerically unattainable: margins 1, P and H zero."""
+    P = np.zeros((T + 1,) + P_T.shape)
+    H = np.zeros((T, m, m))
+    margins = np.zeros(T)
+    P[T] = P_T
+    for t0, t1 in _windows(T):
+        win = slice(t0, t1)
+        try:
+            P[t0:t1 + 1], H[win], margins[win] = window(t0, t1, P[t1])
+        except np.linalg.LinAlgError:
+            P[:] = 0.0
+            H[:] = 0.0
+            margins[:] = 1.0
+            break
+        failed = _first_failing_step(margins[win])
+        if failed is not None:
+            margins[:t0] = max(margins[t0 + failed], 1.0)
+            break
+    return P, H, margins
+
+
 def _check_level(gamma):
     if not 0.0 < gamma < np.inf:  # written so that NaN fails too
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -113,39 +140,21 @@ def backward_hinf(sys: LqSystem, gamma: float) -> HinfTape:
     """Backward H-infinity Riccati at performance level gamma, initialized at
     P_T = Q_T, with per-step feasibility margins.
 
-    The sweep runs backward from t = T in windows of 1, 2, 4, ... steps, each
-    from the carried P. It stops after the first window with a margin >= 0
-    and flags every earlier step with max(margin, 1), P being zero there, as
-    one sweep over the horizon does. The kernel runs a window of 32 steps or
-    more as a chunked scan, which agrees with the loop to rounding; a horizon
-    under 63 steps has no such window and keeps the loop's bits.
+    The sweep (`_sweep`) runs backward from t = T in windows of 1, 2, 4,
+    ... steps and stops after the first window with a margin >= 0. The
+    kernel runs a window of 32 steps or more as a chunked scan, which agrees
+    with the loop to rounding; a horizon under 63 steps has no such window
+    and keeps the loop's bits.
     """
     sys = as_validated(sys)
     _check_level(gamma)
     gamma = float(gamma)
-    T = sys.T
-    P = np.zeros((T + 1, sys.n, sys.n))
-    H = np.zeros((T, sys.m, sys.m))
-    margins = np.zeros(T)
-    P[T] = sys.Q_T
-    for t0, t1 in _windows(T):
-        win = slice(t0, t1)
-        try:
-            P[t0:t1 + 1], H[win], margins[win] = kernels.hinf_backward(
-                sys.A[win], sys.B_u[win], sys.B_w[win], sys.Q[win], sys.R[win], P[t1], gamma
-            )
-        except np.linalg.LinAlgError:
-            # recursion blew up before a margin turned positive (a singular
-            # pivot, or an overflow that became an invalid value): numerically
-            # unattainable level
-            P[:] = 0.0
-            H[:] = 0.0
-            margins[:] = 1.0
-            break
-        failed = _first_failing_step(margins[win])
-        if failed is not None:
-            margins[:t0] = max(margins[t0 + failed], 1.0)
-            break
+
+    def window(t0, t1, P):
+        A, B_u, B_w, Q, R = (X[t0:t1] for X in (sys.A, sys.B_u, sys.B_w, sys.Q, sys.R))
+        return kernels.hinf_backward(A, B_u, B_w, Q, R, P, gamma)
+
+    P, H, margins = _sweep(sys.Q_T, sys.m, window, sys.T)
     return HinfTape(P=P, H=H, margins=margins, gamma=gamma)
 
 

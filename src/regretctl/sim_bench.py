@@ -7,7 +7,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .controllers import offline_noncausal
+from .controllers import OfflineController
 from .system_model import LqSystem, Trajectory, as_signal, as_validated, evaluate_cost
 
 
@@ -43,8 +43,8 @@ class DisturbanceSpec:
     vector), or "worst_case" (params: witness, a (T, p) array, typically a
     regret-certificate eigenvector). Construction refuses, with a
     DisturbanceError, an unknown kind, a parameter the kind does not read,
-    and a bool or a string where it reads a number; `generate` refuses a
-    parameter whose shape does not fit (T, p) the same way.
+    and a bool, a string, a NaN or an infinity where it reads a number;
+    `generate` refuses a parameter whose shape does not fit (T, p) the same way.
     """
 
     PARAMS: ClassVar[dict] = {
@@ -81,6 +81,8 @@ class DisturbanceSpec:
             elif not (_is_numeric(value) or (key == "cov" and value is None)):
                 message = f"disturbance parameter {key!r} must be numeric, got {value!r}"
                 raise DisturbanceError("params", message)
+            elif value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise DisturbanceError("params", f"disturbance parameter {key!r} must be finite, got {value!r}")
 
     def _number(self, key, default):
         return np.asarray(self.params.get(key, default), dtype=float)
@@ -198,7 +200,7 @@ def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int
         # only the costs outlive each batch of trajectories
         return traj.total_cost, np.cumsum(traj.step_costs, axis=-1) / counts
 
-    off_totals, off_averaged = costs(evaluate_cost(sys, w, offline_noncausal(sys, w)))
+    off_totals, off_averaged = costs(evaluate_cost(sys, w, OfflineController(sys).plan(w)))
     totals, averaged, regrets = {}, {}, {}
     for name in controllers:
         totals[name], averaged[name] = costs(rollout(sys, controllers[name], w))

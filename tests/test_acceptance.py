@@ -63,7 +63,7 @@ def test_criterion_2_offline_equivalence():
         rng = np.random.default_rng(seed)
         for _ in range(20):
             w = rng.standard_normal((sys.T, sys.p))
-            u_ss = ct.offline_noncausal(sys, w)
+            u_ss = ct.OfflineController(sys).plan(w)
             u_dense, _ = oo.offline_optimal(ops, w.reshape(-1))
             u_dense = norm.to_original_u(u_dense.reshape(sys.T, sys.m))
             assert np.abs(u_ss - u_dense).max() <= 1e-8

@@ -278,6 +278,21 @@ class TestGamma:
             assert result.exit_code == 0, result.output
         assert a.read_bytes() == b.read_bytes()
 
+    def test_degenerate_margins_are_strict_json(self, runner, tmp_path):
+        """A system whose disturbance produces no cost (B_w = 0) writes the
+        margin every probe reads, -1, not -Infinity, which is not JSON."""
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        out = tmp_path / "gamma.json"
+        config = Path(__file__).parent / "data" / "degenerate.json"
+        result = runner.invoke(main, ["gamma", "--config", str(config), "--json", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["gamma_opt"] == 0.0
+        assert doc["final_margins"] == [-1.0] * doc["config"]["horizon"]
+
 
 class TestSynth:
     def test_gains_roundtrip_full_precision(self, runner, s1_config, tmp_path):
@@ -551,19 +566,29 @@ def test_cli_json_equals_reference_bytes(runner, tmp_path, monkeypatch, command,
     assert out.read_bytes() == ref.read_bytes()
 
 
-def test_boolean_disturbance_params_refused_before_echo(runner, tmp_path):
-    """Every subcommand that reads a config refuses a boolean where a
-    disturbance parameter is read as a number, before it echoes the config."""
-    cfg = tmp_path / "bool.json"
-    params = {"mean": [True, 0.5]}
-    cfg.write_text(json.dumps(dict(S1_CONFIG, disturbance={"kind": "gaussian", "params": params})))
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("gaussian", {"mean": [True, 0.5]}, "disturbance parameter 'mean' must be numeric, got [True, 0.5]"),
+        # json.dumps writes these as NaN and Infinity, which json.loads reads
+        ("constant", {"vector": np.nan}, "disturbance parameter 'vector' must be finite, got nan"),
+        ("gaussian", {"mean": np.inf}, "disturbance parameter 'mean' must be finite, got inf"),
+        ("sinusoid", {"frequency": np.nan}, "disturbance parameter 'frequency' must be finite, got nan"),
+    ],
+)
+def test_boolean_disturbance_params_refused_before_echo(runner, tmp_path, kind, params, message):
+    """Every subcommand that reads a config refuses a boolean, a NaN or an
+    infinity where a disturbance parameter is read as a number, before it
+    echoes the config."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(S1_CONFIG, disturbance={"kind": kind, "params": params})))
     out = tmp_path / "gamma.json"
     result = runner.invoke(main, ["gamma", "--config", str(cfg), "--json", str(out)])
     assert result.exit_code == 1
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"] == {
         "type": "ConfigError",
-        "message": "field 'disturbance.params': disturbance parameter 'mean' must be numeric, got [True, 0.5]",
+        "message": f"field 'disturbance.params': {message}",
     }
     assert not out.exists()
 

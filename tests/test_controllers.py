@@ -150,11 +150,11 @@ class TestFeedbackGains:
 
 class TestOffline:
     def test_s1_impulse(self):
-        u = ct.offline_noncausal(s1(), [[1.0], [0.0], [0.0]])
+        u = ct.OfflineController(s1()).plan([[1.0], [0.0], [0.0]])
         assert np.allclose(u[:, 0], [-0.6, -0.2, 0.0], atol=1e-10)
 
     def test_zero_disturbance(self):
-        assert not ct.offline_noncausal(s1(), np.zeros((3, 1))).any()
+        assert not ct.OfflineController(s1()).plan(np.zeros((3, 1))).any()
 
     def test_matches_dense_solution(self):
         sys = random_system(7, n_max=2, T_max=8)
@@ -163,7 +163,7 @@ class TestOffline:
         rng = np.random.default_rng(0)
         for _ in range(20):
             w = rng.standard_normal((sys.T, sys.p))
-            u_ss = ct.offline_noncausal(sys, w)
+            u_ss = ct.OfflineController(sys).plan(w)
             u_dense, _ = oo.offline_optimal(ops, w.reshape(-1))
             u_dense = nsys.to_original_u(u_dense.reshape(sys.T, sys.m))
             assert np.abs(u_ss - u_dense).max() <= 1e-8
@@ -219,6 +219,20 @@ class TestRegretOptimal:
         res, ctrl = ct.regret_optimal(zero_q)
         assert res.gamma_opt == 0.0
         assert isinstance(ctrl, ct.ZeroController)
+
+    @pytest.mark.parametrize("zeroed", [("B_w",), ("Q", "Q_T")], ids=["no-disturbance", "no-weight"])
+    def test_degenerate_margins_equal_every_probes(self, zeroed):
+        """The degenerate fast path reports the margins that every probe of
+        such a system reads: -1 at each step, since the level-1 test is -I
+        where Bhat_w = 0 or Phat = 0."""
+        sys = pendulum_system(40)
+        blocks = {k: getattr(sys, k) for k in ("A", "B_u", "B_w", "Q", "R", "Q_T")}
+        blocks.update({k: np.zeros_like(blocks[k]) for k in zeroed})
+        degenerate = validate_system(LqSystem(**blocks))
+        res, _ = ct.regret_optimal(degenerate)
+        assert res.final_margins.tolist() == [-1.0] * 40
+        for gamma in (1e-3, 1.0, 30.0):
+            assert np.array_equal(ct.synthesize_regret(degenerate, gamma).margins, res.final_margins)
 
     @pytest.mark.parametrize(
         "search, T", [(ct.regret_optimal, 1), (ct.regret_optimal, 2), (ct.hinf_optimal, 1)],
@@ -596,9 +610,9 @@ class TestBatchedControlSequence:
             assert batch.shape == (2, 3, sys.T, sys.m)
             assert np.array_equal(batch[1, 2], ctrl.control_sequence(w[1, 2]))
 
-    def test_offline_noncausal_batch(self):
+    def test_offline_plan_batch(self):
         sys = random_system(44, T_max=8)
         w = np.random.default_rng(7).standard_normal((4, sys.T, sys.p))
-        batch = ct.offline_noncausal(sys, w)
+        batch = ct.OfflineController(sys).plan(w)
         for k in range(4):
-            assert np.array_equal(batch[k], ct.offline_noncausal(sys, w[k]))
+            assert np.array_equal(batch[k], ct.OfflineController(sys).plan(w[k]))

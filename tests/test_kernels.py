@@ -235,6 +235,37 @@ class TestBitIdentityWithNpLinalgLoops:
         assert not syn.Phat.any() and not syn.Hhat.any()
         assert not syn.feasible
 
+    @pytest.mark.parametrize("probe", ["hinf", "regret"])
+    def test_breakdown_after_feasible_windows(self, monkeypatch, probe):
+        # a mode at A = 1e3 that neither input reaches: its value grows
+        # 1e6-fold per step and overflows in the sixth window (32 steps), after
+        # five windows whose margins are all negative
+        T = 120
+        plant = LqSystem.time_invariant(
+            np.diag([0.5, 1e3]), [[1.0], [0.0]], [[1.0], [0.0]], np.eye(2), [[1.0]], np.eye(2), horizon=T
+        )
+        sys = validate_system(plant)
+        name = "hinf_backward" if probe == "hinf" else "regret_phat_backward"
+        kernel, swept = getattr(kernels, name), []
+
+        def spy(*args):
+            out = kernel(*args)
+            swept.append(out[2])
+            return out
+
+        monkeypatch.setattr(kernels, name, spy)
+        if probe == "hinf":
+            tape = riccati.backward_hinf(sys, 10.0)
+            P, H = tape.P, tape.H
+        else:
+            tape = ct.synthesize_regret(sys, 10.0)
+            P, H = tape.Phat, tape.Hhat
+        assert [m.size for m in swept] == [1, 2, 4, 8, 16]
+        assert all((m < 0.0).all() for m in swept)
+        assert tape.margins.tolist() == [1.0] * T
+        assert not P.any() and not H.any()
+        assert not tape.feasible
+
 
 def _reference_sweep(*args, chunk=None):
     assert chunk is None  # the np.linalg copy is a loop

@@ -70,21 +70,27 @@ class TestDisturbanceSpec:
             DisturbanceSpec(kind, params)
 
     @pytest.mark.parametrize(
-        "kind, params, key",
+        "kind, params, key, need",
         [
-            ("sinusoid", {"frequency": "0.25"}, "frequency"),
-            ("sinusoid", {"amplitude": True}, "amplitude"),
-            ("sinusoid", {"phase": None}, "phase"),
-            ("gaussian", {"mean": [1.0, True]}, "mean"),
-            ("gaussian", {"cov": [["1", 0.0], [0.0, 1.0]]}, "cov"),
-            ("gaussian", {"cov": np.eye(2, dtype=bool)}, "cov"),
-            ("alternating", {"mean": "1"}, "mean"),
-            ("constant", {"vector": [np.True_, 1.0]}, "vector"),
-            ("worst_case", {}, "witness"),
+            ("sinusoid", {"frequency": "0.25"}, "frequency", "numeric"),
+            ("sinusoid", {"amplitude": True}, "amplitude", "numeric"),
+            ("sinusoid", {"phase": None}, "phase", "numeric"),
+            ("gaussian", {"mean": [1.0, True]}, "mean", "numeric"),
+            ("gaussian", {"cov": [["1", 0.0], [0.0, 1.0]]}, "cov", "numeric"),
+            ("gaussian", {"cov": np.eye(2, dtype=bool)}, "cov", "numeric"),
+            ("alternating", {"mean": "1"}, "mean", "numeric"),
+            ("constant", {"vector": [np.True_, 1.0]}, "vector", "numeric"),
+            ("worst_case", {}, "witness", "numeric"),
+            # json reads NaN and Infinity as floats
+            ("constant", {"vector": np.nan}, "vector", "finite"),
+            ("gaussian", {"mean": np.inf}, "mean", "finite"),
+            ("gaussian", {"cov": [[1.0, 0.0], [0.0, -np.inf]]}, "cov", "finite"),
+            ("sinusoid", {"frequency": np.nan}, "frequency", "finite"),
+            ("worst_case", {"witness": [0.0, np.nan]}, "witness", "finite"),
         ],
     )
-    def test_bool_or_string_for_a_number_refused(self, kind, params, key):
-        with pytest.raises(ValueError, match=f"disturbance parameter {key!r} must be numeric"):
+    def test_bool_or_string_for_a_number_refused(self, kind, params, key, need):
+        with pytest.raises(ValueError, match=f"disturbance parameter {key!r} must be {need}"):
             DisturbanceSpec(kind, params)
 
     def test_valid_params_keep_their_bits(self):
@@ -274,7 +280,7 @@ def _per_trial_reference(sys, controllers, spec, trials):
     offline = []
     for k in range(trials):
         w = generate_disturbance(DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), sys)
-        off = evaluate_cost(sys, w, ct.offline_noncausal(sys, w))
+        off = evaluate_cost(sys, w, ct.OfflineController(sys).plan(w))
         offline.append(off.total_cost)
         ref["time_averaged"].setdefault("offline", []).append(averaged(off))
         for name, ctrl in controllers.items():
