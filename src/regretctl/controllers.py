@@ -336,15 +336,16 @@ def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynt
     system is prepared first. Its feasibility test is the reduction's: the
     attenuation-level-1 recursion on the z-driven doubled system.
 
-    The sweep (`riccati._sweep`) runs backward from t = T in windows of 1,
-    2, 4, ... steps. In each it runs the backward Kalman recursion from the
+    The sweep (`riccati._sweep`) runs backward from t = T in windows of 16,
+    32, 64, ... steps. In each it runs the backward Kalman recursion from the
     carried P_b, takes the R_be roots, assembles Ahat and Bhat_w, and runs
     the value recursion from the carried Phat. It stops after the first
     window with a margin >= 0, so the tapes of an infeasible level hold only
     the swept steps. At a feasible level every window runs. The kernels run
     a window of 32 steps or more as a chunked scan, which agrees with the
-    step loop to rounding; a horizon under 63 steps has no such window, and
-    its tapes equal one loop over the whole horizon.
+    step loop to rounding; a horizon under 48 steps has no such window, and
+    its tapes equal one loop over the whole horizon from the same forward
+    Kalman tape.
     """
     riccati._check_level(gamma)
     gamma = float(gamma)

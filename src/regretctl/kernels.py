@@ -7,22 +7,22 @@ control). Its four entry points are `lqr_backward` (no disturbance input,
 p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma),
 `regret_phat_backward` (R = I on the doubled state of the regret reduction,
 stacked or control-only) and `backward_kalman` (A = Atil, B_u = B_w,
-R = gamma^2 I and no disturbance input). With `forward_kalman`, that makes
-two step loops. `rollout_regret` is the one realization of the regret
-controller.
+R = gamma^2 I and no disturbance input). `forward_kalman` runs it in
+reversed time, so its step loop is the one every recursion runs on.
+`rollout_regret` is the one realization of the regret controller.
 
 The recursions solve and eigendecompose 1x1 to 4x4 matrices at every step,
 where the public `np.linalg` wrappers cost more than LAPACK itself. So the
-step loops call the LAPACK gufuncs behind `np.linalg.solve` and
+step loop calls the LAPACK gufuncs behind `np.linalg.solve` and
 `np.linalg.eigh` directly, under the floating-point error state those
 wrappers set up, entered once per kernel call (`_linalg_errstate`). The
 results are the same bits. That state also covers the loop's own arithmetic,
 so an invalid value there (an overflow that turns into inf - inf) raises
 LinAlgError like a singular pivot does.
 
-The backward Kalman recursion, the stacked value recursion and the
-H-infinity recursion run a window of at least `_SCAN_MIN_STEPS` steps as a
-chunked scan (Sarkka and
+The forward and backward Kalman recursions, the stacked value recursion and
+the H-infinity recursion run a window of at least `_SCAN_MIN_STEPS` steps as
+a chunked scan (Sarkka and
 Garcia-Fernandez, "Temporal parallelization of dynamic programming and
 linear quadratic control", IEEE TAC 2023). Each of their steps is the map
 P -> J + A'P(I + CP)^{-1}A with C = B R0^{-1} B', and these maps compose
@@ -35,8 +35,11 @@ on all chunks at once, each from its boundary P. The loop is the same body
 over one chunk, and it runs the k mod c steps before the chunks. A scan
 that raises LinAlgError falls back to the loop (`_scheduled`), so a
 breakdown means what it means in the loop. Every probe sweeps in windows of
-1, 2, 4, ... steps (`riccati._sweep`), so a horizon under 63 steps has no
-window of 32 and keeps the loop's bits.
+16, 32, 64, ... steps (`riccati._windows`): the first runs as the loop, so
+a probe that fails there stops at its failing step, and every later one of
+32 steps or more as a scan. A horizon under 48 steps has no scanned window
+and keeps the loop's bits; the forward Kalman recursion, one window over
+the horizon, is scanned from 32 steps.
 
 The two rollouts take disturbances with leading batch axes, (..., T, p), and
 run every item in one sweep over time. Each product is a stacked
@@ -266,22 +269,25 @@ def forward_kalman(A, B_u, sqQ):
     block row of the operators). Returns (P, K_p, R_e, Atil) with
     P: (T+1, n, n) (P_0 = 0), K_p: (T, n, n), R_e: (T+1, n, n) (index T uses
     the terminal weight), Atil_t = A_t - K_p_t Q_t^{1/2}.
+
+    The filter's map P -> BB' + AP(I + Q^{1/2} P Q^{1/2})^{-1}A' is the
+    backward recursion's in reversed time: step t runs as step T-1-t with
+    A_t' for A, Q_t^{1/2} for the input, no disturbance input, B_u B_u' for
+    Q, R = I and P_T = 0, so a horizon of `_SCAN_MIN_STEPS` or more steps
+    runs as a chunked scan. Its H is R_e; K_p and Atil follow from P in one
+    stacked solve.
     """
     T, n, _ = A.shape
-    P = np.zeros((T + 1, n, n))
-    K_p = np.zeros((T, n, n))
-    R_e = np.zeros((T + 1, n, n))
-    Atil = np.zeros((T, n, n))
     eye = np.eye(n)
+    A_r, sqQ_r, BB_r = (np.ascontiguousarray(x[::-1]) for x in (A.mT, sqQ[:T], B_u @ B_u.mT))
+    R = np.broadcast_to(eye, (T, n, n))
+    R_e = np.empty((T + 1, n, n))
     with _linalg_errstate():
-        for t in range(T):
-            AP = A[t] @ P[t]
-            R_e[t] = _sym(eye + sqQ[t] @ P[t] @ sqQ[t])
-            K_p[t] = AP @ _solve(R_e[t], sqQ[t], signature="dd->d").T
-            Atil[t] = A[t] - K_p[t] @ sqQ[t]
-            P[t + 1] = _sym(AP @ A[t].T + B_u[t] @ B_u[t].T - K_p[t] @ R_e[t] @ K_p[t].T)
+        P, H, _ = _scheduled(A_r, sqQ_r, np.zeros((T, n, 0)), BB_r, R, np.zeros((n, n)), 0.0, False)
+        P, R_e[:T] = P[::-1].copy(), H[::-1]
+        K_p = A @ P[:T] @ _solve(R_e[:T], sqQ[:T], signature="dd->d").mT
     R_e[T] = _sym(eye + sqQ[T] @ P[T] @ sqQ[T])
-    return P, K_p, R_e, Atil
+    return P, K_p, R_e, A - K_p @ sqQ[:T]
 
 
 def backward_kalman(Atil, B_w, W, gamma, P_b_last):

@@ -85,9 +85,12 @@ def _first_failing_step(margins):
 
 
 def _windows(T):
-    """The windows [t0, t1) of a backward sweep from t = T: 1, 2, 4, ...
-    steps, the last one clipped at t = 0."""
-    t1, k = T, 1
+    """The windows [t0, t1) of a backward sweep from t = T: 16, 32, 64, ...
+    steps, the last one clipped at t = 0. The first window, half the scan's
+    floor, is the longest the kernels run as the loop, so a probe that fails
+    in it stops at its failing step; every later window but a short last one
+    runs as a chunked scan."""
+    t1, k = T, kernels._SCAN_MIN_STEPS // 2
     while t1 > 0:
         t0 = max(t1 - k, 0)
         yield t0, t1
@@ -140,10 +143,10 @@ def backward_hinf(sys: LqSystem, gamma: float) -> HinfTape:
     """Backward H-infinity Riccati at performance level gamma, initialized at
     P_T = Q_T, with per-step feasibility margins.
 
-    The sweep (`_sweep`) runs backward from t = T in windows of 1, 2, 4,
+    The sweep (`_sweep`) runs backward from t = T in windows of 16, 32, 64,
     ... steps and stops after the first window with a margin >= 0. The
     kernel runs a window of 32 steps or more as a chunked scan, which agrees
-    with the loop to rounding; a horizon under 63 steps has no such window
+    with the loop to rounding; a horizon under 48 steps has no such window
     and keeps the loop's bits.
     """
     sys = as_validated(sys)

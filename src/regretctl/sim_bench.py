@@ -23,6 +23,15 @@ def _is_numeric(value):
     return all(issubclass(t, numbers) and not issubclass(t, bools) for t in types)
 
 
+def _is_finite(value):
+    """True when every number of a numeric `value` is a finite float; an
+    integer beyond the float range is not."""
+    try:
+        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+    except OverflowError:
+        return False
+
+
 class DisturbanceError(ValueError):
     """A disturbance recipe that no horizon makes valid; `field` names the
     offending entry, "kind" or "params"."""
@@ -43,8 +52,9 @@ class DisturbanceSpec:
     vector), or "worst_case" (params: witness, a (T, p) array, typically a
     regret-certificate eigenvector). Construction refuses, with a
     DisturbanceError, an unknown kind, a parameter the kind does not read,
-    and a bool, a string, a NaN or an infinity where it reads a number;
-    `generate` refuses a parameter whose shape does not fit (T, p) the same way.
+    and a bool, a string, a NaN, an infinity or an integer beyond the float
+    range where it reads a number; `generate` refuses a parameter whose
+    shape does not fit (T, p) the same way.
     """
 
     PARAMS: ClassVar[dict] = {
@@ -81,7 +91,7 @@ class DisturbanceSpec:
             elif not (_is_numeric(value) or (key == "cov" and value is None)):
                 message = f"disturbance parameter {key!r} must be numeric, got {value!r}"
                 raise DisturbanceError("params", message)
-            elif value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+            elif value is not None and not _is_finite(value):
                 raise DisturbanceError("params", f"disturbance parameter {key!r} must be finite, got {value!r}")
 
     def _number(self, key, default):
@@ -184,17 +194,15 @@ def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int
     """Roll every controller over `trials` disturbances drawn from spec
     (seed offset by trial index) and account costs and realized regret
     against the offline-optimal baseline. The trials are stacked into one
-    (trials, T, p) batch: one offline plan and one rollout per controller."""
+    (trials, T, p) batch: one offline plan and one rollout per controller.
+    The sampler is built once; trial k draws from its own generator seeded
+    spec.seed + k, the bits `generate` gives at that seed."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     sys = as_validated(sys)
     counts = np.arange(sys.T) + 1.0
-    w = np.stack(
-        [
-            generate_disturbance(DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), sys)
-            for k in range(trials)
-        ]
-    )
+    sample = spec._sampler(sys.T, sys.p)
+    w = np.stack([sample(np.random.Generator(np.random.PCG64(spec.seed + k))) for k in range(trials)])
 
     def costs(traj):
         # only the costs outlive each batch of trajectories

@@ -574,12 +574,14 @@ def test_cli_json_equals_reference_bytes(runner, tmp_path, monkeypatch, command,
         ("constant", {"vector": np.nan}, "disturbance parameter 'vector' must be finite, got nan"),
         ("gaussian", {"mean": np.inf}, "disturbance parameter 'mean' must be finite, got inf"),
         ("sinusoid", {"frequency": np.nan}, "disturbance parameter 'frequency' must be finite, got nan"),
+        # and a 401-digit integer as a Python int beyond the float range
+        ("constant", {"vector": 10**400}, f"disturbance parameter 'vector' must be finite, got {10**400}"),
     ],
 )
 def test_boolean_disturbance_params_refused_before_echo(runner, tmp_path, kind, params, message):
-    """Every subcommand that reads a config refuses a boolean, a NaN or an
-    infinity where a disturbance parameter is read as a number, before it
-    echoes the config."""
+    """Every subcommand that reads a config refuses a boolean, a NaN, an
+    infinity or an integer beyond the float range where a disturbance
+    parameter is read as a number, before it echoes the config."""
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(dict(S1_CONFIG, disturbance={"kind": kind, "params": params})))
     out = tmp_path / "gamma.json"

@@ -1,6 +1,5 @@
 import contextlib
 import functools
-import math
 import warnings
 
 import numpy as np
@@ -158,6 +157,32 @@ def _breakdown_system(T=4):
     return eye, eye.copy(), eye.copy(), -0.5 * eye, eye.copy(), np.zeros((2, 2))
 
 
+def _filter_in_reversed_time(A, B_u, sqQ):
+    """The arguments of the backward recursion whose step T-1-t is the
+    forward Kalman step t: A_t' for A, Q_t^{1/2} for the input, no
+    disturbance input, B_u B_u' for Q, R = I and P_T = 0, at level 0 and not
+    stacked."""
+    T, n, _ = A.shape
+    A_r, sqQ_r, BB_r = (np.ascontiguousarray(x[::-1]) for x in (A.mT, sqQ[:T], B_u @ B_u.mT))
+    R = np.broadcast_to(np.eye(n), (T, n, n))
+    return A_r, sqQ_r, np.zeros((T, n, 0)), BB_r, R, np.zeros((n, n)), 0.0, False
+
+
+def _assert_forward_on_the_loop(A, B_u, sqQ, fwd):
+    """`kernels.forward_kalman`'s output `fwd` holds the bits of the Riccati
+    loop's copy in reversed time (P reversed, R_e the reversed H), of K_p and
+    Atil formed from its P step by step, and of R_e at the terminal weight."""
+    T, n, _ = A.shape
+    P, K_p, R_e, Atil = fwd
+    P_r, H_r, _ = reference_riccati_backward(*_filter_in_reversed_time(A, B_u, sqQ))
+    assert_same_bits(P, P_r[::-1])
+    assert_same_bits(R_e[:T], H_r[::-1])
+    assert_same_bits(R_e[T], kernels._sym(np.eye(n) + sqQ[T] @ P[T] @ sqQ[T]))
+    K = np.array([A[t] @ P[t] @ np.linalg.solve(R_e[t], sqQ[t]).T for t in range(T)])
+    assert_same_bits(K_p, K)
+    assert_same_bits(Atil, np.array([A[t] - K[t] @ sqQ[t] for t in range(T)]))
+
+
 class TestBitIdentityWithNpLinalgLoops:
     """The kernels against verbatim copies of their np.linalg versions."""
 
@@ -183,12 +208,16 @@ class TestBitIdentityWithNpLinalgLoops:
     def test_kalman(self, sys):
         nsys = normalize_control_weight(sys).system
         sqQ = psd_sqrt(np.concatenate((nsys.Q, nsys.Q_T[None])))
-        fwd = kernels.forward_kalman(nsys.A, nsys.B_u, sqQ)
-        for a, b in zip(fwd, reference_forward_kalman(nsys.A, nsys.B_u, sqQ)):
-            assert_same_bits(a, b)
-        Atil, R_e = fwd[3], fwd[2]
-        W = sqQ @ np.linalg.solve(R_e, sqQ)
         T, n, p = sys.T, sys.n, sys.p
+        fwd = kernels.forward_kalman(nsys.A, nsys.B_u, sqQ)
+        _, K_p, R_e, Atil = fwd
+        # below `_SCAN_MIN_STEPS` steps, the Riccati loop in reversed time bit
+        # for bit, and K_p and Atil from its P with the loop's products
+        _assert_forward_on_the_loop(nsys.A, nsys.B_u, sqQ, fwd)
+        # and the forward Kalman loop it replaced, to rounding
+        for a, b in zip(fwd, reference_forward_kalman(nsys.A, nsys.B_u, sqQ)):
+            _assert_close(a, b, rtol=1e-10)
+        W = sqQ @ np.linalg.solve(R_e, sqQ)
         for gamma in (1e-3, 0.3, 1.0, 30.0):
             args = (Atil, nsys.B_w, W[:T], gamma, W[T])
             P_b, K_bl, R_be, carry = kernels.backward_kalman(*args)
@@ -238,8 +267,9 @@ class TestBitIdentityWithNpLinalgLoops:
     @pytest.mark.parametrize("probe", ["hinf", "regret"])
     def test_breakdown_after_feasible_windows(self, monkeypatch, probe):
         # a mode at A = 1e3 that neither input reaches: its value grows
-        # 1e6-fold per step and overflows in the sixth window (32 steps), after
-        # five windows whose margins are all negative
+        # 1e6-fold per step and overflows in the third window (64 steps), after
+        # two windows (16 and 32 steps, the second a scan) whose margins are
+        # all negative
         T = 120
         plant = LqSystem.time_invariant(
             np.diag([0.5, 1e3]), [[1.0], [0.0]], [[1.0], [0.0]], np.eye(2), [[1.0]], np.eye(2), horizon=T
@@ -260,28 +290,33 @@ class TestBitIdentityWithNpLinalgLoops:
         else:
             tape = ct.synthesize_regret(sys, 10.0)
             P, H = tape.Phat, tape.Hhat
-        assert [m.size for m in swept] == [1, 2, 4, 8, 16]
+        assert [m.size for m in swept] == [16, 32]
         assert all((m < 0.0).all() for m in swept)
         assert tape.margins.tolist() == [1.0] * T
         assert not P.any() and not H.any()
         assert not tape.feasible
 
 
+_riccati_sweep = kernels._riccati_sweep
+
+
 def _reference_sweep(*args, chunk=None):
-    assert chunk is None  # the np.linalg copy is a loop
-    return reference_riccati_backward(*args)
+    """The np.linalg copy where the library runs the loop; a window the
+    library scans runs the library's scan, whose steps it shares."""
+    if chunk is None:
+        return reference_riccati_backward(*args)
+    return _riccati_sweep(*args, chunk=chunk)
 
 
 def _run_with_reference_kernels(fn):
-    """fn() with the two loop kernels replaced by their np.linalg copies,
-    which run every window as the loop and under the caller's error state;
-    `backward_kalman` and the other recursions run on the swapped
-    `_riccati_sweep`."""
+    """fn() with the loop kernel replaced by its np.linalg copy, which runs
+    under the caller's error state; every recursion, the forward Kalman one
+    included, runs on the swapped `_riccati_sweep`. Windows keep their
+    schedule: on the horizons below 48 steps used here only the forward
+    Kalman recursion of the pendulum at T=40 runs as a scan."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_riccati_sweep", _reference_sweep)
-        mp.setattr(kernels, "_SCAN_MIN_STEPS", math.inf)
         mp.setattr(kernels, "_linalg_errstate", contextlib.nullcontext)
-        mp.setattr(kernels, "forward_kalman", reference_forward_kalman)
         return fn()
 
 
@@ -437,9 +472,10 @@ def _scan_case(name):
 
 
 def _loop_only(fn):
-    """fn() with every window run as the loop (one chunk)."""
+    """fn() with every window run as the loop (one chunk), on the same
+    windows."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_SCAN_MIN_STEPS", math.inf)
+        mp.setattr(kernels, "_chunk_length", lambda k: k)
         return fn()
 
 
@@ -546,6 +582,17 @@ class TestChunkedScan:
             assert not P[: t + 1].any() and not H[:t].any()
             _assert_close(margins[t + 1:], margins_l[t + 1:])
             _assert_close(P[t + 1:], P_l[t + 1:])
+
+    @pytest.mark.parametrize("name", ["pendulum-T1000", "ltv-unstable-T300"])
+    def test_forward_kalman_agrees_with_the_loop(self, name):
+        nsys = normalize_control_weight(_SCAN_SYSTEMS[name]()).system
+        sqQ = psd_sqrt(np.concatenate((nsys.Q, nsys.Q_T[None])))
+        scan = _scanned(lambda: kernels.forward_kalman(nsys.A, nsys.B_u, sqQ))
+        loop = _loop_only(lambda: kernels.forward_kalman(nsys.A, nsys.B_u, sqQ))
+        _assert_forward_on_the_loop(nsys.A, nsys.B_u, sqQ, loop)
+        for a, b, c in zip(scan, loop, reference_forward_kalman(nsys.A, nsys.B_u, sqQ)):
+            _assert_close(a, b, rtol=1e-10)
+            _assert_close(a, c, rtol=1e-10)
 
     @staticmethod
     def _breakdown_window(k=200):

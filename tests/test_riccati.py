@@ -111,11 +111,14 @@ class TestBackwardHinf:
 
     @pytest.mark.parametrize(
         "sys",
-        [pendulum_system(62)] + [random_system(seed, T_max=40, stable=seed % 2 == 0) for seed in range(500, 506)],
-        ids=["pendulum-T62"] + [f"random{seed}" for seed in range(500, 506)],
+        [pendulum_system(15), pendulum_system(47)]
+        + [random_system(seed, T_max=40, stable=seed % 2 == 0) for seed in range(500, 506)],
+        ids=["pendulum-T15", "pendulum-T47"] + [f"random{seed}" for seed in range(500, 506)],
     )
-    def test_windows_equal_one_loop_below_63_steps(self, sys):
-        # no window reaches 32 steps, so every window runs the loop
+    def test_windows_equal_one_loop_below_48_steps(self, sys):
+        # the windows are the horizon, or 16 steps and then fewer than 32, so
+        # every window runs the loop
+        assert all(t1 - t0 < kernels._SCAN_MIN_STEPS for t0, t1 in riccati._windows(sys.T))
         g_opt = ct.hinf_optimal(sys, 1e-6)[0].gamma_opt
         verdicts = set()
         for c in (0.5, 0.999, 1.0, 1.001, 2.0):
@@ -137,11 +140,13 @@ class TestBackwardHinf:
         monkeypatch.setattr(kernels, "hinf_backward", counted)
         sys = pendulum_system(100)
         assert riccati.backward_hinf(sys, 3.0).feasible
-        assert steps == [1, 2, 4, 8, 16, 32, 37]
+        assert steps == [16, 32, 52]
         steps.clear()
         tape = riccati.backward_hinf(sys, 1.0)
         t = tape.first_infeasible_step
-        assert steps == [2**k for k in range(len(steps))] and sum(steps) <= 2 * (sys.T - t) + 1
+        # it stops after the window that holds the failing step
+        assert steps == [16 * 2**k for k in range(len(steps))]
+        assert sum(steps[:-1]) < sys.T - t <= sum(steps) <= 2 * (sys.T - t) + 14
         assert tape.margins[t] >= 1.0 and np.all(tape.margins[:t] == tape.margins[t])
         assert not tape.P[: t + 1].any() and not tape.H[:t].any()
 

@@ -7,6 +7,7 @@ from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
 from regretctl.sim_bench import (
     ComparisonReport,
+    DisturbanceError,
     DisturbanceSpec,
     compare,
     controls,
@@ -87,11 +88,16 @@ class TestDisturbanceSpec:
             ("gaussian", {"cov": [[1.0, 0.0], [0.0, -np.inf]]}, "cov", "finite"),
             ("sinusoid", {"frequency": np.nan}, "frequency", "finite"),
             ("worst_case", {"witness": [0.0, np.nan]}, "witness", "finite"),
+            # and a long run of digits as a Python int that no float holds
+            ("gaussian", {"mean": 10**400}, "mean", "finite"),
+            ("constant", {"vector": [1.0, -(10**400)]}, "vector", "finite"),
+            ("worst_case", {"witness": [[0.0], [10**400]]}, "witness", "finite"),
         ],
     )
     def test_bool_or_string_for_a_number_refused(self, kind, params, key, need):
-        with pytest.raises(ValueError, match=f"disturbance parameter {key!r} must be {need}"):
+        with pytest.raises(DisturbanceError, match=f"disturbance parameter {key!r} must be {need}") as info:
             DisturbanceSpec(kind, params)
+        assert info.value.field == "params"
 
     def test_valid_params_keep_their_bits(self):
         w = DisturbanceSpec("alternating", {"mean": [1.0, 1.0], "period": 15}, seed=3).generate(40, 2)
@@ -343,6 +349,36 @@ class TestBatchedCompareBitIdentity:
         sys = s1(T=5)
         compare(sys, _controllers(sys), DisturbanceSpec("gaussian", {}, seed=1), trials=6)
         assert [np.shape(a[2]) for a in calls] == [(6, 5, 1)] * 5
+
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("gaussian", {"mean": [0.5, -1.0], "cov": [[2.0, 0.5], [0.5, 1.0]]}),
+            ("alternating", {"mean": 1.0, "period": 7}),
+            ("sinusoid", {"amplitude": [2.0, 1.0], "frequency": 0.1, "phase": 0.3}),
+            ("constant", {"vector": [1.0, -2.0]}),
+            ("worst_case", {"witness": np.arange(80.0).reshape(40, 2)}),
+        ],
+    )
+    def test_stacked_draw_equals_each_trials_own(self, monkeypatch, kind, params):
+        from regretctl import sim_bench
+        from regretctl.cli import pendulum_system
+
+        drawn = []
+
+        class Recorded(ct.OfflineController):
+            def plan(self, w):
+                drawn.append(w)
+                return super().plan(w)
+
+        monkeypatch.setattr(sim_bench, "OfflineController", Recorded)
+        sys = pendulum_system(40)
+        spec = DisturbanceSpec(kind, params, seed=9)
+        compare(sys, {}, spec, trials=6)
+        expected = [generate_disturbance(DisturbanceSpec(kind, params, seed=9 + k), sys) for k in range(6)]
+        assert drawn[0].shape == (6, 40, 2)
+        assert drawn[0].tobytes() == np.stack(expected).tobytes()
 
 
 class TestBatchedRollout:
