@@ -125,11 +125,3 @@ class WrappedController:
         over the augmented plant; augmented controls are base controls."""
         return controls(self.aug.system, self.inner, self.aug.base_disturbance_to_augmented(w))
 
-
-def wrap_controller(aug: AugmentedSystem, controller) -> WrappedController:
-    """Re-index an augmented-system controller so the harness can drive it
-    with base-system disturbances whose first h samples are zero (see
-    WrappedController: a nonzero prefix diverges on an unstable plant)."""
-    if aug.length == 0:
-        return controller
-    return WrappedController(aug, controller)

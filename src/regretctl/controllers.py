@@ -114,62 +114,46 @@ _MAX_DOUBLINGS = 60
 
 
 def _bisect_gamma(probe, tol):
-    """Bisection on gamma: `probe(gamma)` returns a tape or synthesis with
+    """Search on gamma: `probe(gamma)` returns a tape or synthesis with
     `.feasible`, monotone in gamma, and `.gamma`. Returns
-    (GammaSearchResult, best) with best the last feasible probe. `hi` only
-    ever takes a level that was feasible, so best.gamma is hi, which is
-    gamma_opt, unless every halving down to the 1e-8 floor is feasible:
-    then the level is essentially zero and gamma_opt is 0.0. No infeasible
-    probe outlives its verdict."""
-    best = None
+    (GammaSearchResult, best) with best the last feasible probe.
 
-    def feasible(g):
-        nonlocal best
-        result = probe(g)
-        ok = result.feasible
-        if ok:
-            best = result
-        return ok
-
+    One loop probes gamma = 1, then hi/2 while no level has failed, 2*lo
+    while none has passed, else the midpoint of [lo, hi]. It stops at a
+    feasible level at or below the 1e-8 floor (gamma_opt is then 0.0),
+    after _MAX_DOUBLINGS doublings (ArithmeticError), once hi - lo <= tol*hi,
+    or on adjacent floats (a smaller tol cannot be met). `hi` only ever
+    takes a feasible level, so best.gamma is hi, which is gamma_opt.
+    `bracket_history` gets (lo, hi) after each probe inside the bracket."""
+    lo = hi = best = None
     history = []
-    hi = 1.0
-    iters = 0
-    if feasible(hi):
-        lo = None
-        g = hi
-        while g > 1e-8:
-            g /= 2.0
-            iters += 1
-            if not feasible(g):
-                lo = g
-                break
-            hi = g
-        # lo is None when feasible down to the floor: gamma_opt is 0.0
-    else:
-        lo = hi
-        g = hi
-        for _ in range(_MAX_DOUBLINGS):
-            g *= 2.0
-            iters += 1
-            if feasible(g):
-                hi = g
-                break
+    g, iters = 1.0, 0
+    while True:
+        bracketed = lo is not None and hi is not None
+        result = probe(g)
+        if result.feasible:
+            hi, best = g, result
+        else:
             lo = g
+        del result  # no infeasible probe outlives its verdict
+        if bracketed:
+            history.append((lo, hi))
+        if lo is None:
+            if g <= 1e-8:
+                break
+            g = hi / 2.0
+        elif hi is None:
+            if iters == _MAX_DOUBLINGS:
+                raise ArithmeticError(
+                    f"no feasible level found after {_MAX_DOUBLINGS} doublings "
+                    "(degenerate system)"
+                )
+            g = 2.0 * lo
         else:
-            raise ArithmeticError(
-                f"no feasible level found after {_MAX_DOUBLINGS} doublings "
-                "(degenerate system)"
-            )
-    while lo is not None and (hi - lo) > tol * hi:
-        mid = 0.5 * (hi + lo)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats: a smaller tol cannot be met
+            g = 0.5 * (hi + lo)
+            if not (hi - lo > tol * hi and lo < g < hi):
+                break
         iters += 1
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-        history.append((lo, hi))
     result = GammaSearchResult(
         gamma_opt=hi if lo is not None else 0.0,
         bracket_history=history,

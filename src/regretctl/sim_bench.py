@@ -149,11 +149,6 @@ class DisturbanceSpec:
         return lambda rng: w
 
 
-def generate_disturbance(spec: DisturbanceSpec, sys: LqSystem) -> np.ndarray:
-    """Length-T, dimension-p disturbance; deterministic given (spec, seed)."""
-    return spec.generate(sys.T, sys.p)
-
-
 def controls(sys: LqSystem, controller, w) -> np.ndarray:
     """The controls (..., T, m) that `controller.control_sequence` chooses
     along w: (T, p), or (..., T, p) for a batch of independent rollouts run

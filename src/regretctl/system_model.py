@@ -236,8 +236,7 @@ def normalize_control_weight(sys: LqSystem) -> NormalizedSystem:
     u_t' = R_t^{1/2} u_t. Costs are preserved under the rescaling maps."""
     sys = as_validated(sys)
     T, m = sys.T, sys.m
-    R_sqrt = psd_sqrt(sys.R)
-    R_inv_sqrt = pd_inv_sqrt(sys.R)
+    R_sqrt, R_inv_sqrt = _pd_roots(sys.R)
     B_u = np.einsum("tij,tjk->tik", sys.B_u, R_inv_sqrt)
     eye = np.broadcast_to(np.eye(m), (T, m, m)).copy()
     norm_sys = replace(sys, B_u=B_u, R=eye)

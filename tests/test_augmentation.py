@@ -3,11 +3,7 @@ import pytest
 
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
-from regretctl.augmentation import (
-    augment_delay,
-    augment_predictions,
-    wrap_controller,
-)
+from regretctl.augmentation import WrappedController, augment_delay, augment_predictions
 from regretctl.sim_bench import rollout
 from regretctl.system_model import LqSystem, evaluate_cost, validate_system
 from helpers import random_system, reference_augment_delay, reference_augment_predictions, s1
@@ -130,17 +126,11 @@ class TestAugmentDelay:
 
 
 class TestWrapController:
-    def test_zero_length_identity(self):
-        sys = s1()
-        ctrl = ct.synthesize_h2(sys)
-        assert wrap_controller(augment_predictions(sys, 0), ctrl) is ctrl
-        assert wrap_controller(augment_delay(sys, 0), ctrl) is ctrl
-
     def test_prediction_wrap_costs_match(self):
         sys = s1()
         aug = augment_predictions(sys, 1)
         inner = ct.synthesize_h2(aug.system)
-        wrapped = wrap_controller(aug, inner)
+        wrapped = WrappedController(aug, inner)
         with pytest.raises(oo.CausalityViolationError):  # uses future base disturbances
             oo.controller_operator(sys, wrapped)
         rng = np.random.default_rng(3)
@@ -155,7 +145,7 @@ class TestWrapController:
         sys = s1()
         aug = augment_delay(sys, 1)
         inner = ct.synthesize_h2(aug.system)
-        wrapped = wrap_controller(aug, inner)
+        wrapped = WrappedController(aug, inner)
         oo.controller_operator(sys, wrapped)  # raises if it is not causal
         rng = np.random.default_rng(4)
         w = rng.standard_normal((3, 1))
@@ -195,7 +185,7 @@ class TestBatchedWrappedController:
             synth = aug.system
         w = np.random.default_rng(8).standard_normal((5, sys.T, sys.p))
         for inner in (ct.synthesize_h2(synth), ct.regret_optimal(synth, 1e-6)[1]):
-            wrapped = wrap_controller(aug, inner)
+            wrapped = WrappedController(aug, inner)
             batch = wrapped.control_sequence(w)
             for k in range(5):
                 assert np.array_equal(batch[k], wrapped.control_sequence(w[k]))
@@ -222,7 +212,7 @@ class TestBatchedWrappedController:
             aug = augment_predictions(synth, lookahead)
             synth = aug.system
         w = np.random.default_rng(9).standard_normal((3, sys.T, sys.p))
-        wrapped = wrap_controller(aug, ct.regret_optimal(synth, 1e-6)[1])
+        wrapped = WrappedController(aug, ct.regret_optimal(synth, 1e-6)[1])
         expected = rollout(synth, wrapped.inner, aug.base_disturbance_to_augmented(w)).u
 
         def refused(*args):

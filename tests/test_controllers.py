@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -302,6 +303,94 @@ class TestRegretOptimal:
     def test_pendulum_gamma_recorded_at_seed(self):
         res, _ = ct.regret_optimal(pendulum_system(100), 1e-6)
         assert res.gamma_opt == 1.7185392379760742
+
+
+class _Probe:
+    def __init__(self, gamma, feasible):
+        self.gamma, self.feasible = gamma, feasible
+        self.margins = np.array([-gamma if feasible else gamma])
+
+
+class _Threshold:
+    """A fake probe, feasible iff gamma >= theta, that records every level.
+    It fails a search that does not end within 1000 probes, or that still
+    holds an infeasible probe when it asks for the next one (each probe of
+    a long horizon holds its tapes)."""
+
+    def __init__(self, theta):
+        self.theta, self.levels, self.infeasible = theta, [], []
+
+    def __call__(self, gamma):
+        assert all(ref() is None for ref in self.infeasible), "an infeasible probe outlived its verdict"
+        self.levels.append(gamma)
+        assert len(self.levels) <= 1000, "the search does not end"
+        result = _Probe(gamma, gamma >= self.theta)
+        if not result.feasible:
+            self.infeasible.append(weakref.ref(result))
+        return result
+
+
+def _bisected(levels, lo, hi, theta, tol):
+    """`levels` extended by the midpoints a plain bisection of [lo, hi]
+    probes, and the bracket after each."""
+    levels, history = list(levels), []
+    while hi - lo > tol * hi and lo < 0.5 * (hi + lo) < hi:
+        mid = 0.5 * (hi + lo)
+        levels.append(mid)
+        lo, hi = (lo, mid) if mid >= theta else (mid, hi)
+        history.append((lo, hi))
+    return levels, history
+
+
+class TestGammaSearch:
+    """The probe sequence of `_bisect_gamma`: halve from 1 while every level
+    passes, double while every level fails, then bisect the bracket."""
+
+    def test_feasible_everywhere_halves_to_the_floor(self):
+        probe = _Threshold(0.0)
+        res, best = ct._bisect_gamma(probe, 1e-6)
+        assert probe.levels == [2.0**-k for k in range(28)]
+        assert res.gamma_opt == 0.0 and res.iterations == 27 and res.bracket_history == []
+        assert best.gamma == 2.0**-27 and res.final_margins.tolist() == [-(2.0**-27)]
+
+    def test_infeasible_everywhere_stops_after_the_last_doubling(self):
+        probe = _Threshold(np.inf)
+        with pytest.raises(ArithmeticError, match="no feasible level found after 60 doublings"):
+            ct._bisect_gamma(probe, 1e-6)
+        assert probe.levels == [2.0**k for k in range(61)]
+
+    @pytest.mark.parametrize(
+        "theta, tol, start",
+        [
+            (0.3, 1e-6, [1.0, 0.5, 0.25]),
+            (1.0, 1e-6, [1.0, 0.5]),
+            (1e-8, 1e-6, [2.0**-k for k in range(28)]),
+            (5.0, 1e-6, [1.0, 2.0, 4.0, 8.0]),
+            (2.0**60, 1e-9, [2.0**k for k in range(61)]),
+            (0.3, 0.7, [1.0, 0.5, 0.25]),
+            (5.0, 0.5, [1.0, 2.0, 4.0, 8.0]),
+        ],
+        ids=["halving", "at-one", "floor-infeasible", "doubling", "last-doubling", "tol-0.7", "tol-0.5"],
+    )
+    def test_bisects_the_bracket_it_found(self, theta, tol, start):
+        probe = _Threshold(theta)
+        res, best = ct._bisect_gamma(probe, tol)
+        bracket = sorted(start[-2:])
+        levels, history = _bisected(start, *bracket, theta, tol)
+        assert probe.levels == levels
+        assert res.bracket_history == history
+        assert res.iterations == len(levels) - 1
+        lo, hi = history[-1] if history else bracket
+        assert lo < theta <= hi and res.gamma_opt == hi == best.gamma
+        assert hi - lo <= tol * hi
+
+    @pytest.mark.parametrize("theta", [1 / 3, 5.0, 2.0**-20])
+    def test_tol_below_float_resolution_ends_on_adjacent_floats(self, theta):
+        probe = _Threshold(theta)
+        res, _ = ct._bisect_gamma(probe, 1e-20)
+        lo, hi = res.bracket_history[-1]
+        assert np.nextafter(lo, np.inf) == hi and res.gamma_opt == hi == theta
+        assert len(set(probe.levels)) == len(probe.levels) == res.iterations + 1
 
 
 _TAPES = (

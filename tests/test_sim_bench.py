@@ -11,7 +11,6 @@ from regretctl.sim_bench import (
     DisturbanceSpec,
     compare,
     controls,
-    generate_disturbance,
     rollout,
 )
 from regretctl.system_model import evaluate_cost, normalize_control_weight
@@ -125,7 +124,7 @@ class TestDisturbanceSpec:
         ops = oo.build_operators(normalize_control_weight(sys).system)
         cert = oo.worst_case_regret_gain(ops, oo.controller_operator(sys, ctrl))
         spec = DisturbanceSpec("worst_case", {"witness": cert.witness})
-        w = generate_disturbance(spec, sys)
+        w = spec.generate(sys.T, sys.p)
         cost = rollout(sys, ctrl, w).total_cost
         _, off = oo.offline_optimal(ops, w.reshape(-1))
         ratio = (cost - off) / (w**2).sum()
@@ -212,9 +211,7 @@ class TestCompare:
         spec = DisturbanceSpec("gaussian", {}, seed=2)
         report = compare(sys, {"regret": regret}, spec, trials=20)
         for k in range(20):
-            w = generate_disturbance(
-                DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), sys
-            )
+            w = DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k).generate(sys.T, sys.p)
             bound = res.gamma_opt**2 * (w**2).sum()
             assert report.realized_regret["regret"][k] < bound + 1e-9
 
@@ -255,7 +252,7 @@ def _controllers(sys):
 def _wrapped_controllers(sys, delay, lookahead):
     """h2, hinf and regret synthesized after `delay` then `lookahead`
     augmentation, wrapped back to base signals."""
-    from regretctl.augmentation import augment_delay, augment_predictions, wrap_controller
+    from regretctl.augmentation import WrappedController, augment_delay, augment_predictions
 
     aug, synth = None, sys
     if delay:
@@ -265,9 +262,9 @@ def _wrapped_controllers(sys, delay, lookahead):
         aug = augment_predictions(synth, lookahead)
         synth = aug.system
     return {
-        "h2": wrap_controller(aug, ct.synthesize_h2(synth)),
-        "hinf": wrap_controller(aug, ct.hinf_optimal(synth, 1e-6)[1]),
-        "regret": wrap_controller(aug, ct.regret_optimal(synth, 1e-6)[1]),
+        "h2": WrappedController(aug, ct.synthesize_h2(synth)),
+        "hinf": WrappedController(aug, ct.hinf_optimal(synth, 1e-6)[1]),
+        "regret": WrappedController(aug, ct.regret_optimal(synth, 1e-6)[1]),
     }
 
 
@@ -285,7 +282,7 @@ def _per_trial_reference(sys, controllers, spec, trials):
     ref = {"time_averaged": {}, "total_costs": {}, "realized_regret": {}}
     offline = []
     for k in range(trials):
-        w = generate_disturbance(DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), sys)
+        w = DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k).generate(sys.T, sys.p)
         off = evaluate_cost(sys, w, ct.OfflineController(sys).plan(w))
         offline.append(off.total_cost)
         ref["time_averaged"].setdefault("offline", []).append(averaged(off))
@@ -376,7 +373,7 @@ class TestBatchedCompareBitIdentity:
         sys = pendulum_system(40)
         spec = DisturbanceSpec(kind, params, seed=9)
         compare(sys, {}, spec, trials=6)
-        expected = [generate_disturbance(DisturbanceSpec(kind, params, seed=9 + k), sys) for k in range(6)]
+        expected = [DisturbanceSpec(kind, params, seed=9 + k).generate(sys.T, sys.p) for k in range(6)]
         assert drawn[0].shape == (6, 40, 2)
         assert drawn[0].tobytes() == np.stack(expected).tobytes()
 
