@@ -226,54 +226,17 @@ def _plain(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _layout(obj, inner, out):
-    """Append the text `json.dumps(sort_keys=True, indent=2)` writes for obj
-    to the chunk list out; `inner` is the newline and indentation of obj's
-    items.
-
-    Dicts, and sequences holding containers, are laid out here. A sequence
-    of scalars (a 1-D array's `tolist()` among them) is one call of the C
-    encoder whose item separator carries the indentation: the same text as
-    the pure-Python encoder that `indent` selects.
-    """
-    if isinstance(obj, np.ndarray):
-        obj = list(obj) if obj.ndim > 1 else obj.tolist()
-    if isinstance(obj, dict) and obj:
-        # the encoder's own key conversion: int, float, bool and None keys
-        # become strings, other keys are refused
-        opening, closing = "{", "}"
-        items = [(json.dumps({k: None})[1:-7] + ": ", v) for k, v in sorted(obj.items())]
-    elif isinstance(obj, (list, tuple)) and any(
-        issubclass(t, (dict, list, tuple, np.ndarray)) for t in set(map(type, obj))
-    ):
-        opening, closing = "[", "]"
-        items = [("", v) for v in obj]
-    elif isinstance(obj, (list, tuple)) and obj:
-        body = json.dumps(obj, separators=("," + inner, ": "), default=_plain)
-        out.append("[" + inner + body[1:-1] + inner[:-2] + "]")
-        return
-    else:  # a scalar, {} or []
-        out.append(json.dumps(obj, default=_plain))
-        return
-    out.append(opening)
-    for i, (key, value) in enumerate(items):
-        out.append(("," if i else "") + inner + key)
-        _layout(value, inner + "  ", out)
-    out.append(inner[:-2] + closing)
-
-
 def emit_json(path, obj):
-    """Stable key ordering, schema-version field, newline-terminated: the
-    bytes of `json.dumps(doc, sort_keys=True, indent=2) + "\n"`. The whole
-    text is built before the file is opened, so an unencodable value leaves
-    no partial file."""
+    """Compact JSON with sorted keys, a schema-version field and a final
+    newline, from one encoder call. A NaN or an infinity is refused with a
+    ValueError, as any other unencodable value is with a TypeError; the whole
+    text is built before the file is opened, so a refused document leaves no
+    partial file."""
     doc = dict(obj)
     doc["schema_version"] = SCHEMA_VERSION
-    chunks = []
-    _layout(doc, "\n  ", chunks)
-    chunks.append("\n")
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_plain, allow_nan=False) + "\n"
     with open(path, "w") as f:
-        f.writelines(chunks)
+        f.write(text)
 
 
 def _load(config_path, seed, tol):

@@ -1,13 +1,12 @@
 """Shared builders for the test suite."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from regretctl import controllers as ct
 from regretctl import kernels, riccati
-from regretctl.cli import SCHEMA_VERSION, pendulum_system
+from regretctl.cli import pendulum_system
 from regretctl.riccati import BackwardKalmanTape, ForwardKalmanTape
 from regretctl.system_model import (
     DefinitenessError,
@@ -448,11 +447,10 @@ def reference_rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     return u, z
 
 
-# The JSON writer of regretctl.cli as it was while it ran the stdlib's
-# pure-Python encoder (`json.dumps(indent=2)`) over the whole document, kept
-# verbatim apart from its names and one fix: `reference_jsonable` tests `bool`
-# before the integer branch, so booleans stay booleans. test_cli.py holds
-# `cli.emit_json` to its bytes.
+# The plain-Python document a JSON writer of regretctl.cli has to encode:
+# numpy arrays as lists, numpy scalars as Python numbers, tuples as lists and
+# booleans kept as booleans. test_cli.py holds what `cli.emit_json` writes,
+# parsed back, to it.
 
 
 def reference_jsonable(obj):
@@ -469,15 +467,6 @@ def reference_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [reference_jsonable(v) for v in obj]
     return obj
-
-
-def reference_emit_json(path, obj):
-    """Stable key ordering, schema-version field, newline-terminated."""
-    doc = dict(reference_jsonable(obj))
-    doc["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    with open(path, "w") as f:
-        f.write(text)
 
 
 # The augmentations of regretctl.augmentation as they were while they filled

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_system, reference_emit_json
+from helpers import random_system, reference_jsonable
 from regretctl import cli
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
@@ -197,21 +197,37 @@ class TestParseConfig:
             parse_config(doc)
 
 
+def _strict_loads(text):
+    """json.loads refusing NaN, Infinity and -Infinity, which are not JSON,
+    and keys out of sorted order, which `emit_json` never writes."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    def sorted_object(pairs):
+        keys = [k for k, _ in pairs]
+        assert keys == sorted(keys), keys
+        return dict(pairs)
+
+    return json.loads(text, parse_constant=refuse, object_pairs_hook=sorted_object)
+
+
 _keys = st.text(st.sampled_from('aZ_09 "\\/\b\f\n\r\t\x00\x1f\x7fé€\u2028\ud800😀'), max_size=6)
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(2**100), 2**100),
-    st.floats(),  # NaN, ±inf, −0.0 and subnormals included
+    st.floats(allow_nan=False, allow_infinity=False),  # −0.0 and subnormals included
     st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308]),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.floats(width=32).map(np.float32),
-    st.floats().map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
     _keys,
 )
 _arrays = hnp.arrays(
     st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
     hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    elements={"allow_nan": False, "allow_infinity": False},
 )
 _documents = st.dictionaries(
     _keys,
@@ -229,13 +245,14 @@ _documents = st.dictionaries(
 
 
 class TestEmitters:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(doc=_documents)
-    def test_json_bytes_equal_reference(self, tmp_path_factory, doc):
-        d = tmp_path_factory.mktemp("json")
-        emit_json(str(d / "got.json"), doc)
-        reference_emit_json(str(d / "ref.json"), doc)
-        assert (d / "got.json").read_bytes() == (d / "ref.json").read_bytes()
+    def test_json_parses_back_to_reference(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("json") / "got.json"
+        emit_json(str(path), doc)
+        text = path.read_text()
+        assert _strict_loads(text) == {**reference_jsonable(doc), "schema_version": "2"}
+        assert text.endswith("\n") and not text.endswith("\n\n")
 
     @pytest.mark.parametrize("bad", [object(), [1.0, 2j], {"z": np.complex128(1)}])
     def test_unencodable_value_leaves_target_untouched(self, tmp_path, bad):
@@ -243,6 +260,17 @@ class TestEmitters:
         path.write_text("previous\n")
         with pytest.raises(TypeError, match="not JSON serializable"):
             emit_json(str(path), {"a": np.arange(3.0), "b": bad})
+        assert path.read_text() == "previous\n"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "wrap", [float, np.float32, lambda v: np.array([1.0, v])], ids=["float", "float32", "ndarray"]
+    )
+    def test_non_finite_value_is_refused(self, tmp_path, wrap, value):
+        path = tmp_path / "out.json"
+        path.write_text("previous\n")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_json(str(path), {"a": np.arange(3.0), "b": wrap(value)})
         assert path.read_text() == "previous\n"
 
     def test_csv_header_only(self, tmp_path):
@@ -281,15 +309,11 @@ class TestGamma:
     def test_degenerate_margins_are_strict_json(self, runner, tmp_path):
         """A system whose disturbance produces no cost (B_w = 0) writes the
         margin every probe reads, -1, not -Infinity, which is not JSON."""
-
-        def refuse(constant):
-            raise ValueError(f"not JSON: {constant}")
-
         out = tmp_path / "gamma.json"
         config = Path(__file__).parent / "data" / "degenerate.json"
         result = runner.invoke(main, ["gamma", "--config", str(config), "--json", str(out)])
         assert result.exit_code == 0, result.output
-        doc = json.loads(out.read_text(), parse_constant=refuse)
+        doc = _strict_loads(out.read_text())
         assert doc["gamma_opt"] == 0.0
         assert doc["final_margins"] == [-1.0] * doc["config"]["horizon"]
 
@@ -551,7 +575,7 @@ def _ltv_config(tmp_path, seed):
 
 @pytest.mark.parametrize("command", ["certify", "synth"])
 @pytest.mark.parametrize("seed", [3, 11])
-def test_cli_json_equals_reference_bytes(runner, tmp_path, monkeypatch, command, seed):
+def test_cli_json_parses_strictly_to_reference(runner, tmp_path, monkeypatch, command, seed):
     documents = []
 
     def capture(path, obj):
@@ -559,11 +583,10 @@ def test_cli_json_equals_reference_bytes(runner, tmp_path, monkeypatch, command,
         emit_json(path, obj)
 
     monkeypatch.setattr(cli, "emit_json", capture)
-    out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+    out = tmp_path / "out.json"
     result = runner.invoke(main, [command, "--config", _ltv_config(tmp_path, seed), "--json", str(out)])
     assert result.exit_code == 0, result.output
-    reference_emit_json(str(ref), documents[0])
-    assert out.read_bytes() == ref.read_bytes()
+    assert _strict_loads(out.read_text()) == {**reference_jsonable(documents[0]), "schema_version": "2"}
 
 
 @pytest.mark.parametrize(
