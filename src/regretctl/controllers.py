@@ -113,47 +113,97 @@ def _check_tol(tol):
 _MAX_DOUBLINGS = 60
 
 
-def _bisect_gamma(probe, tol):
-    """Search on gamma: `probe(gamma)` returns a tape or synthesis with
-    `.feasible`, monotone in gamma, and `.gamma`. Returns
-    (GammaSearchResult, best) with best the last feasible probe.
+def _bisect_gamma(start, tol):
+    """Search on gamma. `start(gamma)` returns a probe that has run no
+    window: a `riccati._Sweep`, or anything with its `sweep`, `failed`,
+    `steps_left`, `forget` and `result`, whose result has `.margins` and
+    `.gamma`. Returns (GammaSearchResult, best) with best the result at
+    gamma_opt.
 
     One loop probes gamma = 1, then hi/2 while no level has failed, 2*lo
     while none has passed, else the midpoint of [lo, hi]. It stops at a
     feasible level at or below the 1e-8 floor (gamma_opt is then 0.0),
     after _MAX_DOUBLINGS doublings (ArithmeticError), once hi - lo <= tol*hi,
     or on adjacent floats (a smaller tol cannot be met). `hi` only ever
-    takes a feasible level, so best.gamma is hi, which is gamma_opt.
-    `bracket_history` gets (lo, hi) after each probe inside the bracket."""
-    lo = hi = best = None
-    history = []
-    g, iters = 1.0, 0
-    while True:
-        bracketed = lo is not None and hi is not None
-        result = probe(g)
-        if result.feasible:
-            hi, best = g, result
-        else:
-            lo = g
-        del result  # no infeasible probe outlives its verdict
-        if bracketed:
-            history.append((lo, hi))
-        if lo is None:
-            if g <= 1e-8:
+    takes a level that passed, and best is its result, swept to t = 0.
+    `bracket_history` gets (lo, hi) after each probe inside the bracket.
+
+    The search is lazy:
+    - until a bracket exists, every probe sweeps to t = 0 or to its failure;
+    - inside it, a probe sweeps only one window past the deepest window in
+      which a probe of this search has failed, and one that passes there
+      counts as feasible and is paused;
+    - the newest paused level is swept on to t = 0 when the loop ends, and
+      earlier once the probes made since the last probe that swept to t = 0
+      have swept as many steps as finishing it would take;
+    - if that sweep fails, its window becomes the deepest, and the loop runs
+      again from gamma = 1 over the probes made so far, each swept on to the
+      new depth.
+    Only the probe at `hi` keeps its tapes; the others keep their carries,
+    and a result of theirs runs their windows again. Feasibility is monotone
+    in gamma, so a level that passes to t = 0 vouches for every paused level
+    above it: the search probes the levels, and returns the results, of one
+    that sweeps every probe to t = 0 or to its failure."""
+    probes = {}  # level -> its probe while it passes, None once it has failed
+    deepest = -1  # the deepest window in which a probe has failed
+
+    def sweep(g, windows):
+        """Level g's probe, run on to `windows` windows (to t = 0 when None),
+        or None once it has failed; and the steps it ran."""
+        nonlocal deepest
+        probe = probes[g] if g in probes else start(g)
+        if probe is None:
+            return None, 0
+        steps = probe.sweep(windows)
+        if probe.failed is not None:
+            deepest = max(deepest, probe.failed)
+            probe = None  # no infeasible probe outlives its verdict
+        probes[g] = probe
+        return probe, steps
+
+    while True:  # one pass from gamma = 1; a paused level that fails starts another
+        lo = hi = None
+        history = []
+        g, iters, since = 1.0, 0, 0
+        while True:
+            bracketed = lo is not None and hi is not None
+            probe, steps = sweep(g, deepest + 2 if bracketed else None)
+            since += steps
+            if probe is None:
+                lo = g
+            else:
+                if hi is not None:
+                    probes[hi].forget()  # only the level that would end the search keeps its tapes
+                hi = g
+                if steps and not probe.steps_left:  # made now and swept to t = 0
+                    since = 0
+            # finishing a level leaves `since` running, so once later probes
+            # have cost a finish, each level that passes is finished at once
+            # (a restart here swept 4% more than the eager search on the
+            # pendulum's H-infinity search at T=1000)
+            if hi is not None and 0 < probes[hi].steps_left <= since and sweep(hi, None)[0] is None:
                 break
-            g = hi / 2.0
-        elif hi is None:
-            if iters == _MAX_DOUBLINGS:
-                raise ArithmeticError(
-                    f"no feasible level found after {_MAX_DOUBLINGS} doublings "
-                    "(degenerate system)"
-                )
-            g = 2.0 * lo
-        else:
-            g = 0.5 * (hi + lo)
-            if not (hi - lo > tol * hi and lo < g < hi):
-                break
-        iters += 1
+            if bracketed:
+                history.append((lo, hi))
+            if lo is None:
+                if g <= 1e-8:
+                    break
+                g = hi / 2.0
+            elif hi is None:
+                if iters == _MAX_DOUBLINGS:
+                    raise ArithmeticError(
+                        f"no feasible level found after {_MAX_DOUBLINGS} doublings "
+                        "(degenerate system)"
+                    )
+                g = 2.0 * lo
+            else:
+                g = 0.5 * (hi + lo)
+                if not (hi - lo > tol * hi and lo < g < hi):
+                    break
+            iters += 1
+        if sweep(hi, None)[0] is not None:
+            break
+    best = probes[hi].result()
     result = GammaSearchResult(
         gamma_opt=hi if lo is not None else 0.0,
         bracket_history=history,
@@ -168,7 +218,7 @@ def hinf_optimal(sys: LqSystem, tol: float = 1e-6):
     Returns (GammaSearchResult, FeedbackController)."""
     _check_tol(tol)
     sys = as_validated(sys)
-    result, tape = _bisect_gamma(lambda g: riccati.backward_hinf(sys, g), tol)
+    result, tape = _bisect_gamma(lambda g: riccati._hinf_probe(sys, g), tol)
     return result, FeedbackController(sys, tape)
 
 
@@ -313,6 +363,70 @@ class RegretSynthesis(riccati.Verdict):
         return self.norm.to_original_u(u_norm)
 
 
+def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:
+    """The regret synthesis at level gamma as a `riccati._Sweep` that has run
+    no window yet. Its carry is (Phat, P_b), and its result the
+    `RegretSynthesis`. In each window it runs the backward Kalman recursion
+    from the carried P_b, takes the R_be roots, assembles Ahat and Bhat_w,
+    and runs the value recursion from the carried Phat."""
+    gamma = float(gamma)
+    norm, fwd = problem.norm, problem.fwd
+    nsys = norm.system
+    T, n, m, p = nsys.T, nsys.n, nsys.m, nsys.p
+
+    def window(t0, t1, carry, tapes):
+        Phat, P_b_last = carry
+        win = slice(t0, t1)
+        P_b, K_bl, R_be, R_be_sqrt, R_be_inv_sqrt, Ahat, Bhat_w = (
+            tapes[name][win] for name in ("P_b", "K_bl", "R_be", "R_be_sqrt", "R_be_inv_sqrt", "Ahat", "Bhat_w")
+        )
+        P_b[:], K_bl[:], R_be[:], P_b_last = kernels.backward_kalman(
+            fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_last
+        )
+        R_be_sqrt[:], R_be_inv_sqrt[:] = _pd_roots(R_be)
+        BwK = nsys.B_w[win] @ np.swapaxes(K_bl, 1, 2)
+        Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt
+        Ahat[:, :n, :n] = nsys.A[win]
+        Ahat[:, :n, n:] = -BwK
+        Ahat[:, n:, n:] = fwd.Atil[win] - BwK
+        Bhat_w[:] = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
+        Phat, tapes["H"][win], tapes["margins"][win] = kernels.regret_phat_backward(
+            Ahat, problem.Bhat_u[win], Bhat_w, problem.Qhat[win], Phat, 1.0, False
+        )
+        tapes["P"][t0:t1 + 1] = Phat
+        return Phat[0].copy(), P_b_last.copy()  # so that a paused probe holds no window's output
+
+    def build(tapes):
+        bwd = riccati.BackwardKalmanTape(
+            P_b=tapes["P_b"],
+            K_bl=tapes["K_bl"],
+            R_be=tapes["R_be"],
+            R_be_sqrt=tapes["R_be_sqrt"],
+            R_be_inv_sqrt=tapes["R_be_inv_sqrt"],
+            gamma=gamma,
+        )
+        return RegretSynthesis(
+            gamma=gamma,
+            norm=norm,
+            fwd=fwd,
+            bwd=bwd,
+            Ahat=tapes["Ahat"],
+            Bhat_u=problem.Bhat_u,
+            Bhat_w=tapes["Bhat_w"],
+            Qhat=problem.Qhat,
+            Phat=tapes["P"],
+            Hhat=tapes["H"],
+            margins=tapes["margins"],
+        )
+
+    shapes = {
+        "P_b": (T, n, n), "K_bl": (T, n, p), "R_be": (T, p, p), "R_be_sqrt": (T, p, p),
+        "R_be_inv_sqrt": (T, p, p), "Ahat": (T, 2 * n, 2 * n), "Bhat_w": (T, 2 * n, p),
+        "P": (T + 1, 2 * n, 2 * n), "H": (T, m, m), "margins": (T,),
+    }
+    return riccati._Sweep(window, (problem.Phat_T, fwd.W[T]), shapes, build)
+
+
 def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynthesis:
     """Regret-suboptimal synthesis at level gamma.
 
@@ -320,72 +434,17 @@ def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynt
     system is prepared first. Its feasibility test is the reduction's: the
     attenuation-level-1 recursion on the z-driven doubled system.
 
-    The sweep (`riccati._sweep`) runs backward from t = T in windows of 16,
-    32, 64, ... steps. In each it runs the backward Kalman recursion from the
-    carried P_b, takes the R_be roots, assembles Ahat and Bhat_w, and runs
-    the value recursion from the carried Phat. It stops after the first
-    window with a margin >= 0, so the tapes of an infeasible level hold only
-    the swept steps. At a feasible level every window runs. The kernels run
-    a window of 32 steps or more as a chunked scan, which agrees with the
-    step loop to rounding; a horizon under 48 steps has no such window, and
-    its tapes equal one loop over the whole horizon from the same forward
-    Kalman tape.
+    The sweep (`_regret_probe`) runs backward from t = T in windows of 16,
+    32, 64, ... steps and stops after the first window with a failing step,
+    so the tapes of an infeasible level hold only the swept steps. At a
+    feasible level every window runs. The kernels run a window of 32 steps
+    or more as a chunked scan, which agrees with the step loop to rounding;
+    a horizon under 48 steps has no such window, and its tapes equal one
+    loop over the whole horizon from the same forward Kalman tape.
     """
     riccati._check_level(gamma)
-    gamma = float(gamma)
     problem = sys if isinstance(sys, RegretProblem) else prepare_regret(sys)
-    norm, fwd = problem.norm, problem.fwd
-    nsys = norm.system
-    T, n, p = nsys.T, nsys.n, nsys.p
-
-    P_b = np.zeros((T, n, n))
-    K_bl = np.zeros((T, n, p))
-    R_be = np.zeros((T, p, p))
-    R_be_sqrt = np.zeros((T, p, p))
-    R_be_inv_sqrt = np.zeros((T, p, p))
-    Ahat = np.zeros((T, 2 * n, 2 * n))
-    Bhat_w = np.zeros((T, 2 * n, p))
-    P_b_carry = fwd.W[T]
-
-    def window(t0, t1, Phat):
-        nonlocal P_b_carry
-        win = slice(t0, t1)
-        P_b[win], K_bl[win], R_be[win], P_b_carry = kernels.backward_kalman(
-            fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_carry
-        )
-        R_be_sqrt[win], R_be_inv_sqrt[win] = _pd_roots(R_be[win])
-        BwK = nsys.B_w[win] @ np.swapaxes(K_bl[win], 1, 2)
-        Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt[win]
-        Ahat[win, :n, :n] = nsys.A[win]
-        Ahat[win, :n, n:] = -BwK
-        Ahat[win, n:, n:] = fwd.Atil[win] - BwK
-        Bhat_w[win] = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
-        return kernels.regret_phat_backward(
-            Ahat[win], problem.Bhat_u[win], Bhat_w[win], problem.Qhat[win], Phat, 1.0, False
-        )
-
-    Phat, Hhat, margins = riccati._sweep(problem.Phat_T, nsys.m, window, T)
-    bwd = riccati.BackwardKalmanTape(
-        P_b=P_b,
-        K_bl=K_bl,
-        R_be=R_be,
-        R_be_sqrt=R_be_sqrt,
-        R_be_inv_sqrt=R_be_inv_sqrt,
-        gamma=gamma,
-    )
-    return RegretSynthesis(
-        gamma=gamma,
-        norm=norm,
-        fwd=fwd,
-        bwd=bwd,
-        Ahat=Ahat,
-        Bhat_u=problem.Bhat_u,
-        Bhat_w=Bhat_w,
-        Qhat=problem.Qhat,
-        Phat=Phat,
-        Hhat=Hhat,
-        margins=margins,
-    )
+    return _regret_probe(problem, gamma).result()
 
 
 def regret_controller(sys: LqSystem, gamma: float) -> RegretSynthesis:
@@ -409,10 +468,10 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6):
     """Bisection on gamma for the regret-optimal controller.
     Returns (GammaSearchResult, controller). The gamma-independent work is
     prepared once; each probe reruns only the backward Kalman recursion, the
-    assembly of the doubled system and its value recursion, and stops at
-    the first window that fails. The controller is the last feasible probe's
-    synthesis, which is the one at gamma_opt (a ZeroController when the
-    disturbance cannot produce cost)."""
+    assembly of the doubled system and its value recursion, as far as the
+    lazy search (`_bisect_gamma`) sweeps it. The controller is the synthesis
+    at gamma_opt, swept to t = 0 (a ZeroController when the disturbance
+    cannot produce cost)."""
     _check_tol(tol)
     sys = as_validated(sys)
     if _is_regret_degenerate(sys):
@@ -425,7 +484,7 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6):
         )
         return result, ZeroController(sys)
     problem = prepare_regret(sys)
-    return _bisect_gamma(lambda g: synthesize_regret(problem, g), tol)
+    return _bisect_gamma(lambda g: _regret_probe(problem, g), tol)
 
 
 @dataclass

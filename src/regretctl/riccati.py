@@ -77,10 +77,11 @@ class BackwardKalmanTape:
 
 
 def _first_failing_step(margins):
-    """The step where a backward sweep first met a margin >= 0, which is the
-    largest such t since the sweep runs from t = T - 1 down. None when every
-    margin is negative."""
-    bad = np.nonzero(margins >= 0.0)[0]
+    """The step where a backward sweep first met a margin that is not
+    negative (>= 0, or NaN), which is the largest such t since the sweep runs
+    from t = T - 1 down. None when every margin is negative, so exactly when
+    the tape is feasible."""
+    bad = np.nonzero(~(margins < 0.0))[0]
     return int(bad[-1]) if bad.size else None
 
 
@@ -97,31 +98,74 @@ def _windows(T):
         t1, k = t0, 2 * k
 
 
-def _sweep(P_T, m, window, T):
-    """The backward sweep (P, H, margins) of one probe from P_T, where
-    `window(t0, t1, P_{t1})` returns (P[t0:t1+1], H[t0:t1], margins[t0:t1]).
-    It stops after the first window with a margin >= 0 and flags every
-    earlier step with max(margin, 1), P and H being zero there. A LinAlgError
-    (a singular pivot, or an overflow that became an invalid value) makes
-    the level numerically unattainable: margins 1, P and H zero."""
-    P = np.zeros((T + 1,) + P_T.shape)
-    H = np.zeros((T, m, m))
-    margins = np.zeros(T)
-    P[T] = P_T
-    for t0, t1 in _windows(T):
-        win = slice(t0, t1)
-        try:
-            P[t0:t1 + 1], H[win], margins[win] = window(t0, t1, P[t1])
-        except np.linalg.LinAlgError:
-            P[:] = 0.0
-            H[:] = 0.0
-            margins[:] = 1.0
-            break
-        failed = _first_failing_step(margins[win])
-        if failed is not None:
-            margins[:t0] = max(margins[t0 + failed], 1.0)
-            break
-    return P, H, margins
+class _Sweep:
+    """The backward sweep of one probe from t = T, window by window
+    (`_windows`), which can pause after any window and resume from its carry.
+
+    `window(t0, t1, carry, tapes)` runs the steps [t0, t1) from the carry at
+    t1, writes them into the full-horizon tapes of the dict `tapes` ("P"
+    over [t0, t1], "H", "margins" and any other over [t0, t1)) and returns
+    the carry at t0. `shapes` gives each tape's shape, margins (T,) among
+    them, and `build(tapes)` makes the probe's result from them. The sweep
+    stops after the first window with a margin that is not negative
+    (`failed` is then that window's index) and flags every earlier step with
+    max(margin, 1), P and H being zero there. A LinAlgError (a singular
+    pivot, or an overflow that became an invalid value) makes the level
+    numerically unattainable: margins 1, P and H zero."""
+
+    def __init__(self, window, carry, shapes, build):
+        self.T = shapes["margins"][0]
+        self._window, self._start, self._shapes, self._build = window, carry, shapes, build
+        self._spans = list(_windows(self.T))
+        self._restart()
+
+    def _restart(self):
+        self._carry, self._tapes, self._forgotten = self._start, None, False
+        self.windows = self.swept = 0  # the windows and steps swept
+        self.failed = None  # the index of the window it failed in
+
+    @property
+    def steps_left(self):
+        """The steps a sweep to t = 0 would still take; 0 once it has failed."""
+        return 0 if self.failed is not None else self.T - self.swept
+
+    def sweep(self, windows=None):
+        """Run on until `windows` windows have run (every window when None),
+        the sweep has failed or it has reached t = 0. Returns the steps run."""
+        before = self.swept
+        while self.steps_left and (windows is None or self.windows < windows):
+            if self._tapes is None:
+                self._tapes = {name: np.zeros(shape) for name, shape in self._shapes.items()}
+            tapes = self._tapes
+            t0, t1 = self._spans[self.windows]
+            self.windows += 1
+            self.swept += t1 - t0
+            try:
+                self._carry = self._window(t0, t1, self._carry, tapes)
+            except np.linalg.LinAlgError:
+                self.failed = self.windows - 1
+                tapes["P"][:] = 0.0
+                tapes["H"][:] = 0.0
+                tapes["margins"][:] = 1.0
+                break
+            failed = _first_failing_step(tapes["margins"][t0:t1])
+            if failed is not None:
+                self.failed = self.windows - 1
+                tapes["margins"][:t0] = max(tapes["margins"][t0 + failed], 1.0)
+        return self.swept - before
+
+    def forget(self):
+        """Drop the tapes but keep the carry: the sweep resumes as before,
+        and `result` sweeps again from t = T."""
+        self._tapes, self._forgotten = None, True
+
+    def result(self):
+        """`build(tapes)` of a sweep to t = 0 or to the failure, each tape
+        zero where the sweep did not run."""
+        if self._forgotten:
+            self._restart()
+        self.sweep()
+        return self._build(self._tapes)
 
 
 def _check_level(gamma):
@@ -139,26 +183,34 @@ def backward_lqr(sys: LqSystem) -> LqrTape:
     return LqrTape(P=P, H=H)
 
 
+def _hinf_probe(sys: LqSystem, gamma: float) -> _Sweep:
+    """The backward H-infinity sweep at level gamma as a `_Sweep` that has
+    run no window yet; its carry is P, and its result the `HinfTape`."""
+    _check_level(gamma)
+    gamma = float(gamma)
+    T, n, m = sys.T, sys.n, sys.m
+
+    def window(t0, t1, P, tapes):
+        A, B_u, B_w, Q, R = (X[t0:t1] for X in (sys.A, sys.B_u, sys.B_w, sys.Q, sys.R))
+        P, tapes["H"][t0:t1], tapes["margins"][t0:t1] = kernels.hinf_backward(A, B_u, B_w, Q, R, P, gamma)
+        tapes["P"][t0:t1 + 1] = P
+        return P[0].copy()  # so that a paused probe holds no window's output
+
+    shapes = {"P": (T + 1, n, n), "H": (T, m, m), "margins": (T,)}
+    return _Sweep(window, sys.Q_T, shapes, lambda tapes: HinfTape(gamma=gamma, **tapes))
+
+
 def backward_hinf(sys: LqSystem, gamma: float) -> HinfTape:
     """Backward H-infinity Riccati at performance level gamma, initialized at
     P_T = Q_T, with per-step feasibility margins.
 
-    The sweep (`_sweep`) runs backward from t = T in windows of 16, 32, 64,
-    ... steps and stops after the first window with a margin >= 0. The
+    The sweep (`_Sweep`) runs backward from t = T in windows of 16, 32, 64,
+    ... steps and stops after the first window with a failing step. The
     kernel runs a window of 32 steps or more as a chunked scan, which agrees
     with the loop to rounding; a horizon under 48 steps has no such window
     and keeps the loop's bits.
     """
-    sys = as_validated(sys)
-    _check_level(gamma)
-    gamma = float(gamma)
-
-    def window(t0, t1, P):
-        A, B_u, B_w, Q, R = (X[t0:t1] for X in (sys.A, sys.B_u, sys.B_w, sys.Q, sys.R))
-        return kernels.hinf_backward(A, B_u, B_w, Q, R, P, gamma)
-
-    P, H, margins = _sweep(sys.Q_T, sys.m, window, sys.T)
-    return HinfTape(P=P, H=H, margins=margins, gamma=gamma)
+    return _hinf_probe(as_validated(sys), gamma).result()
 
 
 def forward_kalman(norm: NormalizedSystem) -> ForwardKalmanTape:

@@ -118,7 +118,76 @@ def full_horizon_reference(sys, gamma, test):
 def printed_regret_optimal(sys, tol):
     """The regret bisection under the "printed" feasibility test, over
     full-horizon syntheses. Returns (GammaSearchResult, RegretSynthesis)."""
-    return ct._bisect_gamma(lambda g: full_horizon_reference(sys, g, "printed"), tol)
+    return eager_bisect_gamma(lambda g: full_horizon_reference(sys, g, "printed"), tol)
+
+
+# `controllers._bisect_gamma` as it was while every probe swept to t = 0 or
+# to its failure, kept verbatim apart from its name and module prefixes. The
+# lazy search is held to its levels, results and controllers bit for bit.
+
+
+def eager_bisect_gamma(probe, tol):
+    """Search on gamma: `probe(gamma)` returns a tape or synthesis with
+    `.feasible`, monotone in gamma, and `.gamma`. Returns
+    (GammaSearchResult, best) with best the last feasible probe.
+
+    One loop probes gamma = 1, then hi/2 while no level has failed, 2*lo
+    while none has passed, else the midpoint of [lo, hi]. It stops at a
+    feasible level at or below the 1e-8 floor (gamma_opt is then 0.0),
+    after _MAX_DOUBLINGS doublings (ArithmeticError), once hi - lo <= tol*hi,
+    or on adjacent floats (a smaller tol cannot be met). `hi` only ever
+    takes a feasible level, so best.gamma is hi, which is gamma_opt.
+    `bracket_history` gets (lo, hi) after each probe inside the bracket."""
+    lo = hi = best = None
+    history = []
+    g, iters = 1.0, 0
+    while True:
+        bracketed = lo is not None and hi is not None
+        result = probe(g)
+        if result.feasible:
+            hi, best = g, result
+        else:
+            lo = g
+        del result  # no infeasible probe outlives its verdict
+        if bracketed:
+            history.append((lo, hi))
+        if lo is None:
+            if g <= 1e-8:
+                break
+            g = hi / 2.0
+        elif hi is None:
+            if iters == ct._MAX_DOUBLINGS:
+                raise ArithmeticError(
+                    f"no feasible level found after {ct._MAX_DOUBLINGS} doublings "
+                    "(degenerate system)"
+                )
+            g = 2.0 * lo
+        else:
+            g = 0.5 * (hi + lo)
+            if not (hi - lo > tol * hi and lo < g < hi):
+                break
+        iters += 1
+    result = ct.GammaSearchResult(
+        gamma_opt=hi if lo is not None else 0.0,
+        bracket_history=history,
+        iterations=iters,
+        final_margins=best.margins,
+    )
+    return result, best
+
+
+def eager_regret_optimal(sys, tol):
+    """`controllers.regret_optimal` over the eager search (a degenerate
+    system aside). Returns (GammaSearchResult, RegretSynthesis)."""
+    problem = ct.prepare_regret(sys)
+    return eager_bisect_gamma(lambda g: ct.synthesize_regret(problem, g), tol)
+
+
+def eager_hinf_optimal(sys, tol):
+    """`controllers.hinf_optimal` over the eager search. Returns
+    (GammaSearchResult, FeedbackController)."""
+    res, tape = eager_bisect_gamma(lambda g: riccati.backward_hinf(sys, g), tol)
+    return res, ct.FeedbackController(sys, tape)
 
 
 def random_disturbance(seed, sys, scale=1.0):

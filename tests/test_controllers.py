@@ -7,6 +7,7 @@ import pytest
 from regretctl import controllers as ct
 from regretctl import kernels, riccati
 from regretctl import operator_oracle as oo
+from regretctl.augmentation import augment_delay, augment_predictions
 from regretctl.cli import pendulum_system
 from regretctl.system_model import (
     LqSystem,
@@ -15,6 +16,8 @@ from regretctl.system_model import (
     validate_system,
 )
 from helpers import (
+    eager_hinf_optimal,
+    eager_regret_optimal,
     full_horizon_reference,
     printed_regret_optimal,
     quiet_tail_pendulum,
@@ -90,23 +93,17 @@ class TestHinf:
             ct.synthesize_hinf(pendulum_system(100), 1.0)
         assert info.value.step == 98
 
-    def test_bisection_keeps_its_last_feasible_tape(self, monkeypatch):
-        tapes = []
-        backward_hinf = riccati.backward_hinf
-
-        def recorded(sys, gamma):
-            tapes.append(backward_hinf(sys, gamma))
-            return tapes[-1]
-
-        monkeypatch.setattr(riccati, "backward_hinf", recorded)
-        sys = random_system(2, T_max=8)
+    @pytest.mark.parametrize("sys", [random_system(2, T_max=8), pendulum_system(100)], ids=["random", "pendulum"])
+    def test_bisection_returns_the_tape_at_gamma_opt(self, sys):
+        """The lazy search pauses probes, so its tape is the one at gamma_opt
+        swept again to t = 0: the same bits as a sweep of its own."""
         res, ctrl = ct.hinf_optimal(sys, 1e-6)
-        assert len(tapes) == res.iterations + 1  # one call per probe, none after
-        last = [tape for tape in tapes if tape.feasible][-1]
-        assert ctrl.tape is last and last.gamma == res.gamma_opt
-        assert res.final_margins is last.margins
-        monkeypatch.undo()
-        again = ct.synthesize_hinf(sys, res.gamma_opt)
+        tape = riccati.backward_hinf(sys, res.gamma_opt)
+        assert ctrl.tape.gamma == res.gamma_opt and ctrl.tape.feasible
+        for field in ("P", "H", "margins"):
+            assert np.array_equal(getattr(ctrl.tape, field), getattr(tape, field)), field
+        assert res.final_margins is ctrl.tape.margins
+        again = ct.FeedbackController(sys, tape)
         assert np.array_equal(ctrl.K_x, again.K_x) and np.array_equal(ctrl.K_w, again.K_w)
 
     def test_achieves_gain_bound(self):
@@ -305,29 +302,86 @@ class TestRegretOptimal:
         assert res.gamma_opt == 1.7185392379760742
 
 
+# the windows of a fake probe's sweep: those of a 1000-step horizon, 16 to 504 steps
+_WINDOWS = [t1 - t0 for t0, t1 in riccati._windows(1000)]
+
+
 class _Probe:
-    def __init__(self, gamma, feasible):
-        self.gamma, self.feasible = gamma, feasible
-        self.margins = np.array([-gamma if feasible else gamma])
+    """A fake probe at level gamma over the windows `_WINDOWS`, with the
+    resumable interface of `riccati._Sweep`: it fails in window `fail`, or
+    never when fail is None. It reports every sweep to its `_Threshold`."""
+
+    def __init__(self, owner, gamma, fail):
+        self.owner, self.gamma, self.fail = owner, gamma, fail
+        self.feasible = fail is None
+        self.margins = np.array([-gamma if self.feasible else gamma])
+        self.windows, self.failed, self.forgotten = 0, None, False
+
+    @property
+    def steps_left(self):
+        return 0 if self.failed is not None else sum(_WINDOWS[self.windows:])
+
+    def sweep(self, windows=None):
+        end = len(_WINDOWS) if windows is None else min(windows, len(_WINDOWS))
+        if self.fail is not None:
+            end = min(end, self.fail + 1)
+        before = self.windows
+        self.windows = max(before, end)
+        if self.fail is not None and self.windows == self.fail + 1:
+            self.failed = self.fail
+            self.owner.infeasible.append(weakref.ref(self))
+        steps = sum(_WINDOWS[before:self.windows])
+        self.owner.sweeps.append((self.gamma, windows, before, steps, self.failed))
+        return steps
+
+    def forget(self):
+        self.forgotten = True
+        self.owner.sweeps.append((self.gamma, "forget", self.windows, 0, None))
+
+    def result(self):
+        self.sweep()
+        # a probe that forgot its tapes sweeps again from t = T
+        self.owner.sweeps.append((self.gamma, "again", 0, sum(_WINDOWS) if self.forgotten else 0, None))
+        return self
 
 
 class _Threshold:
-    """A fake probe, feasible iff gamma >= theta, that records every level.
-    It fails a search that does not end within 1000 probes, or that still
-    holds an infeasible probe when it asks for the next one (each probe of
-    a long horizon holds its tapes)."""
+    """A fake search, feasible iff gamma >= theta, that records every level
+    it starts and every sweep. An infeasible level fails in window
+    `fail(gamma)` (the first by default). It fails a search that does not
+    end within 1000 probes, or that still holds a probe that has failed when
+    it starts the next one (each probe of a long horizon holds its tapes)."""
 
-    def __init__(self, theta):
-        self.theta, self.levels, self.infeasible = theta, [], []
+    def __init__(self, theta, fail=lambda gamma: 0):
+        self.theta, self.fail, self.levels, self.infeasible, self.sweeps = theta, fail, [], [], []
 
     def __call__(self, gamma):
         assert all(ref() is None for ref in self.infeasible), "an infeasible probe outlived its verdict"
         self.levels.append(gamma)
         assert len(self.levels) <= 1000, "the search does not end"
-        result = _Probe(gamma, gamma >= self.theta)
-        if not result.feasible:
-            self.infeasible.append(weakref.ref(result))
-        return result
+        return _Probe(self, gamma, None if gamma >= self.theta else self.fail(gamma))
+
+    @property
+    def steps(self):
+        return sum(steps for _, _, _, steps, _ in self.sweeps)
+
+    def finished(self):
+        """The levels a sweep took to t = 0, and the paused levels whose
+        sweep on to t = 0 failed."""
+        ends, failures = [], []
+        for g, windows, before, steps, failed in self.sweeps:
+            if windows is None and steps:
+                if failed is None:
+                    ends.append(g)
+                elif before:
+                    failures.append(g)
+        return ends, failures
+
+
+def _eager_steps(levels, theta, fail):
+    """The steps an eager search sweeps over `levels`: every window of a
+    feasible level, an infeasible one's up to its failing window."""
+    return sum(sum(_WINDOWS[: fail(g) + 1]) if g < theta else sum(_WINDOWS) for g in levels)
 
 
 def _bisected(levels, lo, hi, theta, tol):
@@ -344,7 +398,8 @@ def _bisected(levels, lo, hi, theta, tol):
 
 class TestGammaSearch:
     """The probe sequence of `_bisect_gamma`: halve from 1 while every level
-    passes, double while every level fails, then bisect the bracket."""
+    passes, double while every level fails, then bisect the bracket; and
+    how far the lazy search sweeps each probe."""
 
     def test_feasible_everywhere_halves_to_the_floor(self):
         probe = _Threshold(0.0)
@@ -392,6 +447,83 @@ class TestGammaSearch:
         assert np.nextafter(lo, np.inf) == hi and res.gamma_opt == hi == theta
         assert len(set(probe.levels)) == len(probe.levels) == res.iterations + 1
 
+    @pytest.mark.parametrize(
+        "theta, start", [(0.3, [1.0, 0.5, 0.25]), (5.0, [1.0, 2.0, 4.0, 8.0])], ids=["halving", "doubling"]
+    )
+    def test_first_window_failures_finish_only_the_final_level(self, theta, start):
+        """W1's pattern: every failure falls in the first window, so a probe
+        inside the bracket sweeps two windows, and only the probes before the
+        bracket and the level that ends the search are swept to t = 0."""
+        probe = _Threshold(theta)
+        res, best = ct._bisect_gamma(probe, 1e-6)
+        levels, history = _bisected(start, *sorted(start[-2:]), theta, 1e-6)
+        assert probe.levels == levels and res.bracket_history == history
+        assert res.gamma_opt == best.gamma == history[-1][1]
+        ends, failures = probe.finished()
+        assert ends == [g for g in start if g >= theta] + [res.gamma_opt] and failures == []
+        swept = [(g, windows) for g, windows, _, _, _ in probe.sweeps if windows != "forget"]
+        assert swept[len(start):-3] == [(g, 2) for g in levels[len(start):]]
+        assert swept[-3:] == [(res.gamma_opt, None)] * 2 + [(res.gamma_opt, "again")]
+        # each passing level drops its tapes once a lower one passes
+        forgotten = [g for g, windows, _, _, _ in probe.sweeps if windows == "forget"]
+        assert sorted(forgotten) == sorted(g for g in levels if g >= theta and g != res.gamma_opt)
+        assert probe.steps < _eager_steps(levels, theta, probe.fail)
+
+    def test_paused_level_finished_once_later_probes_cost_as_much(self):
+        """At tol 1e-12 the probes inside the bracket sweep more steps in all
+        than finishing a paused level takes (952 of 1000). The newest paused
+        level is swept to t = 0 right after the probe that brings their sum
+        there, and from then on each level that passes right after its pause."""
+        probe = _Threshold(0.3)
+        res, _ = ct._bisect_gamma(probe, 1e-12)
+        start = [1.0, 0.5, 0.25]
+        levels, history = _bisected(start, 0.25, 0.5, 0.3, 1e-12)
+        assert probe.levels == levels and res.bracket_history == history
+        # the sweeps since 0.5, the last probe swept to t = 0 when it was made
+        inside = [entry for entry in probe.sweeps if entry[1] in (2, None)][len(start) - 1:]
+        first = next(k for k, (_, windows, before, _, _) in enumerate(inside) if windows is None and before)
+        since = sum(steps for _, _, _, steps, _ in inside[:first])
+        assert since >= 952 > since - inside[first - 1][3]
+        paused = [g for g, windows, _, _, failed in inside[:first] if windows == 2 and failed is None]
+        assert inside[first][:2] == (paused[-1], None)
+        for (g, windows, _, _, failed), after in zip(inside[first + 1:], inside[first + 2:]):
+            if windows == 2 and failed is None:
+                assert after[:2] == (g, None)
+
+    def test_failures_two_windows_deeper_just_below_theta(self):
+        """Levels within 1% below theta fail in the third window. The first
+        of them passes its two windows and is paused; the level that would
+        end the search fails its sweep to t = 0, and the search runs again
+        from gamma = 1, sweeping four windows, to the eager result."""
+        theta = 0.3
+        probe = _Threshold(theta, lambda g: 2 if g >= 0.99 * theta else 0)
+        res, best = ct._bisect_gamma(probe, 1e-6)
+        start = [1.0, 0.5, 0.25]
+        levels, history = _bisected(start, 0.25, 0.5, theta, 1e-6)
+        assert res.bracket_history == history and res.iterations == len(levels) - 1
+        assert res.gamma_opt == best.gamma == history[-1][1]
+        assert set(levels) <= set(probe.levels)  # each level started once, the rerun's from memory
+        assert len(set(probe.levels)) == len(probe.levels)
+        ends, failures = probe.finished()
+        assert len(failures) == 1 and 0.99 * theta <= failures[0] < theta
+        assert ends[-1] == res.gamma_opt
+        # after it, each probe inside the bracket sweeps four windows
+        failed = [(g, windows, f) for g, windows, _, _, f in probe.sweeps].index((failures[0], None, 2))
+        assert {windows for _, windows, _, _, _ in probe.sweeps[failed + 1:]} == {4, None, "again", "forget"}
+
+    @pytest.mark.parametrize("theta", [0.3, 5.0])
+    def test_deep_failures_sweep_no_more_than_the_eager_search(self, theta):
+        """The pattern of W3's regret search and W4's H-infinity search:
+        every failure falls in one of the last two windows, so from the
+        first failure on each probe sweeps to t = 0 or to its failure."""
+        K = len(_WINDOWS)
+        probe = _Threshold(theta, lambda g: K - 1 if g > 0.9 * theta else K - 2)
+        res, _ = ct._bisect_gamma(probe, 1e-6)
+        start = [1.0, 0.5, 0.25] if theta < 1 else [1.0, 2.0, 4.0, 8.0]
+        levels, history = _bisected(start, *sorted(start[-2:]), theta, 1e-6)
+        assert probe.levels == levels and res.bracket_history == history
+        assert probe.steps <= _eager_steps(levels, theta, probe.fail)
+
 
 _TAPES = (
     "Ahat", "Bhat_u", "Bhat_w", "Qhat", "Phat", "Hhat", "margins", "M_state", "M_z",
@@ -405,6 +537,78 @@ def _tape(syn, path):
     for attr in path.split("."):
         syn = getattr(syn, attr)
     return syn
+
+
+def _lazy_family():
+    """(id, system, searches) of the systems the lazy search is held to the
+    eager one on: random systems, a third with two steps of lookahead and a
+    third with one step of input delay, and the pendulum."""
+    for seed in range(300, 312):
+        sys = random_system(seed, T_max=120, stable=seed % 2 == 0)
+        if seed % 3 == 1:
+            sys = augment_predictions(sys, 2).system
+        elif seed % 3 == 2:
+            sys = augment_delay(sys, 1).system
+        yield f"random{seed}", sys, ("regret",)
+    yield "pendulum-T300", pendulum_system(300), ("regret", "hinf")
+    yield "pendulum-T1000", pendulum_system(1000), ("regret",)
+
+
+_SEARCHES = {
+    "regret": (ct.regret_optimal, eager_regret_optimal, "backward_kalman", (ct, "_regret_probe")),
+    "hinf": (ct.hinf_optimal, eager_hinf_optimal, "hinf_backward", (riccati, "_hinf_probe")),
+}
+
+
+def _swept(kind, search, sys):
+    """search(sys, 1e-6), the steps its probes swept and the levels they
+    probed."""
+    _, _, kernel, (owner, start) = _SEARCHES[kind]
+    steps, levels = [], []
+    spied, started = getattr(kernels, kernel), getattr(owner, start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, kernel, lambda A, *args: steps.append(A.shape[0]) or spied(A, *args))
+        mp.setattr(owner, start, lambda sys, g: levels.append(g) or started(sys, g))
+        out = search(sys, 1e-6)
+    return out, sum(steps), levels
+
+
+def _same_search(a, b, kind):
+    (res_a, ctrl_a), (res_b, ctrl_b) = a, b
+    same = (
+        res_a.gamma_opt == res_b.gamma_opt
+        and res_a.bracket_history == res_b.bracket_history
+        and res_a.iterations == res_b.iterations
+        and np.array_equal(res_a.final_margins, res_b.final_margins)
+    )
+    paths = _TAPES if kind == "regret" else ("K_x", "K_w", "tape.P", "tape.H", "tape.margins")
+    return same and all(np.array_equal(_tape(ctrl_a, path), _tape(ctrl_b, path)) for path in paths)
+
+
+class TestLazySearch:
+    """The lazy search against the eager one, which sweeps every probe to
+    t = 0 or to its failure (`helpers.eager_bisect_gamma`)."""
+
+    @pytest.mark.parametrize("kind", ["regret", "hinf"])
+    def test_equals_the_eager_search_and_sweeps_no_more(self, kind):
+        lazy, eager, _, _ = _SEARCHES[kind]
+        total = {"lazy": 0, "eager": 0}
+        for name, sys, searches in _lazy_family():
+            if kind not in searches:
+                continue
+            a, total_a, levels_a = _swept(kind, lazy, sys)
+            b, total_b, levels_b = _swept(kind, eager, sys)
+            total["lazy"] += total_a
+            total["eager"] += total_b
+            if not _same_search(a, b, kind):
+                # allowed only where the eager verdicts are not monotone in
+                # the level over the levels either search probed
+                probe = {"regret": ct.synthesize_regret, "hinf": riccati.backward_hinf}[kind]
+                verdicts = [probe(sys, g).feasible for g in sorted(set(levels_a + levels_b))]
+                assert verdicts != sorted(verdicts), name
+            if name == "pendulum-T1000":
+                assert total_a <= total_b / 2, (total_a, total_b)
+        assert total["lazy"] <= total["eager"], total
 
 
 class TestRegretProblem:
@@ -471,20 +675,16 @@ class TestRegretProblem:
         ctrl.control_sequence(np.ones((sys.T, sys.p)))
         assert len(built) == 2
 
-    def test_regret_optimal_returns_its_last_feasible_probe(self, monkeypatch):
-        probes = []
-        synthesize = ct.synthesize_regret
-
-        def recorded(*args):
-            probes.append(synthesize(*args))
-            return probes[-1]
-
-        monkeypatch.setattr(ct, "synthesize_regret", recorded)
-        res, ctrl = ct.regret_optimal(pendulum_system(30), 1e-6)
-        assert len(probes) == res.iterations + 1  # one synthesis per probe, none after
-        last = [syn for syn in probes if syn.feasible][-1]
-        assert ctrl is last and last.gamma == res.gamma_opt
-        assert res.final_margins is last.margins
+    @pytest.mark.parametrize("sys", [pendulum_system(30), pendulum_system(100)], ids=["T30", "T100"])
+    def test_regret_optimal_returns_the_synthesis_at_gamma_opt(self, sys):
+        """Every tape of the controller, paused and resumed or not, has the
+        bits of a synthesis of its own at gamma_opt."""
+        res, ctrl = ct.regret_optimal(sys, 1e-6)
+        syn = ct.synthesize_regret(sys, res.gamma_opt)
+        assert ctrl.gamma == res.gamma_opt and ctrl.feasible
+        for path in _TAPES:
+            assert np.array_equal(_tape(ctrl, path), _tape(syn, path)), path
+        assert res.final_margins is ctrl.margins
 
     def test_infeasible_gains_are_zero(self):
         syn = ct.synthesize_regret(s1(), 0.1)
