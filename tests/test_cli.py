@@ -1,6 +1,10 @@
 import copy
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from datetime import timedelta
 from pathlib import Path
 
@@ -31,12 +35,13 @@ S1_CONFIG = {
     },
     "horizon": 3,
 }
+DATA = Path(__file__).parent / "data"
 
 
 def _pendulum_doc(kind, params):
     """The pendulum config of tests/data/bad_disturbance.json (T = 100,
     p = 2) with the given disturbance."""
-    doc = json.loads((Path(__file__).parent / "data" / "bad_disturbance.json").read_text())
+    doc = json.loads((DATA / "bad_disturbance.json").read_text())
     return dict(doc, disturbance={"kind": kind, "params": params})
 
 
@@ -310,7 +315,7 @@ class TestGamma:
         """A system whose disturbance produces no cost (B_w = 0) writes the
         margin every probe reads, -1, not -Infinity, which is not JSON."""
         out = tmp_path / "gamma.json"
-        config = Path(__file__).parent / "data" / "degenerate.json"
+        config = DATA / "degenerate.json"
         result = runner.invoke(main, ["gamma", "--config", str(config), "--json", str(out)])
         assert result.exit_code == 0, result.output
         doc = _strict_loads(out.read_text())
@@ -671,6 +676,61 @@ class TestPendulum:
         assert lines[0] == "t,cost_h2,cost_hinf,cost_regret,cost_offline"
         assert len(lines) == 21
         assert "gamma_regret = " in result.output
+
+
+class TestRun:
+    """`run`, the process entry, freezes the import-time heap and then calls
+    `main`; `main` itself freezes nothing. Every test unfreezes, so the rest
+    of the suite keeps a heap the collector can reach."""
+
+    def test_freezes_then_calls_main_once(self, monkeypatch):
+        counts = []
+        monkeypatch.setattr(cli, "main", lambda: counts.append(gc.get_freeze_count()))
+        try:
+            cli.run()
+        finally:
+            gc.unfreeze()
+        assert len(counts) == 1
+        assert counts[0] > 0
+
+    def test_main_in_process_freezes_nothing(self, runner):
+        before = gc.get_freeze_count()
+        try:
+            result = runner.invoke(main, ["gamma", "--config", str(DATA / "smoke.json")])
+            after = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert result.exit_code == 0, result.output
+        assert after == before
+
+    def _run(self, monkeypatch, capsys, *args):
+        monkeypatch.setattr(sys, "argv", ["regretctl", *args])
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                cli.run()
+        finally:
+            gc.unfreeze()
+        out, err = capsys.readouterr()
+        return exit_.value.code, out, err
+
+    def test_unknown_option_is_a_usage_error(self, monkeypatch, capsys):
+        code, _, _ = self._run(
+            monkeypatch, capsys, "gamma", "--config", str(DATA / "smoke.json"), "--feasibility-test", "level1"
+        )
+        assert code == 2
+
+    def test_refused_config_matches_the_module_entry(self, monkeypatch, capsys):
+        argv = ["simulate", "--config", str(DATA / "bad_period.json")]
+        code, out, err = self._run(monkeypatch, capsys, *argv)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "ConfigError"
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        module = subprocess.run(
+            [sys.executable, "-m", "regretctl.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (module.returncode, module.stdout, module.stderr) == (code, out, err)
 
 
 def test_each_subcommand_declares_only_the_options_it_reads(runner, s1_config):
