@@ -1,6 +1,8 @@
 """Finite-horizon LQ control synthesis: H2, H-infinity, offline-noncausal and
 regret-optimal controllers, with a dense operator oracle for verification."""
 
+import importlib
+
 from .system_model import (
     LqSystem,
     Trajectory,
@@ -8,7 +10,7 @@ from .system_model import (
     normalize_control_weight,
     evaluate_cost,
 )
-from . import riccati, operator_oracle, controllers, augmentation, sim_bench
+from . import riccati, controllers, augmentation, sim_bench
 
 __all__ = [
     "LqSystem",
@@ -24,3 +26,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the dense oracle loads on first access (PEP 562): of the subcommands,
+    # only `certify` uses it
+    if name == "operator_oracle":
+        return importlib.import_module(".operator_oracle", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,6 @@ import click
 import numpy as np
 
 from . import controllers as ct
-from . import operator_oracle as oo
 from .augmentation import augment_delay, augment_predictions
 from .sim_bench import DisturbanceError, DisturbanceSpec, _is_numeric, compare
 from .system_model import LqSystem, normalize_control_weight, validate_system
@@ -419,6 +418,8 @@ def simulate(config_path, seed, tol, csv_path, json_path):
 @_guarded
 def certify(config_path, seed, tol, json_path):
     """Run the dense operator oracle on the synthesized regret controller."""
+    from . import operator_oracle as oo  # the only subcommand that loads the oracle
+
     cfg = _load(config_path, seed, tol)
     synth_sys = _augmented(cfg)
     oo.check_size(synth_sys)

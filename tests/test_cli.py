@@ -678,6 +678,19 @@ class TestPendulum:
         assert "gamma_regret = " in result.output
 
 
+def _src_env():
+    """The environment of a new interpreter that imports this checkout's src."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_python(code):
+    """Run `code` in a new interpreter and return its stdout."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestRun:
     """`run`, the process entry, freezes the import-time heap and then calls
     `main`; `main` itself freezes nothing. Every test unfreezes, so the rest
@@ -725,12 +738,40 @@ class TestRun:
         assert (code, out) == (1, "")
         [line] = err.splitlines()
         assert json.loads(line)["error"]["type"] == "ConfigError"
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         module = subprocess.run(
-            [sys.executable, "-m", "regretctl.cli", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "regretctl.cli", *argv], capture_output=True, text=True, env=_src_env()
         )
         assert (module.returncode, module.stdout, module.stderr) == (code, out, err)
+
+
+class TestLazyOracle:
+    """`regretctl` loads `operator_oracle` on first access, so of the
+    subcommands only `certify` loads the dense oracle."""
+
+    def test_cli_import_leaves_the_oracle_unloaded(self):
+        out = _fresh_python("import regretctl.cli, sys; print('regretctl.operator_oracle' in sys.modules)")
+        assert out == "False\n"
+
+    def test_attribute_loads_the_oracle(self):
+        out = _fresh_python("import regretctl; print(regretctl.operator_oracle.__name__)")
+        assert out == "regretctl.operator_oracle\n"
+
+    def test_star_import_loads_the_oracle(self):
+        out = _fresh_python(
+            "import sys, regretctl\n"
+            "names = {}\n"
+            "exec('from regretctl import *', names)\n"
+            "print(sorted(set(regretctl.__all__) - set(names)))\n"
+            "print(names['operator_oracle'] is sys.modules['regretctl.operator_oracle'])\n"
+        )
+        assert out == "[]\nTrue\n"
+
+    def test_unknown_attribute_raises(self):
+        import regretctl
+
+        with pytest.raises(AttributeError, match="has no attribute 'oracle'"):
+            regretctl.oracle
+        assert not hasattr(regretctl, "oracle")
 
 
 def test_each_subcommand_declares_only_the_options_it_reads(runner, s1_config):

@@ -448,26 +448,33 @@ class TestGammaSearch:
         assert len(set(probe.levels)) == len(probe.levels) == res.iterations + 1
 
     @pytest.mark.parametrize(
-        "theta, start", [(0.3, [1.0, 0.5, 0.25]), (5.0, [1.0, 2.0, 4.0, 8.0])], ids=["halving", "doubling"]
+        "theta, start",
+        [(0.3, [1.0, 0.5, 0.25]), (5.0, [1.0, 2.0, 4.0, 8.0]), (8.0, [1.0, 2.0, 4.0, 8.0])],
+        ids=["halving", "doubling", "doubling-at-theta"],
     )
     def test_first_window_failures_finish_only_the_final_level(self, theta, start):
         """W1's pattern: every failure falls in the first window, so a probe
-        inside the bracket sweeps two windows, and only the probes before the
-        bracket and the level that ends the search are swept to t = 0."""
+        made after the first failure sweeps two windows, and only the probes
+        before it and the level that ends the search are swept to t = 0. At
+        theta = 8 the first level that passes, paused, is gamma_opt."""
         probe = _Threshold(theta)
         res, best = ct._bisect_gamma(probe, 1e-6)
         levels, history = _bisected(start, *sorted(start[-2:]), theta, 1e-6)
         assert probe.levels == levels and res.bracket_history == history
         assert res.gamma_opt == best.gamma == history[-1][1]
+        first = next(k for k, g in enumerate(levels) if g < theta) + 1  # the probes up to the first failure
         ends, failures = probe.finished()
-        assert ends == [g for g in start if g >= theta] + [res.gamma_opt] and failures == []
+        assert ends == [g for g in levels[:first] if g >= theta] + [res.gamma_opt] and failures == []
         swept = [(g, windows) for g, windows, _, _, _ in probe.sweeps if windows != "forget"]
-        assert swept[len(start):-3] == [(g, 2) for g in levels[len(start):]]
+        assert swept[:first] == [(g, None) for g in levels[:first]]
+        assert swept[first:-3] == [(g, 2) for g in levels[first:]]
         assert swept[-3:] == [(res.gamma_opt, None)] * 2 + [(res.gamma_opt, "again")]
         # each passing level drops its tapes once a lower one passes
         forgotten = [g for g, windows, _, _, _ in probe.sweeps if windows == "forget"]
         assert sorted(forgotten) == sorted(g for g in levels if g >= theta and g != res.gamma_opt)
-        assert probe.steps < _eager_steps(levels, theta, probe.fail)
+        # a passing level saves steps only if a lower one passes after it
+        eager = _eager_steps(levels, theta, probe.fail)
+        assert probe.steps < eager if forgotten else probe.steps == eager
 
     def test_paused_level_finished_once_later_probes_cost_as_much(self):
         """At tol 1e-12 the probes inside the bracket sweep more steps in all
@@ -542,7 +549,9 @@ def _tape(syn, path):
 def _lazy_family():
     """(id, system, searches) of the systems the lazy search is held to the
     eager one on: random systems, a third with two steps of lookahead and a
-    third with one step of input delay, and the pendulum."""
+    third with one step of input delay, the pendulum, and the pendulum with
+    one step of delay and three of lookahead (the plant of the benchmark's
+    simulate workload)."""
     for seed in range(300, 312):
         sys = random_system(seed, T_max=120, stable=seed % 2 == 0)
         if seed % 3 == 1:
@@ -552,6 +561,8 @@ def _lazy_family():
         yield f"random{seed}", sys, ("regret",)
     yield "pendulum-T300", pendulum_system(300), ("regret", "hinf")
     yield "pendulum-T1000", pendulum_system(1000), ("regret",)
+    h3d1 = augment_predictions(augment_delay(pendulum_system(100), 1).system, 3).system
+    yield "pendulum-h3d1", h3d1, ("regret", "hinf")
 
 
 _SEARCHES = {
@@ -600,14 +611,22 @@ class TestLazySearch:
             b, total_b, levels_b = _swept(kind, eager, sys)
             total["lazy"] += total_a
             total["eager"] += total_b
-            if not _same_search(a, b, kind):
+            if name == "pendulum-h3d1":
+                # not monotone near gamma_opt, yet both searches keep the eager results
+                assert _same_search(a, b, kind), name
+            elif not _same_search(a, b, kind):
                 # allowed only where the eager verdicts are not monotone in
                 # the level over the levels either search probed
                 probe = {"regret": ct.synthesize_regret, "hinf": riccati.backward_hinf}[kind]
                 verdicts = [probe(sys, g).feasible for g in sorted(set(levels_a + levels_b))]
                 assert verdicts != sorted(verdicts), name
+            # the regret search of the benchmark's gamma workload, paused from
+            # its first failure on, and the H-infinity search of its simulate
+            # workload, which pausing during the halving descent made longer
             if name == "pendulum-T1000":
-                assert total_a <= total_b / 2, (total_a, total_b)
+                assert total_a <= min(1912, total_b / 2), (total_a, total_b)
+            if name == "pendulum-h3d1" and kind == "hinf":
+                assert total_a <= 2148, (total_a, total_b)
         assert total["lazy"] <= total["eager"], total
 
 
