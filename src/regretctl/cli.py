@@ -413,6 +413,17 @@ def simulate(config_path, seed, tol, csv_path, json_path):
         )
 
 
+def _certificate(synth_sys, ctrl):
+    """The dense oracle's certificate of ctrl on synth_sys, as (gain,
+    witness, K): the operators and the regret form are freed on return, so
+    they are gone before the certificate is encoded."""
+    from . import operator_oracle as oo
+
+    ops = oo.build_operators(normalize_control_weight(synth_sys).system)
+    cert = oo.worst_case_regret_gain(ops, oo.controller_operator(synth_sys, ctrl))
+    return cert.gain, cert.witness, cert.K
+
+
 @main.command()
 @_options("config", "seed", "tol", "json")
 @_guarded
@@ -424,21 +435,19 @@ def certify(config_path, seed, tol, json_path):
     synth_sys = _augmented(cfg)
     oo.check_size(synth_sys)
     res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"])
-    ops = oo.build_operators(normalize_control_weight(synth_sys).system)
-    K = oo.controller_operator(synth_sys, ctrl)
-    cert = oo.worst_case_regret_gain(ops, K)
+    gain, witness, K = _certificate(synth_sys, ctrl)
     doc = {
         "config": cfg["resolved"],
         "gamma_opt": res.gamma_opt,
         "gamma_opt_squared": res.gamma_opt**2,
-        "gain": cert.gain,
-        "witness": cert.witness,
-        "controller_operator": cert.K,
+        "gain": gain,
+        "witness": witness,
+        "controller_operator": K,
     }
     out = json_path or cfg["resolved"]["output"].get("certificate", "certificate.json")
     emit_json(out, doc)
     click.echo(
-        f"gamma_opt^2 = {_float_repr(res.gamma_opt ** 2)}, certified gain = {_float_repr(cert.gain)}"
+        f"gamma_opt^2 = {_float_repr(res.gamma_opt ** 2)}, certified gain = {_float_repr(gain)}"
     )
     click.echo(f"certificate written to {out}")
 

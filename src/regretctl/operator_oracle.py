@@ -2,18 +2,24 @@
 
 Everything here is O(T^3) and intended for desk-scale verification: building
 the causal operators F (controls -> weighted states) and G (disturbances ->
-weighted states) and the dense realizations of the Kalman factors L and Delta
-(all four from one strictly-causal builder), the offline-optimal controller in
-closed form, block-causal factorization of positive-definite operators,
-controller probing, and exact worst-case regret gains.
+weighted states), W = L^{-1}G, and the dense realizations of the Kalman
+factors L and Delta (all from one strictly-causal builder), the
+offline-optimal controller in closed form, block-causal factorization of
+positive-definite operators, controller probing, and exact worst-case regret
+gains.
 
 All operators live in R-normalized control coordinates (R_t = I), so the cost
 is exactly ||Fu + Gw||^2 + ||u||^2.
 
 For unstable plants the entries of F and G grow like the state-transition
-products, so certificate accuracy degrades roughly as machine epsilon times
-||F||^2; trust the certificates only while that product stays well below the
-gains being certified.
+products. The certificate's offline term G'(I + FF')^{-1}G is W'W, whose
+blocks pass only through the forward Kalman recursion's stable observer
+matrices Atil, so it stays accurate (the dense referee `offline_cost_form`
+loses accuracy like machine epsilon times ||F||^2). The closed-loop term
+(FK + G)'(FK + G) is still formed from F and G: FK + G is bounded only
+because their growth cancels, so its accuracy degrades like machine epsilon
+times ||F|| ||K||. Trust a certificate only while that product stays well
+below the gain being certified.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import riccati
 from .riccati import BackwardKalmanTape, ForwardKalmanTape
 from .sim_bench import controls
 from .system_model import (
@@ -30,6 +37,7 @@ from .system_model import (
     NormalizedSystem,
     as_validated,
     normalize_control_weight,
+    pd_inv_sqrt,
     psd_sqrt,
 )
 
@@ -46,15 +54,18 @@ class CausalityViolationError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Strictly block-lower-triangular F and G with s = Fu + Gw.
+    """Strictly block-lower-triangular F and G with s = Fu + Gw, and
+    W = L^{-1}G with LL' = I + FF', so that W'W = G'(I + FF')^{-1}G.
 
     Row blocks are the weighted states s_0..s_{T-1} (n each), plus one extra
     block row carrying Q_T^{1/2} when the system has a terminal cost. Column
-    blocks are u_0..u_{T-1} (m each) for F and w_0..w_{T-1} (p each) for G.
+    blocks are u_0..u_{T-1} (m each) for F and w_0..w_{T-1} (p each) for G
+    and W; W is strictly block-lower-triangular with G's shape.
     """
 
     F: np.ndarray
     G: np.ndarray
+    W: np.ndarray
     T: int
     n: int
     m: int
@@ -104,20 +115,25 @@ def _block_diagonal(blocks) -> np.ndarray:
 
 
 def build_operators(sys: LqSystem) -> OperatorPair:
-    """Build the dense F and G of a validated, R-normalized system.
+    """Build the dense F, G and W of a validated, R-normalized system.
 
     Block (i, j) of F is Q_i^{1/2} A_{i-1}...A_{j+1} B_u_j for j < i (and
     likewise for G with B_w); the terminal cost contributes one extra block
-    row Q_T^{1/2} A_{T-1}...A_{j+1} B_._j.
+    row Q_T^{1/2} A_{T-1}...A_{j+1} B_._j. Block (i, j) of W = L^{-1}G is
+    R_e_i^{-1/2} Q_i^{1/2} Atil_{i-1}...Atil_{j+1} B_w_j from the forward
+    Kalman tape (the innovations form of G), with the same terminal row.
     """
     sys = as_validated(sys)
     if not np.allclose(sys.R, np.eye(sys.m)[None, :, :], atol=1e-12):
         raise ValueError("build_operators requires an R-normalized system (R_t = I)")
     check_size(sys)
+    # R_t = I, so both control rescaling maps are the identity
+    fwd = riccati.forward_kalman(NormalizedSystem(sys, sys.R, sys.R))
     n_rows = _block_rows(sys)
-    sqQ = psd_sqrt(np.concatenate((sys.Q, sys.Q_T[None])))[:n_rows]
+    sqQ = fwd.sqQ[:n_rows]
     F, G = _strictly_causal(sys.A, sys.B_u, sqQ), _strictly_causal(sys.A, sys.B_w, sqQ)
-    return OperatorPair(F=F, G=G, T=sys.T, n=sys.n, m=sys.m, p=sys.p, n_rows=n_rows)
+    W = _strictly_causal(fwd.Atil, sys.B_w, pd_inv_sqrt(fwd.R_e[:n_rows]) @ sqQ)
+    return OperatorPair(F=F, G=G, W=W, T=sys.T, n=sys.n, m=sys.m, p=sys.p, n_rows=n_rows)
 
 
 def dense_l_operator(norm: NormalizedSystem, fwd: ForwardKalmanTape) -> np.ndarray:
@@ -159,7 +175,8 @@ def offline_optimal(ops: OperatorPair, w):
 
 
 def offline_cost_form(ops: OperatorPair) -> np.ndarray:
-    """The quadratic form G'(I + FF')^{-1}G of the offline-optimal cost."""
+    """The quadratic form G'(I + FF')^{-1}G of the offline-optimal cost, by a
+    dense solve: the referee of the certificate's W'W."""
     F, G = ops.F, ops.G
     M = G.T @ np.linalg.solve(np.eye(F.shape[0]) + F @ F.T, G)
     return (M + M.T) / 2.0
@@ -238,9 +255,10 @@ def controller_operator(sys: LqSystem, controller, tol: float = 1e-9) -> np.ndar
 class RegretGainCertificate:
     """Exact worst-case regret gain of a causal linear controller.
 
-    regret_quadratic_form = (FK + G)'(FK + G) + K'K - G'(I + FF')^{-1}G;
-    gain is its largest eigenvalue and witness the corresponding unit
-    disturbance sequence.
+    regret_quadratic_form = (FK + G)'(FK + G) + K'K - W'W, where
+    W'W = G'(I + FF')^{-1}G is the offline-optimal cost; gain is its largest
+    eigenvalue and witness the corresponding unit disturbance sequence (an
+    array of its own, not a view of the eigenvectors).
     """
 
     K: np.ndarray
@@ -250,18 +268,19 @@ class RegretGainCertificate:
 
 
 def worst_case_regret_gain(ops: OperatorPair, K) -> RegretGainCertificate:
-    """Largest eigenvalue (and witness) of the regret quadratic form of K."""
+    """Largest eigenvalue (and witness) of the regret quadratic form of K,
+    (FK + G)'(FK + G) + K'K - W'W."""
     K = np.asarray(K, dtype=float)
-    F, G = ops.F, ops.G
+    F, G, W = ops.F, ops.G, ops.W
     closed = F @ K + G
-    E = closed.T @ closed + K.T @ K - offline_cost_form(ops)
+    E = closed.T @ closed + K.T @ K - W.T @ W
     E = (E + E.T) / 2.0
     vals, vecs = np.linalg.eigh(E)
     gain = float(vals[-1])
     if -1e-9 < gain < 0.0:
         gain = 0.0
     return RegretGainCertificate(
-        K=K, regret_quadratic_form=E, gain=gain, witness=vecs[:, -1]
+        K=K, regret_quadratic_form=E, gain=gain, witness=vecs[:, -1].copy()
     )
 
 

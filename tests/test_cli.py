@@ -641,6 +641,30 @@ class TestCertify:
         assert cert.gain == doc["gain"]
         assert np.array_equal(cert.witness, doc["witness"])
 
+    def test_oracle_objects_are_freed_before_encoding(self, runner, tmp_path, monkeypatch):
+        """F, G, W and the regret form are gone when the certificate is
+        encoded, and the document is the one written without the check."""
+        config = str(DATA / "smoke.json")
+        plain = tmp_path / "plain.json"
+        assert runner.invoke(main, ["certify", "--config", config, "--json", str(plain)]).exit_code == 0
+        oracle_types = (oo.OperatorPair, oo.RegretGainCertificate)
+        gc.collect()
+        before = {id(o) for o in gc.get_objects() if isinstance(o, oracle_types)}
+        live = []
+
+        def checked(path, obj):
+            live.extend(
+                type(o).__name__ for o in gc.get_objects() if isinstance(o, oracle_types) and id(o) not in before
+            )
+            emit_json(path, obj)
+
+        monkeypatch.setattr(cli, "emit_json", checked)
+        out = tmp_path / "checked.json"
+        result = runner.invoke(main, ["certify", "--config", config, "--json", str(out)])
+        assert result.exit_code == 0, result.output
+        assert live == []
+        assert out.read_bytes() == plain.read_bytes()
+
 
 class TestPendulum:
     def test_preset_matrices(self):

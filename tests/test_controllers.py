@@ -271,17 +271,20 @@ class TestRegretOptimal:
         """Why the library has one feasibility test: the level the retired
         "printed" test reports is less than half the worst-case regret its
         own controller certifies, where level1's controller attains its level
-        (the dense oracle is accurate on the first two systems; on the
-        pendulum at T=30 it is off by about 0.6%)."""
-        systems = [random_system(0), random_system(104, stable=False), pendulum_system(30)]
-        for k, sys in enumerate(systems):
+        (within 1e-6 on the first two systems; the pendulum's level itself
+        resolves to only a few 1e-6, so there within 1e-5)."""
+        systems = [
+            (random_system(0), 1e-6),
+            (random_system(104, stable=False), 1e-6),
+            (pendulum_system(30), 1e-5),
+        ]
+        for k, (sys, rel) in enumerate(systems):
             res, ctrl = printed_regret_optimal(sys, 1e-8)
             cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
             assert cert.gain > 2.0 * res.gamma_opt**2, k
-            if k < 2:
-                res, ctrl = ct.regret_optimal(sys, 1e-8)
-                cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
-                assert cert.gain == pytest.approx(res.gamma_opt**2, rel=1e-6), k
+            res, ctrl = ct.regret_optimal(sys, 1e-8)
+            cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
+            assert cert.gain == pytest.approx(res.gamma_opt**2, rel=rel), k
 
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, float("nan")])

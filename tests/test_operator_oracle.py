@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
+from regretctl.cli import pendulum_system
 from regretctl.system_model import (
     DefinitenessError,
     LqSystem,
@@ -171,6 +172,52 @@ class TestDenseFactors:
         assert L.shape == (4, 4)
         assert not np.triu(L, k=1).any()
         assert np.array_equal(np.diag(L), psd_sqrt(fwd.R_e)[:, 0, 0])
+
+
+def _ltv_system(seed, n, m, p, T):
+    """A random LTV system with a terminal cost: A scaled to spectral radius
+    0.85 at every step, random PSD Q and Q_T, PD R."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((T, n, n))
+    A *= 0.85 / np.abs(np.linalg.eigvals(A)).max(axis=1)[:, None, None]
+    C, D, E = rng.standard_normal((T, n, n)), rng.standard_normal((T, m, m)), rng.standard_normal((n, n))
+    return validate_system(LqSystem(
+        A, rng.standard_normal((T, n, m)), rng.standard_normal((T, n, p)),
+        C.mT @ C / n, D.mT @ D / m + 0.5 * np.eye(m), E.T @ E / n,
+    ))
+
+
+# the stable ones, where L is accurate enough to give G back from W
+FACTORED_STABLE_SYSTEMS = (
+    [s1(), s1(7, R=2.0, Q_T=[[1.5]])]
+    + [random_system(seed + 400, n_max=2, m_max=2, p_max=2, T_max=8) for seed in range(10)]
+    + [_ltv_system(41, n=8, m=4, p=4, T=120)]
+)
+
+
+class TestFactoredOfflineTerm:
+    """W = L^{-1}G from the forward Kalman tape gives the offline cost form
+    as W'W; the dense solve of I + FF' is its referee."""
+
+    @pytest.mark.parametrize("sys", FACTORED_STABLE_SYSTEMS + [random_system(104, stable=False)])
+    def test_w_gram_matches_dense_form(self, sys):
+        ops = ops_for(sys)
+        assert ops.W.shape == ops.G.shape
+        ref = oo.offline_cost_form(ops)
+        assert np.abs(ops.W.T @ ops.W - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("sys", FACTORED_STABLE_SYSTEMS)
+    def test_l_times_w_is_g(self, sys):
+        norm = normalize_control_weight(sys)
+        ops = oo.build_operators(norm.system)
+        L = oo.dense_l_operator(norm, riccati.forward_kalman(norm))
+        assert np.abs(L @ ops.W - ops.G).max() <= 1e-10 * np.abs(ops.G).max()
+
+    def test_strictly_causal(self):
+        sys = s1(4, Q_T=[[2.0]])
+        W = ops_for(sys).W
+        assert W.shape == (5, 4)
+        assert not np.triu(W).any()
 
 
 class TestCausalFactor:
@@ -363,6 +410,19 @@ class TestRegretGain:
         K = oo.controller_operator(sys, ctrl)
         cert = oo.worst_case_regret_gain(ops, K)
         assert cert.gain == pytest.approx(res.gamma_opt**2, rel=1e-4)
+
+    @pytest.mark.parametrize("T", [30, 40, 50])
+    def test_pendulum_certificate_holds(self, T):
+        """On the unstable pendulum, where ||F|| grows like 1.95^T, the
+        certified gain of the regret-optimal controller stays at
+        gamma_opt^2: the offline term W'W stays bounded. The bound is the
+        level's own resolution, since gamma_opt itself resolves to only a
+        few 1e-6 on the pendulum whatever the tol (a change of state
+        coordinates moves it by 2-3e-6)."""
+        sys = pendulum_system(T)
+        res, ctrl = ct.regret_optimal(sys, tol=1e-8)
+        cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
+        assert abs(cert.gain - res.gamma_opt**2) <= 1e-5 * res.gamma_opt**2
 
     def test_witness_self_consistency(self):
         sys = s1()
