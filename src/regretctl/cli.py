@@ -19,7 +19,7 @@ import numpy as np
 from . import controllers as ct
 from .augmentation import augment_delay, augment_predictions
 from .sim_bench import DisturbanceError, DisturbanceSpec, _is_numeric, compare
-from .system_model import LqSystem, normalize_control_weight, validate_system
+from .system_model import LqSystem, validate_system
 
 SCHEMA_VERSION = "2"
 
@@ -414,13 +414,12 @@ def simulate(config_path, seed, tol, csv_path, json_path):
 
 
 def _certificate(synth_sys, ctrl):
-    """The dense oracle's certificate of ctrl on synth_sys, as (gain,
-    witness, K): the operators and the regret form are freed on return, so
-    they are gone before the certificate is encoded."""
+    """The oracle's certificate of ctrl on synth_sys, as (gain,
+    witness, K): the rollout tape, W and the regret form are freed on
+    return, so they are gone before the certificate is encoded."""
     from . import operator_oracle as oo
 
-    ops = oo.build_operators(normalize_control_weight(synth_sys).system)
-    cert = oo.worst_case_regret_gain(ops, oo.controller_operator(synth_sys, ctrl))
+    cert = oo.regret_certificate(synth_sys, ctrl)
     return cert.gain, cert.witness, cert.K
 
 

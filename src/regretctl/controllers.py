@@ -7,7 +7,9 @@ disturbance (T, p) or a batch (..., T, p) and returns the controls
 (..., T, m) of a rollout from x_0 = 0, each item bit-identical to its own
 call. Causality is not declared but measured:
 `operator_oracle.controller_operator` probes a controller with unit impulses
-and refuses an operator that is not block lower triangular.
+and refuses an operator that is not block lower triangular. The regret and
+zero controllers also report the plant states of that rollout
+(`closed_loop`), which `operator_oracle.regret_certificate` weighs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .system_model import (
     _pd_roots,
     as_signal,
     as_validated,
+    evaluate_cost,
     normalize_control_weight,
 )
 
@@ -50,6 +53,12 @@ class ZeroController:
     def control_sequence(self, w):
         w = as_signal(w, self._sys.T, self._sys.p)
         return np.zeros(w.shape[:-2] + (self._sys.T, self._sys.m))
+
+    def closed_loop(self, w):
+        """The plant states (..., T+1, n) and the zero controls along w: the
+        plant's open-loop response to w."""
+        u = self.control_sequence(w)
+        return evaluate_cost(as_validated(self._sys), w, u).x, u
 
 
 def _gain(B_u, P, H, X):
@@ -356,16 +365,21 @@ class RegretSynthesis(riccati.Verdict):
     def control_sequence(self, w):
         """Controls (..., T, m) for w (T, p) or (..., T, p); raises
         InfeasibleError on a synthesis whose level is not attainable."""
+        return self.closed_loop(w)[1]
+
+    def closed_loop(self, w):
+        """The plant states (..., T+1, n) and the controls (..., T, m) of the
+        rollout along w, as `control_sequence` returns them."""
         if not self.feasible:
             raise InfeasibleError(self.gamma, self.first_infeasible_step)
         nsys = self.norm.system
         w = as_signal(w, nsys.T, nsys.p)
         M_x, M_d = self.M_state[:, :, :nsys.n], self.M_state[:, :, nsys.n:]
-        u_norm, _ = kernels.rollout_regret(
+        x, u_norm = kernels.rollout_regret(
             nsys.A, nsys.B_u, self.fwd.Atil, nsys.B_w, self.bwd.K_bl, self.bwd.R_be_sqrt,
             M_x, M_d, self.M_z, w,
         )
-        return self.norm.to_original_u(u_norm)
+        return x, self.norm.to_original_u(u_norm)
 
 
 def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:

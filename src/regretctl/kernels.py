@@ -9,7 +9,9 @@ p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma),
 stacked or control-only) and `backward_kalman` (A = Atil, B_u = B_w,
 R = gamma^2 I and no disturbance input). `forward_kalman` runs it in
 reversed time, so its step loop is the one every recursion runs on.
-`rollout_regret` is the one realization of the regret controller.
+`rollout_regret` is the one realization of the regret controller; like
+`rollout_feedback` it returns the closed-loop state tape x with the
+controls u, and `operator_oracle.regret_certificate` reads both.
 
 The recursions solve and eigendecompose 1x1 to 4x4 matrices at every step,
 where the public `np.linalg` wrappers cost more than LAPACK itself. So the
@@ -363,19 +365,18 @@ def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     the controller reads the plant state this rollout simulates instead of
     simulating zeta open-loop through a possibly unstable A (where rounding
     differences between plant and internal copy would grow exponentially);
-    delta only sees the stable closed-loop observer matrix Atil. Returns
-    (u, z) with u: (..., T, m), z: (..., T, p)."""
+    delta only sees the stable closed-loop observer matrix Atil. Returns the
+    closed-loop tape (x, u) with x: (..., T+1, n), u: (..., T, m), as
+    `rollout_feedback` does; x is the state the certificate weighs."""
     T, n, _ = A.shape
     batch = w.shape[:-2]
+    x = np.zeros(batch + (T + 1, n))
     u = np.zeros(batch + (T, B_u.shape[2]))
-    z = np.zeros(batch + (T, B_w.shape[2]))
-    x = np.zeros(batch + (n,))
     delta = np.zeros(batch + (n,))
     for t in range(T):
-        wt = w[..., t, :]
+        xt, wt = x[..., t, :], w[..., t, :]
         zt = _mv(sqR_be[t], _mv(K_bl[t].T, delta)) + _mv(sqR_be[t], wt)
-        z[..., t, :] = zt
-        u[..., t, :] = _mv(M_x[t], x) + _mv(M_d[t], delta) + _mv(M_z[t], zt)
-        x = _mv(A[t], x) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
+        u[..., t, :] = _mv(M_x[t], xt) + _mv(M_d[t], delta) + _mv(M_z[t], zt)
+        x[..., t + 1, :] = _mv(A[t], xt) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
         delta = _mv(Atil[t], delta) + _mv(B_w[t], wt)
-    return u, z
+    return x, u

@@ -12,14 +12,15 @@ All operators live in R-normalized control coordinates (R_t = I), so the cost
 is exactly ||Fu + Gw||^2 + ||u||^2.
 
 For unstable plants the entries of F and G grow like the state-transition
-products. The certificate's offline term G'(I + FF')^{-1}G is W'W, whose
-blocks pass only through the forward Kalman recursion's stable observer
-matrices Atil, so it stays accurate (the dense referee `offline_cost_form`
-loses accuracy like machine epsilon times ||F||^2). The closed-loop term
-(FK + G)'(FK + G) is still formed from F and G: FK + G is bounded only
-because their growth cancels, so its accuracy degrades like machine epsilon
-times ||F|| ||K||. Trust a certificate only while that product stays well
-below the gain being certified.
+products, so `regret_certificate` forms neither. Its closed-loop term is
+X'X, with X the weighted plant states of the controller's own batched
+impulse rollout: X = FK + G in exact arithmetic, but the closed-loop states
+stay bounded where F K and G only cancel. Its offline term
+G'(I + FF')^{-1}G is W'W, whose blocks pass only through the forward Kalman
+recursion's stable observer matrices Atil. The dense forms,
+`worst_case_regret_gain(build_operators(...), K)` and `offline_cost_form`,
+stay as the referee on stable plants and short horizons; their accuracy
+degrades like machine epsilon times ||F|| ||K|| and ||F||^2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import riccati
 from .riccati import BackwardKalmanTape, ForwardKalmanTape
-from .sim_bench import controls
+from .sim_bench import closed_loop, controls
 from .system_model import (
     DefinitenessError,
     LqSystem,
@@ -42,6 +43,7 @@ from .system_model import (
 )
 
 SIZE_CAP = 2000
+CAUSALITY_TOL = 1e-9  # the largest block magnitude a probe allows above the diagonal
 
 
 class SizeCapError(ValueError):
@@ -114,6 +116,19 @@ def _block_diagonal(blocks) -> np.ndarray:
     return out.reshape(N * r, N * k)
 
 
+def _offline_factor(sys: LqSystem):
+    """(sqQ, W) of a validated, R-normalized system: the Q_t^{1/2} of its
+    block rows (Q_T^{1/2} last when there is a terminal cost) and
+    W = L^{-1}G, whose block (i, j) is R_e_i^{-1/2} Q_i^{1/2}
+    Atil_{i-1}...Atil_{j+1} B_w_j from the forward Kalman tape (the
+    innovations form of G)."""
+    # R_t = I, so both control rescaling maps are the identity
+    fwd = riccati.forward_kalman(NormalizedSystem(sys, sys.R, sys.R))
+    n_rows = _block_rows(sys)
+    sqQ = fwd.sqQ[:n_rows]
+    return sqQ, _strictly_causal(fwd.Atil, sys.B_w, pd_inv_sqrt(fwd.R_e[:n_rows]) @ sqQ)
+
+
 def build_operators(sys: LqSystem) -> OperatorPair:
     """Build the dense F, G and W of a validated, R-normalized system.
 
@@ -127,13 +142,9 @@ def build_operators(sys: LqSystem) -> OperatorPair:
     if not np.allclose(sys.R, np.eye(sys.m)[None, :, :], atol=1e-12):
         raise ValueError("build_operators requires an R-normalized system (R_t = I)")
     check_size(sys)
-    # R_t = I, so both control rescaling maps are the identity
-    fwd = riccati.forward_kalman(NormalizedSystem(sys, sys.R, sys.R))
-    n_rows = _block_rows(sys)
-    sqQ = fwd.sqQ[:n_rows]
+    sqQ, W = _offline_factor(sys)
     F, G = _strictly_causal(sys.A, sys.B_u, sqQ), _strictly_causal(sys.A, sys.B_w, sqQ)
-    W = _strictly_causal(fwd.Atil, sys.B_w, pd_inv_sqrt(fwd.R_e[:n_rows]) @ sqQ)
-    return OperatorPair(F=F, G=G, W=W, T=sys.T, n=sys.n, m=sys.m, p=sys.p, n_rows=n_rows)
+    return OperatorPair(F=F, G=G, W=W, T=sys.T, n=sys.n, m=sys.m, p=sys.p, n_rows=len(sqQ))
 
 
 def dense_l_operator(norm: NormalizedSystem, fwd: ForwardKalmanTape) -> np.ndarray:
@@ -225,22 +236,20 @@ def causal_part(M, row_block: int, col_block: int) -> np.ndarray:
     return out
 
 
-def controller_operator(sys: LqSystem, controller, tol: float = 1e-9) -> np.ndarray:
-    """Extract the (Tm) x (Tp) operator of a linear causal controller by
-    probing it with unit-impulse disturbances, all T*p of them in one batched
-    rollout.
+def _impulses(sys: LqSystem) -> np.ndarray:
+    """The T*p unit-impulse disturbances (T*p, T, p); item j*p + c is
+    w[j, c] = 1."""
+    return np.eye(sys.T * sys.p).reshape(sys.T * sys.p, sys.T, sys.p)
 
-    The returned operator maps stacked disturbances to stacked R-normalized
-    controls. Raises CausalityViolationError naming the first block (i, j),
-    j > i, in row-major order whose largest magnitude exceeds tol.
-    """
-    sys = as_validated(sys)
-    check_size(sys)
-    norm = normalize_control_weight(sys)
-    T, m, p = sys.T, sys.m, sys.p
-    impulses = np.eye(T * p).reshape(T * p, T, p)  # item j*p + c is w[j, c] = 1
-    u = norm.to_normalized_u(controls(sys, controller, impulses))
-    K = np.ascontiguousarray(u.reshape(T * p, T * m).T)
+
+def _causal_operator(norm: NormalizedSystem, u, tol: float) -> np.ndarray:
+    """The (Tm) x (Tp) operator of the controls u (T*p, T, m) of the impulse
+    rollout, in R-normalized coordinates; raises CausalityViolationError
+    naming the first block (i, j), j > i, in row-major order whose largest
+    magnitude exceeds tol."""
+    T, m = u.shape[1:]
+    p = u.shape[0] // T
+    K = np.ascontiguousarray(norm.to_normalized_u(u).reshape(T * p, T * m).T)
     blocks = np.abs(K.reshape(T, m, T, p)).max(axis=(1, 3))
     upper = np.triu(blocks > tol, k=1)
     if upper.any():
@@ -251,11 +260,27 @@ def controller_operator(sys: LqSystem, controller, tol: float = 1e-9) -> np.ndar
     return K
 
 
+def controller_operator(sys: LqSystem, controller, tol: float = CAUSALITY_TOL) -> np.ndarray:
+    """Extract the (Tm) x (Tp) operator of a linear causal controller by
+    probing it with unit-impulse disturbances, all T*p of them in one batched
+    rollout.
+
+    The returned operator maps stacked disturbances to stacked R-normalized
+    controls. Raises CausalityViolationError naming the first block (i, j),
+    j > i, in row-major order whose largest magnitude exceeds tol.
+    """
+    sys = as_validated(sys)
+    check_size(sys)
+    u = controls(sys, controller, _impulses(sys))
+    return _causal_operator(normalize_control_weight(sys), u, tol)
+
+
 @dataclass(frozen=True)
 class RegretGainCertificate:
     """Exact worst-case regret gain of a causal linear controller.
 
-    regret_quadratic_form = (FK + G)'(FK + G) + K'K - W'W, where
+    regret_quadratic_form = X'X + K'K - W'W, where X = FK + G maps the
+    disturbance to the weighted closed-loop states and
     W'W = G'(I + FF')^{-1}G is the offline-optimal cost; gain is its largest
     eigenvalue and witness the corresponding unit disturbance sequence (an
     array of its own, not a view of the eigenvectors).
@@ -267,13 +292,8 @@ class RegretGainCertificate:
     witness: np.ndarray
 
 
-def worst_case_regret_gain(ops: OperatorPair, K) -> RegretGainCertificate:
-    """Largest eigenvalue (and witness) of the regret quadratic form of K,
-    (FK + G)'(FK + G) + K'K - W'W."""
-    K = np.asarray(K, dtype=float)
-    F, G, W = ops.F, ops.G, ops.W
-    closed = F @ K + G
-    E = closed.T @ closed + K.T @ K - W.T @ W
+def _certificate(K, E) -> RegretGainCertificate:
+    """The certificate of K from its regret quadratic form E."""
     E = (E + E.T) / 2.0
     vals, vecs = np.linalg.eigh(E)
     gain = float(vals[-1])
@@ -282,6 +302,40 @@ def worst_case_regret_gain(ops: OperatorPair, K) -> RegretGainCertificate:
     return RegretGainCertificate(
         K=K, regret_quadratic_form=E, gain=gain, witness=vecs[:, -1].copy()
     )
+
+
+def worst_case_regret_gain(ops: OperatorPair, K) -> RegretGainCertificate:
+    """Largest eigenvalue (and witness) of the regret quadratic form of K,
+    (FK + G)'(FK + G) + K'K - W'W, from the dense operators: the referee of
+    `regret_certificate`."""
+    K = np.asarray(K, dtype=float)
+    F, G, W = ops.F, ops.G, ops.W
+    closed = F @ K + G
+    return _certificate(K, closed.T @ closed + K.T @ K - W.T @ W)
+
+
+def regret_certificate(sys: LqSystem, controller) -> RegretGainCertificate:
+    """The certificate of a controller that reports its closed-loop states
+    (`closed_loop`), from its own batched impulse rollout and with no dense
+    F or G.
+
+    The rollout drives all T*p unit impulses at once. Its controls give K,
+    the same bits `controller_operator` returns, under the same finiteness
+    and causality checks. Its states give
+    X = [Q_t^{1/2} x_t; Q_T^{1/2} x_T] per impulse, so the regret form is
+    E = X'X + K'K - W'W. X follows the controls as the controller computes
+    them, before the round trip through R^{-1/2} and R^{1/2} that gives K,
+    so it can differ from FK + G by F times K's last bits.
+    """
+    sys = as_validated(sys)
+    check_size(sys)
+    norm = normalize_control_weight(sys)
+    sqQ, W = _offline_factor(norm.system)
+    x, u = closed_loop(sys, controller, _impulses(sys))
+    K = _causal_operator(norm, u, CAUSALITY_TOL)
+    X = (sqQ @ x[:, :len(sqQ), :, None]).reshape(len(x), -1)  # row j: impulse j's X column
+    del x, u
+    return _certificate(K, X @ X.T + K.T @ K - W.T @ W)
 
 
 def worst_case_cost_gain(ops: OperatorPair, K) -> float:

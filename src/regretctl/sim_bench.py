@@ -149,16 +149,30 @@ class DisturbanceSpec:
         return lambda rng: w
 
 
+def _finite(u) -> np.ndarray:
+    """The controls u as a float array; raises ArithmeticError if any is not
+    finite."""
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ArithmeticError("controller emitted a non-finite control")
+    return u
+
+
 def controls(sys: LqSystem, controller, w) -> np.ndarray:
     """The controls (..., T, m) that `controller.control_sequence` chooses
     along w: (T, p), or (..., T, p) for a batch of independent rollouts run
     in one sweep; raises ArithmeticError if any is not finite."""
     sys = as_validated(sys)
-    w = as_signal(w, sys.T, sys.p)
-    u = np.asarray(controller.control_sequence(w), dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ArithmeticError("controller emitted a non-finite control")
-    return u
+    return _finite(controller.control_sequence(as_signal(w, sys.T, sys.p)))
+
+
+def closed_loop(sys: LqSystem, controller, w):
+    """The plant states (..., T+1, n) and the controls (..., T, m) of
+    `controller.closed_loop` along w, in the same sweep; the controls are
+    those of `controls`, checked as it checks them."""
+    sys = as_validated(sys)
+    x, u = controller.closed_loop(as_signal(w, sys.T, sys.p))
+    return x, _finite(u)
 
 
 def rollout(sys: LqSystem, controller, w) -> Trajectory:

@@ -465,9 +465,10 @@ def reference_dense_delta_operator(norm: NormalizedSystem, fwd: ForwardKalmanTap
 
 
 # The regret controller's step and rollout as they were while the controller
-# also had a stepping realization, kept verbatim apart from their names (and
-# `_mv`, copied with them). `kernels.rollout_regret` and
-# `RegretSynthesis.control_sequence` are held to them bit for bit.
+# also had a stepping realization, kept verbatim apart from their names and
+# the rollout's returned tape, now (x, u) (and `_mv`, copied with them).
+# `kernels.rollout_regret` and `RegretSynthesis.control_sequence` are held to
+# them bit for bit.
 
 
 def _mv(M, v):
@@ -498,22 +499,23 @@ def reference_rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     the realization feeds the plant state back instead of simulating zeta
     open-loop through a possibly unstable A (where rounding differences
     between plant and internal copy would grow exponentially); delta only
-    sees the stable closed-loop observer matrix Atil. Returns (u, z) with
-    u: (..., T, m), z: (..., T, p)."""
+    sees the stable closed-loop observer matrix Atil. Returns the
+    closed-loop tape (x, u) with x: (..., T+1, n), u: (..., T, m)."""
     T, n, _ = A.shape
     batch = w.shape[:-2]
     u = np.zeros(batch + (T, B_u.shape[2]))
-    z = np.zeros(batch + (T, B_w.shape[2]))
+    xs = np.zeros(batch + (T + 1, n))
     x = np.zeros(batch + (n,))
     delta = np.zeros(batch + (n,))
     for t in range(T):
         wt = w[..., t, :]
-        z[..., t, :], u[..., t, :], delta_next = reference_regret_step(
+        _, u[..., t, :], delta_next = reference_regret_step(
             Atil[t], B_w[t], K_bl[t], sqR_be[t], M_x[t], M_d[t], M_z[t], x, delta, wt
         )
         x = _mv(A[t], x) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
+        xs[..., t + 1, :] = x
         delta = delta_next
-    return u, z
+    return xs, u
 
 
 # The plain-Python document a JSON writer of regretctl.cli has to encode:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from datetime import timedelta
 from pathlib import Path
 
@@ -642,28 +643,72 @@ class TestCertify:
         assert np.array_equal(cert.witness, doc["witness"])
 
     def test_oracle_objects_are_freed_before_encoding(self, runner, tmp_path, monkeypatch):
-        """F, G, W and the regret form are gone when the certificate is
-        encoded, and the document is the one written without the check."""
+        """The certificate object and its regret form are gone when the
+        certificate is encoded, and the document is the one written without
+        the check."""
         config = str(DATA / "smoke.json")
         plain = tmp_path / "plain.json"
         assert runner.invoke(main, ["certify", "--config", config, "--json", str(plain)]).exit_code == 0
         oracle_types = (oo.OperatorPair, oo.RegretGainCertificate)
         gc.collect()
         before = {id(o) for o in gc.get_objects() if isinstance(o, oracle_types)}
-        live = []
+        forms, live = [], []
+        certificate = oo.regret_certificate
+
+        def recorded(*args):
+            cert = certificate(*args)
+            forms.append(weakref.ref(cert.regret_quadratic_form))
+            return cert
 
         def checked(path, obj):
             live.extend(
                 type(o).__name__ for o in gc.get_objects() if isinstance(o, oracle_types) and id(o) not in before
             )
+            live.extend("regret_quadratic_form" for ref in forms if ref() is not None)
             emit_json(path, obj)
 
+        monkeypatch.setattr(oo, "regret_certificate", recorded)
         monkeypatch.setattr(cli, "emit_json", checked)
         out = tmp_path / "checked.json"
         result = runner.invoke(main, ["certify", "--config", config, "--json", str(out)])
         assert result.exit_code == 0, result.output
+        assert len(forms) == 1
         assert live == []
         assert out.read_bytes() == plain.read_bytes()
+
+    def test_certify_builds_no_dense_operators(self, runner, tmp_path, monkeypatch):
+        """certify takes the closed loop from the controller's own impulse
+        rollout: with the dense F and G refused it writes the same bytes."""
+        config = str(DATA / "smoke.json")
+        plain = tmp_path / "plain.json"
+        assert runner.invoke(main, ["certify", "--config", config, "--json", str(plain)]).exit_code == 0
+
+        def refused(*args):
+            raise AssertionError("certify built the dense operators")
+
+        monkeypatch.setattr(oo, "build_operators", refused)
+        monkeypatch.setattr(oo, "worst_case_regret_gain", refused)
+        out = tmp_path / "guarded.json"
+        result = runner.invoke(main, ["certify", "--config", config, "--json", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == plain.read_bytes()
+
+    def test_degenerate_certificate_is_the_dense_one(self, runner, tmp_path, monkeypatch):
+        """On degenerate.json (B_w = 0) every term of the regret form is
+        exactly zero either way: the document is the dense referee's, byte
+        for byte."""
+        config = str(DATA / "degenerate.json")
+        out = tmp_path / "cert.json"
+        assert runner.invoke(main, ["certify", "--config", config, "--json", str(out)]).exit_code == 0
+
+        def dense(sys, ctrl):
+            ops = oo.build_operators(normalize_control_weight(sys).system)
+            return oo.worst_case_regret_gain(ops, oo.controller_operator(sys, ctrl))
+
+        monkeypatch.setattr(oo, "regret_certificate", dense)
+        referee = tmp_path / "referee.json"
+        assert runner.invoke(main, ["certify", "--config", config, "--json", str(referee)]).exit_code == 0
+        assert out.read_bytes() == referee.read_bytes()
 
 
 class TestPendulum:

@@ -369,7 +369,7 @@ class TestRegretRolloutBitIdentity:
             expected = reference_rollout_regret(*args, w)
             for a, b in zip(kernels.rollout_regret(*args, w), expected):
                 assert_same_bits(a, b)
-            assert_same_bits(ctrl.control_sequence(w), ctrl.norm.to_original_u(expected[0]))
+            assert_same_bits(ctrl.control_sequence(w), ctrl.norm.to_original_u(expected[1]))
 
 
 def _overflow_system(T=30):

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regretctl import cli
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
+from regretctl.augmentation import augment_delay, augment_predictions
 from regretctl.cli import pendulum_system
 from regretctl.system_model import (
     DefinitenessError,
@@ -22,6 +26,9 @@ from helpers import (
     s1,
     stacked_s,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def ops_for(sys):
@@ -411,18 +418,32 @@ class TestRegretGain:
         cert = oo.worst_case_regret_gain(ops, K)
         assert cert.gain == pytest.approx(res.gamma_opt**2, rel=1e-4)
 
-    @pytest.mark.parametrize("T", [30, 40, 50])
+    @pytest.mark.parametrize("T", [30, 40, 50, 60])
     def test_pendulum_certificate_holds(self, T):
         """On the unstable pendulum, where ||F|| grows like 1.95^T, the
         certified gain of the regret-optimal controller stays at
-        gamma_opt^2: the offline term W'W stays bounded. The bound is the
-        level's own resolution, since gamma_opt itself resolves to only a
-        few 1e-6 on the pendulum whatever the tol (a change of state
-        coordinates moves it by 2-3e-6)."""
+        gamma_opt^2: the closed-loop states and the offline term W'W stay
+        bounded. The bound is the level's own resolution, since gamma_opt
+        itself resolves to only a few 1e-6 on the pendulum whatever the tol
+        (a change of state coordinates moves it by 2-3e-6). Up to T = 50 the
+        dense referee, whose FK + G only cancels, holds it too; at T = 60 it
+        reads 324."""
         sys = pendulum_system(T)
         res, ctrl = ct.regret_optimal(sys, tol=1e-8)
-        cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
-        assert abs(cert.gain - res.gamma_opt**2) <= 1e-5 * res.gamma_opt**2
+        level = res.gamma_opt**2
+        assert abs(oo.regret_certificate(sys, ctrl).gain - level) <= 1e-5 * level
+        if T <= 50:
+            cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
+            assert abs(cert.gain - level) <= 1e-5 * level
+
+    def test_smoke_long_certificate_holds(self):
+        """tests/data/smoke_long.json, the pendulum at T = 300, certifies
+        within the same bound (its dense F K + G read 1.7e143)."""
+        cfg = cli.parse_config((DATA / "smoke_long.json").read_text())
+        sys = cli._augmented(cfg)
+        res, ctrl = ct.regret_optimal(sys, cfg["resolved"]["tol"])
+        level = res.gamma_opt**2
+        assert abs(oo.regret_certificate(sys, ctrl).gain - level) <= 1e-5 * level
 
     def test_witness_self_consistency(self):
         sys = s1()
@@ -463,3 +484,93 @@ class TestH2OperatorForm:
             for i in range(sys.T):
                 for j in range(i + 1, sys.T):
                     assert np.abs(K[i * m:(i + 1) * m, j * p:(j + 1) * p]).max() <= 1e-10
+
+
+AUGMENTATIONS = {
+    "plain": lambda sys: sys,
+    "lookahead2": lambda sys: augment_predictions(sys, 2).system,
+    "delay1": lambda sys: augment_delay(sys, 1).system,
+}
+
+
+class _ClosedLoopOf:
+    """A controller's controls with the plant states they produce, for a
+    controller that reports no states of its own."""
+
+    def __init__(self, sys, controller):
+        self._sys, self._controller = sys, controller
+
+    def closed_loop(self, w):
+        u = self._controller.control_sequence(w)
+        return evaluate_cost(self._sys, w, u).x, u
+
+
+class TestRegretCertificate:
+    """`regret_certificate` against the dense referee
+    `worst_case_regret_gain(build_operators(...), K)`."""
+
+    @pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("variant", list(AUGMENTATIONS))
+    @pytest.mark.parametrize("seed", range(20, 32))
+    def test_matches_dense_referee(self, seed, variant, stable):
+        """K is the probe's bits. The gain agrees to 1e-12 relative (1e-15
+        absolute below 1e-3), plus eps ||F|| ||K||: the rollout's states
+        follow the controls before K's round trip through the R
+        normalization, and F carries that last-bit difference into FK + G
+        (seed 27, unstable, lookahead 2 differs by 1.12e-12 * 1.19e-3)."""
+        sys = AUGMENTATIONS[variant](random_system(seed, T_max=40, stable=stable))
+        _, ctrl = ct.regret_optimal(sys, 1e-6)
+        cert = oo.regret_certificate(sys, ctrl)
+        K = oo.controller_operator(sys, ctrl)
+        assert np.array_equal(cert.K, K)
+        ops = ops_for(sys)
+        dense = oo.worst_case_regret_gain(ops, K).gain
+        amplified = np.finfo(float).eps * np.linalg.norm(ops.F, 2) * np.linalg.norm(K, 2)
+        assert abs(cert.gain - dense) <= 1e-12 * max(abs(dense), 1e-3) + amplified
+
+    def test_zero_controller(self):
+        """The zero controller's states are the plant's open-loop response."""
+        sys = s1()
+        cert = oo.regret_certificate(sys, ct.ZeroController(sys))
+        dense = oo.worst_case_regret_gain(ops_for(sys), np.zeros((3, 3)))
+        assert not cert.K.any()
+        assert cert.gain == pytest.approx(dense.gain, rel=1e-12)
+
+    def test_degenerate_certificate_is_the_referee_bits(self):
+        """With B_w = 0 every term of the form is exactly zero, as in the
+        dense form."""
+        sys = s1()
+        sys = validate_system(LqSystem(sys.A, sys.B_u, np.zeros_like(sys.B_w), sys.Q, sys.R, sys.Q_T))
+        res, ctrl = ct.regret_optimal(sys)
+        assert isinstance(ctrl, ct.ZeroController)
+        cert = oo.regret_certificate(sys, ctrl)
+        dense = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
+        assert cert.gain == dense.gain == 0.0
+        assert np.array_equal(cert.witness, dense.witness)
+        assert np.array_equal(cert.regret_quadratic_form, dense.regret_quadratic_form)
+
+    def test_causality_violation(self):
+        sys = s1()
+        with pytest.raises(oo.CausalityViolationError, match=r"controller block \(0, 1\) has magnitude 0.2 > 1e-09"):
+            oo.regret_certificate(sys, _ClosedLoopOf(sys, ct.OfflineController(sys)))
+
+    def test_non_finite_control(self):
+        sys = s1()
+
+        class Diverging:
+            def closed_loop(self, w):
+                x, u = ct.ZeroController(sys).closed_loop(w)
+                return x, u + np.nan
+
+        with pytest.raises(ArithmeticError, match="non-finite control"):
+            oo.regret_certificate(sys, Diverging())
+
+    def test_size_cap(self):
+        sys = s1(T=2001)
+
+        class Refused:
+            def closed_loop(self, w):
+                raise AssertionError("rolled out beyond the cap")
+
+        with pytest.raises(oo.SizeCapError):
+            oo.regret_certificate(sys, Refused())
