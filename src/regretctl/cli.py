@@ -226,17 +226,42 @@ def _plain(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_plain, allow_nan=False)
+
+
+def _json_pieces(value):
+    """The JSON text of one document value, in pieces: an array of two or
+    more dimensions one row at a time, anything else whole."""
+    if isinstance(value, np.ndarray) and value.ndim > 1:
+        yield "["
+        for i, row in enumerate(value):
+            if i:
+                yield ","
+            yield _JSON.encode(row)
+        yield "]"
+    else:
+        yield _JSON.encode(value)
+
+
 def emit_json(path, obj):
     """Compact JSON with sorted keys, a schema-version field and a final
-    newline, from one encoder call. A NaN or an infinity is refused with a
-    ValueError, as any other unencodable value is with a TypeError; the whole
-    text is built before the file is opened, so a refused document leaves no
-    partial file."""
+    newline: the bytes of one `json.dumps(..., sort_keys=True,
+    separators=(",", ":"), allow_nan=False)` call, encoded one top-level
+    value at a time and an array of two or more dimensions one row at a
+    time, so no such array is ever one Python list. A NaN or an infinity
+    is refused with a ValueError, as any other unencodable value is with a
+    TypeError; every piece is built before the file is opened, so a refused
+    document leaves no partial file."""
     doc = dict(obj)
     doc["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_plain, allow_nan=False) + "\n"
+    pieces = []
+    for key in sorted(doc):
+        pieces += (",", _JSON.encode(key), ":")
+        pieces.extend(_json_pieces(doc[key]))
+    pieces[0] = "{"  # the first key's separator
+    pieces.append("}\n")
     with open(path, "w") as f:
-        f.write(text)
+        f.writelines(pieces)
 
 
 def _load(config_path, seed, tol):

@@ -353,6 +353,23 @@ def regret_phat_backward(Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form):
         return _scheduled(Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, True)
 
 
+def _begun(w):
+    """Per step t of a disturbance w: (items, ..., T, p), the leading items
+    a rollout has to step: those up to the last item whose disturbance has
+    begun by t (has an entry at or before t that is nonzero or -0.0). Every
+    later item is still at rest, its tape exactly the zeros it started from.
+    A single rollout, w: (T, p), and a batch whose last item begins at t = 0
+    are stepped whole at every step."""
+    T = w.shape[-2]
+    bits = np.asarray(w, dtype=float).view(np.uint64)  # nonzero for any value but +0.0
+    if w.ndim == 2 or (len(w) and bits[-1, ..., 0, :].any()):
+        return [...] * T
+    begun = bits.any(axis=(*range(1, w.ndim - 2), -1))  # (items, T)
+    first = np.where(begun.any(axis=1), begun.argmax(axis=1), T)
+    start = np.minimum.accumulate(first[::-1])[::-1]  # item i is stepped from min(first[i:]) on
+    return [slice(0, k) for k in np.searchsorted(start, np.arange(T), side="right").tolist()]
+
+
 def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     """Roll out the regret controller on the plant
     x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0, for a disturbance
@@ -367,16 +384,24 @@ def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     differences between plant and internal copy would grow exponentially);
     delta only sees the stable closed-loop observer matrix Atil. Returns the
     closed-loop tape (x, u) with x: (..., T+1, n), u: (..., T, m), as
-    `rollout_feedback` does; x is the state the certificate weighs."""
+    `rollout_feedback` does; x is the state the certificate weighs.
+
+    Step t steps only the leading items whose disturbance has begun
+    (`_begun`); the items after them keep their exact +0.0 tapes. A batch of
+    unit impulses ordered by their step, as `operator_oracle._impulses`
+    orders them, so does about half the work; a batch whose last item
+    begins at t = 0 steps every item at every step."""
     T, n, _ = A.shape
     batch = w.shape[:-2]
+    steps = _begun(w)
     x = np.zeros(batch + (T + 1, n))
     u = np.zeros(batch + (T, B_u.shape[2]))
     delta = np.zeros(batch + (n,))
-    for t in range(T):
-        xt, wt = x[..., t, :], w[..., t, :]
-        zt = _mv(sqR_be[t], _mv(K_bl[t].T, delta)) + _mv(sqR_be[t], wt)
-        u[..., t, :] = _mv(M_x[t], xt) + _mv(M_d[t], delta) + _mv(M_z[t], zt)
-        x[..., t + 1, :] = _mv(A[t], xt) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
-        delta = _mv(Atil[t], delta) + _mv(B_w[t], wt)
+    for t, items in enumerate(steps):
+        xs, us, ds = x[items], u[items], delta[items]
+        xt, wt = xs[..., t, :], w[items][..., t, :]
+        zt = _mv(sqR_be[t], _mv(K_bl[t].T, ds)) + _mv(sqR_be[t], wt)
+        us[..., t, :] = _mv(M_x[t], xt) + _mv(M_d[t], ds) + _mv(M_z[t], zt)
+        xs[..., t + 1, :] = _mv(A[t], xt) + _mv(B_u[t], us[..., t, :]) + _mv(B_w[t], wt)
+        ds[...] = _mv(Atil[t], ds) + _mv(B_w[t], wt)
     return x, u

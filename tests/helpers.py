@@ -49,6 +49,17 @@ def random_system(seed, n_max=3, m_max=3, p_max=3, T_max=15, stable=True,
     m = int(rng.integers(1, m_max + 1))
     p = int(rng.integers(1, p_max + 1))
     T = int(rng.integers(2, T_max + 1))
+    return _random_blocks(rng, n, m, p, T, stable, with_terminal)
+
+
+def random_ltv(seed, n, m, p, T):
+    """A random stable LTV system of the given sizes with a terminal cost,
+    shaped like the benchmark's certify workload: A_t at spectral radius
+    0.85, random PSD Q_t and PD R_t."""
+    return _random_blocks(np.random.default_rng(seed), n, m, p, T, True, True)
+
+
+def _random_blocks(rng, n, m, p, T, stable, with_terminal):
     A = np.zeros((T, n, n))
     B_u = np.zeros((T, n, m))
     B_w = np.zeros((T, n, p))

@@ -13,7 +13,7 @@ import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_system, reference_jsonable
 from regretctl import cli
@@ -250,6 +250,16 @@ _documents = st.dictionaries(
 )
 
 
+# Documents whose top-level values are often arrays of two or three
+# dimensions, which `emit_json` encodes one row at a time.
+_row_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.float32]),
+    hnp.array_shapes(min_dims=2, max_dims=3, min_side=0, max_side=4),
+    elements={"allow_nan": False, "allow_infinity": False},
+)
+_row_documents = st.dictionaries(_keys, st.one_of(_row_arrays, _documents), max_size=4)
+
+
 class TestEmitters:
     @settings(max_examples=50, deadline=None)
     @given(doc=_documents)
@@ -259,6 +269,19 @@ class TestEmitters:
         text = path.read_text()
         assert _strict_loads(text) == {**reference_jsonable(doc), "schema_version": "2"}
         assert text.endswith("\n") and not text.endswith("\n\n")
+
+    @settings(max_examples=50, deadline=None)
+    @given(doc=_row_documents)
+    @example(doc={"A_hat": np.array([[[-0.0, 1.5]], [[2.0, -3.25]]], dtype=np.float32), "K": np.zeros((3, 0))})
+    @example(doc={"K": np.array([[-0.0, 0.1], [1e308, 5e-324]]), "empty": np.zeros((0, 2, 2))})
+    def test_json_is_the_one_shot_bytes(self, tmp_path_factory, doc):
+        """Encoded one top-level value and one array row at a time, the file
+        is byte for byte the one-shot encoding of the plain document."""
+        path = tmp_path_factory.mktemp("json") / "got.json"
+        emit_json(str(path), doc)
+        plain = reference_jsonable({**doc, "schema_version": "2"})
+        expected = json.dumps(plain, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        assert path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("bad", [object(), [1.0, 2j], {"z": np.complex128(1)}])
     def test_unencodable_value_leaves_target_untouched(self, tmp_path, bad):
@@ -270,7 +293,9 @@ class TestEmitters:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        "wrap", [float, np.float32, lambda v: np.array([1.0, v])], ids=["float", "float32", "ndarray"]
+        "wrap",
+        [float, np.float32, lambda v: np.array([1.0, v]), lambda v: np.array([[1.0, v]])],
+        ids=["float", "float32", "ndarray", "ndarray-row"],
     )
     def test_non_finite_value_is_refused(self, tmp_path, wrap, value):
         path = tmp_path / "out.json"

@@ -371,6 +371,46 @@ class TestRegretRolloutBitIdentity:
                 assert_same_bits(a, b)
             assert_same_bits(ctrl.control_sequence(w), ctrl.norm.to_original_u(expected[1]))
 
+    @pytest.mark.parametrize("seed", [None, 400, 401, 405], ids=["pendulum", "random400", "random401", "random405"])
+    def test_impulse_batches_equal_the_reference(self, seed):
+        """The rollout steps only the leading items whose disturbance has
+        begun. On the certificate's impulse batch, that batch shuffled and a
+        random batch, every bit, sign bits included, is the reference's,
+        which steps every item from t = 0; and impulse j*p + c reads exactly
+        +0.0 before its step j."""
+        if seed is None:
+            sys = pendulum_system(40)
+        else:
+            sys = random_system(seed, n_max=4, T_max=30, stable=seed % 2 == 0)
+        _, ctrl = ct.regret_optimal(sys, 1e-6)
+        args = _rollout_args(ctrl)
+        impulses = oo._impulses(sys)
+        rng = np.random.default_rng(sys.T)
+        for w in (impulses, impulses[rng.permutation(len(impulses))], rng.standard_normal(impulses.shape)):
+            for a, b in zip(kernels.rollout_regret(*args, w), reference_rollout_regret(*args, w)):
+                assert_same_bits(a, b)
+        x, u = kernels.rollout_regret(*args, impulses)
+        for item in range(len(impulses)):
+            j = item // sys.p
+            assert_same_bits(x[item, :j + 1], np.zeros((j + 1, sys.n)))
+            assert_same_bits(u[item, :j], np.zeros((j, sys.m)))
+
+    def test_items_stepped(self):
+        """Per step, the leading items up to the last that has begun: an
+        impulse batch ordered by step grows by p items a step, a -0.0 entry
+        counts as begun, a batch whose last item begins at t = 0 is stepped
+        whole, and so is a single rollout; an empty batch steps nothing."""
+        T, p = 4, 2
+        assert kernels._begun(np.eye(T * p).reshape(T * p, T, p)) == [slice(0, 2 * (t + 1)) for t in range(T)]
+        w = np.zeros((3, T, p))
+        w[0, 2, 1], w[1, 1, 0] = -0.0, 5.0
+        assert kernels._begun(w) == [slice(0, 0), slice(0, 2), slice(0, 2), slice(0, 2)]
+        assert kernels._begun(w[:, None]) == kernels._begun(w)
+        w[2, 0, 0] = 1.0
+        assert kernels._begun(w) == [...] * T
+        assert kernels._begun(w[0]) == [...] * T
+        assert kernels._begun(w[:0]) == [slice(0, 0)] * T
+
 
 def _overflow_system(T=30):
     """A validated system whose mode x_1 (A = 1e6) no input reaches: its value

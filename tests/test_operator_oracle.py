@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from regretctl.system_model import (
 )
 from regretctl import riccati
 from helpers import (
+    random_ltv,
     random_system,
     reference_causal_factor,
     reference_dense_delta_operator,
@@ -564,6 +566,24 @@ class TestRegretCertificate:
 
         with pytest.raises(ArithmeticError, match="non-finite control"):
             oo.regret_certificate(sys, Diverging())
+
+    def test_traced_peak_under_seven_operators(self):
+        """On a system shaped like the benchmark's certify workload (n = 8,
+        m = p = 4, T = 60, terminal cost), the traced peak of a certificate
+        stays under 7 operators of 8 (Tp)^2 bytes: it reads 6.26, where
+        holding W, X, the controls and all three Gram products at once read
+        8.26, so one more tape-sized operator fails it. LAPACK's eigh
+        workspace is not traced."""
+        sys = random_ltv(0, n=8, m=4, p=4, T=60)
+        _, ctrl = ct.regret_optimal(sys, 1e-6)
+        oo.regret_certificate(sys, ctrl)  # the controller's gains are built on first use
+        tracemalloc.start()
+        try:
+            oo.regret_certificate(sys, ctrl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.0 * 8 * (sys.T * sys.p) ** 2
 
     def test_size_cap(self):
         sys = s1(T=2001)
