@@ -26,11 +26,12 @@ The gain `regret_certificate` reports is that of the controller's own
 feedback loop, from its rollout's states and controls; the dense referee
 certifies the written K, the controls after their round trip through the R
 normalization, and drifts from it like machine epsilon times ||F|| ||K||.
-The certificate holds each tape-sized operator only while it needs it, so
-at the size cap (T=250, n=8, m=p=4) a `certify` process peaks at 98 MB, at
-the eigh of the regret form; holding W, the state tape, X, the controls, K
-and the three Gram products together, and encoding K as one Python list,
-peaked at 120 MB.
+The certificate holds each tape-sized operator only while it needs it and
+computes only the eigenpair it reports, so at the size cap (T=250, n=8,
+m=p=4) a `certify` process peaks at 90 MB, between the rollout and X'X. A
+full eigendecomposition of the regret form peaked at 98 MB, and holding W,
+the state tape, X, the controls, K and the three Gram products together,
+and encoding K as one Python list, at 120 MB.
 """
 
 from __future__ import annotations
@@ -54,7 +55,13 @@ from .system_model import (
 
 SIZE_CAP = 2000
 CAUSALITY_TOL = 1e-9  # the largest block magnitude a probe allows above the diagonal
-_WEIGH_STEPS = 16  # steps of the state tape `_weighed` weighs per temporary
+_STRIP = 16  # state-tape steps (`_weighed`) or rows (`_symmetrize`) per temporary
+# sigma - gain of the witness's inverse iteration, relative to ||E||: above
+# the N eps ||E|| rounding of eigvalsh and of the LU for every N <= SIZE_CAP,
+# so E - sigma I is nonsingular, and far below the smallest top-eigenvalue
+# gap of the test configs (6.9e-9 relative, smoke_long.json)
+_SHIFT = 2.0**-40
+_SOLVES = 3
 
 
 class SizeCapError(ValueError):
@@ -261,7 +268,8 @@ def _causal_operator(norm: NormalizedSystem, u, tol: float) -> np.ndarray:
     T, m = u.shape[1:]
     p = u.shape[0] // T
     K = np.ascontiguousarray(norm.to_normalized_u(u).reshape(T * p, T * m).T)
-    blocks = np.abs(K.reshape(T, m, T, p)).max(axis=(1, 3))
+    blocks = K.reshape(T, m, T, p)  # max |K| per block, with no |K| temporary
+    blocks = np.maximum(blocks.max(axis=(1, 3)), -blocks.min(axis=(1, 3)))
     upper = np.triu(blocks > tol, k=1)
     if upper.any():
         i, j = np.argwhere(upper)[0]
@@ -293,8 +301,9 @@ class RegretGainCertificate:
     regret_quadratic_form = X'X + K'K - W'W, where X = FK + G maps the
     disturbance to the weighted closed-loop states and
     W'W = G'(I + FF')^{-1}G is the offline-optimal cost; gain is its largest
-    eigenvalue and witness the corresponding unit disturbance sequence (an
-    array of its own, not a view of the eigenvectors).
+    eigenvalue (from the eigenvalues alone) and witness a unit disturbance
+    sequence that attains it, by inverse iteration. The witness's entry of
+    largest magnitude (the first, among equals) is positive.
     """
 
     K: np.ndarray
@@ -303,19 +312,67 @@ class RegretGainCertificate:
     witness: np.ndarray
 
 
+def _start_vector(N: int) -> np.ndarray:
+    """The inverse iteration's start: 0.5 + frac(k g) for k = 1..N, with
+    g = (sqrt 5 - 1) / 2. Its entries are distinct and lie in [0.5, 1.5), so
+    it is orthogonal to no coordinate vector and to no difference of two."""
+    return np.arange(1, N + 1) * ((np.sqrt(5.0) - 1.0) / 2.0) % 1.0 + 0.5
+
+
+def _top_eigenvector(E, vals) -> np.ndarray:
+    """The unit eigenvector of the symmetric E for its largest eigenvalue
+    vals[-1], by `_SOLVES` solves with E - sigma I, sigma = vals[-1] +
+    _SHIFT * ||E|| (||E|| from the whole spectrum vals; 1 when E = 0). E's
+    diagonal is shifted in place and restored from a saved copy, so E keeps
+    its bits; the solves copy it, one matrix at a time. The result has its
+    entry of largest magnitude positive."""
+    N = len(E)
+    norm = max(-vals[0], vals[-1])
+    sigma = vals[-1] + (_SHIFT * norm if norm > 0.0 else 1.0)
+    diagonal = E.diagonal().copy()
+    E.flat[:: N + 1] = diagonal - sigma
+    try:
+        y = _start_vector(N)
+        for _ in range(_SOLVES):
+            y = np.linalg.solve(E, y)
+            y /= np.linalg.norm(y)
+    finally:
+        E.flat[:: N + 1] = diagonal
+    if y[np.argmax(np.abs(y))] < 0.0:
+        y = -y
+    return y
+
+
+def _symmetrize(E):
+    """E <- (E + E') / 2 in place, with the bits of that sum, `_STRIP`
+    rows (and the same columns) at a time: each strip reads only entries no
+    earlier strip wrote, and its temporaries are strip-sized."""
+    N = len(E)
+    for r0 in range(0, N, _STRIP):
+        rows = slice(r0, min(r0 + _STRIP, N))
+        strip = E[rows, r0:] + E[r0:, rows].T
+        strip /= 2.0
+        E[rows, r0:] = strip
+        E[r0:, rows] = strip.T
+
+
 def _certificate(K, E) -> RegretGainCertificate:
     """The certificate of K from its regret quadratic form E, which it
-    symmetrizes in place (one temporary, the copy of E' the overlapping sum
-    takes; the bits of (E + E') / 2)."""
-    E += E.T
-    E /= 2.0
-    vals, vecs = np.linalg.eigh(E)
+    symmetrizes in place (`_symmetrize`; the bits of (E + E') / 2).
+
+    gain is the largest eigenvalue from `np.linalg.eigvalsh`, which forms no
+    eigenvectors and takes O(Tp) workspace; the witness is its eigenvector by
+    shifted inverse iteration (`_top_eigenvector`). So the eigen step holds
+    no (Tp)^2 array beyond E and LAPACK's copy of it. A gain within 1e-9
+    below zero is reported as 0.
+    """
+    _symmetrize(E)
+    vals = np.linalg.eigvalsh(E)
+    witness = _top_eigenvector(E, vals)
     gain = float(vals[-1])
     if -1e-9 < gain < 0.0:
         gain = 0.0
-    return RegretGainCertificate(
-        K=K, regret_quadratic_form=E, gain=gain, witness=vecs[:, -1].copy()
-    )
+    return RegretGainCertificate(K=K, regret_quadratic_form=E, gain=gain, witness=witness)
 
 
 def worst_case_regret_gain(ops: OperatorPair, K) -> RegretGainCertificate:
@@ -332,11 +389,11 @@ def _weighed(sqQ, x) -> np.ndarray:
     """The weighted states X (items, len(sqQ) * n) of a state tape x
     (items, T+1, n), row j = [Q_t^{1/2} x_t; Q_T^{1/2} x_T] of item j, written
     over x's own buffer and returned as a view of it. The tape is weighed
-    `_WEIGH_STEPS` steps at a time, each block with the broadcast
+    `_STRIP` steps at a time, each block with the broadcast
     sqQ @ x[..., None] of the whole tape, so every state gets the same bits."""
     rows = len(sqQ)
-    for t0 in range(0, rows, _WEIGH_STEPS):
-        steps = slice(t0, min(t0 + _WEIGH_STEPS, rows))
+    for t0 in range(0, rows, _STRIP):
+        steps = slice(t0, min(t0 + _STRIP, rows))
         x[:, steps] = (sqQ[steps] @ x[:, steps, :, None])[..., 0]
     return x[:, :rows].reshape(len(x), -1)
 
