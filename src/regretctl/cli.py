@@ -2,8 +2,9 @@
 emission.
 
 Subcommands: gamma (regret-level bisection), synth (gains export), simulate
-(per-step cost CSV), certify (dense-oracle regret certificate), pendulum (the
-inverted-pendulum benchmark presets).
+(per-step cost CSV), certify (worst-case regret certificate from the
+controller's impulse rollout), pendulum (the inverted-pendulum benchmark
+presets).
 """
 
 from __future__ import annotations
@@ -452,7 +453,7 @@ def _certificate(synth_sys, ctrl):
 @_options("config", "seed", "tol", "json")
 @_guarded
 def certify(config_path, seed, tol, json_path):
-    """Run the dense operator oracle on the synthesized regret controller."""
+    """Certify the regret controller's worst-case regret gain from its impulse rollout."""
     from . import operator_oracle as oo  # the only subcommand that loads the oracle
 
     cfg = _load(config_path, seed, tol)

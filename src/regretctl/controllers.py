@@ -5,11 +5,12 @@ reduction to H-infinity synthesis through two Kalman spectral factorizations.
 Every controller has one interface, `control_sequence(w)`: it takes one
 disturbance (T, p) or a batch (..., T, p) and returns the controls
 (..., T, m) of a rollout from x_0 = 0, each item bit-identical to its own
-call. Causality is not declared but measured:
-`operator_oracle.controller_operator` probes a controller with unit impulses
-and refuses an operator that is not block lower triangular. The regret and
-zero controllers also report the plant states of that rollout
-(`closed_loop`), which `operator_oracle.regret_certificate` weighs.
+call. Every controller here steps the plant with `evaluate_cost`'s
+arithmetic, so the trajectory `evaluate_cost` rebuilds from its controls is
+the loop it closed, bit for bit: what `sim_bench.rollout` scores and what
+`operator_oracle.regret_certificate` weighs. Causality is not declared but
+measured: `operator_oracle.controller_operator` probes a controller with
+unit impulses and refuses an operator that is not block lower triangular.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .system_model import (
     _pd_roots,
     as_signal,
     as_validated,
-    evaluate_cost,
     normalize_control_weight,
 )
 
@@ -53,12 +53,6 @@ class ZeroController:
     def control_sequence(self, w):
         w = as_signal(w, self._sys.T, self._sys.p)
         return np.zeros(w.shape[:-2] + (self._sys.T, self._sys.m))
-
-    def closed_loop(self, w):
-        """The plant states (..., T+1, n) and the zero controls along w: the
-        plant's open-loop response to w."""
-        u = self.control_sequence(w)
-        return evaluate_cost(as_validated(self._sys), w, u).x, u
 
 
 def _gain(B_u, P, H, X):
@@ -283,11 +277,13 @@ class OfflineController:
 class RegretProblem:
     """The gamma-independent part of a regret synthesis, built once by
     `prepare_regret` and shared by every level a bisection probes: the
-    R-normalization of the validated system, the forward Kalman tape (which
-    carries the stacked Q^{1/2} and W = Q^{1/2} R_e^{-1} Q^{1/2}), and the
-    blocks Bhat_u, Qhat and Phat_T of the doubled system."""
+    R-normalization of the validated system, the plant's own B_u, the forward
+    Kalman tape (which carries the stacked Q^{1/2} and
+    W = Q^{1/2} R_e^{-1} Q^{1/2}), and the blocks Bhat_u, Qhat and Phat_T of
+    the doubled system."""
 
     norm: NormalizedSystem
+    B_u: np.ndarray
     fwd: riccati.ForwardKalmanTape
     Bhat_u: np.ndarray
     Qhat: np.ndarray
@@ -297,7 +293,8 @@ class RegretProblem:
 def prepare_regret(sys: LqSystem) -> RegretProblem:
     """Validate and R-normalize `sys`, run the forward Kalman recursion and
     assemble the gamma-independent blocks of the doubled system."""
-    norm = normalize_control_weight(as_validated(sys))
+    sys = as_validated(sys)
+    norm = normalize_control_weight(sys)
     nsys = norm.system
     T, n = nsys.T, nsys.n
     Bhat_u = np.concatenate((nsys.B_u, np.zeros_like(nsys.B_u)), axis=1)
@@ -305,9 +302,8 @@ def prepare_regret(sys: LqSystem) -> RegretProblem:
     Qhat[:, :n, :n] = nsys.Q
     Phat_T = np.zeros((2 * n, 2 * n))
     Phat_T[:n, :n] = nsys.Q_T
-    return RegretProblem(
-        norm=norm, fwd=riccati.forward_kalman(norm), Bhat_u=Bhat_u, Qhat=Qhat, Phat_T=Phat_T
-    )
+    fwd = riccati.forward_kalman(norm)
+    return RegretProblem(norm=norm, B_u=sys.B_u, fwd=fwd, Bhat_u=Bhat_u, Qhat=Qhat, Phat_T=Phat_T)
 
 
 @dataclass
@@ -323,18 +319,15 @@ class RegretSynthesis(riccati.Verdict):
 
     Its one realization, `control_sequence` through `kernels.rollout_regret`,
     runs the Delta-driver state delta_t producing z_t = R_be^{1/2} K_bl'
-    delta_t + R_be^{1/2} w_t next to the plant state x_t that the rollout
-    itself simulates; the control depends causally on w_0..w_t only.
-
-    The augmented state [zeta_t; nu_t] of the synthesis equals [x_t; delta_t]
-    in exact arithmetic, so the realization feeds that plant state back
-    instead of simulating zeta through a possibly unstable A (rounding
-    differences would grow exponentially there); delta only sees the stable
-    closed-loop observer matrix Atil.
+    delta_t + R_be^{1/2} w_t next to the plant state x_t, which stands for
+    the augmented state zeta_t of the synthesis; the control depends causally
+    on w_0..w_t only. The gains act in R-normalized coordinates, and each
+    control is mapped back by R_t^{-1/2} to step the plant on its own B_u.
     """
 
     gamma: float
     norm: NormalizedSystem
+    B_u: np.ndarray  # the validated plant's
     fwd: riccati.ForwardKalmanTape
     bwd: riccati.BackwardKalmanTape
     Ahat: np.ndarray
@@ -365,21 +358,16 @@ class RegretSynthesis(riccati.Verdict):
     def control_sequence(self, w):
         """Controls (..., T, m) for w (T, p) or (..., T, p); raises
         InfeasibleError on a synthesis whose level is not attainable."""
-        return self.closed_loop(w)[1]
-
-    def closed_loop(self, w):
-        """The plant states (..., T+1, n) and the controls (..., T, m) of the
-        rollout along w, as `control_sequence` returns them."""
         if not self.feasible:
             raise InfeasibleError(self.gamma, self.first_infeasible_step)
         nsys = self.norm.system
         w = as_signal(w, nsys.T, nsys.p)
         M_x, M_d = self.M_state[:, :, :nsys.n], self.M_state[:, :, nsys.n:]
-        x, u_norm = kernels.rollout_regret(
-            nsys.A, nsys.B_u, self.fwd.Atil, nsys.B_w, self.bwd.K_bl, self.bwd.R_be_sqrt,
-            M_x, M_d, self.M_z, w,
+        _, u = kernels.rollout_regret(
+            nsys.A, self.B_u, self.norm.R_inv_sqrt, self.fwd.Atil, nsys.B_w, self.bwd.K_bl,
+            self.bwd.R_be_sqrt, M_x, M_d, self.M_z, w,
         )
-        return x, self.norm.to_original_u(u_norm)
+        return u
 
 
 def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:
@@ -427,6 +415,7 @@ def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:
         return RegretSynthesis(
             gamma=gamma,
             norm=norm,
+            B_u=problem.B_u,
             fwd=fwd,
             bwd=bwd,
             Ahat=tapes["Ahat"],

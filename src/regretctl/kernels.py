@@ -9,9 +9,10 @@ p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma),
 stacked or control-only) and `backward_kalman` (A = Atil, B_u = B_w,
 R = gamma^2 I and no disturbance input). `forward_kalman` runs it in
 reversed time, so its step loop is the one every recursion runs on.
-`rollout_regret` is the one realization of the regret controller; like
-`rollout_feedback` it returns the closed-loop state tape x with the
-controls u, and `operator_oracle.regret_certificate` reads both.
+`rollout_regret` is the one realization of the regret controller. Both
+rollouts step the plant in its own coordinates with `evaluate_cost`'s
+expression, so the state tape x they return with the controls u is the one
+`evaluate_cost` rebuilds from u, bit for bit.
 
 The recursions solve and eigendecompose 1x1 to 4x4 matrices at every step,
 where the public `np.linalg` wrappers cost more than LAPACK itself. So the
@@ -370,21 +371,23 @@ def _begun(w):
     return [slice(0, k) for k in np.searchsorted(start, np.arange(T), side="right").tolist()]
 
 
-def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
+def rollout_regret(A, B_u, R_inv_sqrt, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     """Roll out the regret controller on the plant
     x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0, for a disturbance
     w: (..., T, p), every leading index an independent rollout. Step t forms
-    z = R_be^{1/2} K_bl' delta + R_be^{1/2} w, the normalized control
-    u = M_x x + M_d delta + M_z z and the next driver state
+    z = R_be^{1/2} K_bl' delta + R_be^{1/2} w, the control
+    u = R^{-1/2}(M_x x + M_d delta + M_z z), whose gains act in the
+    R-normalized coordinates of the synthesis, and the next driver state
     delta' = Atil delta + B_w w.
 
     In exact arithmetic the augmented state [zeta; nu] equals [x; delta], so
     the controller reads the plant state this rollout simulates instead of
     simulating zeta open-loop through a possibly unstable A (where rounding
     differences between plant and internal copy would grow exponentially);
-    delta only sees the stable closed-loop observer matrix Atil. Returns the
-    closed-loop tape (x, u) with x: (..., T+1, n), u: (..., T, m), as
-    `rollout_feedback` does; x is the state the certificate weighs.
+    delta only sees the stable closed-loop observer matrix Atil. The plant
+    step is `evaluate_cost`'s, on the plant's own B_u and controls, so the
+    returned tape (x, u), x: (..., T+1, n) and u: (..., T, m), is the loop
+    `evaluate_cost(sys, w, u)` scores.
 
     Step t steps only the leading items whose disturbance has begun
     (`_begun`); the items after them keep their exact +0.0 tapes. A batch of
@@ -401,7 +404,7 @@ def rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
         xs, us, ds = x[items], u[items], delta[items]
         xt, wt = xs[..., t, :], w[items][..., t, :]
         zt = _mv(sqR_be[t], _mv(K_bl[t].T, ds)) + _mv(sqR_be[t], wt)
-        us[..., t, :] = _mv(M_x[t], xt) + _mv(M_d[t], ds) + _mv(M_z[t], zt)
+        us[..., t, :] = _mv(R_inv_sqrt[t], _mv(M_x[t], xt) + _mv(M_d[t], ds) + _mv(M_z[t], zt))
         xs[..., t + 1, :] = _mv(A[t], xt) + _mv(B_u[t], us[..., t, :]) + _mv(B_w[t], wt)
         ds[...] = _mv(Atil[t], ds) + _mv(B_w[t], wt)
     return x, u

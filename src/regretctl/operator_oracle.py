@@ -13,25 +13,23 @@ is exactly ||Fu + Gw||^2 + ||u||^2.
 
 For unstable plants the entries of F and G grow like the state-transition
 products, so `regret_certificate` forms neither. Its closed-loop term is
-X'X, with X the weighted plant states of the controller's own batched
-impulse rollout: X = FK + G in exact arithmetic, but the closed-loop states
-stay bounded where F K and G only cancel. Its offline term
-G'(I + FF')^{-1}G is W'W, whose blocks pass only through the forward Kalman
-recursion's stable observer matrices Atil. The dense forms,
+X'X, with X the weighted plant states of the controller's batched impulse
+rollout (`sim_bench.rollout`): X = FK + G in exact arithmetic, but the
+closed-loop states stay bounded where F K and G only cancel. Its offline
+term G'(I + FF')^{-1}G is W'W, whose blocks pass only through the forward
+Kalman recursion's stable observer matrices Atil. The dense forms,
 `worst_case_regret_gain(build_operators(...), K)` and `offline_cost_form`,
 stay as the referee on stable plants and short horizons; their accuracy
 degrades like machine epsilon times ||F|| ||K|| and ||F||^2.
 
-The gain `regret_certificate` reports is that of the controller's own
-feedback loop, from its rollout's states and controls; the dense referee
-certifies the written K, the controls after their round trip through the R
-normalization, and drifts from it like machine epsilon times ||F|| ||K||.
-The certificate holds each tape-sized operator only while it needs it and
-computes only the eigenpair it reports, so at the size cap (T=250, n=8,
-m=p=4) a `certify` process peaks at 90 MB, between the rollout and X'X. A
-full eigendecomposition of the regret form peaked at 98 MB, and holding W,
-the state tape, X, the controls, K and the three Gram products together,
-and encoding K as one Python list, at 120 MB.
+Every controller in this package steps the plant with `evaluate_cost`'s
+arithmetic, so `sim_bench.rollout`'s states are the loop it closed, bit for
+bit, and `regret_certificate` weighs the loop `simulate` scores. The dense
+referee certifies the written K as an open-loop operator and drifts from it
+like machine epsilon times ||F|| ||K||. The certificate holds each
+tape-sized operator only while it needs it and computes only the eigenpair
+it reports, so at the size cap (T=250, n=8, m=p=4) a `certify` process
+peaks at 90 MB, between the rollout and X'X.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import numpy as np
 
 from . import riccati
 from .riccati import BackwardKalmanTape, ForwardKalmanTape
-from .sim_bench import closed_loop, controls
+from .sim_bench import controls, rollout
 from .system_model import (
     DefinitenessError,
     LqSystem,
@@ -399,23 +397,23 @@ def _weighed(sqQ, x) -> np.ndarray:
 
 
 def regret_certificate(sys: LqSystem, controller) -> RegretGainCertificate:
-    """The certificate of a controller that reports its closed-loop states
-    (`closed_loop`), from its own batched impulse rollout and with no dense
-    F or G.
+    """The certificate of a causal linear controller, from its batched
+    impulse rollout (`sim_bench.rollout`) and with no dense F or G.
 
     The rollout drives all T*p unit impulses at once. Its controls give K,
     the same bits `controller_operator` returns, under the same finiteness
     and causality checks. Its states give
     X = [Q_t^{1/2} x_t; Q_T^{1/2} x_T] per impulse, so the regret form is
-    E = X'X + K'K - W'W. X follows the controls as the controller computes
-    them, before the round trip through R^{-1/2} and R^{1/2} that gives K,
-    so it can differ from FK + G by F times K's last bits.
+    E = X'X + K'K - W'W. X is the plant driven by the controls themselves,
+    before the R^{1/2} scaling that gives K, so it can differ from FK + G by
+    F times K's last bits.
 
     Each tape-sized operator is held only while it is needed: W'W is formed
     as soon as W is built (before the rollout, so an overflowing forward
-    Kalman recursion still fails first), the controls go once K is formed,
-    X is weighed over the state tape the controller returned, and E is
-    accumulated in place, with the bits of X'X + K'K - W'W.
+    Kalman recursion still fails first), the disturbances and costs of the
+    rollout go at once, the controls once K is formed, X is weighed over the
+    rollout's state tape, and E is accumulated in place, with the bits of
+    X'X + K'K - W'W.
     """
     sys = as_validated(sys)
     check_size(sys)
@@ -423,7 +421,9 @@ def regret_certificate(sys: LqSystem, controller) -> RegretGainCertificate:
     sqQ, W = _offline_factor(norm.system)
     WtW = W.T @ W
     del W
-    x, u = closed_loop(sys, controller, _impulses(sys))
+    traj = rollout(sys, controller, _impulses(sys))
+    x, u = traj.x, traj.u
+    del traj
     K = _causal_operator(norm, u, CAUSALITY_TOL)
     del u
     X = _weighed(sqQ, x)  # row j: impulse j's X column

@@ -166,15 +166,6 @@ def controls(sys: LqSystem, controller, w) -> np.ndarray:
     return _finite(controller.control_sequence(as_signal(w, sys.T, sys.p)))
 
 
-def closed_loop(sys: LqSystem, controller, w):
-    """The plant states (..., T+1, n) and the controls (..., T, m) of
-    `controller.closed_loop` along w, in the same sweep; the controls are
-    those of `controls`, checked as it checks them."""
-    sys = as_validated(sys)
-    x, u = controller.closed_loop(as_signal(w, sys.T, sys.p))
-    return x, _finite(u)
-
-
 def rollout(sys: LqSystem, controller, w) -> Trajectory:
     """Drive the controller along w (see `controls`) and return the
     trajectory with its costs; it satisfies the dynamics exactly."""

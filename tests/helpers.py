@@ -121,7 +121,7 @@ def full_horizon_reference(sys, gamma, test):
     except np.linalg.LinAlgError:
         Phat, Hhat, margins = np.zeros((T + 1, 2 * n, 2 * n)), np.zeros((T, m, m)), np.ones(T)
     return ct.RegretSynthesis(
-        gamma=gamma, norm=norm, fwd=fwd, bwd=bwd, Ahat=Ahat, Bhat_u=Bhat_u, Bhat_w=Bhat_w,
+        gamma=gamma, norm=norm, B_u=sys.B_u, fwd=fwd, bwd=bwd, Ahat=Ahat, Bhat_u=Bhat_u, Bhat_w=Bhat_w,
         Qhat=Qhat, Phat=Phat, Hhat=Hhat, margins=margins,
     )
 
@@ -476,10 +476,11 @@ def reference_dense_delta_operator(norm: NormalizedSystem, fwd: ForwardKalmanTap
 
 
 # The regret controller's step and rollout as they were while the controller
-# also had a stepping realization, kept verbatim apart from their names and
-# the rollout's returned tape, now (x, u) (and `_mv`, copied with them).
-# `kernels.rollout_regret` and `RegretSynthesis.control_sequence` are held to
-# them bit for bit.
+# also had a stepping realization, kept verbatim apart from their names, the
+# rollout's returned tape, now (x, u), and its control, now mapped back by
+# R^{-1/2} in each step to step the plant on its own B_u (and `_mv`, copied
+# with them). `kernels.rollout_regret` and `RegretSynthesis.control_sequence`
+# are held to them bit for bit.
 
 
 def _mv(M, v):
@@ -501,9 +502,10 @@ def reference_regret_step(Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, x, delta, w):
     return z, u, _mv(Atil, delta) + _mv(B_w, w)
 
 
-def reference_rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
-    """Roll out the regret controller step by step (`_regret_step`) on the
-    plant x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0, for a
+def reference_rollout_regret(A, B_u, R_inv_sqrt, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
+    """Roll out the regret controller step by step (`reference_regret_step`,
+    whose normalized control R_t^{-1/2} maps back) on the plant
+    x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0, for a
     disturbance w: (..., T, p), every leading index an independent rollout.
 
     In exact arithmetic the augmented state [zeta; nu] equals [x; delta], so
@@ -520,9 +522,10 @@ def reference_rollout_regret(A, B_u, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
     delta = np.zeros(batch + (n,))
     for t in range(T):
         wt = w[..., t, :]
-        _, u[..., t, :], delta_next = reference_regret_step(
+        _, u_norm, delta_next = reference_regret_step(
             Atil[t], B_w[t], K_bl[t], sqR_be[t], M_x[t], M_d[t], M_z[t], x, delta, wt
         )
+        u[..., t, :] = _mv(R_inv_sqrt[t], u_norm)
         x = _mv(A[t], x) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
         xs[..., t + 1, :] = x
         delta = delta_next

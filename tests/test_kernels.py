@@ -10,7 +10,13 @@ from regretctl import controllers as ct
 from regretctl import kernels, riccati
 from regretctl import operator_oracle as oo
 from regretctl.cli import pendulum_system
-from regretctl.system_model import LqSystem, normalize_control_weight, psd_sqrt, validate_system
+from regretctl.system_model import (
+    LqSystem,
+    evaluate_cost,
+    normalize_control_weight,
+    psd_sqrt,
+    validate_system,
+)
 from helpers import (
     full_horizon_reference,
     quiet_tail_pendulum,
@@ -345,8 +351,8 @@ def _rollout_args(s):
     """The arguments of `kernels.rollout_regret` before w, for a regret controller."""
     nsys = s.norm.system
     n = nsys.n
-    return (nsys.A, nsys.B_u, s.fwd.Atil, nsys.B_w, s.bwd.K_bl, s.bwd.R_be_sqrt,
-            s.M_state[:, :, :n], s.M_state[:, :, n:], s.M_z)
+    return (nsys.A, s.B_u, s.norm.R_inv_sqrt, s.fwd.Atil, nsys.B_w, s.bwd.K_bl,
+            s.bwd.R_be_sqrt, s.M_state[:, :, :n], s.M_state[:, :, n:], s.M_z)
 
 
 class TestRegretRolloutBitIdentity:
@@ -369,7 +375,7 @@ class TestRegretRolloutBitIdentity:
             expected = reference_rollout_regret(*args, w)
             for a, b in zip(kernels.rollout_regret(*args, w), expected):
                 assert_same_bits(a, b)
-            assert_same_bits(ctrl.control_sequence(w), ctrl.norm.to_original_u(expected[1]))
+            assert_same_bits(ctrl.control_sequence(w), expected[1])
 
     @pytest.mark.parametrize("seed", [None, 400, 401, 405], ids=["pendulum", "random400", "random401", "random405"])
     def test_impulse_batches_equal_the_reference(self, seed):
@@ -394,6 +400,22 @@ class TestRegretRolloutBitIdentity:
             j = item // sys.p
             assert_same_bits(x[item, :j + 1], np.zeros((j + 1, sys.n)))
             assert_same_bits(u[item, :j], np.zeros((j, sys.m)))
+
+    @pytest.mark.parametrize("seed", [500, 501, 509, 511, 514])
+    def test_state_tape_is_the_loop_evaluate_cost_scores(self, seed):
+        """The rollout steps the plant with `evaluate_cost`'s expression on
+        the plant's own B_u, so its state tape is the one `evaluate_cost`
+        rebuilds from its controls, bit for bit, on unstable time-varying
+        plants with m >= 2 and R != I at T = 135 to 284 (a rollout on the
+        R-normalized B_u drifts from it there, by 7e18 to 8e52)."""
+        sys = random_system(seed, n_max=4, T_max=300, stable=False)
+        assert sys.m >= 2
+        assert not np.array_equal(sys.R, np.broadcast_to(np.eye(sys.m), sys.R.shape))
+        _, ctrl = ct.regret_optimal(sys, 1e-6)
+        w = np.random.default_rng(seed).standard_normal((3, sys.T, sys.p))
+        x, u = kernels.rollout_regret(*_rollout_args(ctrl), w)
+        assert_same_bits(u, ctrl.control_sequence(w))
+        assert_same_bits(x, evaluate_cost(sys, w, u).x)
 
     def test_items_stepped(self):
         """Per step, the leading items up to the last that has begun: an

@@ -441,11 +441,12 @@ class TestRegretGain:
     def test_smoke_long_certificate_holds(self):
         """tests/data/smoke_long.json, the pendulum at T = 300, certifies
         within the same bound (its dense F K + G read 1.7e143)."""
-        cfg = cli.parse_config((DATA / "smoke_long.json").read_text())
-        sys = cli._augmented(cfg)
-        res, ctrl = ct.regret_optimal(sys, cfg["resolved"]["tol"])
-        level = res.gamma_opt**2
-        assert abs(oo.regret_certificate(sys, ctrl).gain - level) <= 1e-5 * level
+        _assert_config_certificate_holds("smoke_long.json")
+
+    def test_unstable_multi_input_certificate_holds(self):
+        """So does tests/data/unstable_multi_input.json (rho(A) = 1.3,
+        m = p = 2, R != I, T = 160), whose gain reads 5.3e-7 below the level."""
+        _assert_config_certificate_holds("unstable_multi_input.json")
 
     def test_witness_self_consistency(self):
         sys = s1()
@@ -505,18 +506,6 @@ def ltv60():
     return sys, ctrl
 
 
-class _ClosedLoopOf:
-    """A controller's controls with the plant states they produce, for a
-    controller that reports no states of its own."""
-
-    def __init__(self, sys, controller):
-        self._sys, self._controller = sys, controller
-
-    def closed_loop(self, w):
-        u = self._controller.control_sequence(w)
-        return evaluate_cost(self._sys, w, u).x, u
-
-
 class TestRegretCertificate:
     """`regret_certificate` against the dense referee
     `worst_case_regret_gain(build_operators(...), K)`."""
@@ -527,18 +516,21 @@ class TestRegretCertificate:
     def test_matches_dense_referee(self, seed, variant, stable):
         """K is the probe's bits. The gain agrees to 1e-12 relative (1e-15
         absolute below 1e-3), plus eps ||F|| ||K||: the rollout's states
-        follow the controls before K's round trip through the R
-        normalization, and F carries that last-bit difference into FK + G
-        (seed 27, unstable, lookahead 2 differs by 1.12e-12 * 1.19e-3)."""
+        follow the controls before the R^{1/2} scaling that gives K, and F
+        carries that last-bit difference into FK + G."""
         sys = AUGMENTATIONS[variant](random_system(seed, T_max=40, stable=stable))
         _, ctrl = ct.regret_optimal(sys, 1e-6)
-        cert = oo.regret_certificate(sys, ctrl)
-        K = oo.controller_operator(sys, ctrl)
-        assert np.array_equal(cert.K, K)
-        ops = ops_for(sys)
-        dense = oo.worst_case_regret_gain(ops, K).gain
-        amplified = np.finfo(float).eps * np.linalg.norm(ops.F, 2) * np.linalg.norm(K, 2)
-        assert abs(cert.gain - dense) <= 1e-12 * max(abs(dense), 1e-3) + amplified
+        _assert_matches_dense_referee(sys, ctrl)
+
+    @pytest.mark.parametrize("variant", list(AUGMENTATIONS))
+    @pytest.mark.parametrize("seed", range(20, 26))
+    def test_feedback_controllers_match_dense_referee(self, seed, variant):
+        """The certificate needs nothing of a controller but its controls:
+        the H2 and H-infinity controllers of stable systems certify as the
+        dense referee does."""
+        sys = AUGMENTATIONS[variant](random_system(seed, T_max=40))
+        _assert_matches_dense_referee(sys, ct.synthesize_h2(sys))
+        _assert_matches_dense_referee(sys, ct.hinf_optimal(sys, 1e-6)[1])
 
     def test_zero_controller(self):
         """The zero controller's states are the plant's open-loop response."""
@@ -564,15 +556,14 @@ class TestRegretCertificate:
     def test_causality_violation(self):
         sys = s1()
         with pytest.raises(oo.CausalityViolationError, match=r"controller block \(0, 1\) has magnitude 0.2 > 1e-09"):
-            oo.regret_certificate(sys, _ClosedLoopOf(sys, ct.OfflineController(sys)))
+            oo.regret_certificate(sys, ct.OfflineController(sys))
 
     def test_non_finite_control(self):
         sys = s1()
 
         class Diverging:
-            def closed_loop(self, w):
-                x, u = ct.ZeroController(sys).closed_loop(w)
-                return x, u + np.nan
+            def control_sequence(self, w):
+                return ct.ZeroController(sys).control_sequence(w) + np.nan
 
         with pytest.raises(ArithmeticError, match="non-finite control"):
             oo.regret_certificate(sys, Diverging())
@@ -580,11 +571,11 @@ class TestRegretCertificate:
     def test_traced_peak_under_six_and_a_half_operators(self, ltv60):
         """On a system shaped like the benchmark's certify workload (n = 8,
         m = p = 4, T = 60, terminal cost), the traced peak of a certificate
-        stays under 6.5 operators of 8 (Tp)^2 bytes: it reads 6.19, in the
-        rollout, so one more tape-sized operator fails it. It read 6.26 with
-        a |K| temporary in the causality check, and 8.26 holding W, X, the
-        controls and all three Gram products at once. LAPACK's workspace is
-        not traced."""
+        stays under 6.5 operators of 8 (Tp)^2 bytes: it reads 6.19 as K is
+        formed (5.55 in the rollout), so one more tape-sized operator fails
+        it. It read 6.26 with a |K| temporary in the causality check, and
+        8.26 holding W, X, the controls and all three Gram products at once.
+        LAPACK's workspace is not traced."""
         sys, ctrl = ltv60
         tracemalloc.start()
         try:
@@ -598,11 +589,29 @@ class TestRegretCertificate:
         sys = s1(T=2001)
 
         class Refused:
-            def closed_loop(self, w):
+            def control_sequence(self, w):
                 raise AssertionError("rolled out beyond the cap")
 
         with pytest.raises(oo.SizeCapError):
             oo.regret_certificate(sys, Refused())
+
+
+def _assert_config_certificate_holds(name):
+    cfg = cli.parse_config((DATA / name).read_text())
+    sys = cli._augmented(cfg)
+    res, ctrl = ct.regret_optimal(sys, cfg["resolved"]["tol"])
+    level = res.gamma_opt**2
+    assert abs(oo.regret_certificate(sys, ctrl).gain - level) <= 1e-5 * level
+
+
+def _assert_matches_dense_referee(sys, ctrl):
+    cert = oo.regret_certificate(sys, ctrl)
+    K = oo.controller_operator(sys, ctrl)
+    assert np.array_equal(cert.K, K)
+    ops = ops_for(sys)
+    dense = oo.worst_case_regret_gain(ops, K).gain
+    amplified = np.finfo(float).eps * np.linalg.norm(ops.F, 2) * np.linalg.norm(K, 2)
+    assert abs(cert.gain - dense) <= 1e-12 * max(abs(dense), 1e-3) + amplified
 
 
 def _assert_top_eigenpair(cert):
