@@ -1,5 +1,6 @@
 """Finite-horizon LQ control synthesis: H2, H-infinity, offline-noncausal and
-regret-optimal controllers, with a dense operator oracle for verification."""
+regret-optimal controllers, with a certificate of the regret controller's
+worst-case regret gain."""
 
 import importlib
 
@@ -29,7 +30,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # the dense oracle loads on first access (PEP 562): of the subcommands,
+    # the certificate loads on first access (PEP 562): of the subcommands,
     # only `certify` uses it
     if name == "operator_oracle":
         return importlib.import_module(".operator_oracle", __name__)

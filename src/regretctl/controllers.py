@@ -9,8 +9,8 @@ call. Every controller here steps the plant with `evaluate_cost`'s
 arithmetic, so the trajectory `evaluate_cost` rebuilds from its controls is
 the loop it closed, bit for bit: what `sim_bench.rollout` scores and what
 `operator_oracle.regret_certificate` weighs. Causality is not declared but
-measured: `operator_oracle.controller_operator` probes a controller with
-unit impulses and refuses an operator that is not block lower triangular.
+measured: the certificate probes a controller with unit impulses and
+refuses an operator that is not block lower triangular.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ class InfeasibleError(ValueError):
         self.step = step
         where = "" if step is None else f" (first failing step t={step})"
         super().__init__(f"synthesis infeasible at gamma={gamma:g}{where}")
-
-
-class StructuralMismatchError(AssertionError):
-    """The synthesized regret controller violates a structural identity."""
 
 
 class ZeroController:
@@ -493,53 +489,3 @@ def regret_optimal(sys: LqSystem, tol: float = 1e-6):
         return result, ZeroController(sys)
     problem = prepare_regret(sys)
     return _bisect_gamma(lambda g: _regret_probe(problem, g), tol)
-
-
-@dataclass
-class StructureReport:
-    """Structural identities of the regret synthesis: the top-left block of
-    the control-only value recursion follows the plain LQR recursion, and the
-    active control law decomposes as the H2 action on zeta plus terms in
-    (nu, z) only."""
-
-    max_p11_deviation: float
-    max_decomposition_residual: float
-
-
-def structural_value_tape(synthesis: RegretSynthesis) -> np.ndarray:
-    """The control-only backward value recursion of the augmented system
-    (P = Qhat + A'PA - A'PB_u H^{-1} B_u'PA); its top-left n x n block
-    reproduces the plain LQR value matrices exactly."""
-    s = synthesis
-    Phat, _, _ = kernels.regret_phat_backward(s.Ahat, s.Bhat_u, s.Bhat_w, s.Qhat, s.Phat[-1], s.gamma, True)
-    return Phat
-
-
-def structure_check(synthesis: RegretSynthesis, tol: float = 1e-8) -> StructureReport:
-    """Verify the H2-block identity P_11 == LQR P on the control-only value
-    tape, and the control-action decomposition of the active gains; raises
-    StructuralMismatchError beyond tol. The gains [M_state, M_z] on
-    [zeta; nu; z] must equal -Hhat^{-1} B_u' [P_11 A, P_12 (Atil - B_w K_bl')
-    - P_11 B_w K_bl', (P_11 + P_12) B_w R_be^{-1/2}] at every step, with P_ij
-    the blocks of Phat_{t+1}: the H2 action on zeta, then the (nu, z) part."""
-    nsys = synthesis.norm.system
-    n = nsys.n
-    lqr = riccati.backward_lqr(nsys)
-    Pstruct = structural_value_tape(synthesis)
-    dev = float(np.abs(Pstruct[:, :n, :n] - lqr.P).max())
-
-    P11, P12 = synthesis.Phat[1:, :n, :n], synthesis.Phat[1:, :n, n:]
-    BwK = nsys.B_w @ np.swapaxes(synthesis.bwd.K_bl, 1, 2)
-    Bz = nsys.B_w @ synthesis.bwd.R_be_inv_sqrt
-    X = np.concatenate(
-        (P11 @ nsys.A, P12 @ (synthesis.fwd.Atil - BwK) - P11 @ BwK, (P11 + P12) @ Bz), axis=2
-    )
-    expected = -np.linalg.solve(synthesis.Hhat, np.swapaxes(nsys.B_u, 1, 2) @ X)
-    full = np.concatenate((synthesis.M_state, synthesis.M_z), axis=2)
-    resid = float(np.abs(full - expected).max())
-    report = StructureReport(max_p11_deviation=dev, max_decomposition_residual=resid)
-    if dev > tol:
-        raise StructuralMismatchError(f"P_11 deviates from the LQR recursion by {dev:g} > {tol:g}")
-    if resid > tol:
-        raise StructuralMismatchError(f"control decomposition residual {resid:g} > {tol:g}")
-    return report

@@ -158,11 +158,11 @@ def _chunk_ends(A, B, R0, J, P_last):
     return ends
 
 
-def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked, chunk=None):
-    """`_riccati_sweep` inside its own `_linalg_errstate`, for a caller not
-    yet inside it."""
+def _riccati_backward(A, B_u, B_w, Q, R, P_T, level, stacked):
+    """`_riccati_sweep`'s loop inside its own `_linalg_errstate`, for a
+    caller not yet inside it."""
     with _linalg_errstate():
-        return _riccati_sweep(A, B_u, B_w, Q, R, P_T, level, stacked, chunk=chunk)
+        return _riccati_sweep(A, B_u, B_w, Q, R, P_T, level, stacked)
 
 
 def _riccati_sweep(A, B_u, B_w, Q, R, P_T, level, stacked, chunk=None):

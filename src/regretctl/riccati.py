@@ -2,8 +2,7 @@
 
 Four recursions: backward LQR, backward H-infinity with feasibility margins,
 forward Kalman (factoring I + FF' = LL') and backward Kalman (producing the
-causal factor Delta of gamma^2 I + G'(I + FF')^{-1} G). The dense
-realizations of L and Delta are in `operator_oracle`.
+causal factor Delta of gamma^2 I + G'(I + FF')^{-1} G).
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class DisturbanceSpec:
     regret-certificate eigenvector). Construction refuses, with a
     DisturbanceError, an unknown kind, a parameter the kind does not read,
     and a bool, a string, a NaN, an infinity or an integer beyond the float
-    range where it reads a number; `generate` refuses a parameter whose
+    range where it reads a number; `_sampler` refuses a parameter whose
     shape does not fit (T, p) the same way.
     """
 
@@ -112,13 +112,10 @@ class DisturbanceSpec:
             message = f"{key} has shape {value.shape}, expected a number or a vector of length p = {p}"
             raise DisturbanceError("params", message) from None
 
-    def generate(self, T: int, p: int) -> np.ndarray:
-        return self._sampler(T, p)(np.random.Generator(np.random.PCG64(self.seed)))
-
     def _sampler(self, T, p):
-        """`generate`'s draw as a function of the random generator, once every
-        parameter is checked against (T, p). Building it draws nothing, so a
-        config check does not load numpy.random (about 6 MB of memory)."""
+        """A disturbance (T, p) as a function of the random generator, once
+        every parameter is checked against (T, p). Building it draws nothing,
+        so a config check does not load numpy.random (about 6 MB of memory)."""
         if self.kind == "gaussian":
             mean = self._vector("mean", 0.0, p)
             cov = np.eye(p) if self.params.get("cov") is None else np.atleast_2d(self._number("cov", None))
@@ -196,7 +193,7 @@ def compare(sys: LqSystem, controllers: dict, spec: DisturbanceSpec, trials: int
     against the offline-optimal baseline. The trials are stacked into one
     (trials, T, p) batch: one offline plan and one rollout per controller.
     The sampler is built once; trial k draws from its own generator seeded
-    spec.seed + k, the bits `generate` gives at that seed."""
+    spec.seed + k."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     sys = as_validated(sys)

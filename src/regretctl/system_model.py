@@ -220,11 +220,6 @@ class NormalizedSystem:
     R_sqrt: np.ndarray  # (T, m, m), R_t^{1/2}
     R_inv_sqrt: np.ndarray  # (T, m, m), R_t^{-1/2}
 
-    def to_original_u(self, u_norm):
-        """Map normalized controls (..., T, m) to original ones."""
-        u_norm = np.asarray(u_norm, dtype=float)
-        return np.einsum("tij,...tj->...ti", self.R_inv_sqrt, u_norm)
-
     def to_normalized_u(self, u):
         """Map original controls (..., T, m) to normalized ones."""
         u = np.asarray(u, dtype=float)

@@ -201,9 +201,21 @@ def eager_hinf_optimal(sys, tol):
     return res, ct.FeedbackController(sys, tape)
 
 
+def generate(spec, T, p):
+    """One disturbance (T, p) drawn from `spec` at its own seed: the bits
+    `sim_bench.compare` draws for a trial seeded spec.seed."""
+    return spec._sampler(T, p)(np.random.Generator(np.random.PCG64(spec.seed)))
+
+
 def random_disturbance(seed, sys, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal((sys.T, sys.p))
+
+
+def to_original_u(norm, u_norm):
+    """Map R-normalized controls (..., T, m) of `norm` back to original ones,
+    u_t = R_t^{-1/2} u_t'."""
+    return np.einsum("tij,...tj->...ti", norm.R_inv_sqrt, np.asarray(u_norm, dtype=float))
 
 
 def stacked_s(sys, traj):

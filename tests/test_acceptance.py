@@ -13,18 +13,24 @@ import pytest
 from click.testing import CliRunner
 
 from regretctl import controllers as ct
-from regretctl import operator_oracle as oo
 from regretctl import riccati
 from regretctl.augmentation import augment_delay, augment_predictions
 from regretctl.cli import main as cli_main
 from regretctl.cli import pendulum_system
 from regretctl.sim_bench import DisturbanceSpec, compare
 from regretctl.system_model import evaluate_cost, normalize_control_weight
-from helpers import random_system, s1
+from helpers import (
+    random_system,
+    reference_dense_delta_operator,
+    reference_dense_l_operator,
+    s1,
+    to_original_u,
+)
+import dense_oracle as dense
 
 
 def _ops(sys):
-    return oo.build_operators(normalize_control_weight(sys).system)
+    return dense.build_operators(normalize_control_weight(sys).system)
 
 
 def _boot_lower_quantile(diff, seed, resamples=10000):
@@ -40,15 +46,15 @@ def test_criterion_1_factorization_identities():
         sys = random_system(seed, n_max=3, m_max=3, p_max=3, T_max=15)
         norm = normalize_control_weight(sys)
         fwd = riccati.forward_kalman(norm)
-        L = oo.dense_l_operator(norm, fwd)
-        ops = oo.build_operators(norm.system)
+        L = reference_dense_l_operator(norm, fwd)
+        ops = dense.build_operators(norm.system)
         F, G = ops.F, ops.G
         tgt_l = np.eye(F.shape[0]) + F @ F.T
         assert np.linalg.norm(L @ L.T - tgt_l) <= 1e-8 * np.linalg.norm(tgt_l)
         inv = np.linalg.solve(tgt_l, G)
         for gamma in (0.5, 1.0, 2.0):
             bwd = riccati.backward_kalman(norm, fwd, gamma)
-            D = oo.dense_delta_operator(norm, fwd, bwd)
+            D = reference_dense_delta_operator(norm, fwd, bwd)
             tgt_d = gamma**2 * np.eye(G.shape[1]) + G.T @ inv
             assert np.linalg.norm(D.T @ D - tgt_d) <= 1e-8 * np.linalg.norm(tgt_d)
     assert time.perf_counter() - t0 < 30.0
@@ -59,13 +65,13 @@ def test_criterion_2_offline_equivalence():
     for seed in range(25):
         sys = random_system(seed + 100, T_max=10)
         norm = normalize_control_weight(sys)
-        ops = oo.build_operators(norm.system)
+        ops = dense.build_operators(norm.system)
         rng = np.random.default_rng(seed)
         for _ in range(20):
             w = rng.standard_normal((sys.T, sys.p))
             u_ss = ct.OfflineController(sys).plan(w)
-            u_dense, _ = oo.offline_optimal(ops, w.reshape(-1))
-            u_dense = norm.to_original_u(u_dense.reshape(sys.T, sys.m))
+            u_dense, _ = dense.offline_optimal(ops, w.reshape(-1))
+            u_dense = to_original_u(norm, u_dense.reshape(sys.T, sys.m))
             assert np.abs(u_ss - u_dense).max() <= 1e-8
 
 
@@ -73,8 +79,8 @@ def test_criterion_3_h2_equivalence():
     """state-space H2 controller agrees with the operator form to 1e-8; S1 impulse gives u = (-0.6, -0.2, 0), cost 0.6"""
     for seed in range(10):
         sys = random_system(seed + 200, T_max=10)
-        K_probe = oo.controller_operator(sys, ct.synthesize_h2(sys))
-        K_op = oo.h2_operator_form(_ops(sys))
+        K_probe = dense.controller_operator(sys, ct.synthesize_h2(sys))
+        K_op = dense.h2_operator_form(_ops(sys))
         assert np.abs(K_probe - K_op).max() <= 1e-8
     u = ct.synthesize_h2(s1()).control_sequence([[1.0], [0.0], [0.0]])
     assert np.abs(u[:, 0] - [-0.6, -0.2, 0.0]).max() <= 1e-10
@@ -86,13 +92,13 @@ def test_criterion_4_regret_bound():
     systems = [s1(), random_system(301, T_max=6), random_system(302, T_max=6)]
     for i, sys in enumerate(systems):
         res, _ = ct.regret_optimal(sys, tol=1e-8)
-        cost_form = oo.offline_cost_form(_ops(sys))
+        cost_form = dense.offline_cost_form(_ops(sys))
         norm = normalize_control_weight(sys)
         for mult in (1.01, 1.5, 2.0, 5.0):
             gamma = mult * res.gamma_opt
             ctrl = ct.regret_controller(sys, gamma)
-            K = oo.controller_operator(sys, ctrl)
-            ops = oo.build_operators(norm.system)
+            K = dense.controller_operator(sys, ctrl)
+            ops = dense.build_operators(norm.system)
             rng = np.random.default_rng(1000 * i + int(100 * mult))
             W = rng.standard_normal((1000, sys.T * sys.p))
             for w in W:
@@ -111,13 +117,13 @@ def test_criterion_5_optimality_certificate():
         assert sys.T * max(sys.n, sys.m, sys.p) <= 60
         res, ctrl = ct.regret_optimal(sys, tol=1e-8)
         ops = _ops(sys)
-        cert = oo.worst_case_regret_gain(ops, oo.controller_operator(sys, ctrl))
+        cert = dense.worst_case_regret_gain(ops, dense.controller_operator(sys, ctrl))
         assert abs(cert.gain - res.gamma_opt**2) <= 1e-4 * max(cert.gain, 1e-12)
-        h2_gain = oo.worst_case_regret_gain(
-            ops, oo.controller_operator(sys, ct.synthesize_h2(sys))
+        h2_gain = dense.worst_case_regret_gain(
+            ops, dense.controller_operator(sys, ct.synthesize_h2(sys))
         ).gain
         _, hinf = ct.hinf_optimal(sys, tol=1e-8)
-        hinf_gain = oo.worst_case_regret_gain(ops, oo.controller_operator(sys, hinf)).gain
+        hinf_gain = dense.worst_case_regret_gain(ops, dense.controller_operator(sys, hinf)).gain
         assert res.gamma_opt**2 <= h2_gain * (1 + 1e-6)
         assert res.gamma_opt**2 <= hinf_gain * (1 + 1e-6)
         if res.gamma_opt**2 < min(h2_gain, hinf_gain) * (1 - 1e-6):
@@ -137,7 +143,7 @@ def test_criterion_6_structure_theorem():
         for mult in (1.02, 1.5, 3.0):
             syn = ct.synthesize_regret(sys, mult * ctrl.gamma)
             assert syn.feasible
-            rep = ct.structure_check(syn)
+            rep = dense.structure_check(syn)
             assert rep.max_p11_deviation <= 1e-8
 
 

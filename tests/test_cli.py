@@ -1,7 +1,10 @@
 import copy
 import gc
+import importlib
+import importlib.abc
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,7 +18,9 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_system, reference_jsonable
+from helpers import generate, random_system, reference_jsonable
+import dense_oracle as dense
+import regretctl
 from regretctl import cli
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
@@ -401,7 +406,7 @@ class TestSimulateAugmented:
         report, gammas, _ = cli._simulate(cfg, str(tmp_path / "sim.csv"))
         spec = cfg["disturbance"]
         for k, regret in enumerate(report.realized_regret["regret"]):
-            w = DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k).generate(30, 2)
+            w = generate(DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), 30, 2)
             assert regret <= gammas["regret"] ** 2 * np.sum(w**2) * (1 + 1e-9), k
 
 
@@ -420,7 +425,7 @@ class TestSimulateUnstableMultiInput:
         doc = json.loads(out.read_text())
         d, trials, T = doc["config"]["disturbance"], doc["config"]["trials"], doc["config"]["horizon"]
         energy = np.mean([
-            np.sum(DisturbanceSpec(d["kind"], d["params"], seed=d["seed"] + k).generate(T, 2) ** 2)
+            np.sum(generate(DisturbanceSpec(d["kind"], d["params"], seed=d["seed"] + k), T, 2) ** 2)
             for k in range(trials)
         ])
         regret, gamma = doc["mean_realized_regret"]["regret"], doc["gamma_levels"]["regret"]
@@ -684,8 +689,8 @@ class TestCertify:
         }
         # the regret form is not written: the echoed config and K give it back
         synth_sys = cli._augmented(cli.parse_config(doc["config"]))
-        ops = oo.build_operators(normalize_control_weight(synth_sys).system)
-        cert = oo.worst_case_regret_gain(ops, np.array(doc["controller_operator"]))
+        ops = dense.build_operators(normalize_control_weight(synth_sys).system)
+        cert = dense.worst_case_regret_gain(ops, np.array(doc["controller_operator"]))
         assert cert.gain == doc["gain"]
         assert np.array_equal(cert.witness, doc["witness"])
 
@@ -696,7 +701,7 @@ class TestCertify:
         config = str(DATA / "smoke.json")
         plain = tmp_path / "plain.json"
         assert runner.invoke(main, ["certify", "--config", config, "--json", str(plain)]).exit_code == 0
-        oracle_types = (oo.OperatorPair, oo.RegretGainCertificate)
+        oracle_types = (dense.OperatorPair, oo.RegretGainCertificate)
         gc.collect()
         before = {id(o) for o in gc.get_objects() if isinstance(o, oracle_types)}
         forms, live = [], []
@@ -723,22 +728,31 @@ class TestCertify:
         assert live == []
         assert out.read_bytes() == plain.read_bytes()
 
-    def test_certify_builds_no_dense_operators(self, runner, tmp_path, monkeypatch):
-        """certify takes the closed loop from the controller's own impulse
-        rollout: with the dense F and G refused it writes the same bytes."""
-        config = str(DATA / "smoke.json")
-        plain = tmp_path / "plain.json"
-        assert runner.invoke(main, ["certify", "--config", config, "--json", str(plain)]).exit_code == 0
+    def test_certify_runs_no_dense_referee(self, runner, tmp_path, monkeypatch):
+        """The dense referee lives in tests/dense_oracle.py: no regretctl
+        module defines its entry points, and certify on smoke.json, run in
+        process, never imports it."""
+        referee = {"build_operators", "worst_case_regret_gain", "controller_operator", "structure_check"}
+        modules = [regretctl] + [
+            importlib.import_module(f"regretctl.{info.name}") for info in pkgutil.iter_modules(regretctl.__path__)
+        ]
+        assert {m.__name__: sorted(referee & set(vars(m))) for m in modules if referee & set(vars(m))} == {}
 
-        def refused(*args):
-            raise AssertionError("certify built the dense operators")
+        attempts = []
 
-        monkeypatch.setattr(oo, "build_operators", refused)
-        monkeypatch.setattr(oo, "worst_case_regret_gain", refused)
-        out = tmp_path / "guarded.json"
-        result = runner.invoke(main, ["certify", "--config", config, "--json", str(out)])
+        class Refused(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path, target=None):
+                if name == "dense_oracle":
+                    attempts.append(name)
+                    raise ImportError("certify imported the dense referee")
+                return None
+
+        monkeypatch.delitem(sys.modules, "dense_oracle")
+        monkeypatch.setattr(sys, "meta_path", [Refused(), *sys.meta_path])
+        out = tmp_path / "cert.json"
+        result = runner.invoke(main, ["certify", "--config", str(DATA / "smoke.json"), "--json", str(out)])
         assert result.exit_code == 0, result.output
-        assert out.read_bytes() == plain.read_bytes()
+        assert attempts == [] and "dense_oracle" not in sys.modules
 
     def test_degenerate_certificate_is_the_dense_one(self, runner, tmp_path, monkeypatch):
         """On degenerate.json (B_w = 0) every term of the regret form is
@@ -748,11 +762,11 @@ class TestCertify:
         out = tmp_path / "cert.json"
         assert runner.invoke(main, ["certify", "--config", config, "--json", str(out)]).exit_code == 0
 
-        def dense(sys, ctrl):
-            ops = oo.build_operators(normalize_control_weight(sys).system)
-            return oo.worst_case_regret_gain(ops, oo.controller_operator(sys, ctrl))
+        def referee(sys, ctrl):
+            ops = dense.build_operators(normalize_control_weight(sys).system)
+            return dense.worst_case_regret_gain(ops, dense.controller_operator(sys, ctrl))
 
-        monkeypatch.setattr(oo, "regret_certificate", dense)
+        monkeypatch.setattr(oo, "regret_certificate", referee)
         referee = tmp_path / "referee.json"
         assert runner.invoke(main, ["certify", "--config", config, "--json", str(referee)]).exit_code == 0
         assert out.read_bytes() == referee.read_bytes()
@@ -862,7 +876,7 @@ class TestRun:
 
 class TestLazyOracle:
     """`regretctl` loads `operator_oracle` on first access, so of the
-    subcommands only `certify` loads the dense oracle."""
+    subcommands only `certify` loads the certificate."""
 
     def test_cli_import_leaves_the_oracle_unloaded(self):
         out = _fresh_python("import regretctl.cli, sys; print('regretctl.operator_oracle' in sys.modules)")

@@ -6,7 +6,6 @@ import pytest
 
 from regretctl import controllers as ct
 from regretctl import kernels, riccati
-from regretctl import operator_oracle as oo
 from regretctl.augmentation import augment_delay, augment_predictions
 from regretctl.cli import pendulum_system
 from regretctl.system_model import (
@@ -23,11 +22,13 @@ from helpers import (
     quiet_tail_pendulum,
     random_system,
     s1,
+    to_original_u,
 )
+import dense_oracle as dense
 
 
 def ops_for(sys):
-    return oo.build_operators(normalize_control_weight(sys).system)
+    return dense.build_operators(normalize_control_weight(sys).system)
 
 
 class TestH2:
@@ -44,8 +45,8 @@ class TestH2:
     def test_matches_operator_form(self):
         for seed in range(5):
             sys = random_system(seed, T_max=8)
-            K = oo.controller_operator(sys, ct.synthesize_h2(sys))
-            K_op = oo.h2_operator_form(ops_for(sys))
+            K = dense.controller_operator(sys, ct.synthesize_h2(sys))
+            K_op = dense.h2_operator_form(ops_for(sys))
             assert np.abs(K - K_op).max() <= 1e-8
 
 
@@ -110,8 +111,8 @@ class TestHinf:
         sys = s1()
         res, ctrl = ct.hinf_optimal(sys, tol=1e-8)
         ops = ops_for(sys)
-        K = oo.controller_operator(sys, ctrl)
-        assert oo.worst_case_cost_gain(ops, K) <= res.gamma_opt**2 * (1 + 1e-6)
+        K = dense.controller_operator(sys, ctrl)
+        assert dense.worst_case_cost_gain(ops, K) <= res.gamma_opt**2 * (1 + 1e-6)
 
 
 def _feedback_gains_loop(sys, tape_P, tape_H):
@@ -156,13 +157,13 @@ class TestOffline:
     def test_matches_dense_solution(self):
         sys = random_system(7, n_max=2, T_max=8)
         nsys = normalize_control_weight(sys)
-        ops = oo.build_operators(nsys.system)
+        ops = dense.build_operators(nsys.system)
         rng = np.random.default_rng(0)
         for _ in range(20):
             w = rng.standard_normal((sys.T, sys.p))
             u_ss = ct.OfflineController(sys).plan(w)
-            u_dense, _ = oo.offline_optimal(ops, w.reshape(-1))
-            u_dense = nsys.to_original_u(u_dense.reshape(sys.T, sys.m))
+            u_dense, _ = dense.offline_optimal(ops, w.reshape(-1))
+            u_dense = to_original_u(nsys, u_dense.reshape(sys.T, sys.m))
             assert np.abs(u_ss - u_dense).max() <= 1e-8
 
 
@@ -183,13 +184,13 @@ class TestRegretController:
         for _ in range(1000):
             w = rng.standard_normal((3, 1))
             cost = evaluate_cost(sys, w, ctrl.control_sequence(w)).total_cost
-            _, off = oo.offline_optimal(ops_for(sys), w.reshape(-1))
+            _, off = dense.offline_optimal(ops_for(sys), w.reshape(-1))
             assert cost - off < gamma**2 * (w**2).sum() + 1e-9
 
     def test_probed_operator_causal(self):
         sys = random_system(5, T_max=8)
         res, ctrl = ct.regret_optimal(sys, tol=1e-6)
-        K = oo.controller_operator(sys, ctrl, tol=1e-9)  # raises on violation
+        K = dense.controller_operator(sys, ctrl, tol=1e-9)  # raises on violation
         assert K.shape == (sys.T * sys.m, sys.T * sys.p)
 
     def test_infeasible_level_raises(self):
@@ -247,16 +248,16 @@ class TestRegretOptimal:
     def test_s1_certificate_match(self):
         sys = s1()
         res, ctrl = ct.regret_optimal(sys, tol=1e-8)
-        cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
+        cert = dense.worst_case_regret_gain(ops_for(sys), dense.controller_operator(sys, ctrl))
         assert cert.gain == pytest.approx(res.gamma_opt**2, rel=1e-4)
 
     def test_baseline_dominance(self):
         sys = s1()
         res, _ = ct.regret_optimal(sys, tol=1e-8)
         ops = ops_for(sys)
-        h2_gain = oo.worst_case_regret_gain(ops, oo.controller_operator(sys, ct.synthesize_h2(sys))).gain
+        h2_gain = dense.worst_case_regret_gain(ops, dense.controller_operator(sys, ct.synthesize_h2(sys))).gain
         _, hinf = ct.hinf_optimal(sys, tol=1e-8)
-        hinf_gain = oo.worst_case_regret_gain(ops, oo.controller_operator(sys, hinf)).gain
+        hinf_gain = dense.worst_case_regret_gain(ops, dense.controller_operator(sys, hinf)).gain
         assert res.gamma_opt**2 <= h2_gain * (1 + 1e-6)
         assert res.gamma_opt**2 <= hinf_gain * (1 + 1e-6)
 
@@ -280,10 +281,10 @@ class TestRegretOptimal:
         ]
         for k, (sys, rel) in enumerate(systems):
             res, ctrl = printed_regret_optimal(sys, 1e-8)
-            cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
+            cert = dense.worst_case_regret_gain(ops_for(sys), dense.controller_operator(sys, ctrl))
             assert cert.gain > 2.0 * res.gamma_opt**2, k
             res, ctrl = ct.regret_optimal(sys, 1e-8)
-            cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
+            cert = dense.worst_case_regret_gain(ops_for(sys), dense.controller_operator(sys, ctrl))
             assert cert.gain == pytest.approx(res.gamma_opt**2, rel=rel), k
 
 
@@ -834,7 +835,7 @@ class TestStructure:
         res, _ = ct.regret_optimal(sys, tol=1e-8)
         syn = ct.synthesize_regret(sys, 1.5 * res.gamma_opt)
         assert syn.feasible
-        ct.structure_check(syn)
+        dense.structure_check(syn)
         return syn
 
     def test_p11_deviation_raises(self):
@@ -842,21 +843,21 @@ class TestStructure:
         n = syn.norm.system.n
         Qhat = syn.Qhat.copy()
         Qhat[:, :n, :n] *= 1.01  # the control-only recursion no longer tracks LQR
-        with pytest.raises(ct.StructuralMismatchError, match="P_11 deviates from the LQR"):
-            ct.structure_check(dataclasses.replace(syn, Qhat=Qhat))
+        with pytest.raises(dense.StructuralMismatchError, match="P_11 deviates from the LQR"):
+            dense.structure_check(dataclasses.replace(syn, Qhat=Qhat))
 
     def test_gain_decomposition_raises(self):
         syn = self._feasible_synthesis()
         tampered = dataclasses.replace(syn, Bhat_w=1.01 * syn.Bhat_w)  # moves M_z only
         assert np.array_equal(tampered.M_state, syn.M_state)
-        with pytest.raises(ct.StructuralMismatchError, match="control decomposition residual"):
-            ct.structure_check(tampered)
+        with pytest.raises(dense.StructuralMismatchError, match="control decomposition residual"):
+            dense.structure_check(tampered)
 
     def test_s1_structure_report(self):
         sys = s1()
         res, _ = ct.regret_optimal(sys, tol=1e-8)
         syn = ct.synthesize_regret(sys, 1.5 * res.gamma_opt)
-        rep = ct.structure_check(syn)
+        rep = dense.structure_check(syn)
         assert rep.max_p11_deviation <= 1e-8
         assert rep.max_decomposition_residual <= 1e-8
 
@@ -864,14 +865,14 @@ class TestStructure:
         sys = s1(Q_T=[[1.0]])
         res, _ = ct.regret_optimal(sys, tol=1e-8)
         syn = ct.synthesize_regret(sys, 1.5 * res.gamma_opt)
-        rep = ct.structure_check(syn)
+        rep = dense.structure_check(syn)
         assert rep.max_p11_deviation <= 1e-8
 
     def test_random_decomposition_residual(self):
         sys = random_system(11, n_max=2, T_max=8)
         res, _ = ct.regret_optimal(sys, tol=1e-8)
         syn = ct.synthesize_regret(sys, 1.5 * res.gamma_opt)
-        rep = ct.structure_check(syn)
+        rep = dense.structure_check(syn)
         assert rep.max_decomposition_residual <= 1e-8
 
     def test_zero_weighting_zero_blocks(self):
@@ -881,7 +882,7 @@ class TestStructure:
         )
         syn = ct.synthesize_regret(zero_q, 1.0)
         assert not syn.Phat.any()
-        assert not ct.structural_value_tape(syn).any()
+        assert not dense.structural_value_tape(syn).any()
 
 
 class TestBatchedControlSequence:

@@ -27,6 +27,7 @@ from helpers import (
     reference_rollout_regret,
     s1,
 )
+import dense_oracle as dense
 
 # The public kernels. perfbench's tracer wraps each of these module attributes
 # by name and reads their arguments, so renaming or removing one breaks it.
@@ -671,8 +672,8 @@ class TestChunkedScan:
         c, one, weight = self._breakdown_window()
         # the backward Kalman recursion at gamma = 1: R = 1, so C = 1
         kalman = (one, one, np.zeros((len(one), 1, 0)), weight, one, np.zeros((1, 1)), 0.0, False)
-        with pytest.raises(np.linalg.LinAlgError):
-            kernels._riccati_backward(*kalman, chunk=c)
+        with pytest.raises(np.linalg.LinAlgError), kernels._linalg_errstate():
+            kernels._riccati_sweep(*kalman, chunk=c)
         P, H, _ = kernels._riccati_backward(*kalman)
         P_b, _, R_be, carry = kernels.backward_kalman(one, one, weight, 1.0, np.zeros((1, 1)))
         for a, b in zip((P_b, R_be, carry), (P[1:], H, P[0])):
@@ -680,8 +681,8 @@ class TestChunkedScan:
         # the value recursion over [B_u B_w] = [1 0] at level 1: C = 1 as well
         value = (one, one, np.zeros_like(one), weight, np.zeros((1, 1)), 1.0, False)
         R = np.ones_like(one)
-        with pytest.raises(np.linalg.LinAlgError):
-            kernels._riccati_backward(*value[:4], R, *value[4:6], True, chunk=c)
+        with pytest.raises(np.linalg.LinAlgError), kernels._linalg_errstate():
+            kernels._riccati_sweep(*value[:4], R, *value[4:6], True, chunk=c)
         loop = kernels._riccati_backward(*value[:4], R, *value[4:6], True)
         assert np.all(loop[2] < 0.0)  # the loop runs through, feasible
         for a, b in zip(kernels.regret_phat_backward(*value), loop):
@@ -702,14 +703,14 @@ class TestChunkedScan:
         sys = s1(T=300)
         res, _ = _scanned(lambda: ct.regret_optimal(sys, 1e-8))
         norm = normalize_control_weight(sys)
-        ops = oo.build_operators(norm.system)
-        cost_form = oo.offline_cost_form(ops)
+        ops = dense.build_operators(norm.system)
+        cost_form = dense.offline_cost_form(ops)
         W = np.random.default_rng(300).standard_normal((200, sys.T * sys.p))
         for mult in (1.02, 1.5, 3.0):
             gamma = mult * res.gamma_opt
             syn = _scanned(lambda: ct.regret_controller(sys, gamma))
-            assert ct.structure_check(syn).max_p11_deviation <= 1e-8
-            K = oo.controller_operator(sys, syn)
+            assert dense.structure_check(syn).max_p11_deviation <= 1e-8
+            K = dense.controller_operator(sys, syn)
             U = W @ K.T
             S = U @ ops.F.T + W @ ops.G.T
             regret = (S * S).sum(axis=1) + (U * U).sum(axis=1) - np.einsum("ij,jk,ik->i", W, cost_form, W)

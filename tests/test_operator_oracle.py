@@ -28,13 +28,14 @@ from helpers import (
     s1,
     stacked_s,
 )
+import dense_oracle as dense
 
 
 DATA = Path(__file__).parent / "data"
 
 
 def ops_for(sys):
-    return oo.build_operators(normalize_control_weight(sys).system)
+    return dense.build_operators(normalize_control_weight(sys).system)
 
 
 class TestBuildOperators:
@@ -44,7 +45,7 @@ class TestBuildOperators:
 
     def test_requires_normalized_r(self):
         with pytest.raises(ValueError, match="R-normalized"):
-            oo.build_operators(s1(R=2.0))
+            dense.build_operators(s1(R=2.0))
 
     def test_zero_weighting_gives_zero_operators(self):
         sys = s1()
@@ -69,7 +70,7 @@ class TestBuildOperators:
         for seed in range(10):
             sys = random_system(seed, T_max=8)
             nsys = normalize_control_weight(sys).system
-            ops = oo.build_operators(nsys)
+            ops = dense.build_operators(nsys)
             rng = np.random.default_rng(seed + 7)
             w = rng.standard_normal(sys.T * sys.p)
             u = rng.standard_normal(sys.T * sys.m)
@@ -85,7 +86,7 @@ class TestBuildOperators:
     def test_rows_equal_per_block_products(self, sys):
         """Each block is the product the per-block loop makes, bit for bit."""
         nsys = normalize_control_weight(sys).system
-        ops = oo.build_operators(nsys)
+        ops = dense.build_operators(nsys)
         T, n, m, p = sys.T, sys.n, sys.m, sys.p
         sqQ = psd_sqrt(np.concatenate((nsys.Q, nsys.Q_T[None])))
         F = np.zeros_like(ops.F)
@@ -103,29 +104,29 @@ class TestBuildOperators:
     def test_size_cap(self):
         big = s1(T=2001)
         with pytest.raises(oo.SizeCapError, match="2000"):
-            oo.build_operators(big)
+            dense.build_operators(big)
 
 
 class TestOffline:
     def test_s1_impulse(self):
         ops = ops_for(s1())
-        u, cost = oo.offline_optimal(ops, [1.0, 0.0, 0.0])
+        u, cost = dense.offline_optimal(ops, [1.0, 0.0, 0.0])
         assert np.allclose(u, [-0.6, -0.2, 0.0], atol=1e-10)
         assert cost == pytest.approx(0.6, abs=1e-10)
 
     def test_zero_disturbance(self):
         ops = ops_for(s1())
-        u, cost = oo.offline_optimal(ops, np.zeros(3))
+        u, cost = dense.offline_optimal(ops, np.zeros(3))
         assert not u.any() and cost == 0.0
 
     def test_minimality(self):
         for seed in range(5):
             sys = random_system(seed, T_max=8)
             nsys = normalize_control_weight(sys).system
-            ops = oo.build_operators(nsys)
+            ops = dense.build_operators(nsys)
             rng = np.random.default_rng(seed)
             w = rng.standard_normal(sys.T * sys.p)
-            _, best = oo.offline_optimal(ops, w)
+            _, best = dense.offline_optimal(ops, w)
             for _ in range(100):
                 u = rng.standard_normal((sys.T, sys.m))
                 c = evaluate_cost(nsys, w.reshape(sys.T, sys.p), u).total_cost
@@ -134,8 +135,8 @@ class TestOffline:
     def test_cost_form_consistent(self):
         ops = ops_for(s1())
         w = np.array([1.0, 0.0, 0.0])
-        _, cost = oo.offline_optimal(ops, w)
-        assert w @ oo.offline_cost_form(ops) @ w == pytest.approx(cost, abs=1e-12)
+        _, cost = dense.offline_optimal(ops, w)
+        assert w @ dense.offline_cost_form(ops) @ w == pytest.approx(cost, abs=1e-12)
 
 
 # stable and unstable, with and without a terminal cost, n, m, p up to 4
@@ -147,37 +148,46 @@ DENSE_FACTOR_SYSTEMS = [s1(), s1(4, Q_T=[[2.0]])] + [
 
 
 class TestDenseFactors:
-    """L and Delta, built row by row from one strictly-causal builder, against
-    the per-block transition products of the reference copies."""
+    """The reference realizations of L and Delta from the Kalman tapes, block
+    by block against the reference block Cholesky factors of I + FF' and of
+    gamma^2 I + G'(I + FF')^{-1}G: each factor is the unique one that is
+    block-lower-triangular with symmetric PD pivots."""
 
     @staticmethod
-    def _close(X, ref):
+    def _close(X, ref, *targets):
+        # the two routes round differently, so the bound grows with the
+        # condition of the operators; the 1e-11 floor covers the 1e-12
+        # pivot regularization of the dense factor
         assert X.shape == ref.shape
-        assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+        cond = max(np.linalg.cond(S) for S in targets)
+        assert np.abs(X - ref).max() <= (1e-11 + 1e-14 * cond) * np.abs(ref).max()
 
     @pytest.mark.parametrize("sys", DENSE_FACTOR_SYSTEMS)
     def test_l_matches_reference(self, sys):
         norm = normalize_control_weight(sys)
-        fwd = riccati.forward_kalman(norm)
-        self._close(oo.dense_l_operator(norm, fwd), reference_dense_l_operator(norm, fwd))
+        ops = dense.build_operators(norm.system)
+        S = np.eye(ops.F.shape[0]) + ops.F @ ops.F.T
+        ref = reference_causal_factor(S, sys.n, side="lower_times_upper").M
+        self._close(reference_dense_l_operator(norm, riccati.forward_kalman(norm)), ref, S)
 
     @pytest.mark.parametrize("sys", DENSE_FACTOR_SYSTEMS)
     def test_delta_matches_reference(self, sys):
         norm = normalize_control_weight(sys)
+        ops = dense.build_operators(norm.system)
         fwd = riccati.forward_kalman(norm)
+        S = np.eye(ops.F.shape[0]) + ops.F @ ops.F.T
         for gamma in (0.3, 1.0, 2.5):
             bwd = riccati.backward_kalman(norm, fwd, gamma)
-            self._close(
-                oo.dense_delta_operator(norm, fwd, bwd),
-                reference_dense_delta_operator(norm, fwd, bwd),
-            )
+            target = gamma**2 * np.eye(ops.G.shape[1]) + dense.offline_cost_form(ops)
+            ref = reference_causal_factor(target, sys.p).M
+            self._close(reference_dense_delta_operator(norm, fwd, bwd), ref, S, target)
 
     def test_l_block_layout(self):
         # the terminal block column of L holds only its diagonal block
         sys = s1(3, Q_T=[[1.0]])
         norm = normalize_control_weight(sys)
         fwd = riccati.forward_kalman(norm)
-        L = oo.dense_l_operator(norm, fwd)
+        L = reference_dense_l_operator(norm, fwd)
         assert L.shape == (4, 4)
         assert not np.triu(L, k=1).any()
         assert np.array_equal(np.diag(L), psd_sqrt(fwd.R_e)[:, 0, 0])
@@ -212,14 +222,14 @@ class TestFactoredOfflineTerm:
     def test_w_gram_matches_dense_form(self, sys):
         ops = ops_for(sys)
         assert ops.W.shape == ops.G.shape
-        ref = oo.offline_cost_form(ops)
+        ref = dense.offline_cost_form(ops)
         assert np.abs(ops.W.T @ ops.W - ref).max() <= 1e-9 * np.abs(ref).max()
 
     @pytest.mark.parametrize("sys", FACTORED_STABLE_SYSTEMS)
     def test_l_times_w_is_g(self, sys):
         norm = normalize_control_weight(sys)
-        ops = oo.build_operators(norm.system)
-        L = oo.dense_l_operator(norm, riccati.forward_kalman(norm))
+        ops = dense.build_operators(norm.system)
+        L = reference_dense_l_operator(norm, riccati.forward_kalman(norm))
         assert np.abs(L @ ops.W - ops.G).max() <= 1e-10 * np.abs(ops.G).max()
 
     def test_strictly_causal(self):
@@ -230,19 +240,22 @@ class TestFactoredOfflineTerm:
 
 
 class TestCausalFactor:
+    """The reference block Cholesky factor: the referee of Delta and of the
+    H2 operator form."""
+
     def test_identity(self):
-        M = oo.causal_factor(np.eye(6), block=2)
+        M = reference_causal_factor(np.eye(6), block=2).M
         assert np.allclose(M, np.eye(6), atol=1e-9)
 
     def test_scalar_blocks(self):
-        M = oo.causal_factor(np.diag([4.0, 9.0]), block=1)
+        M = reference_causal_factor(np.diag([4.0, 9.0]), block=1).M
         assert np.allclose(M, np.diag([2.0, 3.0]), atol=1e-10)
 
     def test_s1_delta_target(self):
         ops = ops_for(s1())
         F, G = ops.F, ops.G
         target = np.eye(3) + G.T @ np.linalg.solve(np.eye(3) + F @ F.T, G)
-        M = oo.causal_factor(target, block=1)
+        M = reference_causal_factor(target, block=1).M
         resid = np.linalg.norm(M.T @ M - target) / np.linalg.norm(target)
         assert resid <= 1e-8
 
@@ -253,8 +266,8 @@ class TestCausalFactor:
         M = rng.standard_normal((8, 8))
         S = M @ M.T + 8 * np.eye(8)
         E = np.kron(np.eye(4)[::-1], np.eye(2))
-        up = oo.causal_factor(S, block=2)
-        lo = E @ oo.causal_factor(E @ S @ E, block=2).T @ E
+        up = reference_causal_factor(S, block=2).M
+        lo = E @ reference_causal_factor(E @ S @ E, block=2).M.T @ E
         assert np.linalg.norm(lo @ lo.T - S) <= 1e-8 * np.linalg.norm(S)
         assert np.linalg.norm(up.T @ up - S) <= 1e-8 * np.linalg.norm(S)
         # both factors block-lower-triangular with PD symmetric pivots
@@ -268,35 +281,46 @@ class TestCausalFactor:
 
     def test_indefinite_rejected(self):
         with pytest.raises(DefinitenessError, match="pivot"):
-            oo.causal_factor(np.diag([1.0, -1.0]), block=1)
+            reference_causal_factor(np.diag([1.0, -1.0]), block=1)
 
     def test_indefinite_names_its_pivot_block(self):
         # the factorization runs from the last block up, so it meets -1 first
         with pytest.raises(DefinitenessError, match=r"at pivot block 1 \(min eigenvalue -1"):
-            oo.causal_factor(np.diag([1.0, -1.0]), block=1)
+            reference_causal_factor(np.diag([1.0, -1.0]), block=1)
         with pytest.raises(DefinitenessError, match="at pivot block 0 "):
-            oo.causal_factor(np.diag([-1.0, 1.0, 2.0, 3.0]), block=2)
+            reference_causal_factor(np.diag([-1.0, 1.0, 2.0, 3.0]), block=2)
 
     def test_size_not_a_multiple_of_block(self):
         with pytest.raises(ValueError, match="not a multiple of block size 2"):
-            oo.causal_factor(np.eye(3), block=2)
+            reference_causal_factor(np.eye(3), block=2)
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_matches_reference(self, seed, block):
+        # LAPACK's Cholesky of the block-reversed operator gives a triangular
+        # M0 with M0'M0 = S; rotating each diagonal block to its symmetric PD
+        # square root gives the block factor, which is unique
         rng = np.random.default_rng(seed)
         nb = int(rng.integers(1, 7))
-        X = rng.standard_normal((nb * block, nb * block))
-        S = X @ X.T + rng.uniform(0.1, 3.0) * np.eye(nb * block)
-        ref = reference_causal_factor(S, block, side="upper_times_lower").M
-        M = oo.causal_factor(S, block)
+        N = nb * block
+        X = rng.standard_normal((N, N))
+        S = X @ X.T + rng.uniform(0.1, 3.0) * np.eye(N)
+        M = reference_causal_factor(S, block).M
+        E = np.eye(N)[::-1]
+        # the same 1e-12 pivot regularization as the block factor
+        M0 = E @ np.linalg.cholesky(E @ (S + 1e-12 * np.trace(S) / N * np.eye(N)) @ E).T @ E
+        ref = np.empty_like(M0)
+        for i in range(nb):
+            rows = slice(i * block, (i + 1) * block)
+            d = M0[rows, rows]
+            ref[rows] = psd_sqrt(d.T @ d) @ np.linalg.solve(d, M0[rows])
         assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestCausalPart:
     def test_zeroes_upper_blocks(self):
         M = np.ones((4, 6))
-        out = oo.causal_part(M, 2, 3)
+        out = dense.causal_part(M, 2, 3)
         assert out[:2, 3:].sum() == 0 and out[:2, :3].sum() == 6
 
     @given(seed=st.integers(0, 50))
@@ -304,8 +328,8 @@ class TestCausalPart:
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((6, 9))
-        once = oo.causal_part(M, 2, 3)
-        assert np.array_equal(oo.causal_part(once, 2, 3), once)
+        once = dense.causal_part(M, 2, 3)
+        assert np.array_equal(dense.causal_part(once, 2, 3), once)
 
     @pytest.mark.parametrize("shape,rb,cb", [((6, 9), 2, 3), ((7, 10), 2, 3), ((5, 5), 1, 1)])
     def test_equals_per_block_loop(self, shape, rb, cb):
@@ -314,19 +338,19 @@ class TestCausalPart:
         for i in range(shape[0] // rb):
             for j in range(i + 1, shape[1] // cb):
                 ref[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = 0.0
-        assert np.array_equal(oo.causal_part(M, rb, cb), ref)
+        assert np.array_equal(dense.causal_part(M, rb, cb), ref)
 
 
 class TestControllerOperator:
     def test_zero_controller(self):
         sys = s1()
-        K = oo.controller_operator(sys, ct.ZeroController(sys))
+        K = dense.controller_operator(sys, ct.ZeroController(sys))
         assert not K.any()
 
     def test_h2_matches_rollouts(self):
         sys = s1()
         h2 = ct.synthesize_h2(sys)
-        K = oo.controller_operator(sys, h2)
+        K = dense.controller_operator(sys, h2)
         norm = normalize_control_weight(sys)
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -337,7 +361,7 @@ class TestControllerOperator:
     def test_offline_is_noncausal(self):
         sys = s1()
         with pytest.raises(oo.CausalityViolationError):
-            oo.controller_operator(sys, ct.OfflineController(sys))
+            dense.controller_operator(sys, ct.OfflineController(sys))
 
     @pytest.mark.parametrize(
         "sys,tol,message",
@@ -350,7 +374,7 @@ class TestControllerOperator:
     def test_violation_names_first_block_row_major(self, sys, tol, message):
         # messages recorded with the per-block loop the check replaced
         with pytest.raises(oo.CausalityViolationError) as info:
-            oo.controller_operator(sys, ct.OfflineController(sys), tol=tol)
+            dense.controller_operator(sys, ct.OfflineController(sys), tol=tol)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("seed,stable", [(61, True), (62, False), (63, True)])
@@ -374,7 +398,7 @@ class TestControllerOperator:
                     w[j, c] = 1.0
                     u = norm.to_normalized_u(rollout(sys, ctrl, w).u)
                     K_ref[:, j * p + c] = u.reshape(-1)
-            K = oo.controller_operator(sys, ctrl)
+            K = dense.controller_operator(sys, ctrl)
             assert K.flags.c_contiguous
             assert np.array_equal(K, K_ref)
 
@@ -384,14 +408,14 @@ class TestControllerOperator:
 
         sys = random_system(64, T_max=10)
         ctrl = ct.regret_optimal(sys, 1e-6)[1]
-        K_ref = oo.controller_operator(sys, ctrl)
+        K_ref = dense.controller_operator(sys, ctrl)
 
         def refused(*args):
             raise AssertionError("the probe evaluated a cost")
 
         monkeypatch.setattr(sim_bench, "evaluate_cost", refused)
         monkeypatch.setattr(sim_bench, "rollout", refused)
-        assert np.array_equal(oo.controller_operator(sys, ctrl), K_ref)
+        assert np.array_equal(dense.controller_operator(sys, ctrl), K_ref)
 
 
 class TestRegretGain:
@@ -399,16 +423,16 @@ class TestRegretGain:
         ops = ops_for(s1())
         F, G = ops.F, ops.G
         K_off = -np.linalg.solve(np.eye(F.shape[1]) + F.T @ F, F.T @ G)
-        cert = oo.worst_case_regret_gain(ops, K_off)
+        cert = dense.worst_case_regret_gain(ops, K_off)
         assert abs(cert.gain) <= 1e-9
 
     def test_zero_controller_gain(self):
         ops = ops_for(s1())
         G = ops.G
         expected = np.linalg.eigvalsh(
-            G.T @ G - oo.offline_cost_form(ops)
+            G.T @ G - dense.offline_cost_form(ops)
         )[-1]
-        cert = oo.worst_case_regret_gain(ops, np.zeros((3, 3)))
+        cert = dense.worst_case_regret_gain(ops, np.zeros((3, 3)))
         assert cert.gain == pytest.approx(expected, rel=1e-10)
         assert cert.gain > 0
 
@@ -416,8 +440,8 @@ class TestRegretGain:
         sys = s1()
         res, ctrl = ct.regret_optimal(sys, tol=1e-8)
         ops = ops_for(sys)
-        K = oo.controller_operator(sys, ctrl)
-        cert = oo.worst_case_regret_gain(ops, K)
+        K = dense.controller_operator(sys, ctrl)
+        cert = dense.worst_case_regret_gain(ops, K)
         assert cert.gain == pytest.approx(res.gamma_opt**2, rel=1e-4)
 
     @pytest.mark.parametrize("T", [30, 40, 50, 60])
@@ -435,7 +459,7 @@ class TestRegretGain:
         level = res.gamma_opt**2
         assert abs(oo.regret_certificate(sys, ctrl).gain - level) <= 1e-5 * level
         if T <= 50:
-            cert = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
+            cert = dense.worst_case_regret_gain(ops_for(sys), dense.controller_operator(sys, ctrl))
             assert abs(cert.gain - level) <= 1e-5 * level
 
     def test_smoke_long_certificate_holds(self):
@@ -452,23 +476,23 @@ class TestRegretGain:
         sys = s1()
         _, ctrl = ct.regret_optimal(sys, tol=1e-8)
         ops = ops_for(sys)
-        K = oo.controller_operator(sys, ctrl)
-        cert = oo.worst_case_regret_gain(ops, K)
+        K = dense.controller_operator(sys, ctrl)
+        cert = dense.worst_case_regret_gain(ops, K)
         quad = cert.witness @ cert.regret_quadratic_form @ cert.witness
         assert quad == pytest.approx(cert.gain * (cert.witness @ cert.witness), rel=1e-6)
 
     def test_cost_gain_upper_bounds_regret_gain(self):
         ops = ops_for(s1())
         K = np.zeros((3, 3))
-        assert oo.worst_case_cost_gain(ops, K) >= oo.worst_case_regret_gain(ops, K).gain
+        assert dense.worst_case_cost_gain(ops, K) >= dense.worst_case_regret_gain(ops, K).gain
 
 
 class TestH2OperatorForm:
     def test_s1_matches_probe(self):
         sys = s1()
         ops = ops_for(sys)
-        K = oo.h2_operator_form(ops)
-        K_probe = oo.controller_operator(sys, ct.synthesize_h2(sys))
+        K = dense.h2_operator_form(ops)
+        K_probe = dense.controller_operator(sys, ct.synthesize_h2(sys))
         assert np.abs(K - K_probe).max() <= 1e-8
 
     def test_zero_weighting_zero_controller(self):
@@ -476,13 +500,13 @@ class TestH2OperatorForm:
         zero_q = validate_system(
             LqSystem(sys.A, sys.B_u, sys.B_w, np.zeros_like(sys.Q), sys.R, sys.Q_T)
         )
-        assert not oo.h2_operator_form(ops_for(zero_q)).any()
+        assert not dense.h2_operator_form(ops_for(zero_q)).any()
 
     def test_lower_triangular(self):
         for seed in range(5):
             sys = random_system(seed, T_max=8)
             ops = ops_for(sys)
-            K = oo.h2_operator_form(ops)
+            K = dense.h2_operator_form(ops)
             m, p = sys.m, sys.p
             for i in range(sys.T):
                 for j in range(i + 1, sys.T):
@@ -536,9 +560,9 @@ class TestRegretCertificate:
         """The zero controller's states are the plant's open-loop response."""
         sys = s1()
         cert = oo.regret_certificate(sys, ct.ZeroController(sys))
-        dense = oo.worst_case_regret_gain(ops_for(sys), np.zeros((3, 3)))
+        referee = dense.worst_case_regret_gain(ops_for(sys), np.zeros((3, 3)))
         assert not cert.K.any()
-        assert cert.gain == pytest.approx(dense.gain, rel=1e-12)
+        assert cert.gain == pytest.approx(referee.gain, rel=1e-12)
 
     def test_degenerate_certificate_is_the_referee_bits(self):
         """With B_w = 0 every term of the form is exactly zero, as in the
@@ -548,10 +572,10 @@ class TestRegretCertificate:
         res, ctrl = ct.regret_optimal(sys)
         assert isinstance(ctrl, ct.ZeroController)
         cert = oo.regret_certificate(sys, ctrl)
-        dense = oo.worst_case_regret_gain(ops_for(sys), oo.controller_operator(sys, ctrl))
-        assert cert.gain == dense.gain == 0.0
-        assert np.array_equal(cert.witness, dense.witness)
-        assert np.array_equal(cert.regret_quadratic_form, dense.regret_quadratic_form)
+        referee = dense.worst_case_regret_gain(ops_for(sys), dense.controller_operator(sys, ctrl))
+        assert cert.gain == referee.gain == 0.0
+        assert np.array_equal(cert.witness, referee.witness)
+        assert np.array_equal(cert.regret_quadratic_form, referee.regret_quadratic_form)
 
     def test_causality_violation(self):
         sys = s1()
@@ -606,12 +630,12 @@ def _assert_config_certificate_holds(name):
 
 def _assert_matches_dense_referee(sys, ctrl):
     cert = oo.regret_certificate(sys, ctrl)
-    K = oo.controller_operator(sys, ctrl)
+    K = dense.controller_operator(sys, ctrl)
     assert np.array_equal(cert.K, K)
     ops = ops_for(sys)
-    dense = oo.worst_case_regret_gain(ops, K).gain
+    referee = dense.worst_case_regret_gain(ops, K).gain
     amplified = np.finfo(float).eps * np.linalg.norm(ops.F, 2) * np.linalg.norm(K, 2)
-    assert abs(cert.gain - dense) <= 1e-12 * max(abs(dense), 1e-3) + amplified
+    assert abs(cert.gain - referee) <= 1e-12 * max(abs(referee), 1e-3) + amplified
 
 
 def _assert_top_eigenpair(cert):

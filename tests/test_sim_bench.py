@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from regretctl import controllers as ct
-from regretctl import operator_oracle as oo
 from regretctl.sim_bench import (
     ComparisonReport,
     DisturbanceError,
@@ -14,35 +13,36 @@ from regretctl.sim_bench import (
     rollout,
 )
 from regretctl.system_model import evaluate_cost, normalize_control_weight
-from helpers import random_system, s1
+from helpers import generate, random_system, s1
+import dense_oracle as dense
 
 
 class TestDisturbanceSpec:
     def test_constant_zero(self):
         spec = DisturbanceSpec("constant", {"vector": 0.0})
-        assert not spec.generate(10, 2).any()
+        assert not generate(spec, 10, 2).any()
 
     def test_alternating_sign_pattern(self):
         spec = DisturbanceSpec("alternating", {"mean": 1.0, "period": 15}, seed=0)
-        w = spec.generate(45, 1)
+        w = generate(spec, 45, 1)
         blocks = w.reshape(3, 15)
         means = blocks.mean(axis=1)
         assert means[0] > 0 and means[1] < 0 and means[2] > 0
 
     def test_deterministic_given_seed(self):
         spec = DisturbanceSpec("gaussian", {}, seed=42)
-        assert np.array_equal(spec.generate(8, 3), spec.generate(8, 3))
+        assert np.array_equal(generate(spec, 8, 3), generate(spec, 8, 3))
 
     def test_gaussian_covariance_shape_check(self):
         spec = DisturbanceSpec("gaussian", {"cov": np.eye(3)}, seed=0)
         with pytest.raises(ValueError, match="cov"):
-            spec.generate(5, 2)
+            generate(spec, 5, 2)
 
     def test_sinusoid_and_constant(self):
-        w = DisturbanceSpec("sinusoid", {"amplitude": 2.0, "frequency": 0.25}).generate(4, 1)
+        w = generate(DisturbanceSpec("sinusoid", {"amplitude": 2.0, "frequency": 0.25}), 4, 1)
         assert w[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert w[1, 0] == pytest.approx(2.0, abs=1e-12)
-        w = DisturbanceSpec("constant", {"vector": [1.0, -1.0]}).generate(3, 2)
+        w = generate(DisturbanceSpec("constant", {"vector": [1.0, -1.0]}), 3, 2)
         assert np.allclose(w, [[1.0, -1.0]] * 3)
 
     @pytest.mark.parametrize("period", [2.7, True, "3", 0.5, 0, -2, None])
@@ -51,8 +51,8 @@ class TestDisturbanceSpec:
             DisturbanceSpec("alternating", {"mean": 1.0, "period": period})
 
     def test_alternating_integer_period_types(self):
-        w = DisturbanceSpec("alternating", {"mean": 1.0, "period": 2}, seed=1).generate(6, 1)
-        w_np = DisturbanceSpec("alternating", {"mean": 1.0, "period": np.int64(2)}, seed=1).generate(6, 1)
+        w = generate(DisturbanceSpec("alternating", {"mean": 1.0, "period": 2}, seed=1), 6, 1)
+        w_np = generate(DisturbanceSpec("alternating", {"mean": 1.0, "period": np.int64(2)}, seed=1), 6, 1)
         assert np.array_equal(w, w_np)
 
     @pytest.mark.parametrize(
@@ -99,16 +99,16 @@ class TestDisturbanceSpec:
         assert info.value.field == "params"
 
     def test_valid_params_keep_their_bits(self):
-        w = DisturbanceSpec("alternating", {"mean": [1.0, 1.0], "period": 15}, seed=3).generate(40, 2)
+        w = generate(DisturbanceSpec("alternating", {"mean": [1.0, 1.0], "period": 15}, seed=3), 40, 2)
         signs = np.where((np.arange(40) // 15) % 2 == 0, 1.0, -1.0)
         noise = np.random.Generator(np.random.PCG64(3)).standard_normal((40, 2))
         assert np.array_equal(w, signs[:, None] * np.array([1.0, 1.0])[None, :] + noise)
-        a = DisturbanceSpec("sinusoid", {"amplitude": [2, 1], "frequency": 0.25, "phase": 1}).generate(5, 2)
-        b = DisturbanceSpec(
+        a = generate(DisturbanceSpec("sinusoid", {"amplitude": [2, 1], "frequency": 0.25, "phase": 1}), 5, 2)
+        b = generate(DisturbanceSpec(
             "sinusoid", {"amplitude": np.array([2.0, 1.0]), "frequency": np.float64(0.25), "phase": 1.0}
-        ).generate(5, 2)
+        ), 5, 2)
         assert np.array_equal(a, b)
-        c = DisturbanceSpec("gaussian", {"mean": 0.5, "cov": [[2.0, 0.5], [0.5, 1.0]]}, seed=2).generate(6, 2)
+        c = generate(DisturbanceSpec("gaussian", {"mean": 0.5, "cov": [[2.0, 0.5], [0.5, 1.0]]}, seed=2), 6, 2)
         d = np.random.Generator(np.random.PCG64(2)).multivariate_normal(
             np.full(2, 0.5), np.array([[2.0, 0.5], [0.5, 1.0]]), size=6, method="cholesky"
         )
@@ -121,12 +121,12 @@ class TestDisturbanceSpec:
     def test_worst_case_witness_replay(self):
         sys = s1()
         res, ctrl = ct.regret_optimal(sys, tol=1e-8)
-        ops = oo.build_operators(normalize_control_weight(sys).system)
-        cert = oo.worst_case_regret_gain(ops, oo.controller_operator(sys, ctrl))
+        ops = dense.build_operators(normalize_control_weight(sys).system)
+        cert = dense.worst_case_regret_gain(ops, dense.controller_operator(sys, ctrl))
         spec = DisturbanceSpec("worst_case", {"witness": cert.witness})
-        w = spec.generate(sys.T, sys.p)
+        w = generate(spec, sys.T, sys.p)
         cost = rollout(sys, ctrl, w).total_cost
-        _, off = oo.offline_optimal(ops, w.reshape(-1))
+        _, off = dense.offline_optimal(ops, w.reshape(-1))
         ratio = (cost - off) / (w**2).sum()
         assert ratio == pytest.approx(res.gamma_opt**2, rel=1e-4)
 
@@ -211,7 +211,7 @@ class TestCompare:
         spec = DisturbanceSpec("gaussian", {}, seed=2)
         report = compare(sys, {"regret": regret}, spec, trials=20)
         for k in range(20):
-            w = DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k).generate(sys.T, sys.p)
+            w = generate(DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), sys.T, sys.p)
             bound = res.gamma_opt**2 * (w**2).sum()
             assert report.realized_regret["regret"][k] < bound + 1e-9
 
@@ -282,7 +282,7 @@ def _per_trial_reference(sys, controllers, spec, trials):
     ref = {"time_averaged": {}, "total_costs": {}, "realized_regret": {}}
     offline = []
     for k in range(trials):
-        w = DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k).generate(sys.T, sys.p)
+        w = generate(DisturbanceSpec(spec.kind, spec.params, seed=spec.seed + k), sys.T, sys.p)
         off = evaluate_cost(sys, w, ct.OfflineController(sys).plan(w))
         offline.append(off.total_cost)
         ref["time_averaged"].setdefault("offline", []).append(averaged(off))
@@ -373,7 +373,7 @@ class TestBatchedCompareBitIdentity:
         sys = pendulum_system(40)
         spec = DisturbanceSpec(kind, params, seed=9)
         compare(sys, {}, spec, trials=6)
-        expected = [DisturbanceSpec(kind, params, seed=9 + k).generate(sys.T, sys.p) for k in range(6)]
+        expected = [generate(DisturbanceSpec(kind, params, seed=9 + k), sys.T, sys.p) for k in range(6)]
         assert drawn[0].shape == (6, 40, 2)
         assert drawn[0].tobytes() == np.stack(expected).tobytes()
 
