@@ -2,9 +2,9 @@
 emission.
 
 Subcommands: gamma (regret-level bisection), synth (gains export), simulate
-(per-step cost CSV), certify (worst-case regret certificate from the
-controller's impulse rollout), pendulum (the inverted-pendulum benchmark
-presets).
+(per-step cost CSV), certify (the regret controller's worst-case regret
+gain, from the H-infinity analysis of its closed loop), pendulum (the
+inverted-pendulum benchmark presets).
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ from .sim_bench import DisturbanceError, DisturbanceSpec, _is_numeric, compare
 from .system_model import LqSystem, validate_system
 
 SCHEMA_VERSION = "2"
+CERTIFICATE_SCHEMA = "3"  # certificate.json: gain and witness, no controller_operator
+
+# The floats one tape of a probe may hold, T (2n + m)^2 on the augmented
+# system (the state of certify's closed-loop analysis): 128 MiB of float64.
+# A probe holds a few such tapes.
+TAPE_BUDGET = 2**24
 
 _CONTROLLERS = ("h2", "hinf", "regret", "offline")
 _DEFAULTS = {
@@ -40,6 +46,16 @@ _CONFIG_FIELDS = {"system", "horizon", *_DEFAULTS}
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_budget(T, n, m):
+    """Refuse a horizon whose tapes, T (2n + m)^2 floats, exceed TAPE_BUDGET."""
+    floats = T * (2 * n + m) ** 2
+    if floats > TAPE_BUDGET:
+        raise ConfigError(
+            f"field 'horizon': T = {T} with n = {n} and m = {m} needs tapes of "
+            f"T*(2n+m)^2 = {floats} floats, over the budget of {TAPE_BUDGET}"
+        )
 
 
 def _matrix(doc, field):
@@ -105,10 +121,11 @@ def parse_config(document, seed=None, tol=None) -> dict:
         if "horizon" not in document:
             raise ConfigError("missing required field 'horizon' for an lti system")
         T = _int_field(document["horizon"], "horizon", 1)
+        matrices = [_matrix(blocks[k], k) for k in needed]
+        A, B_u = (np.atleast_2d(M) for M in matrices[:2])
+        _check_budget(T, A.shape[0], B_u.shape[-1])  # before the blocks are tiled T times
         QT = _matrix(blocks["QT"], "QT") if "QT" in blocks else None
-        build = functools.partial(
-            LqSystem.time_invariant, *(_matrix(blocks[k], k) for k in needed), QT, horizon=T
-        )
+        build = functools.partial(LqSystem.time_invariant, *matrices, QT, horizon=T)
     else:
         steps = [_steps(blocks[k], k) for k in needed]
         if "horizon" in document and _int_field(document["horizon"], "horizon", 1) != len(steps[0]):
@@ -182,6 +199,7 @@ def _resolve(sys, fields, seed, tol) -> dict:
     delay = _int_field(cfg["delay"], "delay", 0)
     if delay >= sys.T:
         raise ConfigError(f"field 'delay': must be less than the horizon {sys.T}, got {delay}")
+    _check_budget(sys.T, sys.n + delay * sys.m + lookahead * sys.p, sys.m)
     tol = _number_field(cfg["tol"], "tol")
     try:
         ct._check_tol(tol)
@@ -230,39 +248,16 @@ def _plain(obj):
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_plain, allow_nan=False)
 
 
-def _json_pieces(value):
-    """The JSON text of one document value, in pieces: an array of two or
-    more dimensions one row at a time, anything else whole."""
-    if isinstance(value, np.ndarray) and value.ndim > 1:
-        yield "["
-        for i, row in enumerate(value):
-            if i:
-                yield ","
-            yield _JSON.encode(row)
-        yield "]"
-    else:
-        yield _JSON.encode(value)
-
-
-def emit_json(path, obj):
-    """Compact JSON with sorted keys, a schema-version field and a final
+def emit_json(path, obj, schema=SCHEMA_VERSION):
+    """Compact JSON with sorted keys, a `schema_version` field and a final
     newline: the bytes of one `json.dumps(..., sort_keys=True,
-    separators=(",", ":"), allow_nan=False)` call, encoded one top-level
-    value at a time and an array of two or more dimensions one row at a
-    time, so no such array is ever one Python list. A NaN or an infinity
-    is refused with a ValueError, as any other unencodable value is with a
-    TypeError; every piece is built before the file is opened, so a refused
+    separators=(",", ":"), allow_nan=False)` call. A NaN or an infinity is
+    refused with a ValueError, as any other unencodable value is with a
+    TypeError; the text is built before the file is opened, so a refused
     document leaves no partial file."""
-    doc = dict(obj)
-    doc["schema_version"] = SCHEMA_VERSION
-    pieces = []
-    for key in sorted(doc):
-        pieces += (",", _JSON.encode(key), ":")
-        pieces.extend(_json_pieces(doc[key]))
-    pieces[0] = "{"  # the first key's separator
-    pieces.append("}\n")
+    text = _JSON.encode({**obj, "schema_version": schema}) + "\n"
     with open(path, "w") as f:
-        f.writelines(pieces)
+        f.write(text)
 
 
 def _load(config_path, seed, tol):
@@ -439,38 +434,25 @@ def simulate(config_path, seed, tol, csv_path, json_path):
         )
 
 
-def _certificate(synth_sys, ctrl):
-    """The oracle's certificate of ctrl on synth_sys, as (gain,
-    witness, K): the rollout tape, W and the regret form are freed on
-    return, so they are gone before the certificate is encoded."""
-    from . import operator_oracle as oo
-
-    cert = oo.regret_certificate(synth_sys, ctrl)
-    return cert.gain, cert.witness, cert.K
-
-
 @main.command()
 @_options("config", "seed", "tol", "json")
 @_guarded
 def certify(config_path, seed, tol, json_path):
-    """Certify the regret controller's worst-case regret gain from its impulse rollout."""
-    from . import operator_oracle as oo  # the only subcommand that loads the oracle
+    """Certify the regret controller's worst-case regret gain by the H-infinity analysis of its closed loop."""
+    from . import operator_oracle as oo  # the only subcommand that loads the certificate
 
     cfg = _load(config_path, seed, tol)
-    synth_sys = _augmented(cfg)
-    oo.check_size(synth_sys)
-    res, ctrl = ct.regret_optimal(synth_sys, cfg["resolved"]["tol"])
-    gain, witness, K = _certificate(synth_sys, ctrl)
+    res, ctrl = ct.regret_optimal(_augmented(cfg), cfg["resolved"]["tol"])
+    gain, witness = oo.regret_gain(ctrl)
     doc = {
         "config": cfg["resolved"],
         "gamma_opt": res.gamma_opt,
         "gamma_opt_squared": res.gamma_opt**2,
         "gain": gain,
         "witness": witness,
-        "controller_operator": K,
     }
     out = json_path or cfg["resolved"]["output"].get("certificate", "certificate.json")
-    emit_json(out, doc)
+    emit_json(out, doc, CERTIFICATE_SCHEMA)
     click.echo(
         f"gamma_opt^2 = {_float_repr(res.gamma_opt ** 2)}, certified gain = {_float_repr(gain)}"
     )
@@ -502,6 +484,7 @@ def pendulum(mode, horizon, trials, seed, tol, csv_path, json_path):
     alternating between +1 and -1 every 15 steps. A preset on simulate's
     path: the four default controllers on `pendulum_system(horizon)`."""
     horizon = _int_field(horizon, "horizon", 1)
+    _check_budget(horizon, 2, 1)  # the pendulum's n and m, before its blocks are tiled
     if mode == "stochastic":
         disturbance = {"kind": "gaussian", "params": {"mean": [0.0, 0.0]}}
     else:

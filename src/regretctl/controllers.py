@@ -7,10 +7,10 @@ disturbance (T, p) or a batch (..., T, p) and returns the controls
 (..., T, m) of a rollout from x_0 = 0, each item bit-identical to its own
 call. Every controller here steps the plant with `evaluate_cost`'s
 arithmetic, so the trajectory `evaluate_cost` rebuilds from its controls is
-the loop it closed, bit for bit: what `sim_bench.rollout` scores and what
-`operator_oracle.regret_certificate` weighs. Causality is not declared but
-measured: the certificate probes a controller with unit impulses and
-refuses an operator that is not block lower triangular.
+the loop it closed, bit for bit: what `sim_bench.rollout` scores. Each
+realization reads only w_0..w_t at step t; the tests measure that causality
+by probing a controller with unit impulses, and `operator_oracle` analyzes
+the regret controller's closed loop as a state-space system.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ causal factor Delta of gamma^2 I + G'(I + FF')^{-1} G).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,16 +183,19 @@ def backward_lqr(sys: LqSystem) -> LqrTape:
     return LqrTape(P=P, H=H)
 
 
-def _hinf_probe(sys: LqSystem, gamma: float) -> _Sweep:
+def _hinf_probe(sys: LqSystem, gamma: float, scan: bool = True) -> _Sweep:
     """The backward H-infinity sweep at level gamma as a `_Sweep` that has
-    run no window yet; its carry is P, and its result the `HinfTape`."""
+    run no window yet; its carry is P, and its result the `HinfTape`. With
+    scan False every window runs as the step loop, which stops at its
+    failing step, instead of `kernels.hinf_backward`'s chunked scan."""
     _check_level(gamma)
     gamma = float(gamma)
     T, n, m = sys.T, sys.n, sys.m
+    backward = kernels.hinf_backward if scan else functools.partial(kernels._riccati_backward, stacked=True)
 
     def window(t0, t1, P, tapes):
         A, B_u, B_w, Q, R = (X[t0:t1] for X in (sys.A, sys.B_u, sys.B_w, sys.Q, sys.R))
-        P, tapes["H"][t0:t1], tapes["margins"][t0:t1] = kernels.hinf_backward(A, B_u, B_w, Q, R, P, gamma)
+        P, tapes["H"][t0:t1], tapes["margins"][t0:t1] = backward(A, B_u, B_w, Q, R, P, gamma)
         tapes["P"][t0:t1 + 1] = P
         return P[0].copy()  # so that a paused probe holds no window's output
 

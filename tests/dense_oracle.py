@@ -6,8 +6,9 @@ G (disturbances -> weighted states) with W = L^{-1}G, the offline-optimal
 controller in closed form, the H2 controller as a causal Wiener solution,
 the operator of a controller probed with unit impulses, and exact worst-case
 regret and cost gains. It shares its strictly-causal builder, its
-forward-Kalman W, its impulse probe and its eigen step with
-`regretctl.operator_oracle`, whose `regret_certificate` it referees.
+forward-Kalman W, its impulse probe, its size cap and its eigen step with
+the rollout referee of rollout_oracle.py, whose `regret_certificate` it
+referees.
 
 All operators live in R-normalized control coordinates (R_t = I), so the cost
 is exactly ||Fu + Gw||^2 + ||u||^2. For unstable plants the entries of F and
@@ -30,7 +31,9 @@ import numpy as np
 from helpers import reference_causal_factor
 from regretctl import kernels, riccati
 from regretctl.controllers import RegretSynthesis
-from regretctl.operator_oracle import (
+from regretctl.sim_bench import controls
+from regretctl.system_model import LqSystem, as_validated, normalize_control_weight
+from rollout_oracle import (
     CAUSALITY_TOL,
     RegretGainCertificate,
     _causal_operator,
@@ -40,8 +43,6 @@ from regretctl.operator_oracle import (
     _strictly_causal,
     check_size,
 )
-from regretctl.sim_bench import controls
-from regretctl.system_model import LqSystem, as_validated, normalize_control_weight
 
 
 @dataclass(frozen=True)

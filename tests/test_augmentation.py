@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from regretctl import controllers as ct
-from regretctl import operator_oracle as oo
 from regretctl.augmentation import WrappedController, augment_delay, augment_predictions
 from regretctl.sim_bench import rollout
 from regretctl.system_model import LqSystem, evaluate_cost, validate_system
 from helpers import random_system, reference_augment_delay, reference_augment_predictions, s1
 import dense_oracle as dense
+import rollout_oracle as ro
 
 
 class TestAugmentPredictions:
@@ -132,7 +132,7 @@ class TestWrapController:
         aug = augment_predictions(sys, 1)
         inner = ct.synthesize_h2(aug.system)
         wrapped = WrappedController(aug, inner)
-        with pytest.raises(oo.CausalityViolationError):  # uses future base disturbances
+        with pytest.raises(ro.CausalityViolationError):  # uses future base disturbances
             dense.controller_operator(sys, wrapped)
         rng = np.random.default_rng(3)
         w = rng.standard_normal((3, 1))

@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from datetime import timedelta
 from pathlib import Path
@@ -21,9 +22,11 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import generate, random_system, reference_jsonable
 import dense_oracle as dense
 import regretctl
+import rollout_oracle as ro
 from regretctl import cli
 from regretctl import controllers as ct
 from regretctl import operator_oracle as oo
+from regretctl import riccati
 from regretctl.cli import (
     ConfigError,
     emit_csv,
@@ -280,8 +283,8 @@ class TestEmitters:
     @example(doc={"A_hat": np.array([[[-0.0, 1.5]], [[2.0, -3.25]]], dtype=np.float32), "K": np.zeros((3, 0))})
     @example(doc={"K": np.array([[-0.0, 0.1], [1e308, 5e-324]]), "empty": np.zeros((0, 2, 2))})
     def test_json_is_the_one_shot_bytes(self, tmp_path_factory, doc):
-        """Encoded one top-level value and one array row at a time, the file
-        is byte for byte the one-shot encoding of the plain document."""
+        """The file is byte for byte the one-shot encoding of the plain
+        document."""
         path = tmp_path_factory.mktemp("json") / "got.json"
         emit_json(str(path), doc)
         plain = reference_jsonable({**doc, "schema_version": "2"})
@@ -445,19 +448,53 @@ class TestErrors:
         assert "positive definite" in record["error"]["message"]
         assert record["schema_version"] == "2"
 
-    def test_certify_size_cap_refusal(self, runner, tmp_path):
-        doc = dict(S1_CONFIG, horizon=2001)
-        cfg = tmp_path / "big.json"
-        cfg.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["certify", "--config", str(cfg)])
+    @pytest.mark.parametrize("command", ["gamma", "synth", "simulate", "certify", "pendulum"])
+    def test_horizon_over_the_tape_budget(self, runner, tmp_path, monkeypatch, command):
+        """horizon: 10**12 is one ConfigError record naming the horizon, from
+        every subcommand alike, before the echo and with nothing allocated
+        (it ended in a MemoryError record, "Unable to allocate 7.28 TiB")."""
+        _refuse_synthesis(monkeypatch)
+        if command == "pendulum":
+            argv, n = ["pendulum", "--horizon", str(10**12)], 2
+        else:
+            cfg = tmp_path / "huge.json"
+            cfg.write_text(json.dumps(dict(json.loads((DATA / "smoke.json").read_text()), horizon=10**12)))
+            argv, n = [command, "--config", str(cfg)], 1
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         assert result.exit_code == 1
-        assert "2000" in result.stderr
+        assert result.stdout == ""
         [line] = result.stderr.splitlines()
+        floats = 10**12 * (2 * n + 1) ** 2
         assert json.loads(line)["error"] == {
-            "type": "SizeCapError",
-            "message": "dense oracle refuses T*max(n,m,p) = 2001 > 2000",
+            "type": "ConfigError",
+            "message": f"field 'horizon': T = {10**12} with n = {n} and m = 1 needs tapes of "
+            f"T*(2n+m)^2 = {floats} floats, over the budget of {cli.TAPE_BUDGET}",
         }
 
+    def test_tape_budget_counts_the_augmented_state(self, runner, tmp_path, monkeypatch):
+        """A lookahead of h adds h*p states and a delay of d adds d*m: S1 at
+        T = 1000 with a lookahead of 3 and a delay of 1 (n = 5) is within the
+        budget, and with p = 100, a lookahead of 1000 and a delay of 1
+        (n = 100,002, whose augmentation would ask for 80 TB) it is over it."""
+        assert parse_config(dict(S1_CONFIG, horizon=1000, lookahead=3, delay=1))["system"].T == 1000
+        _refuse_synthesis(monkeypatch)
+        lti = dict(S1_CONFIG["system"]["lti"], Bw=[[1.0] * 100])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": {"lti": lti}, "horizon": 1000, "lookahead": 1000, "delay": 1}))
+        result = runner.invoke(main, ["gamma", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"] == {
+            "type": "ConfigError",
+            "message": "field 'horizon': T = 1000 with n = 100002 and m = 1 needs tapes of "
+            f"T*(2n+m)^2 = {1000 * 200005**2} floats, over the budget of {cli.TAPE_BUDGET}",
+        }
 
     @pytest.mark.parametrize("tol", ["0", "-1e-3", "1.0", "nan"])
     def test_tol_outside_unit_interval(self, runner, s1_config, tol, monkeypatch):
@@ -636,15 +673,16 @@ def _ltv_config(tmp_path, seed):
 def test_cli_json_parses_strictly_to_reference(runner, tmp_path, monkeypatch, command, seed):
     documents = []
 
-    def capture(path, obj):
+    def capture(path, obj, *schema):
         documents.append(obj)
-        emit_json(path, obj)
+        emit_json(path, obj, *schema)
 
     monkeypatch.setattr(cli, "emit_json", capture)
     out = tmp_path / "out.json"
     result = runner.invoke(main, [command, "--config", _ltv_config(tmp_path, seed), "--json", str(out)])
     assert result.exit_code == 0, result.output
-    assert _strict_loads(out.read_text()) == {**reference_jsonable(documents[0]), "schema_version": "2"}
+    schema = "3" if command == "certify" else "2"
+    assert _strict_loads(out.read_text()) == {**reference_jsonable(documents[0]), "schema_version": schema}
 
 
 @pytest.mark.parametrize(
@@ -684,55 +722,74 @@ class TestCertify:
         doc = json.loads(out.read_text())
         assert doc["gain"] == pytest.approx(doc["gamma_opt_squared"], rel=1e-4)
         assert doc["gamma_opt_squared"] == pytest.approx(0.1, rel=1e-4)
-        assert set(doc) == {
-            "config", "gamma_opt", "gamma_opt_squared", "gain", "witness", "controller_operator", "schema_version"
-        }
-        # the regret form is not written: the echoed config and K give it back
-        synth_sys = cli._augmented(cli.parse_config(doc["config"]))
-        ops = dense.build_operators(normalize_control_weight(synth_sys).system)
-        cert = dense.worst_case_regret_gain(ops, np.array(doc["controller_operator"]))
-        assert cert.gain == doc["gain"]
-        assert np.array_equal(cert.witness, doc["witness"])
+        assert set(doc) == {"config", "gamma_opt", "gamma_opt_squared", "gain", "witness", "schema_version"}
+        assert doc["schema_version"] == "3"
+        # the echoed config and gamma_opt give the controller back; the
+        # rollout and dense referees certify it with the same bits, and the
+        # analysis gain is theirs to its search's resolution
+        plant = cli._augmented(cli.parse_config(doc["config"]))
+        cert = ro.regret_certificate(plant, ct.regret_controller(plant, doc["gamma_opt"]))
+        ops = dense.build_operators(normalize_control_weight(plant).system)
+        assert dense.worst_case_regret_gain(ops, cert.K).gain == cert.gain
+        assert abs(doc["gain"] - cert.gain) <= 1e-11 * cert.gain
+        assert np.abs(cert.witness - doc["witness"]).max() <= 1e-12
 
     def test_oracle_objects_are_freed_before_encoding(self, runner, tmp_path, monkeypatch):
-        """The certificate object and its regret form are gone when the
+        """The analysis system and its probes' tapes are gone when the
         certificate is encoded, and the document is the one written without
         the check."""
         config = str(DATA / "smoke.json")
         plain = tmp_path / "plain.json"
         assert runner.invoke(main, ["certify", "--config", config, "--json", str(plain)]).exit_code == 0
-        oracle_types = (dense.OperatorPair, oo.RegretGainCertificate)
         gc.collect()
-        before = {id(o) for o in gc.get_objects() if isinstance(o, oracle_types)}
-        forms, live = [], []
-        certificate = oo.regret_certificate
+        before = {id(o) for o in gc.get_objects() if isinstance(o, riccati.HinfTape)}
+        analyses, live = [], []
+        analysis_system = oo.analysis_system
 
-        def recorded(*args):
-            cert = certificate(*args)
-            forms.append(weakref.ref(cert.regret_quadratic_form))
-            return cert
+        def recorded(s):
+            ana = analysis_system(s)
+            analyses.append(weakref.ref(ana.A))
+            return ana
 
-        def checked(path, obj):
+        def checked(path, obj, *schema):
             live.extend(
-                type(o).__name__ for o in gc.get_objects() if isinstance(o, oracle_types) and id(o) not in before
+                type(o).__name__ for o in gc.get_objects() if isinstance(o, riccati.HinfTape) and id(o) not in before
             )
-            live.extend("regret_quadratic_form" for ref in forms if ref() is not None)
-            emit_json(path, obj)
+            live.extend("analysis_system" for ref in analyses if ref() is not None)
+            emit_json(path, obj, *schema)
 
-        monkeypatch.setattr(oo, "regret_certificate", recorded)
+        monkeypatch.setattr(oo, "analysis_system", recorded)
         monkeypatch.setattr(cli, "emit_json", checked)
         out = tmp_path / "checked.json"
         result = runner.invoke(main, ["certify", "--config", config, "--json", str(out)])
         assert result.exit_code == 0, result.output
-        assert len(forms) == 1
+        assert len(analyses) == 1
         assert live == []
         assert out.read_bytes() == plain.read_bytes()
 
+    def test_certify_runs_past_the_old_size_cap(self, runner, tmp_path):
+        """T * max(n, m, p) = 2005 > 2000, which the dense certificate
+        refused with a SizeCapError record."""
+        cfg = tmp_path / "wide.json"
+        lti = dict(S1_CONFIG["system"]["lti"], Bw=[[1.0, 0.5, -0.25, 0.0, 2.0]])
+        cfg.write_text(json.dumps({"system": {"lti": lti}, "horizon": 401}))
+        out = tmp_path / "cert.json"
+        result = runner.invoke(main, ["certify", "--config", str(cfg), "--json", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out.read_text())
+        assert abs(doc["gain"] - doc["gamma_opt_squared"]) <= 1e-5 * doc["gamma_opt_squared"]
+        assert len(doc["witness"]) == 401 * 5
+        assert abs(np.linalg.norm(doc["witness"]) - 1.0) <= 1e-15
+
     def test_certify_runs_no_dense_referee(self, runner, tmp_path, monkeypatch):
-        """The dense referee lives in tests/dense_oracle.py: no regretctl
-        module defines its entry points, and certify on smoke.json, run in
-        process, never imports it."""
-        referee = {"build_operators", "worst_case_regret_gain", "controller_operator", "structure_check"}
+        """The referees live in tests/dense_oracle.py and
+        tests/rollout_oracle.py: no regretctl module defines their entry
+        points, and certify on smoke.json, run in process, never imports
+        them."""
+        referee = {
+            "build_operators", "worst_case_regret_gain", "controller_operator", "structure_check",
+            "regret_certificate",
+        }
         modules = [regretctl] + [
             importlib.import_module(f"regretctl.{info.name}") for info in pkgutil.iter_modules(regretctl.__path__)
         ]
@@ -742,34 +799,32 @@ class TestCertify:
 
         class Refused(importlib.abc.MetaPathFinder):
             def find_spec(self, name, path, target=None):
-                if name == "dense_oracle":
+                if name in ("dense_oracle", "rollout_oracle"):
                     attempts.append(name)
-                    raise ImportError("certify imported the dense referee")
+                    raise ImportError("certify imported a referee")
                 return None
 
         monkeypatch.delitem(sys.modules, "dense_oracle")
+        monkeypatch.delitem(sys.modules, "rollout_oracle")
         monkeypatch.setattr(sys, "meta_path", [Refused(), *sys.meta_path])
         out = tmp_path / "cert.json"
         result = runner.invoke(main, ["certify", "--config", str(DATA / "smoke.json"), "--json", str(out)])
         assert result.exit_code == 0, result.output
-        assert attempts == [] and "dense_oracle" not in sys.modules
+        assert attempts == [] and not {"dense_oracle", "rollout_oracle"} & set(sys.modules)
 
-    def test_degenerate_certificate_is_the_dense_one(self, runner, tmp_path, monkeypatch):
-        """On degenerate.json (B_w = 0) every term of the regret form is
-        exactly zero either way: the document is the dense referee's, byte
-        for byte."""
+    def test_degenerate_certificate(self, runner, tmp_path):
+        """On degenerate.json (B_w = 0) no disturbance produces regret: the
+        gain is the dense referee's 0.0, and the witness the unit impulse at
+        t = 0."""
         config = str(DATA / "degenerate.json")
         out = tmp_path / "cert.json"
         assert runner.invoke(main, ["certify", "--config", config, "--json", str(out)]).exit_code == 0
-
-        def referee(sys, ctrl):
-            ops = dense.build_operators(normalize_control_weight(sys).system)
-            return dense.worst_case_regret_gain(ops, dense.controller_operator(sys, ctrl))
-
-        monkeypatch.setattr(oo, "regret_certificate", referee)
-        referee = tmp_path / "referee.json"
-        assert runner.invoke(main, ["certify", "--config", config, "--json", str(referee)]).exit_code == 0
-        assert out.read_bytes() == referee.read_bytes()
+        doc = _strict_loads(out.read_text())
+        plant = cli._augmented(cli.parse_config(doc["config"]))
+        ops = dense.build_operators(normalize_control_weight(plant).system)
+        referee = dense.worst_case_regret_gain(ops, dense.controller_operator(plant, ct.ZeroController(plant)))
+        assert doc["gain"] == referee.gain == 0.0
+        assert doc["witness"] == [1.0] + [0.0] * (plant.T * plant.p - 1)
 
 
 class TestPendulum:
@@ -949,6 +1004,7 @@ def _unknown(known):
 
 _mutations = st.one_of(
     st.tuples(st.just(("horizon",)), _bad_int(1)),
+    st.tuples(st.just(("horizon",)), st.integers(min_value=2**21)),  # over the tape budget
     st.tuples(st.just(("trials",)), _bad_int(1)),
     st.tuples(st.just(("seed",)), _bad_int(0)),
     st.tuples(st.just(("lookahead",)), _bad_int(0, 3)),
