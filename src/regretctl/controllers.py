@@ -2,6 +2,12 @@
 noncausal, and the regret-suboptimal/regret-optimal controller obtained by
 reduction to H-infinity synthesis through two Kalman spectral factorizations.
 
+The H2, H-infinity and regret controllers are state feedbacks whose gains
+come from one formula, -H_t^{-1} B_u_t' P_{t+1} X_t (`_gain`) on their own
+value tape: X = A and B_w for the first two, and for the regret controller,
+on the plant state and its observer state, X = blkdiag(A, Atil) and
+[B_w; B_w].
+
 Every controller has one interface, `control_sequence(w)`: it takes one
 disturbance (T, p) or a batch (..., T, p) and returns the controls
 (..., T, m) of a rollout from x_0 = 0, each item bit-identical to its own
@@ -25,10 +31,10 @@ from .kernels import _mv
 from .system_model import (
     LqSystem,
     NormalizedSystem,
-    _pd_roots,
     as_signal,
     as_validated,
     normalize_control_weight,
+    pd_inv_sqrt,
 )
 
 
@@ -310,15 +316,19 @@ class RegretSynthesis(riccati.Verdict):
     Carries the augmented 2n-dimensional system (Ahat, Bhat_u, Bhat_w, Qhat),
     its backward value tape Phat with Hhat = I + Bhat_u' Phat Bhat_u, the
     embedded forward/backward Kalman tapes, and the per-step feasibility
-    margins of the associated H-infinity test. The step gains M_state and M_z
-    are computed on first access, so a feasibility probe never builds them.
+    margins of the associated H-infinity test.
 
-    Its one realization, `control_sequence` through `kernels.rollout_regret`,
-    runs the Delta-driver state delta_t producing z_t = R_be^{1/2} K_bl'
-    delta_t + R_be^{1/2} w_t next to the plant state x_t, which stands for
-    the augmented state zeta_t of the synthesis; the control depends causally
-    on w_0..w_t only. The gains act in R-normalized coordinates, and each
-    control is mapped back by R_t^{-1/2} to step the plant on its own B_u.
+    The controller is a state feedback on the plant state x and its observer
+    state delta, delta' = Atil delta + B_w w: on xi = (x, delta),
+    Ahat xi + Bhat_w z = blkdiag(A, Atil) xi + [B_w; B_w] w with
+    z = R_be^{1/2}(K_bl' delta + w), so the synthesis' control
+    -Hhat^{-1} Bhat_u' Phat (Ahat xi + Bhat_w z) is u = K_xi xi + K_w w, the
+    H2 and H-infinity formula -H^{-1} B_u' P X with X = blkdiag(A, Atil) and
+    [B_w; B_w]. The gains are computed on first access, so a feasibility
+    probe never builds them. They act in R-normalized coordinates;
+    `control_sequence` (`kernels.rollout_regret`) maps each control back by
+    R_t^{-1/2} to step the plant on its own B_u, and depends causally on
+    w_0..w_t only.
     """
 
     gamma: float
@@ -335,21 +345,29 @@ class RegretSynthesis(riccati.Verdict):
     margins: np.ndarray
 
     @cached_property
-    def M_state(self):
-        """(T, m, 2n): gain on [zeta; nu]."""
-        return self._gain(self.Ahat)
+    def K_xi(self):
+        """(T, m, 2n): gain on xi = (x, delta), X = blkdiag(A, Atil) taken
+        by blocks, [-Hhat^{-1} B_u' P_11 A, -Hhat^{-1} B_u' P_12 Atil]."""
+        nsys = self.norm.system
+        n = nsys.n
+        return np.concatenate(
+            (self._gain(self.Phat[:, :n, :n], nsys.A), self._gain(self.Phat[:, :n, n:], self.fwd.Atil)), axis=2
+        )
 
     @cached_property
-    def M_z(self):
-        """(T, m, p): gain on z_t."""
-        return self._gain(self.Bhat_w)
+    def K_w(self):
+        """(T, m, p): gain on w_t, with X = [B_w; B_w]."""
+        nsys = self.norm.system
+        return self._gain(self.Phat[:, :nsys.n], np.concatenate((nsys.B_w, nsys.B_w), axis=1))
 
-    def _gain(self, X):
-        """-Hhat_t^{-1} Bhat_u_t' Phat_{t+1} X_t per step; zero unless every
-        margin is negative, since gains only exist on a feasible tape."""
+    def _gain(self, P, X):
+        """-Hhat_t^{-1} B_u_t' P_{t+1} X_t per step, for P the first block
+        row [P_11, P_12] of Phat or one of its blocks (Bhat_u = [B_u; 0]
+        reads only that row); zero unless every margin is negative, since
+        gains only exist on a feasible tape."""
         if not self.feasible:
             return np.zeros(self.Hhat.shape[:2] + X.shape[2:])
-        return _gain(self.Bhat_u, self.Phat, self.Hhat, X)
+        return _gain(self.norm.system.B_u, P, self.Hhat, X)
 
     def control_sequence(self, w):
         """Controls (..., T, m) for w (T, p) or (..., T, p); raises
@@ -358,10 +376,10 @@ class RegretSynthesis(riccati.Verdict):
             raise InfeasibleError(self.gamma, self.first_infeasible_step)
         nsys = self.norm.system
         w = as_signal(w, nsys.T, nsys.p)
-        M_x, M_d = self.M_state[:, :, :nsys.n], self.M_state[:, :, nsys.n:]
+        n = nsys.n
         _, u = kernels.rollout_regret(
-            nsys.A, self.B_u, self.norm.R_inv_sqrt, self.fwd.Atil, nsys.B_w, self.bwd.K_bl,
-            self.bwd.R_be_sqrt, M_x, M_d, self.M_z, w,
+            nsys.A, self.B_u, self.norm.R_inv_sqrt, self.fwd.Atil, nsys.B_w,
+            self.K_xi[:, :, :n], self.K_xi[:, :, n:], self.K_w, w,
         )
         return u
 
@@ -370,8 +388,8 @@ def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:
     """The regret synthesis at level gamma as a `riccati._Sweep` that has run
     no window yet. Its carry is (Phat, P_b), and its result the
     `RegretSynthesis`. In each window it runs the backward Kalman recursion
-    from the carried P_b, takes the R_be roots, assembles Ahat and Bhat_w,
-    and runs the value recursion from the carried Phat."""
+    from the carried P_b, takes R_be^{-1/2}, assembles Ahat and Bhat_w, and
+    runs the value recursion from the carried Phat."""
     gamma = float(gamma)
     norm, fwd = problem.norm, problem.fwd
     nsys = norm.system
@@ -380,13 +398,13 @@ def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:
     def window(t0, t1, carry, tapes):
         Phat, P_b_last = carry
         win = slice(t0, t1)
-        P_b, K_bl, R_be, R_be_sqrt, R_be_inv_sqrt, Ahat, Bhat_w = (
-            tapes[name][win] for name in ("P_b", "K_bl", "R_be", "R_be_sqrt", "R_be_inv_sqrt", "Ahat", "Bhat_w")
+        P_b, K_bl, R_be, R_be_inv_sqrt, Ahat, Bhat_w = (
+            tapes[name][win] for name in ("P_b", "K_bl", "R_be", "R_be_inv_sqrt", "Ahat", "Bhat_w")
         )
         P_b[:], K_bl[:], R_be[:], P_b_last = kernels.backward_kalman(
             fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_last
         )
-        R_be_sqrt[:], R_be_inv_sqrt[:] = _pd_roots(R_be)
+        R_be_inv_sqrt[:] = pd_inv_sqrt(R_be)
         BwK = nsys.B_w[win] @ np.swapaxes(K_bl, 1, 2)
         Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt
         Ahat[:, :n, :n] = nsys.A[win]
@@ -401,12 +419,7 @@ def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:
 
     def build(tapes):
         bwd = riccati.BackwardKalmanTape(
-            P_b=tapes["P_b"],
-            K_bl=tapes["K_bl"],
-            R_be=tapes["R_be"],
-            R_be_sqrt=tapes["R_be_sqrt"],
-            R_be_inv_sqrt=tapes["R_be_inv_sqrt"],
-            gamma=gamma,
+            P_b=tapes["P_b"], K_bl=tapes["K_bl"], R_be=tapes["R_be"], R_be_inv_sqrt=tapes["R_be_inv_sqrt"]
         )
         return RegretSynthesis(
             gamma=gamma,
@@ -424,19 +437,17 @@ def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:
         )
 
     shapes = {
-        "P_b": (T, n, n), "K_bl": (T, n, p), "R_be": (T, p, p), "R_be_sqrt": (T, p, p),
-        "R_be_inv_sqrt": (T, p, p), "Ahat": (T, 2 * n, 2 * n), "Bhat_w": (T, 2 * n, p),
+        "P_b": (T, n, n), "K_bl": (T, n, p), "R_be": (T, p, p), "R_be_inv_sqrt": (T, p, p),
+        "Ahat": (T, 2 * n, 2 * n), "Bhat_w": (T, 2 * n, p),
         "P": (T + 1, 2 * n, 2 * n), "H": (T, m, m), "margins": (T,),
     }
     return riccati._Sweep(window, (problem.Phat_T, fwd.W[T]), shapes, build)
 
 
-def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynthesis:
-    """Regret-suboptimal synthesis at level gamma.
-
-    `sys` is a system or a problem already prepared by `prepare_regret`; a
-    system is prepared first. Its feasibility test is the reduction's: the
-    attenuation-level-1 recursion on the z-driven doubled system.
+def synthesize_regret(sys: LqSystem, gamma: float) -> RegretSynthesis:
+    """Regret-suboptimal synthesis of the system `sys` at level gamma. Its
+    feasibility test is the reduction's: the attenuation-level-1 recursion
+    on the z-driven doubled system.
 
     The sweep (`_regret_probe`) runs backward from t = T in windows of 16,
     32, 64, ... steps and stops after the first window with a failing step,
@@ -447,8 +458,7 @@ def synthesize_regret(sys: LqSystem | RegretProblem, gamma: float) -> RegretSynt
     loop over the whole horizon from the same forward Kalman tape.
     """
     riccati._check_level(gamma)
-    problem = sys if isinstance(sys, RegretProblem) else prepare_regret(sys)
-    return _regret_probe(problem, gamma).result()
+    return _regret_probe(prepare_regret(sys), gamma).result()
 
 
 def regret_controller(sys: LqSystem, gamma: float) -> RegretSynthesis:

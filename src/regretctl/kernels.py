@@ -9,8 +9,9 @@ p = 0), `hinf_backward` (the stacked input [B_u B_w] at level gamma),
 stacked or control-only) and `backward_kalman` (A = Atil, B_u = B_w,
 R = gamma^2 I and no disturbance input). `forward_kalman` runs it in
 reversed time, so its step loop is the one every recursion runs on.
-`rollout_regret` is the one realization of the regret controller. Both
-rollouts step the plant in its own coordinates with `evaluate_cost`'s
+`rollout_feedback` rolls out the H2 and H-infinity state feedbacks, and
+`rollout_regret` the regret controller, a state feedback on the plant and
+its observer. Both rollouts step the plant in its own coordinates with `evaluate_cost`'s
 expression, so the state tape x they return with the controls u is the one
 `evaluate_cost` rebuilds from u, bit for bit.
 
@@ -354,23 +355,17 @@ def regret_phat_backward(Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form):
         return _scheduled(Ahat, Bhat_u, Bhat_w, Qhat, R, Phat_T, level, True)
 
 
-def rollout_regret(A, B_u, R_inv_sqrt, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w):
+def rollout_regret(A, B_u, R_inv_sqrt, Atil, B_w, K_x, K_d, K_w, w):
     """Roll out the regret controller on the plant
-    x_{t+1} = A x + B_u u + B_w w from x_0 = delta_0 = 0, for a disturbance
-    w: (..., T, p), every leading index an independent rollout. Step t forms
-    z = R_be^{1/2} K_bl' delta + R_be^{1/2} w, the control
-    u = R^{-1/2}(M_x x + M_d delta + M_z z), whose gains act in the
-    R-normalized coordinates of the synthesis, and the next driver state
-    delta' = Atil delta + B_w w.
-
-    In exact arithmetic the augmented state [zeta; nu] equals [x; delta], so
-    the controller reads the plant state this rollout simulates instead of
-    simulating zeta open-loop through a possibly unstable A (where rounding
-    differences between plant and internal copy would grow exponentially);
-    delta only sees the stable closed-loop observer matrix Atil. The plant
-    step is `evaluate_cost`'s, on the plant's own B_u and controls, so the
-    returned tape (x, u), x: (..., T+1, n) and u: (..., T, m), is the loop
-    `evaluate_cost(sys, w, u)` scores."""
+    x_{t+1} = A x + B_u u + B_w w and its observer
+    delta_{t+1} = Atil delta + B_w w from x_0 = delta_0 = 0, for a
+    disturbance w: (..., T, p), every leading index an independent rollout.
+    Step t forms the control u = R^{-1/2}(K_x x + K_d delta + K_w w), whose
+    gains act in the R-normalized coordinates of the synthesis, and B_w w
+    once for both states. The plant step is `evaluate_cost`'s, on the
+    plant's own B_u and controls, so the returned tape (x, u),
+    x: (..., T+1, n) and u: (..., T, m), is the loop `evaluate_cost(sys, w,
+    u)` scores."""
     T, n, _ = A.shape
     batch = w.shape[:-2]
     x = np.zeros(batch + (T + 1, n))
@@ -378,8 +373,8 @@ def rollout_regret(A, B_u, R_inv_sqrt, Atil, B_w, K_bl, sqR_be, M_x, M_d, M_z, w
     delta = np.zeros(batch + (n,))
     for t in range(T):
         xt, wt = x[..., t, :], w[..., t, :]
-        zt = _mv(sqR_be[t], _mv(K_bl[t].T, delta)) + _mv(sqR_be[t], wt)
-        u[..., t, :] = _mv(R_inv_sqrt[t], _mv(M_x[t], xt) + _mv(M_d[t], delta) + _mv(M_z[t], zt))
-        x[..., t + 1, :] = _mv(A[t], xt) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
-        delta = _mv(Atil[t], delta) + _mv(B_w[t], wt)
+        u[..., t, :] = _mv(R_inv_sqrt[t], _mv(K_x[t], xt) + _mv(K_d[t], delta) + _mv(K_w[t], wt))
+        Bw = _mv(B_w[t], wt)
+        x[..., t + 1, :] = _mv(A[t], xt) + _mv(B_u[t], u[..., t, :]) + Bw
+        delta = _mv(Atil[t], delta) + Bw
     return x, u

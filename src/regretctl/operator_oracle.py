@@ -8,14 +8,14 @@ bounded-real test with an indefinite weight: the Krein-space view that
 `kernels._riccati_sweep` takes (Hassibi, Sayed and Kailath,
 *Indefinite-Quadratic Estimation and Control*, SIAM 1999).
 
-In the R-normalized coordinates of a `RegretSynthesis`, the controller
-reads the plant state x and its observer state delta, delta' = Atil delta
-+ B_w w: u = Kxi (x, delta) + D w, with D = M_z R_be^{1/2} and
-Kxi = [M_x, M_d + D K_bl']. delta is also the state of the offline-optimal
-cost, sum_t delta_t' W_t delta_t with W = `fwd.W` (t = 0..T). So the
-regret is the cost, weighted by Qbar, of the closed loop on
-xi = (x, delta, u_{t-1}), which carries the control for one step so that
-the weight has no cross term:
+In the R-normalized coordinates of a `RegretSynthesis`, the controller is
+the state feedback u = Kxi (x, delta) + D w on the plant state x and its
+observer state delta, delta' = Atil delta + B_w w, with the gains its
+rollout reads, Kxi = `K_xi` and D = `K_w`. delta is also the state of the
+offline-optimal cost, sum_t delta_t' W_t delta_t with W = `fwd.W`
+(t = 0..T). So the regret is the cost, weighted by Qbar, of the closed loop
+on xi = (x, delta, u_{t-1}), which carries the control for one step so
+that the weight has no cross term:
 - Abar = [[blkdiag(A, Atil) + [B_u; 0] Kxi, 0], [Kxi, 0]],
 - Bbar = [B_u D + B_w; B_w; D],
 - Qbar_t = blkdiag(Q_t, -W_t, I_m), with a zero block for I_m at t = 0,
@@ -45,9 +45,9 @@ from .system_model import (
 )
 
 # The relative resolution of the level search. At 1e-10 the gain of
-# tests/data/smoke.json read 1.0e-10 above the rollout referee's, and that of
-# unstable_multi_input.json 9.9e-10; at 1e-12 they read 8.1e-13 and 8.4e-10,
-# for 7 more probes (43) and 0.02 s more on the benchmark's n = 8 system.
+# tests/data/smoke.json read 1.0e-10 above the rollout referee's; at 1e-12,
+# 8.1e-13, for 7 more probes (43) and 0.02 s more on the benchmark's n = 8
+# system. On unstable_multi_input.json it reads 2.0e-10 below at both.
 TOL = 1e-12
 
 
@@ -60,8 +60,7 @@ def analysis_system(s: RegretSynthesis) -> LqSystem:
     T, n, m = nsys.T, nsys.n, nsys.m
     N = 2 * n + m
     x, d, u = slice(0, n), slice(n, 2 * n), slice(2 * n, N)
-    D = s.M_z @ s.bwd.R_be_sqrt
-    Kxi = np.concatenate((s.M_state[:, :, x], s.M_state[:, :, d] + D @ s.bwd.K_bl.mT), axis=2)
+    Kxi, D = s.K_xi, s.K_w
     A = np.zeros((T, N, N))
     A[:, x, x] = nsys.A
     A[:, d, d] = s.fwd.Atil

@@ -66,14 +66,12 @@ class ForwardKalmanTape:
 @dataclass(frozen=True)
 class BackwardKalmanTape:
     """Backward Kalman quantities realizing Delta: P_b (T), K_bl (T, n, p),
-    R_be (T, p, p) plus symmetric square roots of R_be."""
+    R_be (T, p, p) and its inverse symmetric square root R_be^{-1/2}."""
 
     P_b: np.ndarray
     K_bl: np.ndarray
     R_be: np.ndarray
-    R_be_sqrt: np.ndarray
     R_be_inv_sqrt: np.ndarray
-    gamma: float
 
 
 def _first_failing_step(margins):
@@ -235,11 +233,4 @@ def backward_kalman(norm: NormalizedSystem, fwd: ForwardKalmanTape, gamma: float
     P_b, K_bl, R_be, _ = kernels.backward_kalman(
         fwd.Atil, sys.B_w, fwd.W[:T], float(gamma), fwd.W[T]
     )
-    return BackwardKalmanTape(
-        P_b=P_b,
-        K_bl=K_bl,
-        R_be=R_be,
-        R_be_sqrt=psd_sqrt(R_be),
-        R_be_inv_sqrt=pd_inv_sqrt(R_be),
-        gamma=float(gamma),
-    )
+    return BackwardKalmanTape(P_b=P_b, K_bl=K_bl, R_be=R_be, R_be_inv_sqrt=pd_inv_sqrt(R_be))

@@ -51,15 +51,6 @@ def pd_inv_sqrt(M):
     return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def _pd_roots(M):
-    """(psd_sqrt(M), pd_inv_sqrt(M)) of a positive-definite M or stack, bit
-    for bit, from one eigendecomposition."""
-    vals, vecs = _pd_eigh(M)
-    root = np.sqrt(vals)[..., None, :]
-    vecs_T = np.swapaxes(vecs, -1, -2)
-    return (vecs * root) @ vecs_T, (vecs / root) @ vecs_T
-
-
 @dataclass(frozen=True)
 class LqSystem:
     """Time-varying LQ plant and cost data.
@@ -214,16 +205,10 @@ def as_validated(sys: LqSystem) -> LqSystem:
 @dataclass(frozen=True)
 class NormalizedSystem:
     """An R-normalized system (R_t = I) together with the per-step rescaling
-    maps u = R_t^{-1/2} u' between original controls u and normalized u'."""
+    map u = R_t^{-1/2} u' from normalized controls u' to original ones u."""
 
     system: LqSystem
-    R_sqrt: np.ndarray  # (T, m, m), R_t^{1/2}
     R_inv_sqrt: np.ndarray  # (T, m, m), R_t^{-1/2}
-
-    def to_normalized_u(self, u):
-        """Map original controls (..., T, m) to normalized ones."""
-        u = np.asarray(u, dtype=float)
-        return np.einsum("tij,...tj->...ti", self.R_sqrt, u)
 
 
 def normalize_control_weight(sys: LqSystem) -> NormalizedSystem:
@@ -231,11 +216,11 @@ def normalize_control_weight(sys: LqSystem) -> NormalizedSystem:
     u_t' = R_t^{1/2} u_t. Costs are preserved under the rescaling maps."""
     sys = as_validated(sys)
     T, m = sys.T, sys.m
-    R_sqrt, R_inv_sqrt = _pd_roots(sys.R)
+    R_inv_sqrt = pd_inv_sqrt(sys.R)
     B_u = np.einsum("tij,tjk->tik", sys.B_u, R_inv_sqrt)
     eye = np.broadcast_to(np.eye(m), (T, m, m)).copy()
     norm_sys = replace(sys, B_u=B_u, R=eye)
-    return NormalizedSystem(norm_sys, R_sqrt, R_inv_sqrt)
+    return NormalizedSystem(norm_sys, R_inv_sqrt)
 
 
 def _quad(M, v):

@@ -32,7 +32,7 @@ from helpers import reference_causal_factor
 from regretctl import kernels, riccati
 from regretctl.controllers import RegretSynthesis
 from regretctl.sim_bench import controls
-from regretctl.system_model import LqSystem, as_validated, normalize_control_weight
+from regretctl.system_model import LqSystem, as_validated
 from rollout_oracle import (
     CAUSALITY_TOL,
     RegretGainCertificate,
@@ -125,7 +125,7 @@ def controller_operator(sys: LqSystem, controller, tol: float = CAUSALITY_TOL) -
     sys = as_validated(sys)
     check_size(sys)
     u = controls(sys, controller, _impulses(sys))
-    return _causal_operator(normalize_control_weight(sys), u, tol)
+    return _causal_operator(sys, u, tol)
 
 
 def worst_case_regret_gain(ops: OperatorPair, K) -> RegretGainCertificate:
@@ -136,6 +136,17 @@ def worst_case_regret_gain(ops: OperatorPair, K) -> RegretGainCertificate:
     F, G, W = ops.F, ops.G, ops.W
     closed = F @ K + G
     return _certificate(K, closed.T @ closed + K.T @ K - W.T @ W)
+
+
+def referee_gap_bound(ops: OperatorPair, K, gain: float) -> float:
+    """How far the rollout certificate's gain of the controller operator K
+    may sit from the dense referee's `gain`: 1e-12 relative (1e-15 absolute
+    below 1e-3), plus eps ||F|| ||K||. The rollout's states X follow the
+    controls before the R^{1/2} scaling that gives K, and F carries K's last
+    bits into FK + G, so the two regret forms differ in their last bits and
+    their top eigenvalues in a few ulps of the form."""
+    amplified = np.finfo(float).eps * np.linalg.norm(ops.F, 2) * np.linalg.norm(K, 2)
+    return 1e-12 * max(abs(gain), 1e-3) + amplified
 
 
 def worst_case_cost_gain(ops: OperatorPair, K) -> float:
@@ -171,8 +182,8 @@ class StructuralMismatchError(AssertionError):
 class StructureReport:
     """Structural identities of the regret synthesis: the top-left block of
     the control-only value recursion follows the plain LQR recursion, and the
-    active control law decomposes as the H2 action on zeta plus terms in
-    (nu, z) only."""
+    active control law decomposes as the H2 action on x plus terms in
+    (delta, w) only."""
 
     max_p11_deviation: float
     max_decomposition_residual: float
@@ -190,10 +201,10 @@ def structural_value_tape(synthesis: RegretSynthesis) -> np.ndarray:
 def structure_check(synthesis: RegretSynthesis, tol: float = 1e-8) -> StructureReport:
     """Verify the H2-block identity P_11 == LQR P on the control-only value
     tape, and the control-action decomposition of the active gains; raises
-    StructuralMismatchError beyond tol. The gains [M_state, M_z] on
-    [zeta; nu; z] must equal -Hhat^{-1} B_u' [P_11 A, P_12 (Atil - B_w K_bl')
-    - P_11 B_w K_bl', (P_11 + P_12) B_w R_be^{-1/2}] at every step, with P_ij
-    the blocks of Phat_{t+1}: the H2 action on zeta, then the (nu, z) part."""
+    StructuralMismatchError beyond tol. The gains on xi = (x, delta) and w
+    must be K_xi = -Hhat^{-1} B_u' [P_11 A, P_12 Atil] and
+    K_w = -Hhat^{-1} B_u' (P_11 + P_12) B_w at every step, with P_ij the
+    blocks of Phat_{t+1}: the H2 action on x, then the observer's part."""
     nsys = synthesis.norm.system
     n = nsys.n
     lqr = riccati.backward_lqr(nsys)
@@ -201,13 +212,9 @@ def structure_check(synthesis: RegretSynthesis, tol: float = 1e-8) -> StructureR
     dev = float(np.abs(Pstruct[:, :n, :n] - lqr.P).max())
 
     P11, P12 = synthesis.Phat[1:, :n, :n], synthesis.Phat[1:, :n, n:]
-    BwK = nsys.B_w @ np.swapaxes(synthesis.bwd.K_bl, 1, 2)
-    Bz = nsys.B_w @ synthesis.bwd.R_be_inv_sqrt
-    X = np.concatenate(
-        (P11 @ nsys.A, P12 @ (synthesis.fwd.Atil - BwK) - P11 @ BwK, (P11 + P12) @ Bz), axis=2
-    )
+    X = np.concatenate((P11 @ nsys.A, P12 @ synthesis.fwd.Atil, (P11 + P12) @ nsys.B_w), axis=2)
     expected = -np.linalg.solve(synthesis.Hhat, np.swapaxes(nsys.B_u, 1, 2) @ X)
-    full = np.concatenate((synthesis.M_state, synthesis.M_z), axis=2)
+    full = np.concatenate((synthesis.K_xi, synthesis.K_w), axis=2)
     resid = float(np.abs(full - expected).max())
     report = StructureReport(max_p11_deviation=dev, max_decomposition_residual=resid)
     if dev > tol:

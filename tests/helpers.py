@@ -191,7 +191,7 @@ def eager_regret_optimal(sys, tol):
     """`controllers.regret_optimal` over the eager search (a degenerate
     system aside). Returns (GammaSearchResult, RegretSynthesis)."""
     problem = ct.prepare_regret(sys)
-    return eager_bisect_gamma(lambda g: ct.synthesize_regret(problem, g), tol)
+    return eager_bisect_gamma(lambda g: ct._regret_probe(problem, g).result(), tol)
 
 
 def eager_hinf_optimal(sys, tol):
@@ -216,6 +216,12 @@ def to_original_u(norm, u_norm):
     """Map R-normalized controls (..., T, m) of `norm` back to original ones,
     u_t = R_t^{-1/2} u_t'."""
     return np.einsum("tij,...tj->...ti", norm.R_inv_sqrt, np.asarray(u_norm, dtype=float))
+
+
+def to_normalized_u(sys, u):
+    """Map original controls (..., T, m) of the validated system `sys` to
+    R-normalized ones, u_t' = R_t^{1/2} u_t."""
+    return np.einsum("tij,...tj->...ti", psd_sqrt(sys.R), np.asarray(u, dtype=float))
 
 
 def stacked_s(sys, traj):
@@ -478,21 +484,25 @@ def reference_dense_delta_operator(norm: NormalizedSystem, fwd: ForwardKalmanTap
     """
     sys = norm.system
     T, p = sys.T, sys.p
+    R_be_sqrt = psd_sqrt(bwd.R_be)
     D = np.zeros((T * p, T * p))
     for i in range(T):
-        D[i * p:(i + 1) * p, i * p:(i + 1) * p] = bwd.R_be_sqrt[i]
+        D[i * p:(i + 1) * p, i * p:(i + 1) * p] = R_be_sqrt[i]
         for j in range(i):
-            blk = bwd.R_be_sqrt[i] @ bwd.K_bl[i].T @ reference_transition(fwd.Atil, i, j + 1) @ sys.B_w[j]
+            blk = R_be_sqrt[i] @ bwd.K_bl[i].T @ reference_transition(fwd.Atil, i, j + 1) @ sys.B_w[j]
             D[i * p:(i + 1) * p, j * p:(j + 1) * p] = blk
     return D
 
 
-# The regret controller's step and rollout as they were while the controller
-# also had a stepping realization, kept verbatim apart from their names, the
+# The regret controller's step and rollout in their z-form, as they were
+# while the controller read z = R_be^{1/2}(K_bl' delta + w) and the gains
+# M_state = [M_x, M_d] and M_z, kept verbatim apart from their names, the
 # rollout's returned tape, now (x, u), and its control, now mapped back by
 # R^{-1/2} in each step to step the plant on its own B_u (and `_mv`, copied
-# with them). `kernels.rollout_regret` and `RegretSynthesis.control_sequence`
-# are held to them bit for bit.
+# with them). The z-form equals the state feedback of
+# `kernels.rollout_regret` in exact arithmetic only, so it is an independent
+# referee: `z_form_args` rebuilds its arguments from a synthesis' tapes, and
+# test_kernels.py holds the controller to it within a relative bound.
 
 
 def _mv(M, v):
@@ -541,6 +551,45 @@ def reference_rollout_regret(A, B_u, R_inv_sqrt, Atil, B_w, K_bl, sqR_be, M_x, M
         x = _mv(A[t], x) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
         xs[..., t + 1, :] = x
         delta = delta_next
+    return xs, u
+
+
+def z_form_args(s):
+    """The arguments of `reference_rollout_regret` before w, for the regret
+    synthesis s: the plant and observer, K_bl, R_be^{1/2}, and the gains
+    -Hhat^{-1} Bhat_u' Phat X with X = Ahat (split into M_x and M_d) and
+    X = Bhat_w (M_z)."""
+    nsys = s.norm.system
+    n = nsys.n
+    M_state = ct._gain(s.Bhat_u, s.Phat, s.Hhat, s.Ahat)
+    M_z = ct._gain(s.Bhat_u, s.Phat, s.Hhat, s.Bhat_w)
+    return (nsys.A, s.B_u, s.norm.R_inv_sqrt, s.fwd.Atil, nsys.B_w, s.bwd.K_bl,
+            psd_sqrt(s.bwd.R_be), M_state[:, :, :n], M_state[:, :, n:], M_z)
+
+
+# The state-feedback rollout of `kernels.rollout_regret` as a plain loop,
+# with the kernel's arithmetic in the kernel's order. `kernels.rollout_regret`
+# and `RegretSynthesis.control_sequence` are held to it bit for bit.
+
+
+def reference_rollout_feedback_regret(A, B_u, R_inv_sqrt, Atil, B_w, K_x, K_d, K_w, w):
+    """Roll out the regret controller's state feedback
+    u = R^{-1/2}(K_x x + K_d delta + K_w w) on the plant
+    x_{t+1} = A x + B_u u + B_w w and the observer
+    delta_{t+1} = Atil delta + B_w w from x_0 = delta_0 = 0, for w:
+    (..., T, p). Returns the closed-loop tape (x, u)."""
+    T, n, _ = A.shape
+    batch = w.shape[:-2]
+    u = np.zeros(batch + (T, B_u.shape[2]))
+    xs = np.zeros(batch + (T + 1, n))
+    x = np.zeros(batch + (n,))
+    delta = np.zeros(batch + (n,))
+    for t in range(T):
+        wt = w[..., t, :]
+        u[..., t, :] = _mv(R_inv_sqrt[t], _mv(K_x[t], x) + _mv(K_d[t], delta) + _mv(K_w[t], wt))
+        x = _mv(A[t], x) + _mv(B_u[t], u[..., t, :]) + _mv(B_w[t], wt)
+        xs[..., t + 1, :] = x
+        delta = _mv(Atil[t], delta) + _mv(B_w[t], wt)
     return xs, u
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from helpers import to_normalized_u
 from regretctl import riccati
 from regretctl.sim_bench import rollout
 from regretctl.system_model import (
@@ -100,7 +101,7 @@ def _offline_factor(sys: LqSystem):
     Atil_{i-1}...Atil_{j+1} B_w_j from the forward Kalman tape (the
     innovations form of G)."""
     # R_t = I, so both control rescaling maps are the identity
-    fwd = riccati.forward_kalman(NormalizedSystem(sys, sys.R, sys.R))
+    fwd = riccati.forward_kalman(NormalizedSystem(sys, sys.R))
     n_rows = _block_rows(sys)
     sqQ = fwd.sqQ[:n_rows]
     return sqQ, _strictly_causal(fwd.Atil, sys.B_w, pd_inv_sqrt(fwd.R_e[:n_rows]) @ sqQ)
@@ -112,14 +113,15 @@ def _impulses(sys: LqSystem) -> np.ndarray:
     return np.eye(sys.T * sys.p).reshape(sys.T * sys.p, sys.T, sys.p)
 
 
-def _causal_operator(norm: NormalizedSystem, u, tol: float) -> np.ndarray:
+def _causal_operator(sys: LqSystem, u, tol: float) -> np.ndarray:
     """The (Tm) x (Tp) operator of the controls u (T*p, T, m) of the impulse
-    rollout, in R-normalized coordinates; raises CausalityViolationError
-    naming the first block (i, j), j > i, in row-major order whose largest
-    magnitude exceeds tol."""
+    rollout on the validated system sys, in R-normalized coordinates
+    (u_t' = R_t^{1/2} u_t); raises CausalityViolationError naming the first
+    block (i, j), j > i, in row-major order whose largest magnitude exceeds
+    tol."""
     T, m = u.shape[1:]
     p = u.shape[0] // T
-    K = np.ascontiguousarray(norm.to_normalized_u(u).reshape(T * p, T * m).T)
+    K = np.ascontiguousarray(to_normalized_u(sys, u).reshape(T * p, T * m).T)
     blocks = K.reshape(T, m, T, p)  # max |K| per block, with no |K| temporary
     blocks = np.maximum(blocks.max(axis=(1, 3)), -blocks.min(axis=(1, 3)))
     upper = np.triu(blocks > tol, k=1)
@@ -253,7 +255,7 @@ def regret_certificate(sys: LqSystem, controller) -> RegretGainCertificate:
     traj = rollout(sys, controller, _impulses(sys))
     x, u = traj.x, traj.u
     del traj
-    K = _causal_operator(norm, u, CAUSALITY_TOL)
+    K = _causal_operator(sys, u, CAUSALITY_TOL)
     del u
     X = _weighed(sqQ, x)  # row j: impulse j's X column
     del x

@@ -734,6 +734,24 @@ class TestCertify:
         assert abs(doc["gain"] - cert.gain) <= 1e-11 * cert.gain
         assert np.abs(cert.witness - doc["witness"]).max() <= 1e-12
 
+    def test_smoke_certificate_referees_agree(self, runner, tmp_path):
+        """CI's smoke check of `certify --config smoke.json`: the rollout
+        and dense referees certify the rebuilt controller within
+        `dense_oracle.referee_gap_bound` of each other (7.2e-15 relative
+        apart, under a bound of 1.0e-12), and the printed gain and witness
+        are the rollout referee's to 1e-11 and 1e-12."""
+        out = tmp_path / "cert.json"
+        result = runner.invoke(main, ["certify", "--config", str(DATA / "smoke.json"), "--json", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out.read_text())
+        plant = cli._augmented(cli.parse_config(doc["config"]))
+        cert = ro.regret_certificate(plant, ct.regret_controller(plant, doc["gamma_opt"]))
+        ops = dense.build_operators(normalize_control_weight(plant).system)
+        referee = dense.worst_case_regret_gain(ops, cert.K).gain
+        assert abs(referee - cert.gain) <= dense.referee_gap_bound(ops, cert.K, referee), (referee, cert.gain)
+        assert abs(doc["gain"] - cert.gain) <= 1e-11 * cert.gain
+        assert np.abs(cert.witness - doc["witness"]).max() <= 1e-12
+
     def test_oracle_objects_are_freed_before_encoding(self, runner, tmp_path, monkeypatch):
         """The analysis system and its probes' tapes are gone when the
         certificate is encoded, and the document is the one written without

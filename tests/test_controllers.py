@@ -84,7 +84,7 @@ class TestHinf:
     @staticmethod
     def _tapes(syn, ref):
         """(name, synthesis field, reference field) for every tape."""
-        for field in ("P_b", "K_bl", "R_be", "R_be_sqrt", "R_be_inv_sqrt"):
+        for field in ("P_b", "K_bl", "R_be", "R_be_inv_sqrt"):
             yield field, getattr(syn.bwd, field), getattr(ref.bwd, field)
         for field in ("Ahat", "Bhat_w", "Phat", "Hhat", "margins"):
             yield field, getattr(syn, field), getattr(ref, field)
@@ -537,10 +537,10 @@ class TestGammaSearch:
 
 
 _TAPES = (
-    "Ahat", "Bhat_u", "Bhat_w", "Qhat", "Phat", "Hhat", "margins", "M_state", "M_z",
-    "norm.R_sqrt", "norm.R_inv_sqrt", "norm.system.B_u",
+    "Ahat", "Bhat_u", "Bhat_w", "Qhat", "Phat", "Hhat", "margins", "K_xi", "K_w",
+    "norm.R_inv_sqrt", "norm.system.B_u",
     "fwd.P", "fwd.K_p", "fwd.R_e", "fwd.Atil", "fwd.sqQ", "fwd.W",
-    "bwd.P_b", "bwd.K_bl", "bwd.R_be", "bwd.R_be_sqrt", "bwd.R_be_inv_sqrt",
+    "bwd.P_b", "bwd.K_bl", "bwd.R_be", "bwd.R_be_inv_sqrt",
 )
 
 
@@ -642,15 +642,27 @@ class TestRegretProblem:
         + [random_system(seed) for seed in (0, 3, 8)]
         + [random_system(104, stable=False)],
     )
-    def test_prepared_equals_unprepared(self, sys, test):
+    def test_one_preparation_serves_every_level(self, sys, test):
+        """A bisection prepares the problem once and probes every level on
+        it: each probe, an infeasible one between feasible ones included,
+        has the bits of a synthesis from a fresh preparation, and leaves the
+        shared arrays it reads as it found them."""
         problem = ct.prepare_regret(sys)
+        shared = {
+            "Phat_T": problem.Phat_T, "Qhat": problem.Qhat, "Bhat_u": problem.Bhat_u,
+            "Atil": problem.fwd.Atil, "W": problem.fwd.W, "A": problem.norm.system.A,
+            "B_u": problem.norm.system.B_u, "B_w": problem.norm.system.B_w,
+        }
+        before = {name: a.copy() for name, a in shared.items()}
         g_opt = ct.regret_optimal(sys, 1e-3)[0].gamma_opt
-        for gamma in (0.5 * g_opt, g_opt, 2.0 * g_opt):
-            a = ct.synthesize_regret(problem, gamma)
+        for gamma in (2.0 * g_opt, 0.5 * g_opt, g_opt):
+            a = ct._regret_probe(problem, gamma).result()
             b = ct.synthesize_regret(sys, gamma)
-            assert a.feasible == b.feasible
+            assert a.feasible == b.feasible == (gamma >= g_opt)
             for path in _TAPES:
                 assert np.array_equal(_tape(a, path), _tape(b, path)), path
+        for name, a in shared.items():
+            assert np.array_equal(a, before[name]), name
 
     @pytest.mark.parametrize("seed", [0, 3, 104])
     def test_assembly_and_gains_match_per_step_loop(self, seed):
@@ -669,34 +681,42 @@ class TestRegretProblem:
             assert np.array_equal(syn.Bhat_w[t], np.vstack((Bw_scaled, Bw_scaled)))
             assert np.array_equal(syn.Qhat[t, :n, :n], nsys.Q[t])
             assert np.count_nonzero(syn.Qhat[t]) == np.count_nonzero(nsys.Q[t])
-            BtP = syn.Bhat_u[t].T @ syn.Phat[t + 1]
-            assert np.array_equal(syn.M_state[t], -np.linalg.solve(syn.Hhat[t], BtP @ syn.Ahat[t]))
-            assert np.array_equal(syn.M_z[t], -np.linalg.solve(syn.Hhat[t], BtP @ syn.Bhat_w[t]))
+            H, P = syn.Hhat[t], syn.Phat[t + 1]
+            X_xi = np.block([[nsys.A[t], np.zeros((n, n))], [np.zeros((n, n)), fwd.Atil[t]]])
+            X_w = np.vstack((nsys.B_w[t], nsys.B_w[t]))
+            # by blocks, bit for bit ...
+            K_x = -np.linalg.solve(H, (nsys.B_u[t].T @ P[:n, :n]) @ nsys.A[t])
+            K_d = -np.linalg.solve(H, (nsys.B_u[t].T @ P[:n, n:]) @ fwd.Atil[t])
+            assert np.array_equal(syn.K_xi[t], np.hstack((K_x, K_d)))
+            assert np.array_equal(syn.K_w[t], -np.linalg.solve(H, (nsys.B_u[t].T @ P[:n]) @ X_w))
+            # ... the doubled system's -Hhat^{-1} Bhat_u' Phat X
+            BtP = syn.Bhat_u[t].T @ P
+            assert np.allclose(syn.K_xi[t], -np.linalg.solve(H, BtP @ X_xi), rtol=1e-12, atol=1e-14)
+            assert np.allclose(syn.K_w[t], -np.linalg.solve(H, BtP @ X_w), rtol=1e-12, atol=1e-14)
 
     def test_probe_builds_no_gains(self):
-        problem = ct.prepare_regret(s1())
-        syn = ct.synthesize_regret(problem, 2.0)
+        syn = ct.synthesize_regret(s1(), 2.0)
         assert syn.feasible
-        assert "M_state" not in vars(syn) and "M_z" not in vars(syn)
-        M_state = syn.M_state
-        assert "M_state" in vars(syn) and "M_z" not in vars(syn)
-        assert syn.M_state is M_state
-        assert syn.M_z.shape == (3, 1, 1)
+        assert "K_xi" not in vars(syn) and "K_w" not in vars(syn)
+        K_xi = syn.K_xi
+        assert "K_xi" in vars(syn) and "K_w" not in vars(syn)
+        assert syn.K_xi is K_xi
+        assert syn.K_w.shape == (3, 1, 1)
 
     def test_bisection_builds_gains_only_when_used(self, monkeypatch):
         built = []
         gain = ct.RegretSynthesis._gain
 
-        def counted_gain(synthesis, X):
+        def counted_gain(synthesis, P, X):
             built.append(X.shape)
-            return gain(synthesis, X)
+            return gain(synthesis, P, X)
 
         monkeypatch.setattr(ct.RegretSynthesis, "_gain", counted_gain)
         sys = random_system(3)
         _, ctrl = ct.regret_optimal(sys, 1e-6)
         assert built == []
         ctrl.control_sequence(np.ones((sys.T, sys.p)))
-        assert len(built) == 2
+        assert len(built) == 3  # K_xi's two blocks and K_w
 
     @pytest.mark.parametrize("sys", [pendulum_system(30), pendulum_system(100)], ids=["T30", "T100"])
     def test_regret_optimal_returns_the_synthesis_at_gamma_opt(self, sys):
@@ -712,8 +732,8 @@ class TestRegretProblem:
     def test_infeasible_gains_are_zero(self):
         syn = ct.synthesize_regret(s1(), 0.1)
         assert not syn.feasible
-        assert syn.M_state.shape == (3, 1, 2) and not syn.M_state.any()
-        assert syn.M_z.shape == (3, 1, 1) and not syn.M_z.any()
+        assert syn.K_xi.shape == (3, 1, 2) and not syn.K_xi.any()
+        assert syn.K_w.shape == (3, 1, 1) and not syn.K_w.any()
 
     def test_infeasible_synthesis_refuses_to_run(self):
         syn = ct.synthesize_regret(s1(), 0.1)
@@ -772,7 +792,7 @@ class TestWindowedSweep:
     @staticmethod
     def _tapes(syn, ref):
         """(name, synthesis field, reference field) for every tape."""
-        for field in ("P_b", "K_bl", "R_be", "R_be_sqrt", "R_be_inv_sqrt"):
+        for field in ("P_b", "K_bl", "R_be", "R_be_inv_sqrt"):
             yield field, getattr(syn.bwd, field), getattr(ref.bwd, field)
         for field in ("Ahat", "Bhat_w", "Phat", "Hhat", "margins"):
             yield field, getattr(syn, field), getattr(ref, field)
@@ -799,7 +819,7 @@ class TestWindowedSweep:
             problem = ct.prepare_regret(sys)
             for gamma in levels:
                 steps.clear()
-                syn = ct.synthesize_regret(problem, gamma)
+                syn = ct._regret_probe(problem, gamma).result()
                 t_fail = syn.first_infeasible_step
                 assert t_fail is not None
                 # it stops after the window that holds the failing step, so
@@ -848,8 +868,9 @@ class TestStructure:
 
     def test_gain_decomposition_raises(self):
         syn = self._feasible_synthesis()
-        tampered = dataclasses.replace(syn, Bhat_w=1.01 * syn.Bhat_w)  # moves M_z only
-        assert np.array_equal(tampered.M_state, syn.M_state)
+        tampered = dataclasses.replace(syn)
+        tampered.K_w = 1.01 * syn.K_w  # K_xi keeps its bits
+        assert np.array_equal(tampered.K_xi, syn.K_xi)
         with pytest.raises(dense.StructuralMismatchError, match="control decomposition residual"):
             dense.structure_check(tampered)
 

@@ -6,14 +6,13 @@ from regretctl.system_model import (
     DefinitenessError,
     DimensionError,
     LqSystem,
-    _pd_roots,
     evaluate_cost,
     normalize_control_weight,
     pd_inv_sqrt,
     psd_sqrt,
     validate_system,
 )
-from helpers import random_disturbance, random_system, s1, to_original_u
+from helpers import random_disturbance, random_system, s1, to_normalized_u, to_original_u
 
 
 class TestValidate:
@@ -163,16 +162,6 @@ class TestBatchedSquareRoots:
             assert np.array_equal(stacked[t], pd_inv_sqrt(M[t]))
         assert np.allclose(stacked @ M @ stacked, np.eye(3), atol=1e-10)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_both_roots_from_one_eigendecomposition(self, seed):
-        M = _psd_stack(seed)[1:] + 0.1 * np.eye(3)
-        root, inv_root = _pd_roots(M)
-        assert np.array_equal(root, psd_sqrt(M))
-        assert np.array_equal(inv_root, pd_inv_sqrt(M))
-        M[2] = np.diag([1.0, 0.0, 2.0])
-        with pytest.raises(DefinitenessError):
-            _pd_roots(M)
-
     def test_two_dimensional_input(self):
         M = _psd_stack(3)[2]
         assert psd_sqrt(M).shape == (3, 3)
@@ -206,7 +195,7 @@ class TestNormalize:
         sys = s1()
         norm = normalize_control_weight(sys)
         assert np.allclose(norm.system.B_u, sys.B_u)
-        assert np.allclose(norm.R_sqrt, np.eye(1))
+        assert np.allclose(norm.R_inv_sqrt, np.eye(1))
 
     def test_cost_equivalence_r2(self):
         sys = s1(R=2.0)
@@ -216,7 +205,7 @@ class TestNormalize:
             w = rng.standard_normal((3, 1))
             u = rng.standard_normal((3, 1))
             orig = evaluate_cost(sys, w, u).total_cost
-            u_norm = norm.to_normalized_u(u)
+            u_norm = to_normalized_u(sys, u)
             assert np.allclose(u_norm, np.sqrt(2.0) * u)
             normed = evaluate_cost(norm.system, w, u_norm).total_cost
             assert abs(orig - normed) <= 1e-10 * (1.0 + abs(orig))
@@ -227,7 +216,7 @@ class TestNormalize:
             norm = normalize_control_weight(sys)
             u = random_disturbance(seed + 50, sys)[:, : sys.p]
             u = np.random.default_rng(seed).standard_normal((sys.T, sys.m))
-            back = to_original_u(norm, norm.to_normalized_u(u))
+            back = to_original_u(norm, to_normalized_u(sys, u))
             assert np.allclose(back, u, atol=1e-10)
 
 
@@ -280,7 +269,7 @@ class TestEvaluateCost:
             w = rng.standard_normal((sys.T, sys.p))
             u = rng.standard_normal((sys.T, sys.m))
             a = evaluate_cost(sys, w, u).total_cost
-            b = evaluate_cost(norm.system, w, norm.to_normalized_u(u)).total_cost
+            b = evaluate_cost(norm.system, w, to_normalized_u(sys, u)).total_cost
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 
 
