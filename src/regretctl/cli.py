@@ -23,7 +23,9 @@ from .sim_bench import DisturbanceError, DisturbanceSpec, _is_numeric, compare
 from .system_model import LqSystem, validate_system
 
 SCHEMA_VERSION = "2"
-CERTIFICATE_SCHEMA = "3"  # certificate.json: gain and witness, no controller_operator
+# gains.json (the regret controller's gains) and certificate.json (its
+# certified gain and witness)
+CONTROLLER_SCHEMA = "3"
 
 # The floats one tape of a probe may hold, T (2n + m)^2 on the augmented
 # system (the state of certify's closed-loop analysis): 128 MiB of float64.
@@ -392,24 +394,21 @@ def gamma(config_path, seed, tol, json_path):
 @_options("config", "seed", "tol", "json")
 @_guarded
 def synth(config_path, seed, tol, json_path):
-    """Synthesize the regret controller and export its per-step gains."""
+    """Synthesize the regret controller and export what its rollout reads
+    besides the plant: the level, the gains K_xi and K_w, the observer's
+    A_til and R^{-1/2}."""
     cfg = _load(config_path, seed, tol)
-    res, s = ct.regret_optimal(_augmented(cfg), cfg["resolved"]["tol"])
-    if isinstance(s, ct.ZeroController):
-        raise click.ClickException("degenerate system: the zero controller has no gains to export")
+    _, s = ct.regret_optimal(_augmented(cfg), cfg["resolved"]["tol"])
     doc = {
         "config": cfg["resolved"],
         "gamma": s.gamma,
-        "A_hat": s.Ahat,
-        "B_hat_u": s.Bhat_u,
-        "B_hat_w": s.Bhat_w,
-        "P_hat": s.Phat,
-        "K_bl": s.bwd.K_bl,
-        "R_be": s.bwd.R_be,
+        "K_xi": s.K_xi,
+        "K_w": s.K_w,
         "A_til": s.fwd.Atil,
+        "R_inv_sqrt": s.norm.R_inv_sqrt,
     }
     out = json_path or cfg["resolved"]["output"].get("gains", "gains.json")
-    emit_json(out, doc)
+    emit_json(out, doc, CONTROLLER_SCHEMA)
     click.echo(f"gains written to {out}")
 
 
@@ -452,7 +451,7 @@ def certify(config_path, seed, tol, json_path):
         "witness": witness,
     }
     out = json_path or cfg["resolved"]["output"].get("certificate", "certificate.json")
-    emit_json(out, doc, CERTIFICATE_SCHEMA)
+    emit_json(out, doc, CONTROLLER_SCHEMA)
     click.echo(
         f"gamma_opt^2 = {_float_repr(res.gamma_opt ** 2)}, certified gain = {_float_repr(gain)}"
     )

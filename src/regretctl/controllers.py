@@ -48,15 +48,6 @@ class InfeasibleError(ValueError):
         super().__init__(f"synthesis infeasible at gamma={gamma:g}{where}")
 
 
-class ZeroController:
-    def __init__(self, sys: LqSystem):
-        self._sys = sys
-
-    def control_sequence(self, w):
-        w = as_signal(w, self._sys.T, self._sys.p)
-        return np.zeros(w.shape[:-2] + (self._sys.T, self._sys.m))
-
-
 def _gain(B_u, P, H, X):
     """-H_t^{-1} B_u_t' P_{t+1} X_t, stacked over t; each step gets the same
     bits as its own products."""
@@ -311,35 +302,25 @@ def prepare_regret(sys: LqSystem) -> RegretProblem:
 @dataclass
 class RegretSynthesis(riccati.Verdict):
     """Frozen output of the regret-suboptimal synthesis at level gamma, and
-    the regret controller it defines.
-
-    Carries the augmented 2n-dimensional system (Ahat, Bhat_u, Bhat_w, Qhat),
-    its backward value tape Phat with Hhat = I + Bhat_u' Phat Bhat_u, the
-    embedded forward/backward Kalman tapes, and the per-step feasibility
-    margins of the associated H-infinity test.
+    the regret controller it defines: the R-normalization of the system, the
+    plant's own B_u, the forward Kalman tape, the value tape Phat of the
+    doubled system with Hhat = I + B_u' P_11 B_u, and the per-step
+    feasibility margins of its level-1 H-infinity test.
 
     The controller is a state feedback on the plant state x and its observer
     state delta, delta' = Atil delta + B_w w: on xi = (x, delta),
-    Ahat xi + Bhat_w z = blkdiag(A, Atil) xi + [B_w; B_w] w with
-    z = R_be^{1/2}(K_bl' delta + w), so the synthesis' control
-    -Hhat^{-1} Bhat_u' Phat (Ahat xi + Bhat_w z) is u = K_xi xi + K_w w, the
-    H2 and H-infinity formula -H^{-1} B_u' P X with X = blkdiag(A, Atil) and
-    [B_w; B_w]. The gains are computed on first access, so a feasibility
-    probe never builds them. They act in R-normalized coordinates;
-    `control_sequence` (`kernels.rollout_regret`) maps each control back by
-    R_t^{-1/2} to step the plant on its own B_u, and depends causally on
-    w_0..w_t only.
+    u = K_xi xi + K_w w, the H2 and H-infinity formula -H^{-1} B_u' P X
+    with X = blkdiag(A, Atil) and [B_w; B_w]. The gains are computed on first
+    access, so a feasibility probe never builds them. They act in
+    R-normalized coordinates; `control_sequence` (`kernels.rollout_regret`)
+    maps each control back by R_t^{-1/2} to step the plant on its own B_u,
+    and depends causally on w_0..w_t only.
     """
 
     gamma: float
     norm: NormalizedSystem
     B_u: np.ndarray  # the validated plant's
     fwd: riccati.ForwardKalmanTape
-    bwd: riccati.BackwardKalmanTape
-    Ahat: np.ndarray
-    Bhat_u: np.ndarray
-    Bhat_w: np.ndarray
-    Qhat: np.ndarray
     Phat: np.ndarray
     Hhat: np.ndarray
     margins: np.ndarray
@@ -362,9 +343,9 @@ class RegretSynthesis(riccati.Verdict):
 
     def _gain(self, P, X):
         """-Hhat_t^{-1} B_u_t' P_{t+1} X_t per step, for P the first block
-        row [P_11, P_12] of Phat or one of its blocks (Bhat_u = [B_u; 0]
-        reads only that row); zero unless every margin is negative, since
-        gains only exist on a feasible tape."""
+        row [P_11, P_12] of Phat or one of its blocks (the doubled system's
+        control input [B_u; 0] reads only that row); zero unless every margin
+        is negative, since gains only exist on a feasible tape."""
         if not self.feasible:
             return np.zeros(self.Hhat.shape[:2] + X.shape[2:])
         return _gain(self.norm.system.B_u, P, self.Hhat, X)
@@ -388,29 +369,27 @@ def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:
     """The regret synthesis at level gamma as a `riccati._Sweep` that has run
     no window yet. Its carry is (Phat, P_b), and its result the
     `RegretSynthesis`. In each window it runs the backward Kalman recursion
-    from the carried P_b, takes R_be^{-1/2}, assembles Ahat and Bhat_w, and
-    runs the value recursion from the carried Phat."""
+    from the carried P_b, takes R_be^{-1/2}, assembles the z-driven doubled
+    system's Ahat and Bhat_w, and runs the value recursion from the carried
+    Phat; only the value recursion's tapes outlive the window."""
     gamma = float(gamma)
     norm, fwd = problem.norm, problem.fwd
     nsys = norm.system
-    T, n, m, p = nsys.T, nsys.n, nsys.m, nsys.p
+    T, n, m = nsys.T, nsys.n, nsys.m
 
     def window(t0, t1, carry, tapes):
         Phat, P_b_last = carry
         win = slice(t0, t1)
-        P_b, K_bl, R_be, R_be_inv_sqrt, Ahat, Bhat_w = (
-            tapes[name][win] for name in ("P_b", "K_bl", "R_be", "R_be_inv_sqrt", "Ahat", "Bhat_w")
-        )
-        P_b[:], K_bl[:], R_be[:], P_b_last = kernels.backward_kalman(
+        _, K_bl, R_be, P_b_last = kernels.backward_kalman(
             fwd.Atil[win], nsys.B_w[win], fwd.W[win], gamma, P_b_last
         )
-        R_be_inv_sqrt[:] = pd_inv_sqrt(R_be)
         BwK = nsys.B_w[win] @ np.swapaxes(K_bl, 1, 2)
-        Bw_scaled = nsys.B_w[win] @ R_be_inv_sqrt
+        Bw_scaled = nsys.B_w[win] @ pd_inv_sqrt(R_be)
+        Ahat = np.zeros((t1 - t0, 2 * n, 2 * n))
         Ahat[:, :n, :n] = nsys.A[win]
         Ahat[:, :n, n:] = -BwK
         Ahat[:, n:, n:] = fwd.Atil[win] - BwK
-        Bhat_w[:] = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
+        Bhat_w = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
         Phat, tapes["H"][win], tapes["margins"][win] = kernels.regret_phat_backward(
             Ahat, problem.Bhat_u[win], Bhat_w, problem.Qhat[win], Phat, 1.0, False
         )
@@ -418,30 +397,11 @@ def _regret_probe(problem: RegretProblem, gamma: float) -> riccati._Sweep:
         return Phat[0].copy(), P_b_last.copy()  # so that a paused probe holds no window's output
 
     def build(tapes):
-        bwd = riccati.BackwardKalmanTape(
-            P_b=tapes["P_b"], K_bl=tapes["K_bl"], R_be=tapes["R_be"], R_be_inv_sqrt=tapes["R_be_inv_sqrt"]
-        )
         return RegretSynthesis(
-            gamma=gamma,
-            norm=norm,
-            B_u=problem.B_u,
-            fwd=fwd,
-            bwd=bwd,
-            Ahat=tapes["Ahat"],
-            Bhat_u=problem.Bhat_u,
-            Bhat_w=tapes["Bhat_w"],
-            Qhat=problem.Qhat,
-            Phat=tapes["P"],
-            Hhat=tapes["H"],
-            margins=tapes["margins"],
+            gamma=gamma, norm=norm, B_u=problem.B_u, fwd=fwd, Phat=tapes["P"], Hhat=tapes["H"], margins=tapes["margins"]
         )
 
-    shapes = {
-        "P_b": (T, n, n), "K_bl": (T, n, p), "R_be": (T, p, p), "R_be_inv_sqrt": (T, p, p),
-        "Ahat": (T, 2 * n, 2 * n), "Bhat_w": (T, 2 * n, p),
-        "P": (T + 1, 2 * n, 2 * n), "H": (T, m, m), "margins": (T,),
-    }
-    return riccati._Sweep(window, (problem.Phat_T, fwd.W[T]), shapes, build)
+    return riccati._Sweep(window, (problem.Phat_T, fwd.W[T]), (T, 2 * n, m), build)
 
 
 def synthesize_regret(sys: LqSystem, gamma: float) -> RegretSynthesis:
@@ -470,32 +430,16 @@ def regret_controller(sys: LqSystem, gamma: float) -> RegretSynthesis:
     return synthesis
 
 
-def _is_regret_degenerate(sys: LqSystem):
-    """True when the disturbance cannot produce cost (G = 0): either no state
-    weighting anywhere or no disturbance input."""
-    no_weight = not (np.any(sys.Q != 0.0) or np.any(sys.Q_T != 0.0))
-    no_disturbance = not np.any(sys.B_w != 0.0)
-    return no_weight or no_disturbance
-
-
 def regret_optimal(sys: LqSystem, tol: float = 1e-6):
     """Bisection on gamma for the regret-optimal controller.
     Returns (GammaSearchResult, controller). The gamma-independent work is
     prepared once; each probe reruns only the backward Kalman recursion, the
     assembly of the doubled system and its value recursion, as far as the
     lazy search (`_bisect_gamma`) sweeps it. The controller is the synthesis
-    at gamma_opt, swept to t = 0 (a ZeroController when the disturbance
-    cannot produce cost)."""
+    at the last feasible level, swept to t = 0: at gamma_opt, or, on a
+    system whose disturbance produces no cost (B_w = 0 or Q = Q_T = 0), at
+    the first level at or below the 1e-8 floor, since its level-1 test is -I
+    at every level and gamma_opt is then 0.0."""
     _check_tol(tol)
-    sys = as_validated(sys)
-    if _is_regret_degenerate(sys):
-        result = GammaSearchResult(
-            gamma_opt=0.0,
-            bracket_history=[],
-            iterations=0,
-            # every probe's margin: the level-1 test is -I where Bhat_w = 0 or Phat = 0
-            final_margins=np.full(sys.T, -1.0),
-        )
-        return result, ZeroController(sys)
     problem = prepare_regret(sys)
     return _bisect_gamma(lambda g: _regret_probe(problem, g), tol)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import riccati
-from .controllers import RegretSynthesis, ZeroController, _bisect_gamma
+from .controllers import RegretSynthesis, _bisect_gamma
 from .kernels import _sym
 from .system_model import (
     LqSystem,
@@ -99,20 +99,16 @@ def _witness(ana: LqSystem, tape: riccati.HinfTape) -> np.ndarray:
     return -w if w[np.argmax(np.abs(w))] < 0.0 else w
 
 
-def regret_gain(controller) -> tuple[float, np.ndarray]:
+def regret_gain(synthesis: RegretSynthesis) -> tuple[float, np.ndarray]:
     """(gain, witness) of the regret controller `regret_optimal` returns.
 
     gain is gamma_cert^2, with gamma_cert the level the search returns at
     resolution TOL: a level the recursion proved feasible, so an upper bound
     on the worst-case regret gain to that resolution. witness is
-    `_witness` of the tape at gamma_cert. The `ZeroController` of a system
-    whose disturbance produces no cost has gain 0.0 and, since every
-    disturbance attains it, the unit impulse w[0, 0] = 1 as its witness."""
-    if isinstance(controller, ZeroController):
-        sys = controller._sys
-        witness = np.zeros(sys.T * sys.p)
-        witness[0] = 1.0
-        return 0.0, witness
-    ana = analysis_system(controller)
+    `_witness` of the tape at gamma_cert. On a system whose disturbance
+    produces no cost every level is feasible, so the gain is 0.0 and the
+    witness a unit disturbance, which attains it as every disturbance
+    does."""
+    ana = analysis_system(synthesis)
     result, tape = _bisect_gamma(lambda g: riccati._hinf_probe(ana, g, scan=False), TOL)
     return result.gamma_opt**2, _witness(ana, tape)

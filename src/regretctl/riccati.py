@@ -102,18 +102,19 @@ class _Sweep:
 
     `window(t0, t1, carry, tapes)` runs the steps [t0, t1) from the carry at
     t1, writes them into the full-horizon tapes of the dict `tapes` ("P"
-    over [t0, t1], "H", "margins" and any other over [t0, t1)) and returns
-    the carry at t0. `shapes` gives each tape's shape, margins (T,) among
-    them, and `build(tapes)` makes the probe's result from them. The sweep
-    stops after the first window with a margin that is not negative
-    (`failed` is then that window's index) and flags every earlier step with
-    max(margin, 1), P and H being zero there. A LinAlgError (a singular
-    pivot, or an overflow that became an invalid value) makes the level
-    numerically unattainable: margins 1, P and H zero."""
+    over [t0, t1], "H" and "margins" over [t0, t1)) and returns the carry at
+    t0. With `sizes` = (T, n, m) the tapes are P: (T+1, n, n), H: (T, m, m)
+    and margins: (T,), and `build(tapes)` makes the probe's result from
+    them. The sweep stops after the first window with a margin that is not
+    negative (`failed` is then that window's index) and flags every earlier
+    step with max(margin, 1), P and H being zero there. A LinAlgError (a
+    singular pivot, or an overflow that became an invalid value) makes the
+    level numerically unattainable: margins 1, P and H zero."""
 
-    def __init__(self, window, carry, shapes, build):
-        self.T = shapes["margins"][0]
-        self._window, self._start, self._shapes, self._build = window, carry, shapes, build
+    def __init__(self, window, carry, sizes, build):
+        self.T, n, m = sizes
+        self._shapes = {"P": (self.T + 1, n, n), "H": (self.T, m, m), "margins": (self.T,)}
+        self._window, self._start, self._build = window, carry, build
         self._spans = list(_windows(self.T))
         self._restart()
 
@@ -197,8 +198,7 @@ def _hinf_probe(sys: LqSystem, gamma: float, scan: bool = True) -> _Sweep:
         tapes["P"][t0:t1 + 1] = P
         return P[0].copy()  # so that a paused probe holds no window's output
 
-    shapes = {"P": (T + 1, n, n), "H": (T, m, m), "margins": (T,)}
-    return _Sweep(window, sys.Q_T, shapes, lambda tapes: HinfTape(gamma=gamma, **tapes))
+    return _Sweep(window, sys.Q_T, (T, n, m), lambda tapes: HinfTape(gamma=gamma, **tapes))
 
 
 def backward_hinf(sys: LqSystem, gamma: float) -> HinfTape:

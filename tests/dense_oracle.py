@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from helpers import reference_causal_factor
+from helpers import doubled_system, reference_causal_factor
 from regretctl import kernels, riccati
 from regretctl.controllers import RegretSynthesis
 from regretctl.sim_bench import controls
@@ -190,11 +190,13 @@ class StructureReport:
 
 
 def structural_value_tape(synthesis: RegretSynthesis) -> np.ndarray:
-    """The control-only backward value recursion of the augmented system
+    """The control-only backward value recursion of the doubled system at
+    the synthesis' level, rebuilt by `helpers.doubled_system`
     (P = Qhat + A'PA - A'PB_u H^{-1} B_u'PA); its top-left n x n block
     reproduces the plain LQR value matrices exactly."""
     s = synthesis
-    Phat, _, _ = kernels.regret_phat_backward(s.Ahat, s.Bhat_u, s.Bhat_w, s.Qhat, s.Phat[-1], s.gamma, True)
+    d = doubled_system(s.norm, s.fwd, s.gamma)
+    Phat, _, _ = kernels.regret_phat_backward(d.Ahat, d.Bhat_u, d.Bhat_w, d.Qhat, d.Phat_T, s.gamma, True)
     return Phat
 
 

@@ -12,6 +12,7 @@ from regretctl.system_model import (
     DefinitenessError,
     LqSystem,
     NormalizedSystem,
+    as_signal,
     normalize_control_weight,
     psd_sqrt,
     validate_system,
@@ -36,6 +37,21 @@ def quiet_tail_pendulum(T=1000, quiet_from=600):
     B_w = sys.B_w.copy()
     B_w[quiet_from:] = 0.0
     return validate_system(LqSystem(sys.A, sys.B_u, B_w, sys.Q, sys.R, sys.Q_T))
+
+
+# The systems whose disturbance produces no cost, by the blocks of the
+# pendulum set to zero: no disturbance input, no state weighting, neither.
+REGRET_FREE = {"no-disturbance": ("B_w",), "no-weight": ("Q", "Q_T"), "neither": ("B_w", "Q", "Q_T")}
+
+
+def regret_free_system(zeroed, T=20):
+    """The pendulum at horizon T with the blocks `zeroed` (a value of
+    REGRET_FREE) set to zero; with B_w = 0 alone it is the plant of
+    tests/data/degenerate.json."""
+    sys = pendulum_system(T)
+    blocks = {k: getattr(sys, k) for k in ("A", "B_u", "B_w", "Q", "R", "Q_T")}
+    blocks.update({k: np.zeros_like(blocks[k]) for k in zeroed})
+    return validate_system(LqSystem(**blocks))
 
 
 def random_system(seed, n_max=3, m_max=3, p_max=3, T_max=15, stable=True,
@@ -86,10 +102,66 @@ def _random_blocks(rng, n, m, p, T, stable, with_terminal):
     return validate_system(LqSystem(A, B_u, B_w, Q, R, Q_T))
 
 
+class ZeroController:
+    """The controller u = 0 on the validated system `sys`."""
+
+    def __init__(self, sys):
+        self._sys = sys
+
+    def control_sequence(self, w):
+        w = as_signal(w, self._sys.T, self._sys.p)
+        return np.zeros(w.shape[:-2] + (self._sys.T, self._sys.m))
+
+
+@dataclass(frozen=True)
+class DoubledSystem:
+    """The z-driven doubled system of the regret reduction at one level, over
+    the whole horizon: the backward Kalman tape it is assembled from, and
+    Ahat, Bhat_u = [B_u; 0], Bhat_w, Qhat = blkdiag(Q, 0) and
+    Phat_T = blkdiag(Q_T, 0)."""
+
+    bwd: BackwardKalmanTape
+    Ahat: np.ndarray
+    Bhat_u: np.ndarray
+    Bhat_w: np.ndarray
+    Qhat: np.ndarray
+    Phat_T: np.ndarray
+
+
+def doubled_system(norm, fwd, gamma):
+    """The `DoubledSystem` at level gamma of the R-normalized system `norm`
+    with forward Kalman tape `fwd`: one backward Kalman recursion over the
+    horizon, then Ahat = [[A, -B_w K_bl'], [0, Atil - B_w K_bl']] and
+    Bhat_w = [B_w R_be^{-1/2}; B_w R_be^{-1/2}], assembled as a probe's
+    window assembles them."""
+    nsys = norm.system
+    T, n = nsys.T, nsys.n
+    bwd = riccati.backward_kalman(norm, fwd, gamma)
+    BwK = nsys.B_w @ np.swapaxes(bwd.K_bl, 1, 2)
+    Bw_scaled = nsys.B_w @ bwd.R_be_inv_sqrt
+    Ahat = np.zeros((T, 2 * n, 2 * n))
+    Ahat[:, :n, :n] = nsys.A
+    Ahat[:, :n, n:] = -BwK
+    Ahat[:, n:, n:] = fwd.Atil - BwK
+    Qhat = np.zeros((T, 2 * n, 2 * n))
+    Qhat[:, :n, :n] = nsys.Q
+    Phat_T = np.zeros((2 * n, 2 * n))
+    Phat_T[:n, :n] = nsys.Q_T
+    return DoubledSystem(
+        bwd=bwd,
+        Ahat=Ahat,
+        Bhat_u=np.concatenate((nsys.B_u, np.zeros_like(nsys.B_u)), axis=1),
+        Bhat_w=np.concatenate((Bw_scaled, Bw_scaled), axis=1),
+        Qhat=Qhat,
+        Phat_T=Phat_T,
+    )
+
+
 def full_horizon_reference(sys, gamma, test):
     """The regret synthesis at level gamma as one sweep over the whole
-    horizon: the backward Kalman tape, the assembly of the doubled system and
-    one value recursion, with a margin of 1 at every step if it breaks down.
+    horizon: the backward Kalman tape, the assembly of the doubled system
+    (`doubled_system`) and one value recursion, with a margin of 1 at every
+    step if it breaks down.
 
     test="level1" is the library's feasibility test (the attenuation-level-1
     recursion on the z-driven doubled system). test="printed" is the test the
@@ -100,29 +172,16 @@ def full_horizon_reference(sys, gamma, test):
     nsys = norm.system
     T, n, m = nsys.T, nsys.n, nsys.m
     fwd = riccati.forward_kalman(norm)
-    bwd = riccati.backward_kalman(norm, fwd, gamma)
-    BwK = nsys.B_w @ np.swapaxes(bwd.K_bl, 1, 2)
-    Bw_scaled = nsys.B_w @ bwd.R_be_inv_sqrt
-    Ahat = np.zeros((T, 2 * n, 2 * n))
-    Ahat[:, :n, :n] = nsys.A
-    Ahat[:, :n, n:] = -BwK
-    Ahat[:, n:, n:] = fwd.Atil - BwK
-    Bhat_u = np.concatenate((nsys.B_u, np.zeros_like(nsys.B_u)), axis=1)
-    Bhat_w = np.concatenate((Bw_scaled, Bw_scaled), axis=1)
-    Qhat = np.zeros((T, 2 * n, 2 * n))
-    Qhat[:, :n, :n] = nsys.Q
-    Phat_T = np.zeros((2 * n, 2 * n))
-    Phat_T[:n, :n] = nsys.Q_T
+    d = doubled_system(norm, fwd, gamma)
     level, lqr_form = {"level1": (1.0, False), "printed": (gamma, True)}[test]
     try:
         Phat, Hhat, margins = kernels.regret_phat_backward(
-            Ahat, Bhat_u, Bhat_w, Qhat, Phat_T, level, lqr_form
+            d.Ahat, d.Bhat_u, d.Bhat_w, d.Qhat, d.Phat_T, level, lqr_form
         )
     except np.linalg.LinAlgError:
         Phat, Hhat, margins = np.zeros((T + 1, 2 * n, 2 * n)), np.zeros((T, m, m)), np.ones(T)
     return ct.RegretSynthesis(
-        gamma=gamma, norm=norm, B_u=sys.B_u, fwd=fwd, bwd=bwd, Ahat=Ahat, Bhat_u=Bhat_u, Bhat_w=Bhat_w,
-        Qhat=Qhat, Phat=Phat, Hhat=Hhat, margins=margins,
+        gamma=gamma, norm=norm, B_u=sys.B_u, fwd=fwd, Phat=Phat, Hhat=Hhat, margins=margins,
     )
 
 
@@ -188,8 +247,8 @@ def eager_bisect_gamma(probe, tol):
 
 
 def eager_regret_optimal(sys, tol):
-    """`controllers.regret_optimal` over the eager search (a degenerate
-    system aside). Returns (GammaSearchResult, RegretSynthesis)."""
+    """`controllers.regret_optimal` over the eager search. Returns
+    (GammaSearchResult, RegretSynthesis)."""
     problem = ct.prepare_regret(sys)
     return eager_bisect_gamma(lambda g: ct._regret_probe(problem, g).result(), tol)
 
@@ -501,8 +560,9 @@ def reference_dense_delta_operator(norm: NormalizedSystem, fwd: ForwardKalmanTap
 # R^{-1/2} in each step to step the plant on its own B_u (and `_mv`, copied
 # with them). The z-form equals the state feedback of
 # `kernels.rollout_regret` in exact arithmetic only, so it is an independent
-# referee: `z_form_args` rebuilds its arguments from a synthesis' tapes, and
-# test_kernels.py holds the controller to it within a relative bound.
+# referee: `z_form_args` rebuilds its arguments from a synthesis and the
+# doubled system at its level, and test_kernels.py holds the controller to
+# it within a relative bound.
 
 
 def _mv(M, v):
@@ -558,13 +618,15 @@ def z_form_args(s):
     """The arguments of `reference_rollout_regret` before w, for the regret
     synthesis s: the plant and observer, K_bl, R_be^{1/2}, and the gains
     -Hhat^{-1} Bhat_u' Phat X with X = Ahat (split into M_x and M_d) and
-    X = Bhat_w (M_z)."""
+    X = Bhat_w (M_z), on the doubled system `doubled_system` rebuilds at
+    s's level."""
     nsys = s.norm.system
     n = nsys.n
-    M_state = ct._gain(s.Bhat_u, s.Phat, s.Hhat, s.Ahat)
-    M_z = ct._gain(s.Bhat_u, s.Phat, s.Hhat, s.Bhat_w)
-    return (nsys.A, s.B_u, s.norm.R_inv_sqrt, s.fwd.Atil, nsys.B_w, s.bwd.K_bl,
-            psd_sqrt(s.bwd.R_be), M_state[:, :, :n], M_state[:, :, n:], M_z)
+    d = doubled_system(s.norm, s.fwd, s.gamma)
+    M_state = ct._gain(d.Bhat_u, s.Phat, s.Hhat, d.Ahat)
+    M_z = ct._gain(d.Bhat_u, s.Phat, s.Hhat, d.Bhat_w)
+    return (nsys.A, s.B_u, s.norm.R_inv_sqrt, s.fwd.Atil, nsys.B_w, d.bwd.K_bl,
+            psd_sqrt(d.bwd.R_be), M_state[:, :, :n], M_state[:, :, n:], M_z)
 
 
 # The state-feedback rollout of `kernels.rollout_regret` as a plain loop,

@@ -19,12 +19,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import generate, random_system, reference_jsonable
+from helpers import REGRET_FREE, ZeroController, generate, random_system, reference_jsonable
 import dense_oracle as dense
 import regretctl
 import rollout_oracle as ro
 from regretctl import cli
 from regretctl import controllers as ct
+from regretctl import kernels
 from regretctl import operator_oracle as oo
 from regretctl import riccati
 from regretctl.cli import (
@@ -45,6 +46,22 @@ S1_CONFIG = {
     "horizon": 3,
 }
 DATA = Path(__file__).parent / "data"
+# the configs of tests/data that every subcommand accepts
+VALID_CONFIGS = sorted(p.name for p in DATA.glob("*.json") if not p.name.startswith("bad_"))
+
+
+def _regret_free_config(tmp_path, zeroed):
+    """tests/data/degenerate.json with the pendulum's blocks `zeroed` (a
+    value of helpers.REGRET_FREE) set to zero and the others restored:
+    its own plant (B_w = 0) for ("B_w",)."""
+    doc = json.loads((DATA / "degenerate.json").read_text())
+    lti = doc["system"]["lti"]
+    lti["Bw"] = np.zeros((2, 2)).tolist() if "B_w" in zeroed else np.eye(2).tolist()
+    if "Q" in zeroed:
+        lti["Q"] = np.zeros((2, 2)).tolist()
+    path = tmp_path / "regret_free.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def _pendulum_doc(kind, params):
@@ -345,30 +362,41 @@ class TestGamma:
             assert result.exit_code == 0, result.output
         assert a.read_bytes() == b.read_bytes()
 
-    def test_degenerate_margins_are_strict_json(self, runner, tmp_path):
-        """A system whose disturbance produces no cost (B_w = 0) writes the
-        margin every probe reads, -1, not -Infinity, which is not JSON."""
+    @pytest.mark.parametrize("zeroed", list(REGRET_FREE.values()), ids=list(REGRET_FREE))
+    def test_degenerate_margins_are_strict_json(self, runner, tmp_path, zeroed):
+        """A system whose disturbance produces no cost writes the margin
+        every probe reads, -1, not -Infinity, which is not JSON; its search
+        halves down to the 1e-8 floor."""
         out = tmp_path / "gamma.json"
-        config = DATA / "degenerate.json"
+        config = _regret_free_config(tmp_path, zeroed)
         result = runner.invoke(main, ["gamma", "--config", str(config), "--json", str(out)])
         assert result.exit_code == 0, result.output
         doc = _strict_loads(out.read_text())
-        assert doc["gamma_opt"] == 0.0
+        assert doc["gamma_opt"] == 0.0 and doc["iterations"] == 27
         assert doc["final_margins"] == [-1.0] * doc["config"]["horizon"]
 
 
 class TestSynth:
-    def test_gains_roundtrip_full_precision(self, runner, s1_config, tmp_path):
+    @pytest.mark.parametrize("name", VALID_CONFIGS)
+    def test_gains_roundtrip_full_precision(self, runner, tmp_path, name):
+        """The gains file holds what `kernels.rollout_regret` reads besides
+        the plant: with the plant of its echoed config it rolls out the
+        controls of `regret_optimal`'s controller bit for bit."""
         out = tmp_path / "gains.json"
-        result = runner.invoke(main, ["synth", "--config", s1_config, "--json", str(out)])
+        result = runner.invoke(main, ["synth", "--config", str(DATA / name), "--json", str(out)])
         assert result.exit_code == 0, result.output
-        doc = json.loads(out.read_text())
-        res, s = ct.regret_optimal(parse_config(S1_CONFIG)["system"], tol=1e-6)
-        assert np.array_equal(np.array(doc["P_hat"]), s.Phat)
-        assert np.array_equal(np.array(doc["K_bl"]), s.bwd.K_bl)
-        assert np.array_equal(np.array(doc["A_til"]), s.fwd.Atil)
+        doc = _strict_loads(out.read_text())
+        assert set(doc) == {"config", "gamma", "K_xi", "K_w", "A_til", "R_inv_sqrt", "schema_version"}
+        assert doc["schema_version"] == "3"
+        plant = cli._augmented(parse_config(doc["config"]))
+        _, s = ct.regret_optimal(plant, doc["config"]["tol"])
         assert doc["gamma"] == s.gamma
-        assert "feasibility_test" not in doc
+        K_xi, K_w, A_til, R_inv_sqrt = (np.array(doc[k]) for k in ("K_xi", "K_w", "A_til", "R_inv_sqrt"))
+        w = np.random.default_rng(plant.T).standard_normal((5, plant.T, plant.p))
+        _, u = kernels.rollout_regret(
+            plant.A, plant.B_u, R_inv_sqrt, A_til, plant.B_w, K_xi[:, :, :plant.n], K_xi[:, :, plant.n:], K_w, w
+        )
+        assert np.array_equal(u, s.control_sequence(w))
 
 
 class TestSimulate:
@@ -681,8 +709,8 @@ def test_cli_json_parses_strictly_to_reference(runner, tmp_path, monkeypatch, co
     out = tmp_path / "out.json"
     result = runner.invoke(main, [command, "--config", _ltv_config(tmp_path, seed), "--json", str(out)])
     assert result.exit_code == 0, result.output
-    schema = "3" if command == "certify" else "2"
-    assert _strict_loads(out.read_text()) == {**reference_jsonable(documents[0]), "schema_version": schema}
+    # both write a file of the regret controller, at schema 3
+    assert _strict_loads(out.read_text()) == {**reference_jsonable(documents[0]), "schema_version": "3"}
 
 
 @pytest.mark.parametrize(
@@ -830,19 +858,22 @@ class TestCertify:
         assert result.exit_code == 0, result.output
         assert attempts == [] and not {"dense_oracle", "rollout_oracle"} & set(sys.modules)
 
-    def test_degenerate_certificate(self, runner, tmp_path):
-        """On degenerate.json (B_w = 0) no disturbance produces regret: the
-        gain is the dense referee's 0.0, and the witness the unit impulse at
-        t = 0."""
-        config = str(DATA / "degenerate.json")
+    @pytest.mark.parametrize("zeroed", list(REGRET_FREE.values()), ids=list(REGRET_FREE))
+    def test_degenerate_certificate(self, runner, tmp_path, zeroed):
+        """Where no disturbance produces regret (degenerate.json's B_w = 0,
+        or Q = 0, or both), the gain is the dense referee's 0.0 for the zero
+        controller, and every disturbance attains it: the witness is a unit
+        impulse."""
+        config = str(_regret_free_config(tmp_path, zeroed))
         out = tmp_path / "cert.json"
         assert runner.invoke(main, ["certify", "--config", config, "--json", str(out)]).exit_code == 0
         doc = _strict_loads(out.read_text())
         plant = cli._augmented(cli.parse_config(doc["config"]))
         ops = dense.build_operators(normalize_control_weight(plant).system)
-        referee = dense.worst_case_regret_gain(ops, dense.controller_operator(plant, ct.ZeroController(plant)))
+        referee = dense.worst_case_regret_gain(ops, dense.controller_operator(plant, ZeroController(plant)))
         assert doc["gain"] == referee.gain == 0.0
-        assert doc["witness"] == [1.0] + [0.0] * (plant.T * plant.p - 1)
+        assert len(doc["witness"]) == plant.T * plant.p
+        assert sorted(doc["witness"])[-1] == 1.0 and np.count_nonzero(doc["witness"]) == 1
 
 
 class TestPendulum:

@@ -15,12 +15,15 @@ from regretctl.system_model import (
     validate_system,
 )
 from helpers import (
+    REGRET_FREE,
+    doubled_system,
     eager_hinf_optimal,
     eager_regret_optimal,
     full_horizon_reference,
     printed_regret_optimal,
     quiet_tail_pendulum,
     random_system,
+    regret_free_system,
     s1,
     to_original_u,
 )
@@ -80,14 +83,6 @@ class TestHinf:
     def test_pendulum_gamma_recorded_at_seed(self):
         res, _ = ct.hinf_optimal(pendulum_system(100), 1e-6)
         assert res.gamma_opt == 1.8820199966430664
-
-    @staticmethod
-    def _tapes(syn, ref):
-        """(name, synthesis field, reference field) for every tape."""
-        for field in ("P_b", "K_bl", "R_be", "R_be_inv_sqrt"):
-            yield field, getattr(syn.bwd, field), getattr(ref.bwd, field)
-        for field in ("Ahat", "Bhat_w", "Phat", "Hhat", "margins"):
-            yield field, getattr(syn, field), getattr(ref, field)
 
     def test_infeasible_level_names_the_step_that_failed(self):
         with pytest.raises(ct.InfeasibleError, match=r"first failing step t=98\)") as info:
@@ -216,21 +211,26 @@ class TestRegretOptimal:
         )
         res, ctrl = ct.regret_optimal(zero_q)
         assert res.gamma_opt == 0.0
-        assert isinstance(ctrl, ct.ZeroController)
+        assert ctrl.feasible and ctrl.gamma == 2.0**-27
+        assert not ctrl.control_sequence(np.ones((3, 1))).any()
 
-    @pytest.mark.parametrize("zeroed", [("B_w",), ("Q", "Q_T")], ids=["no-disturbance", "no-weight"])
+    @pytest.mark.parametrize("zeroed", list(REGRET_FREE.values()), ids=list(REGRET_FREE))
     def test_degenerate_margins_equal_every_probes(self, zeroed):
-        """The degenerate fast path reports the margins that every probe of
-        such a system reads: -1 at each step, since the level-1 test is -I
-        where Bhat_w = 0 or Phat = 0."""
-        sys = pendulum_system(40)
-        blocks = {k: getattr(sys, k) for k in ("A", "B_u", "B_w", "Q", "R", "Q_T")}
-        blocks.update({k: np.zeros_like(blocks[k]) for k in zeroed})
-        degenerate = validate_system(LqSystem(**blocks))
-        res, _ = ct.regret_optimal(degenerate)
-        assert res.final_margins.tolist() == [-1.0] * 40
+        """A system whose disturbance produces no cost runs the search of
+        any other: the level-1 test is -I at every level, since Bhat_w = 0
+        or Phat = 0, so every probe reads -1 at each step and the search
+        halves down to the 1e-8 floor. Its controller is the synthesis
+        there, and its controls are 0."""
+        sys = regret_free_system(zeroed)
+        res, ctrl = ct.regret_optimal(sys)
+        assert res.gamma_opt == 0.0 and res.iterations == 27 and res.bracket_history == []
+        assert res.final_margins.tolist() == [-1.0] * 20
+        assert isinstance(ctrl, ct.RegretSynthesis) and ctrl.feasible and ctrl.gamma == 2.0**-27
+        assert res.final_margins is ctrl.margins
+        w = np.random.default_rng(20).standard_normal((8, 20, sys.p))
+        assert not ctrl.control_sequence(w).any()
         for gamma in (1e-3, 1.0, 30.0):
-            assert np.array_equal(ct.synthesize_regret(degenerate, gamma).margins, res.final_margins)
+            assert np.array_equal(ct.synthesize_regret(sys, gamma).margins, res.final_margins)
 
     @pytest.mark.parametrize(
         "search, T", [(ct.regret_optimal, 1), (ct.regret_optimal, 2), (ct.hinf_optimal, 1)],
@@ -537,10 +537,9 @@ class TestGammaSearch:
 
 
 _TAPES = (
-    "Ahat", "Bhat_u", "Bhat_w", "Qhat", "Phat", "Hhat", "margins", "K_xi", "K_w",
+    "Phat", "Hhat", "margins", "K_xi", "K_w",
     "norm.R_inv_sqrt", "norm.system.B_u",
     "fwd.P", "fwd.K_p", "fwd.R_e", "fwd.Atil", "fwd.sqQ", "fwd.W",
-    "bwd.P_b", "bwd.K_bl", "bwd.R_be", "bwd.R_be_inv_sqrt",
 )
 
 
@@ -666,21 +665,24 @@ class TestRegretProblem:
 
     @pytest.mark.parametrize("seed", [0, 3, 104])
     def test_assembly_and_gains_match_per_step_loop(self, seed):
+        """The doubled system the referees rebuild (`doubled_system`), step
+        by step, and the gains the synthesis reads from it by blocks."""
         sys = random_system(seed, stable=seed < 100)
         syn = ct.synthesize_regret(sys, 2.0 * ct.regret_optimal(sys, 1e-3)[0].gamma_opt)
-        nsys, fwd, bwd = syn.norm.system, syn.fwd, syn.bwd
+        nsys, fwd = syn.norm.system, syn.fwd
+        d = doubled_system(syn.norm, fwd, syn.gamma)
         n = nsys.n
         for t in range(nsys.T):
-            BwK = nsys.B_w[t] @ bwd.K_bl[t].T
-            Bw_scaled = nsys.B_w[t] @ bwd.R_be_inv_sqrt[t]
-            assert np.array_equal(syn.Ahat[t, :n, :n], nsys.A[t])
-            assert np.array_equal(syn.Ahat[t, :n, n:], -BwK)
-            assert np.array_equal(syn.Ahat[t, n:, n:], fwd.Atil[t] - BwK)
-            assert not syn.Ahat[t, n:, :n].any()
-            assert np.array_equal(syn.Bhat_u[t, :n], nsys.B_u[t]) and not syn.Bhat_u[t, n:].any()
-            assert np.array_equal(syn.Bhat_w[t], np.vstack((Bw_scaled, Bw_scaled)))
-            assert np.array_equal(syn.Qhat[t, :n, :n], nsys.Q[t])
-            assert np.count_nonzero(syn.Qhat[t]) == np.count_nonzero(nsys.Q[t])
+            BwK = nsys.B_w[t] @ d.bwd.K_bl[t].T
+            Bw_scaled = nsys.B_w[t] @ d.bwd.R_be_inv_sqrt[t]
+            assert np.array_equal(d.Ahat[t, :n, :n], nsys.A[t])
+            assert np.array_equal(d.Ahat[t, :n, n:], -BwK)
+            assert np.array_equal(d.Ahat[t, n:, n:], fwd.Atil[t] - BwK)
+            assert not d.Ahat[t, n:, :n].any()
+            assert np.array_equal(d.Bhat_u[t, :n], nsys.B_u[t]) and not d.Bhat_u[t, n:].any()
+            assert np.array_equal(d.Bhat_w[t], np.vstack((Bw_scaled, Bw_scaled)))
+            assert np.array_equal(d.Qhat[t, :n, :n], nsys.Q[t])
+            assert np.count_nonzero(d.Qhat[t]) == np.count_nonzero(nsys.Q[t])
             H, P = syn.Hhat[t], syn.Phat[t + 1]
             X_xi = np.block([[nsys.A[t], np.zeros((n, n))], [np.zeros((n, n)), fwd.Atil[t]]])
             X_w = np.vstack((nsys.B_w[t], nsys.B_w[t]))
@@ -690,7 +692,7 @@ class TestRegretProblem:
             assert np.array_equal(syn.K_xi[t], np.hstack((K_x, K_d)))
             assert np.array_equal(syn.K_w[t], -np.linalg.solve(H, (nsys.B_u[t].T @ P[:n]) @ X_w))
             # ... the doubled system's -Hhat^{-1} Bhat_u' Phat X
-            BtP = syn.Bhat_u[t].T @ P
+            BtP = d.Bhat_u[t].T @ P
             assert np.allclose(syn.K_xi[t], -np.linalg.solve(H, BtP @ X_xi), rtol=1e-12, atol=1e-14)
             assert np.allclose(syn.K_w[t], -np.linalg.solve(H, BtP @ X_w), rtol=1e-12, atol=1e-14)
 
@@ -785,16 +787,13 @@ class TestWindowedSweep:
                 t = syn.first_infeasible_step
                 assert np.array_equal(syn.margins[t + 1:], ref.margins[t + 1:])
                 assert np.array_equal(syn.Phat[t + 1:], ref.Phat[t + 1:])
-                assert np.array_equal(syn.bwd.P_b[t:], ref.bwd.P_b[t:])
                 # the failure flags every earlier step
                 assert syn.margins[t] >= 1.0 and np.all(syn.margins[:t] == syn.margins[t])
 
     @staticmethod
     def _tapes(syn, ref):
-        """(name, synthesis field, reference field) for every tape."""
-        for field in ("P_b", "K_bl", "R_be", "R_be_inv_sqrt"):
-            yield field, getattr(syn.bwd, field), getattr(ref.bwd, field)
-        for field in ("Ahat", "Bhat_w", "Phat", "Hhat", "margins"):
+        """(name, synthesis field, reference field) for every tape and gain."""
+        for field in ("Phat", "Hhat", "margins", "K_xi", "K_w"):
             yield field, getattr(syn, field), getattr(ref, field)
 
     def test_infeasible_level_names_the_step_that_failed(self):
@@ -858,13 +857,19 @@ class TestStructure:
         dense.structure_check(syn)
         return syn
 
-    def test_p11_deviation_raises(self):
+    def test_p11_deviation_raises(self, monkeypatch):
         syn = self._feasible_synthesis()
         n = syn.norm.system.n
-        Qhat = syn.Qhat.copy()
-        Qhat[:, :n, :n] *= 1.01  # the control-only recursion no longer tracks LQR
+
+        def tampered(*args):
+            d = doubled_system(*args)
+            Qhat = d.Qhat.copy()
+            Qhat[:, :n, :n] *= 1.01  # the control-only recursion no longer tracks LQR
+            return dataclasses.replace(d, Qhat=Qhat)
+
+        monkeypatch.setattr(dense, "doubled_system", tampered)
         with pytest.raises(dense.StructuralMismatchError, match="P_11 deviates from the LQR"):
-            dense.structure_check(dataclasses.replace(syn, Qhat=Qhat))
+            dense.structure_check(syn)
 
     def test_gain_decomposition_raises(self):
         syn = self._feasible_synthesis()
@@ -913,7 +918,6 @@ class TestBatchedControlSequence:
     @staticmethod
     def _controllers(sys):
         return [
-            ct.ZeroController(sys),
             ct.synthesize_h2(sys),
             ct.hinf_optimal(sys, 1e-6)[1],
             ct.regret_optimal(sys, 1e-6)[1],

@@ -13,7 +13,7 @@ from regretctl.sim_bench import (
     rollout,
 )
 from regretctl.system_model import evaluate_cost, normalize_control_weight
-from helpers import generate, random_system, s1
+from helpers import ZeroController, generate, random_system, s1
 import dense_oracle as dense
 
 
@@ -134,7 +134,7 @@ class TestDisturbanceSpec:
 class TestRollout:
     def test_zero_controller_cost(self):
         sys = s1()
-        traj = rollout(sys, ct.ZeroController(sys), [[1.0], [0.0], [0.0]])
+        traj = rollout(sys, ZeroController(sys), [[1.0], [0.0], [0.0]])
         assert traj.total_cost == pytest.approx(2.0, abs=1e-12)
 
     def test_h2_cost(self):
@@ -245,7 +245,7 @@ def _controllers(sys):
         "hinf": ct.hinf_optimal(sys, 1e-6)[1],
         "regret": ct.regret_optimal(sys, 1e-6)[1],
         "offline_controller": ct.OfflineController(sys),
-        "zero": ct.ZeroController(sys),
+        "zero": ZeroController(sys),
     }
 
 
