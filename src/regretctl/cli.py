@@ -442,7 +442,7 @@ def certify(config_path, seed, tol, json_path):
 
     cfg = _load(config_path, seed, tol)
     res, ctrl = ct.regret_optimal(_augmented(cfg), cfg["resolved"]["tol"])
-    gain, witness = oo.regret_gain(ctrl)
+    gain, witness = oo.regret_gain(ctrl, res.bracket_history)
     doc = {
         "config": cfg["resolved"],
         "gamma_opt": res.gamma_opt,

@@ -109,7 +109,7 @@ def _check_tol(tol):
 _MAX_DOUBLINGS = 60
 
 
-def _bisect_gamma(start, tol):
+def _bisect_gamma(start, tol, path=()):
     """Search on gamma. `start(gamma)` returns a probe that has run no
     window: a `riccati._Sweep`, or anything with its `sweep`, `failed`,
     `steps_left`, `forget` and `result`, whose result has `.margins` and
@@ -122,7 +122,19 @@ def _bisect_gamma(start, tol):
     after _MAX_DOUBLINGS doublings (ArithmeticError), once hi - lo <= tol*hi,
     or on adjacent floats (a smaller tol cannot be met). `hi` only ever
     takes a level that passed, and best is its result, swept to t = 0.
-    `bracket_history` gets (lo, hi) after each probe inside the bracket.
+    `bracket_history` gets (lo, hi) after each probe inside the bracket, and
+    `iterations` counts the loop's probes after its first.
+
+    `path` is the `bracket_history` of an earlier search, whose nodes the
+    loop would bisect again. Walking up from its deepest node that this
+    tol still bisects, the search probes each node's lo and then its hi,
+    and starts at the first node whose lo fails and whose hi passes: its
+    history is then `path` up to that node, and the loop starts at the
+    node's midpoint. With no such node it starts at gamma = 1. Every level
+    is probed once however many nodes share it. Midpoints from gamma = 1 are
+    dyadic rationals of one tree, so where this search's verdicts are
+    monotone, the node is one its own loop from gamma = 1 brackets, and the
+    search returns that loop's gamma_opt, bracket_history and best.
 
     The search is lazy:
     - until a probe of this pass has failed, every probe sweeps to t = 0 or
@@ -135,9 +147,9 @@ def _bisect_gamma(start, tol):
     - the newest paused level is swept on to t = 0 when the loop ends, and
       earlier once the probes made since the last probe that swept to t = 0
       have swept as many steps as finishing it would take;
-    - if that sweep fails, its window becomes the deepest, and the loop runs
-      again from gamma = 1 over the probes made so far, each swept on to the
-      new depth.
+    - if that sweep fails, its window becomes the deepest, and the search
+      runs again, from the walk up `path`, over the probes made so far, each
+      swept on to the new depth.
     Only the probe at `hi` keeps its tapes; the others keep their carries,
     and a result of theirs runs their windows again. Feasibility is monotone
     in gamma, so a level that passes to t = 0 vouches for every paused level
@@ -160,22 +172,45 @@ def _bisect_gamma(start, tol):
         probes[g] = probe
         return probe, steps
 
-    while True:  # one pass from gamma = 1; a paused level that fails starts another
+    def visit(g):
+        """Level g's probe, swept as far as this pass sweeps a probe, or
+        None once it has failed."""
+        nonlocal failed, since
+        probe, steps = sweep(g, deepest + 2 if failed else None)
+        since += steps
+        if probe is None:
+            failed = True
+        elif steps and not probe.steps_left:  # made now and swept to t = 0
+            since = 0
+        return probe
+
+    def splits(lo, hi):
+        """Whether the loop bisects [lo, hi] again."""
+        return hi - lo > tol * hi and lo < 0.5 * (hi + lo) < hi
+
+    path = [node for node in path if splits(*node)]
+    while True:  # one pass; a paused level that fails starts another
         lo = hi = None
         history = []
-        g, iters, since = 1.0, 0, 0
+        g, iters = 1.0, 0
+        failed, since = False, 0  # whether a probe of this pass has failed; steps since one swept to t = 0
+        for k in range(len(path) - 1, -1, -1):
+            if visit(path[k][0]) is None and visit(path[k][1]) is not None:
+                (lo, hi), history = path[k], path[: k + 1]
+                g = 0.5 * (hi + lo)
+                break
+        for level, probe in probes.items():
+            if probe is not None and level != hi:
+                probe.forget()  # only the level that would end the search keeps its tapes
         while True:
             bracketed = lo is not None and hi is not None
-            probe, steps = sweep(g, deepest + 2 if lo is not None else None)
-            since += steps
+            probe = visit(g)
             if probe is None:
                 lo = g
             else:
                 if hi is not None:
-                    probes[hi].forget()  # only the level that would end the search keeps its tapes
+                    probes[hi].forget()
                 hi = g
-                if steps and not probe.steps_left:  # made now and swept to t = 0
-                    since = 0
             # finishing a level leaves `since` running, so once later probes
             # have cost a finish, each level that passes is finished at once.
             # Restarting `since` here swept 3.8% more on the pendulum's
@@ -199,7 +234,7 @@ def _bisect_gamma(start, tol):
                 g = 2.0 * lo
             else:
                 g = 0.5 * (hi + lo)
-                if not (hi - lo > tol * hi and lo < g < hi):
+                if not splits(lo, hi):
                     break
             iters += 1
         if sweep(hi, None)[0] is not None:

@@ -522,6 +522,46 @@ class TestGammaSearch:
         failed = [(g, windows, f) for g, windows, _, _, f in probe.sweeps].index((failures[0], None, 2))
         assert {windows for _, windows, _, _, _ in probe.sweeps[failed + 1:]} == {4, None, "again", "forget"}
 
+    @pytest.mark.parametrize(
+        "theta_path, tol_path, theta, tol, start",
+        [
+            (0.3, 1e-6, 0.3, 1e-12, "last"),
+            (5.0, 1e-6, 5.0, 1e-12, "last"),
+            (0.3, 1e-6, 0.3 * (1 - 1e-5), 1e-12, "above"),
+            (0.3, 1e-12, 0.3, 1e-6, "above"),
+            (5.0, 1e-6, 0.3, 1e-12, "one"),
+        ],
+        ids=["halving", "doubling", "walks-up", "path-finer-than-tol", "no-node-verifies"],
+    )
+    def test_path_start_returns_the_search_from_one(self, theta_path, tol_path, theta, tol, start):
+        """A search given the `bracket_history` of an earlier one starts at
+        the deepest node whose lo fails and whose hi passes, a node of its
+        own search from gamma = 1, and returns that search's gamma_opt,
+        history and best, each level probed once. Started at the path's last
+        node, it probes that node's ends and then the levels the search from
+        gamma = 1 probes after it, and sweeps fewer steps. With no such node
+        it probes the path's ends it needs and then the levels from gamma = 1."""
+        path = ct._bisect_gamma(_Threshold(theta_path), tol_path)[0].bracket_history
+        cold, warm = _Threshold(theta), _Threshold(theta)
+        res_c, best_c = ct._bisect_gamma(cold, tol)
+        res_w, best_w = ct._bisect_gamma(warm, tol, path)
+        assert res_w.gamma_opt == res_c.gamma_opt == best_w.gamma == best_c.gamma
+        assert res_w.bracket_history == res_c.bracket_history
+        assert len(set(warm.levels)) == len(warm.levels)
+        # only the level that ends the search keeps its tapes
+        forgotten = {g for g, windows, _, _, _ in warm.sweeps if windows == "forget"}
+        assert {g for g in warm.levels if g >= theta} - {res_w.gamma_opt} <= forgotten
+        lo, hi = path[-1]
+        if start == "last":
+            assert warm.levels[:2] == [lo, hi]
+            assert warm.levels[2:] == cold.levels[cold.levels.index(0.5 * (lo + hi)):]
+            assert warm.steps < cold.steps
+        elif start == "above":
+            assert res_w.bracket_history[: len(path)] != path and 1.0 not in warm.levels
+        else:
+            assert warm.levels[-len(cold.levels):] == cold.levels
+            assert set(warm.levels[: -len(cold.levels)]) == {lo for lo, _ in path}  # each lo passes
+
     @pytest.mark.parametrize("theta", [0.3, 5.0])
     def test_deep_failures_sweep_no_more_than_the_eager_search(self, theta):
         """The pattern of W3's regret search and W4's H-infinity search:
@@ -554,7 +594,8 @@ def _lazy_family():
     eager one on: random systems, a third with two steps of lookahead and a
     third with one step of input delay, the pendulum, and the pendulum with
     one step of delay and three of lookahead (the plant of the benchmark's
-    simulate workload)."""
+    simulate workload). The pendulum at T = 100 and T = 1000 is the plant of
+    the benchmark's pendulum and gamma workloads."""
     for seed in range(300, 312):
         sys = random_system(seed, T_max=120, stable=seed % 2 == 0)
         if seed % 3 == 1:
@@ -562,6 +603,7 @@ def _lazy_family():
         elif seed % 3 == 2:
             sys = augment_delay(sys, 1).system
         yield f"random{seed}", sys, ("regret",)
+    yield "pendulum-T100", pendulum_system(100), ("regret", "hinf")
     yield "pendulum-T300", pendulum_system(300), ("regret", "hinf")
     yield "pendulum-T1000", pendulum_system(1000), ("regret",)
     h3d1 = augment_predictions(augment_delay(pendulum_system(100), 1).system, 3).system
@@ -614,8 +656,9 @@ class TestLazySearch:
             b, total_b, levels_b = _swept(kind, eager, sys)
             total["lazy"] += total_a
             total["eager"] += total_b
-            if name == "pendulum-h3d1":
-                # not monotone near gamma_opt, yet both searches keep the eager results
+            if name in ("pendulum-T100", "pendulum-T1000", "pendulum-h3d1"):
+                # the benchmark's searches, which get no path; the last is not
+                # monotone near gamma_opt, yet both searches keep the eager results
                 assert _same_search(a, b, kind), name
             elif not _same_search(a, b, kind):
                 # allowed only where the eager verdicts are not monotone in

@@ -804,8 +804,9 @@ def _assert_unit_witness(witness, sys):
 def _assert_tight(sys, res, ctrl, tol):
     """The paper's tight bound at gamma_opt: the witness's realized regret is
     at most the certified gain, and within 1e-6 of it, and the gain is at
-    most gamma_opt^2 to the search's resolution."""
-    gain, witness = oo.regret_gain(ctrl)
+    most gamma_opt^2 to the search's resolution. The gain is `certify`'s,
+    from the search started on the regret search's brackets."""
+    gain, witness = oo.regret_gain(ctrl, res.bracket_history)
     _assert_unit_witness(witness, sys)
     regret = _regret(sys, ctrl, witness)
     assert regret <= gain <= res.gamma_opt**2 * (1 + 2 * tol)
@@ -888,4 +889,67 @@ class TestAnalysisCertificate:
         rebuilt = ct.regret_controller(sys, res.gamma_opt)
         for name in ("Phat", "Hhat", "margins", "K_xi", "K_w"):
             assert np.array_equal(getattr(rebuilt, name), getattr(ctrl, name)), name
-        assert oo.regret_gain(rebuilt)[0] == oo.regret_gain(ctrl)[0]
+        gain, witness = oo.regret_gain(ctrl, res.bracket_history)
+        rebuilt_gain, rebuilt_witness = oo.regret_gain(rebuilt, res.bracket_history)
+        assert rebuilt_gain == gain and np.array_equal(rebuilt_witness, witness)
+
+    @staticmethod
+    def _search(monkeypatch, ctrl, path=()):
+        """regret_gain(ctrl, path), the result of its level search and the
+        steps its probes swept."""
+        steps, results = [], []
+        sweep, search = riccati._Sweep.sweep, oo._bisect_gamma
+
+        def counted(probe, windows=None):
+            steps.append(sweep(probe, windows))
+            return steps[-1]
+
+        monkeypatch.setattr(riccati._Sweep, "sweep", counted)
+        monkeypatch.setattr(oo, "_bisect_gamma", lambda *args: results.append(search(*args)) or results[-1])
+        gain, witness = oo.regret_gain(ctrl, path)
+        return gain, witness, results[-1][0], sum(steps)
+
+    @pytest.mark.parametrize(
+        "case",
+        CERTIFICATE_CONFIGS + ["w3"] + [f"random{seed}-{kind}" for seed in (20, 23) for kind in ("stable", "unstable")]
+        + ["pendulum30", "pendulum100", "fallback-other-system"] + [f"fallback-{name}" for name in _REGRET_FREE],
+    )
+    def test_warm_search_is_the_cold_search(self, case, monkeypatch):
+        """Started on the regret search's brackets, as `certify` starts it,
+        the certificate's search returns the gain, witness and brackets of
+        the search from gamma = 1, bit for bit, and sweeps fewer steps. On
+        the pendulum gamma_cert lies several brackets above the regret
+        search's last, and the search walks up to it. With no node whose lo
+        fails and whose hi passes (the pendulum's brackets, gamma_opt = 1.72,
+        for smoke.json's controller, gamma_opt = 0.12), or with the empty
+        path of a system whose disturbance produces no cost, it runs from
+        gamma = 1 to the same bits."""
+        if case.endswith(".json"):
+            _, res, ctrl, _ = _config_search(case)
+        elif case == "fallback-other-system":
+            _, _, ctrl, _ = _config_search("smoke.json")
+            res = ct.regret_optimal(pendulum_system(30), 1e-6)[0]
+        elif case.startswith("fallback-"):
+            res, ctrl = ct.regret_optimal(_REGRET_FREE[case[len("fallback-"):]])
+            assert res.bracket_history == []
+        else:
+            if case == "w3":
+                sys = random_ltv(W3_SEED, n=8, m=4, p=4, T=120)
+            elif case.startswith("pendulum"):
+                sys = pendulum_system(int(case[len("pendulum"):]))
+            else:
+                seed, kind = case[len("random"):].split("-")
+                sys = random_system(int(seed), T_max=40, stable=kind == "stable")
+            res, ctrl = ct.regret_optimal(sys, 1e-6)
+        path = res.bracket_history
+        gain, witness, cold, cold_steps = self._search(monkeypatch, ctrl)
+        warm_gain, warm_witness, warm, warm_steps = self._search(monkeypatch, ctrl, path)
+        assert warm_gain == gain and np.array_equal(warm_witness, witness)
+        assert warm.gamma_opt == cold.gamma_opt and warm.bracket_history == cold.bracket_history
+        if case.startswith("fallback-"):
+            return
+        assert warm_steps < cold_steps
+        if case == "w3":  # the benchmark's certify workload: 2552 steps of 4856
+            assert warm_steps <= 2600 < cold_steps
+        if case.startswith("pendulum"):
+            assert warm.bracket_history[: len(path)] != path
