@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sim_bench import controls
-from .system_model import LqSystem, as_signal, as_validated, validate_system
+from .system_model import LqSystem, as_count, as_signal, as_validated, validate_system
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def augment_predictions(sys: LqSystem, h: int) -> AugmentedSystem:
     Disturbances beyond the horizon are zero.
     """
     sys = as_validated(sys)
-    h = int(h)
+    h = as_count(h, "lookahead")
     if not 0 <= h <= sys.T:
         raise ValueError(f"lookahead must satisfy 0 <= h <= T={sys.T}, got {h}")
     if h == 0:
@@ -87,7 +87,7 @@ def augment_delay(sys: LqSystem, d: int) -> AugmentedSystem:
     with u_{t-1}..u_{t-d}, all zero before the horizon starts.
     """
     sys = as_validated(sys)
-    d = int(d)
+    d = as_count(d, "delay")
     if not 0 <= d < sys.T:
         raise ValueError(f"delay must satisfy 0 <= d < T={sys.T}, got {d}")
     if d == 0:

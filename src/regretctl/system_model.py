@@ -21,6 +21,15 @@ class DefinitenessError(ValueError):
     """A cost matrix violates its required (semi)definiteness."""
 
 
+def as_count(value, name: str) -> int:
+    """value as an int (a horizon, lookahead or delay); a value that is not
+    an int or np.integer, bools and 3.0 among them, is a ValueError rather
+    than something int() truncates."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _sym_eigh(M):
     M = np.asarray(M, dtype=float)
     return np.linalg.eigh((M + np.swapaxes(M, -1, -2)) / 2.0)
@@ -94,7 +103,7 @@ class LqSystem:
         R = np.atleast_2d(np.asarray(R, dtype=float))
         n = A.shape[0]
         Q_T = np.zeros((n, n)) if Q_T is None else np.atleast_2d(np.asarray(Q_T, dtype=float))
-        T = int(horizon)
+        T = as_count(horizon, "horizon")
         if T <= 0:
             raise ValueError(f"horizon must be positive, got {T}")
         tile = lambda M: np.broadcast_to(M, (T,) + M.shape).copy()

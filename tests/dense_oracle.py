@@ -10,6 +10,13 @@ forward-Kalman W, its impulse probe, its size cap and its eigen step with
 the rollout referee of rollout_oracle.py, whose `regret_certificate` it
 referees.
 
+Both matrix referees are kept. This one is the only one that takes a bare
+operator K rather than a controller to roll out: criterion 5 certifies
+probed operators with it, and the offline optimum's non-causal operator and
+`h2_operator_form`'s operator have no controller behind them. The rollout
+referee is the only one that stays bounded on unstable long horizons (on
+tests/data/smoke_long.json, T = 300, the dense F K + G reads 1.7e143).
+
 All operators live in R-normalized control coordinates (R_t = I), so the cost
 is exactly ||Fu + Gw||^2 + ||u||^2. For unstable plants the entries of F and
 G grow like the state-transition products, so the dense forms hold only on

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -111,6 +112,21 @@ class ZeroController:
     def control_sequence(self, w):
         w = as_signal(w, self._sys.T, self._sys.p)
         return np.zeros(w.shape[:-2] + (self._sys.T, self._sys.m))
+
+
+def feedback_view(sys, ctrl) -> SimpleNamespace:
+    """The H2 or H-infinity `FeedbackController` ctrl of the validated
+    system sys as `operator_oracle.regret_gain` reads a `RegretSynthesis`:
+    the regret synthesis' `norm` and `fwd` (`controllers.prepare_regret`),
+    and the gains in R-normalized controls, K_xi = [R^{1/2} K_x, 0] on
+    (x, delta) and K_w = R^{1/2} K_w. The observer state delta then carries
+    only the offline cost."""
+    problem = ct.prepare_regret(sys)
+    sqR = psd_sqrt(sys.R)
+    K_x = sqR @ ctrl.K_x
+    return SimpleNamespace(
+        norm=problem.norm, fwd=problem.fwd, K_xi=np.concatenate((K_x, np.zeros_like(K_x)), axis=2), K_w=sqR @ ctrl.K_w
+    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """The rollout referee of `regretctl certify`: the exact worst-case regret
-gain of a causal linear controller, from its batched impulse rollout and a
-dense eigen step, all O(T^3) and meant for desk-scale checks, so
+gain of a causal linear controller, from its batched impulse rollout and
+one `np.linalg.eigh`, all O(T^3) and meant for desk-scale checks, so
 `check_size` refuses T * max(n, m, p) > 2000.
 
 All operators live in R-normalized control coordinates (R_t = I), so the
@@ -17,12 +17,17 @@ recursion's stable observer matrices Atil.
 
 Every controller of regretctl steps the plant with `evaluate_cost`'s
 arithmetic, so `sim_bench.rollout`'s states are the loop it closed, bit for
-bit, and `regret_certificate` weighs the loop `simulate` scores. It holds
-each tape-sized operator only while it needs it and computes only the
-eigenpair it reports. `regretctl.operator_oracle.regret_gain`, which
-`certify` runs, is held to it; the dense referee of dense_oracle.py shares
-its `_strictly_causal`, its forward-Kalman W, its impulse probe and
-its eigen step.
+bit, and `regret_certificate` weighs the loop `simulate` scores.
+`regretctl.operator_oracle.regret_gain`, which `certify` runs, is held to
+it; the dense referee of dense_oracle.py shares its `_strictly_causal`, its
+forward-Kalman W, its impulse probe and its eigen step.
+
+Both matrix referees are kept. This one is the only one that stays bounded
+on unstable long horizons: on tests/data/smoke_long.json (the pendulum at
+T = 300) the dense F K + G reads 1.7e143, while the rollout's states are the
+closed loop's own. The dense referee is the only one that takes a bare
+operator K, which criterion 5, the offline optimum's non-causal operator
+and `h2_operator_form` need.
 """
 
 from __future__ import annotations
@@ -44,13 +49,6 @@ from regretctl.system_model import (
 
 SIZE_CAP = 2000
 CAUSALITY_TOL = 1e-9  # the largest block magnitude a probe allows above the diagonal
-_STRIP = 16  # state-tape steps (`_weighed`) or rows (`_symmetrize`) per temporary
-# sigma - gain of the witness's inverse iteration, relative to ||E||: above
-# the N eps ||E|| rounding of eigvalsh and of the LU for every N <= SIZE_CAP,
-# so E - sigma I is nonsingular, and far below the smallest top-eigenvalue
-# gap of the test configs (6.9e-9 relative, smoke_long.json)
-_SHIFT = 2.0**-40
-_SOLVES = 3
 
 
 class SizeCapError(ValueError):
@@ -122,8 +120,7 @@ def _causal_operator(sys: LqSystem, u, tol: float) -> np.ndarray:
     T, m = u.shape[1:]
     p = u.shape[0] // T
     K = np.ascontiguousarray(to_normalized_u(sys, u).reshape(T * p, T * m).T)
-    blocks = K.reshape(T, m, T, p)  # max |K| per block, with no |K| temporary
-    blocks = np.maximum(blocks.max(axis=(1, 3)), -blocks.min(axis=(1, 3)))
+    blocks = np.abs(K).reshape(T, m, T, p).max(axis=(1, 3))
     upper = np.triu(blocks > tol, k=1)
     if upper.any():
         i, j = np.argwhere(upper)[0]
@@ -140,9 +137,9 @@ class RegretGainCertificate:
     regret_quadratic_form = X'X + K'K - W'W, where X = FK + G maps the
     disturbance to the weighted closed-loop states and
     W'W = G'(I + FF')^{-1}G is the offline-optimal cost; gain is its largest
-    eigenvalue (from the eigenvalues alone) and witness a unit disturbance
-    sequence that attains it, by inverse iteration. The witness's entry of
-    largest magnitude (the first, among equals) is positive.
+    eigenvalue and witness a unit disturbance sequence that attains it, its
+    eigenvector. The witness's entry of largest magnitude (the first, among
+    equals) is positive.
     """
 
     K: np.ndarray
@@ -151,80 +148,20 @@ class RegretGainCertificate:
     witness: np.ndarray
 
 
-def _start_vector(N: int) -> np.ndarray:
-    """The inverse iteration's start: 0.5 + frac(k g) for k = 1..N, with
-    g = (sqrt 5 - 1) / 2. Its entries are distinct and lie in [0.5, 1.5), so
-    it is orthogonal to no coordinate vector and to no difference of two."""
-    return np.arange(1, N + 1) * ((np.sqrt(5.0) - 1.0) / 2.0) % 1.0 + 0.5
-
-
-def _top_eigenvector(E, vals) -> np.ndarray:
-    """The unit eigenvector of the symmetric E for its largest eigenvalue
-    vals[-1], by `_SOLVES` solves with E - sigma I, sigma = vals[-1] +
-    _SHIFT * ||E|| (||E|| from the whole spectrum vals; 1 when E = 0). E's
-    diagonal is shifted in place and restored from a saved copy, so E keeps
-    its bits; the solves copy it, one matrix at a time. The result has its
-    entry of largest magnitude positive."""
-    N = len(E)
-    norm = max(-vals[0], vals[-1])
-    sigma = vals[-1] + (_SHIFT * norm if norm > 0.0 else 1.0)
-    diagonal = E.diagonal().copy()
-    E.flat[:: N + 1] = diagonal - sigma
-    try:
-        y = _start_vector(N)
-        for _ in range(_SOLVES):
-            y = np.linalg.solve(E, y)
-            y /= np.linalg.norm(y)
-    finally:
-        E.flat[:: N + 1] = diagonal
-    if y[np.argmax(np.abs(y))] < 0.0:
-        y = -y
-    return y
-
-
-def _symmetrize(E):
-    """E <- (E + E') / 2 in place, with the bits of that sum, `_STRIP`
-    rows (and the same columns) at a time: each strip reads only entries no
-    earlier strip wrote, and its temporaries are strip-sized."""
-    N = len(E)
-    for r0 in range(0, N, _STRIP):
-        rows = slice(r0, min(r0 + _STRIP, N))
-        strip = E[rows, r0:] + E[r0:, rows].T
-        strip /= 2.0
-        E[rows, r0:] = strip
-        E[r0:, rows] = strip.T
-
-
 def _certificate(K, E) -> RegretGainCertificate:
-    """The certificate of K from its regret quadratic form E, which it
-    symmetrizes in place (`_symmetrize`; the bits of (E + E') / 2).
-
-    gain is the largest eigenvalue from `np.linalg.eigvalsh`, which forms no
-    eigenvectors and takes O(Tp) workspace; the witness is its eigenvector by
-    shifted inverse iteration (`_top_eigenvector`). So the eigen step holds
-    no (Tp)^2 array beyond E and LAPACK's copy of it. A gain within 1e-9
-    below zero is reported as 0.
-    """
-    _symmetrize(E)
-    vals = np.linalg.eigvalsh(E)
-    witness = _top_eigenvector(E, vals)
+    """The certificate of K from its regret quadratic form E, symmetrized
+    as (E + E') / 2: the top eigenpair from `np.linalg.eigh`, the witness
+    scaled to unit length with its entry of largest magnitude positive. A
+    gain within 1e-9 below zero is reported as 0."""
+    E = (E + E.T) / 2.0
+    vals, vecs = np.linalg.eigh(E)
+    witness = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
+    if witness[np.argmax(np.abs(witness))] < 0.0:
+        witness = -witness
     gain = float(vals[-1])
     if -1e-9 < gain < 0.0:
         gain = 0.0
     return RegretGainCertificate(K=K, regret_quadratic_form=E, gain=gain, witness=witness)
-
-
-def _weighed(sqQ, x) -> np.ndarray:
-    """The weighted states X (items, len(sqQ) * n) of a state tape x
-    (items, T+1, n), row j = [Q_t^{1/2} x_t; Q_T^{1/2} x_T] of item j, written
-    over x's own buffer and returned as a view of it. The tape is weighed
-    `_STRIP` steps at a time, each block with the broadcast
-    sqQ @ x[..., None] of the whole tape, so every state gets the same bits."""
-    rows = len(sqQ)
-    for t0 in range(0, rows, _STRIP):
-        steps = slice(t0, min(t0 + _STRIP, rows))
-        x[:, steps] = (sqQ[steps] @ x[:, steps, :, None])[..., 0]
-    return x[:, :rows].reshape(len(x), -1)
 
 
 def regret_certificate(sys: LqSystem, controller) -> RegretGainCertificate:
@@ -237,31 +174,14 @@ def regret_certificate(sys: LqSystem, controller) -> RegretGainCertificate:
     X = [Q_t^{1/2} x_t; Q_T^{1/2} x_T] per impulse, so the regret form is
     E = X'X + K'K - W'W. X is the plant driven by the controls themselves,
     before the R^{1/2} scaling that gives K, so it can differ from FK + G by
-    F times K's last bits.
-
-    Each tape-sized operator is held only while it is needed: W'W is formed
-    as soon as W is built (before the rollout, so an overflowing forward
-    Kalman recursion still fails first), the disturbances and costs of the
-    rollout go at once, the controls once K is formed, X is weighed over the
-    rollout's state tape, and E is accumulated in place, with the bits of
-    X'X + K'K - W'W.
+    F times K's last bits. W is built before the rollout, so an overflowing
+    forward Kalman recursion fails first.
     """
     sys = as_validated(sys)
     check_size(sys)
-    norm = normalize_control_weight(sys)
-    sqQ, W = _offline_factor(norm.system)
-    WtW = W.T @ W
-    del W
+    sqQ, W = _offline_factor(normalize_control_weight(sys).system)
     traj = rollout(sys, controller, _impulses(sys))
-    x, u = traj.x, traj.u
-    del traj
-    K = _causal_operator(sys, u, CAUSALITY_TOL)
-    del u
-    X = _weighed(sqQ, x)  # row j: impulse j's X column
-    del x
-    E = X @ X.T
-    del X
-    E += K.T @ K
-    E -= WtW
-    del WtW
-    return _certificate(K, E)
+    K = _causal_operator(sys, traj.u, CAUSALITY_TOL)
+    x = traj.x[:, :len(sqQ)]
+    X = (sqQ @ x[..., None]).reshape(len(x), -1)  # row j: impulse j's X column
+    return _certificate(K, X @ X.T + K.T @ K - W.T @ W)

@@ -37,6 +37,12 @@ class TestAugmentPredictions:
         with pytest.raises(ValueError, match="lookahead"):
             augment_predictions(s1(), 4)
 
+    @pytest.mark.parametrize("h", [2.7, 3.0, True, np.float64(1.0), "1"])
+    def test_non_integer_refused(self, h):
+        """A lookahead int() would truncate is refused, as the CLI refuses it."""
+        with pytest.raises(ValueError, match="lookahead must be an integer"):
+            augment_predictions(s1(), h)
+
     def test_cost_equivalence(self):
         # same controls, disturbances with h leading zeros: identical costs
         rng = np.random.default_rng(0)
@@ -86,6 +92,15 @@ class TestAugmentDelay:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="delay"):
             augment_delay(s1(), 3)
+
+    @pytest.mark.parametrize("d", [1.5, 1.0, True, np.float64(1.0), "1"])
+    def test_non_integer_refused(self, d):
+        """A delay int() would truncate is refused, as the CLI refuses it."""
+        with pytest.raises(ValueError, match="delay must be an integer"):
+            augment_delay(s1(), d)
+
+    def test_numpy_integer_accepted(self):
+        assert augment_delay(s1(), np.int64(1)).system.n == augment_delay(s1(), 1).system.n
 
     def test_cost_equivalence(self):
         # hand-rolled delayed dynamics vs the augmented system, same controls

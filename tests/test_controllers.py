@@ -6,6 +6,7 @@ import pytest
 
 from regretctl import controllers as ct
 from regretctl import kernels, riccati
+from regretctl import operator_oracle as oo
 from regretctl.augmentation import augment_delay, augment_predictions
 from regretctl.cli import pendulum_system
 from regretctl.system_model import (
@@ -19,6 +20,7 @@ from helpers import (
     doubled_system,
     eager_hinf_optimal,
     eager_regret_optimal,
+    feedback_view,
     full_horizon_reference,
     printed_regret_optimal,
     quiet_tail_pendulum,
@@ -308,6 +310,46 @@ class TestRegretOptimal:
 
 # the windows of a fake probe's sweep: those of a 1000-step horizon, 16 to 504 steps
 _WINDOWS = [t1 - t0 for t0, t1 in riccati._windows(1000)]
+
+
+class TestPaperOrdering:
+    """The paper's ordering of the regret controller between the H2 and
+    H-infinity controllers, certified by `operator_oracle.regret_gain` at
+    horizons the dense referee cannot reach. The H2 and H-infinity
+    controllers enter it as `helpers.feedback_view`."""
+
+    @pytest.mark.parametrize(
+        "sys",
+        [pendulum_system(30)] + [random_system(seed, T_max=30, stable=stable) for seed in (20, 23) for stable in (True, False)],
+        ids=["pendulum30", "random20-stable", "random20-unstable", "random23-stable", "random23-unstable"],
+    )
+    def test_feedback_view_matches_dense_referee(self, sys):
+        """The view's gain within 1e-9 relative of the dense referee's, plus
+        `dense_oracle.referee_gap_bound` (eps ||F|| ||K|| is 1e-8 relative
+        on the unstable pendulum, whose gap reads 5.7e-11)."""
+        ops = ops_for(sys)
+        for ctrl in (ct.synthesize_h2(sys), ct.hinf_optimal(sys, 1e-6)[1]):
+            gain, _ = oo.regret_gain(feedback_view(sys, ctrl))
+            K = dense.controller_operator(sys, ctrl)
+            referee = dense.worst_case_regret_gain(ops, K).gain
+            assert abs(gain - referee) <= 1e-9 * referee + dense.referee_gap_bound(ops, K, referee)
+
+    def test_regret_below_hinf_below_h2_at_t100(self):
+        """On the pendulum at T = 100 (T p = 200), the certified regret gains
+        read 2.95337 (regret), 3.33335 (H-infinity) and 6.28402 (H2). The
+        attained gain of a searched controller wanders about 1e-5 relative
+        around its level across tols, so each comparison holds with a
+        margin of 1e-5 and the regret gain is held to gamma_opt^2 within
+        it."""
+        wander = 1e-5
+        sys = pendulum_system(100)
+        res, reg = ct.regret_optimal(sys, 1e-6)
+        regret = oo.regret_gain(reg, res.bracket_history)[0]
+        hinf = oo.regret_gain(feedback_view(sys, ct.hinf_optimal(sys, 1e-6)[1]))[0]
+        h2 = oo.regret_gain(feedback_view(sys, ct.synthesize_h2(sys)))[0]
+        assert abs(regret - res.gamma_opt**2) <= wander * res.gamma_opt**2
+        assert regret * (1 + wander) < hinf
+        assert hinf * (1 + wander) < h2
 
 
 class _Probe:

@@ -1,4 +1,3 @@
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -534,16 +533,6 @@ AUGMENTATIONS = {
 }
 
 
-@pytest.fixture(scope="module")
-def ltv60():
-    """random_ltv(0, 8, 4, 4, 60) and its regret-optimal controller, whose
-    gains a first certificate has built."""
-    sys = random_ltv(0, n=8, m=4, p=4, T=60)
-    _, ctrl = ct.regret_optimal(sys, 1e-6)
-    ro.regret_certificate(sys, ctrl)
-    return sys, ctrl
-
-
 class TestRegretCertificate:
     """`regret_certificate` against the dense referee
     `worst_case_regret_gain(build_operators(...), K)`."""
@@ -604,23 +593,6 @@ class TestRegretCertificate:
         with pytest.raises(ArithmeticError, match="non-finite control"):
             ro.regret_certificate(sys, Diverging())
 
-    def test_traced_peak_under_six_and_a_half_operators(self, ltv60):
-        """On a system shaped like the benchmark's certify workload (n = 8,
-        m = p = 4, T = 60, terminal cost), the traced peak of a certificate
-        stays under 6.5 operators of 8 (Tp)^2 bytes: it reads 6.19 as K is
-        formed (5.55 in the rollout), so one more tape-sized operator fails
-        it. It read 6.26 with a |K| temporary in the causality check, and
-        8.26 holding W, X, the controls and all three Gram products at once.
-        LAPACK's workspace is not traced."""
-        sys, ctrl = ltv60
-        tracemalloc.start()
-        try:
-            ro.regret_certificate(sys, ctrl)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6.5 * 8 * (sys.T * sys.p) ** 2
-
     def test_size_cap(self):
         sys = s1(T=2001)
 
@@ -647,125 +619,6 @@ def _assert_matches_dense_referee(sys, ctrl):
     ops = ops_for(sys)
     referee = dense.worst_case_regret_gain(ops, K).gain
     assert abs(cert.gain - referee) <= dense.referee_gap_bound(ops, K, referee)
-
-
-def _assert_top_eigenpair(cert):
-    """gain is eigh's top eigenvalue to a few ulps of ||E||, and the witness
-    is a unit vector, with its entry of largest magnitude positive, whose
-    Rayleigh quotient is the gain to the rounding of E w. Where the top
-    eigenvalue is well separated, the witness is eigh's eigenvector."""
-    E, w = cert.regret_quadratic_form, cert.witness
-    N = len(E)
-    vals, vecs = np.linalg.eigh(E)
-    norm = max(-vals[0], vals[-1])
-    eps = np.finfo(float).eps
-    top = 0.0 if -1e-9 < vals[-1] < 0.0 else vals[-1]
-    assert abs(cert.gain - top) <= 4 * np.sqrt(N) * np.spacing(norm)
-    assert w.shape == (N,)
-    assert abs(np.linalg.norm(w) - 1.0) <= 4 * eps
-    assert w[np.argmax(np.abs(w))] > 0.0
-    assert abs(w @ (E @ w) - cert.gain) <= N * eps * norm
-    if N > 1 and vals[-1] - vals[-2] > 1e-6 * norm:
-        assert abs(w @ vecs[:, -1]) >= 1.0 - 1e-12
-
-
-def _eigen_step(E):
-    return ro._certificate(None, E)
-
-
-class TestEigenStep:
-    """`_certificate`'s gain from eigvalsh and witness by inverse iteration,
-    against `np.linalg.eigh`."""
-
-    @pytest.mark.parametrize("variant", list(AUGMENTATIONS))
-    @pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
-    @pytest.mark.parametrize("seed", [21, 23])
-    def test_random_systems(self, seed, stable, variant):
-        sys = AUGMENTATIONS[variant](random_system(seed, T_max=40, stable=stable))
-        _, ctrl = ct.regret_optimal(sys, 1e-6)
-        _assert_top_eigenpair(ro.regret_certificate(sys, ctrl))
-
-    def test_ltv(self, ltv60):
-        _assert_top_eigenpair(ro.regret_certificate(*ltv60))
-
-    def test_pendulum(self):
-        sys = pendulum_system(60)
-        _, ctrl = ct.regret_optimal(sys, 1e-8)
-        _assert_top_eigenpair(ro.regret_certificate(sys, ctrl))
-
-    def test_form_keeps_its_bits(self):
-        """The form is symmetrized to the bits of (E + E') / 2, and the
-        shifted diagonal is restored."""
-        E = np.random.default_rng(3).standard_normal((37, 37))
-        cert = _eigen_step(E.copy())
-        assert np.array_equal(cert.regret_quadratic_form, (E + E.T) / 2.0)
-        _assert_top_eigenpair(cert)
-
-    @pytest.mark.parametrize("layout", ["sparse", "dense"])
-    def test_top_eigenvector_orthogonal_to_start(self, layout):
-        """The top eigenvector is orthogonal to the start vector (to the
-        last bit, when it is sparse): rounding in the solves brings in a
-        component along it, and the next solves amplify it."""
-        N = 30
-        b = ro._start_vector(N)
-        v = np.zeros(N)
-        v[0], v[1] = b[1], -b[0]
-        assert b @ v == 0.0
-        v /= np.linalg.norm(v)
-        if layout == "sparse":
-            E = 2.0 * np.outer(v, v) - np.diag(np.r_[0.0, 0.0, np.linspace(0.1, 1.0, N - 2)])
-        else:
-            M = np.random.default_rng(5).standard_normal((N, N))
-            M[:, 0] = v
-            Q, _ = np.linalg.qr(M)
-            E = (Q * np.r_[2.0, np.linspace(-1.0, 1.0, N - 1)]) @ Q.T
-        cert = _eigen_step(E)
-        _assert_top_eigenpair(cert)
-        assert abs(cert.witness @ v) >= 1.0 - 1e-12
-        assert cert.gain == pytest.approx(2.0, rel=1e-14)
-
-    def test_zero_form(self):
-        """E = 0: gain 0, and the witness is the unit start vector."""
-        N = 12
-        cert = _eigen_step(np.zeros((N, N)))
-        assert cert.gain == 0.0
-        assert not cert.regret_quadratic_form.any()
-        b = ro._start_vector(N)
-        assert np.allclose(cert.witness, b / np.linalg.norm(b), rtol=0.0, atol=1e-15)
-        _assert_top_eigenpair(cert)
-
-    @pytest.mark.parametrize("layout", ["diagonal", "dense"])
-    def test_large_negative_part(self, layout):
-        """||E|| = 1e8 from the negative part sets sigma's gap: a gap scaled
-        to the gain (here 0 on the diagonal) would leave E - sigma I
-        singular."""
-        N = 40
-        spectrum = np.r_[np.full(5, -1e8), -np.linspace(0.0, 1.0, N - 5)]
-        if layout == "diagonal":
-            E = np.diag(spectrum)
-        else:
-            Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((N, N)))
-            E = (Q * (spectrum + 1.0)) @ Q.T
-        cert = _eigen_step(E.copy())
-        _assert_top_eigenpair(cert)
-        if layout == "diagonal":
-            assert cert.gain == 0.0
-            assert abs(cert.witness[5]) >= 1.0 - 1e-12
-
-    def test_traced_peak_under_half_an_operator(self, ltv60):
-        """The eigen step holds no (Tp)^2 array of its own: on the
-        benchmark-shaped form its traced peak reads 0.26 of 8 (Tp)^2 bytes
-        (the symmetrization's strips), where eigh's eigenvectors alone are
-        1.0 and a whole-matrix symmetrization another 1.0."""
-        sys, ctrl = ltv60
-        E = ro.regret_certificate(sys, ctrl).regret_quadratic_form
-        tracemalloc.start()
-        try:
-            _eigen_step(E)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * 8 * len(E) ** 2
 
 
 # The five tests/data configs whose certificates CI checks, and the system of

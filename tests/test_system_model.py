@@ -26,6 +26,17 @@ class TestValidate:
         with pytest.raises(DefinitenessError, match="R.*positive definite"):
             validate_system(bad)
 
+    @pytest.mark.parametrize("horizon", [2.7, 3.0, True, np.float64(3.0), "3"])
+    def test_non_integer_horizon_refused(self, horizon):
+        """time_invariant builds no truncated horizon (2.7 was T = 2, True
+        was T = 1): a horizon that is not an int or np.integer is refused."""
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            LqSystem.time_invariant([[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], horizon=horizon)
+
+    def test_numpy_integer_horizon_accepted(self):
+        sys = LqSystem.time_invariant([[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], horizon=np.int64(3))
+        assert sys.T == 3
+
     def test_r_error_names_step(self):
         sys = s1()
         R = sys.R.copy()
