@@ -1,6 +1,6 @@
 """Shared builders for the test suite."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,6 +126,16 @@ def feedback_view(sys, ctrl) -> SimpleNamespace:
     K_x = sqR @ ctrl.K_x
     return SimpleNamespace(
         norm=problem.norm, fwd=problem.fwd, K_xi=np.concatenate((K_x, np.zeros_like(K_x)), axis=2), K_w=sqR @ ctrl.K_w
+    )
+
+
+def cost_view(view) -> SimpleNamespace:
+    """A `RegretSynthesis` or a `feedback_view` with the offline cost's
+    weight fwd.W replaced by zeros: the -W block of the analysis weight is
+    zeroed, so `operator_oracle.regret_gain` of it is the controller's
+    worst-case cost gain (cost per unit of disturbance energy)."""
+    return SimpleNamespace(
+        norm=view.norm, fwd=replace(view.fwd, W=np.zeros_like(view.fwd.W)), K_xi=view.K_xi, K_w=view.K_w
     )
 
 

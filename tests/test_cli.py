@@ -1051,6 +1051,48 @@ def _unknown(known):
     return st.text(max_size=6).filter(lambda k: k not in known)
 
 
+_LTV_BLOCKS = ["A", "Bu", "Bw", "Q", "R"]
+
+
+def _ltv(steps=3, key=None, value=None):
+    """S1 as an ltv system of `steps` steps ([[1.0]] each), with the per-step
+    list of `key` replaced by `value`."""
+    blocks = {k: [[[1.0]]] * steps for k in _LTV_BLOCKS}
+    if key is not None:
+        blocks[key] = value
+    return {"ltv": blocks}
+
+
+def _ltv_with_step(key, t, value):
+    """`_ltv()` with step t of `key` replaced by `value`."""
+    doc = _ltv()
+    doc["ltv"][key] = [value if s == t else M for s, M in enumerate(doc["ltv"][key])]
+    return doc
+
+
+# one `system` mutation of _VALID (horizon 3) to an ltv form
+_ltv_mutations = st.one_of(
+    # one per-step list of the wrong length (an empty one included)
+    st.builds(
+        lambda key, n: _ltv(3, key, [[[1.0]]] * n),
+        st.sampled_from(_LTV_BLOCKS), st.integers(0, 6).filter(lambda n: n != 3),
+    ),
+    # a step entry that is not a list; a bare number reads as a 1x1 block, as
+    # in the lti form, so it is not among them
+    st.builds(
+        _ltv_with_step,
+        st.sampled_from(_LTV_BLOCKS), st.integers(0, 2),
+        st.one_of(st.text(max_size=2), st.none(), st.booleans(), st.just({})),
+    ),
+    # every list of one length, which the horizon disagrees with
+    st.integers(1, 6).filter(lambda n: n != 3).map(_ltv),
+    # a NaN or an infinity in one step
+    st.builds(
+        lambda key, t, x: _ltv_with_step(key, t, [[x]]),
+        st.sampled_from(_LTV_BLOCKS), st.integers(0, 2), st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    ),
+)
+
 _mutations = st.one_of(
     st.tuples(st.just(("horizon",)), _bad_int(1)),
     st.tuples(st.just(("horizon",)), st.integers(min_value=2**21)),  # over the tape budget
@@ -1086,6 +1128,7 @@ _mutations = st.one_of(
         st.one_of(st.text(max_size=2), st.sampled_from(["1", [["1.0"]], [[True]], True, None, [[1.0], [1.0, 2.0]], [[10**400]]])),
     ),
     st.tuples(st.tuples(st.just("system"), st.just("lti"), _unknown({"A", "Bu", "Bw", "Q", "R", "QT"})), st.just([[1.0]])),
+    st.tuples(st.just(("system",)), _ltv_mutations),
     st.tuples(st.just(("disturbance",)), st.one_of(st.none(), st.text(max_size=3), st.just({"params": {}}))),
     st.tuples(st.tuples(st.just("disturbance"), _unknown({"kind", "params", "seed"})), st.integers()),
     st.tuples(
@@ -1118,6 +1161,12 @@ def _simulate(directory, doc, refuse_synthesis):
 class TestConfigBoundary:
     @settings(max_examples=150, deadline=timedelta(seconds=2))
     @given(mutation=_mutations)
+    # one of each ltv mutation on every run: a wrong-length list, a step that
+    # is not a list, a horizon that disagrees, a NaN in one step
+    @example(mutation=(("system",), _ltv(3, "Bw", [[[1.0]]] * 2)))
+    @example(mutation=(("system",), _ltv_with_step("A", 1, "x")))
+    @example(mutation=(("system",), _ltv(4)))
+    @example(mutation=(("system",), _ltv_with_step("Q", 2, [[float("nan")]])))
     def test_one_bad_field_is_one_config_error_before_synthesis(self, tmp_path_factory, mutation):
         path, value = mutation
         doc = copy.deepcopy(_VALID)

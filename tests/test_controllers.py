@@ -17,6 +17,7 @@ from regretctl.system_model import (
 )
 from helpers import (
     REGRET_FREE,
+    cost_view,
     doubled_system,
     eager_hinf_optimal,
     eager_regret_optimal,
@@ -316,7 +317,9 @@ class TestPaperOrdering:
     """The paper's ordering of the regret controller between the H2 and
     H-infinity controllers, certified by `operator_oracle.regret_gain` at
     horizons the dense referee cannot reach. The H2 and H-infinity
-    controllers enter it as `helpers.feedback_view`."""
+    controllers enter it as `helpers.feedback_view`, and `helpers.cost_view`
+    of a controller gives its worst-case cost gain instead of its regret
+    gain."""
 
     @pytest.mark.parametrize(
         "sys",
@@ -324,15 +327,19 @@ class TestPaperOrdering:
         ids=["pendulum30", "random20-stable", "random20-unstable", "random23-stable", "random23-unstable"],
     )
     def test_feedback_view_matches_dense_referee(self, sys):
-        """The view's gain within 1e-9 relative of the dense referee's, plus
-        `dense_oracle.referee_gap_bound` (eps ||F|| ||K|| is 1e-8 relative
-        on the unstable pendulum, whose gap reads 5.7e-11)."""
+        """The view's regret gain, and the cost view's cost gain of the H2,
+        H-infinity and regret controllers, within 1e-9 relative of the dense
+        referee's, plus `dense_oracle.referee_gap_bound` (eps ||F|| ||K|| is
+        1e-8 relative on the unstable pendulum, whose largest gap, the H2
+        controller's cost gain, reads 1.6e-10)."""
         ops = ops_for(sys)
-        for ctrl in (ct.synthesize_h2(sys), ct.hinf_optimal(sys, 1e-6)[1]):
-            gain, _ = oo.regret_gain(feedback_view(sys, ctrl))
+        for ctrl in (ct.synthesize_h2(sys), ct.hinf_optimal(sys, 1e-6)[1], ct.regret_optimal(sys, 1e-6)[1]):
+            view = ctrl if isinstance(ctrl, ct.RegretSynthesis) else feedback_view(sys, ctrl)
             K = dense.controller_operator(sys, ctrl)
-            referee = dense.worst_case_regret_gain(ops, K).gain
-            assert abs(gain - referee) <= 1e-9 * referee + dense.referee_gap_bound(ops, K, referee)
+            regret, cost = dense.worst_case_regret_gain(ops, K).gain, dense.worst_case_cost_gain(ops, K)
+            for v, referee in ((view, regret), (cost_view(view), cost)):
+                gain, _ = oo.regret_gain(v)
+                assert abs(gain - referee) <= 1e-9 * referee + dense.referee_gap_bound(ops, K, referee)
 
     def test_regret_below_hinf_below_h2_at_t100(self):
         """On the pendulum at T = 100 (T p = 200), the certified regret gains
@@ -350,6 +357,24 @@ class TestPaperOrdering:
         assert abs(regret - res.gamma_opt**2) <= wander * res.gamma_opt**2
         assert regret * (1 + wander) < hinf
         assert hinf * (1 + wander) < h2
+
+    def test_hinf_below_regret_below_h2_in_cost_at_t100(self):
+        """On the pendulum at T = 100, the certified cost gains read 3.54199
+        (H-infinity), 4.67660 (regret) and 7.23444 (H2): the regret
+        controller lies between the two, the interpolation the paper claims.
+        The H-infinity controller's cost gain is the level its search
+        printed, gamma_hinf^2, within the 1e-5 wander of a searched level
+        (it reads -2.4e-6 relative); each comparison holds with that
+        margin."""
+        wander = 1e-5
+        sys = pendulum_system(100)
+        hres, hinf_ctrl = ct.hinf_optimal(sys, 1e-6)
+        hinf = oo.regret_gain(cost_view(feedback_view(sys, hinf_ctrl)))[0]
+        regret = oo.regret_gain(cost_view(ct.regret_optimal(sys, 1e-6)[1]))[0]
+        h2 = oo.regret_gain(cost_view(feedback_view(sys, ct.synthesize_h2(sys))))[0]
+        assert abs(hinf - hres.gamma_opt**2) <= wander * hres.gamma_opt**2
+        assert hinf * (1 + wander) < regret
+        assert regret * (1 + wander) < h2
 
 
 class _Probe:
