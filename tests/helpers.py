@@ -69,6 +69,12 @@ def random_system(seed, n_max=3, m_max=3, p_max=3, T_max=15, stable=True,
     return _random_blocks(rng, n, m, p, T, stable, with_terminal)
 
 
+# the seed of the benchmark's certify workload at benchmark seed 41: perfbench
+# builds its system with the generator of `random_ltv(W3_SEED, 8, 4, 4, 120)`,
+# seeded SeedSequence([41, 3]).generate_state(1)[0] & 0x7FFFFFFF
+W3_SEED = 861991420
+
+
 def random_ltv(seed, n, m, p, T):
     """A random stable LTV system of the given sizes with a terminal cost,
     shaped like the benchmark's certify workload: A_t at spectral radius

@@ -46,8 +46,9 @@ S1_CONFIG = {
     "horizon": 3,
 }
 DATA = Path(__file__).parent / "data"
-# the configs of tests/data that every subcommand accepts
+# the configs of tests/data that every subcommand accepts, and those it refuses
 VALID_CONFIGS = sorted(p.name for p in DATA.glob("*.json") if not p.name.startswith("bad_"))
+BAD_CONFIGS = sorted(p.name for p in DATA.glob("bad_*.json"))
 
 
 def _regret_free_config(tmp_path, zeroed):
@@ -375,6 +376,19 @@ class TestGamma:
         assert doc["gamma_opt"] == 0.0 and doc["iterations"] == 27
         assert doc["final_margins"] == [-1.0] * doc["config"]["horizon"]
 
+    def test_smoke_long_search_recorded_at_seed(self, runner, tmp_path):
+        """tests/data/smoke_long.json, the pendulum at T = 300, sweeps five
+        windows, those of 32 steps or more as a chunked scan, and the lazy
+        search pauses probes there; its search keeps its recorded level,
+        iterations and brackets."""
+        out = tmp_path / "gamma.json"
+        result = runner.invoke(main, ["gamma", "--config", str(DATA / "smoke_long.json"), "--json", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = _strict_loads(out.read_text())
+        assert doc["gamma_opt"] == 1.7185401916503906
+        assert doc["iterations"] == 21
+        assert len(doc["bracket_history"]) == 20
+
 
 class TestSynth:
     @pytest.mark.parametrize("name", VALID_CONFIGS)
@@ -425,7 +439,31 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _assert_mean_pathwise_bound(runner, tmp_path, name):
+    """`simulate` on tests/data/`name`: the regret controller's mean realized
+    regret stays within gamma_opt^2 times the mean disturbance energy."""
+    out = tmp_path / "sim.json"
+    argv = ["simulate", "--config", str(DATA / name), "--csv", str(tmp_path / "sim.csv"), "--json", str(out)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    d, trials, T = doc["config"]["disturbance"], doc["config"]["trials"], doc["config"]["horizon"]
+    p = len(doc["config"]["system"]["lti"]["Bw"][0])
+    energy = np.mean([
+        np.sum(generate(DisturbanceSpec(d["kind"], d["params"], seed=d["seed"] + k), T, p) ** 2)
+        for k in range(trials)
+    ])
+    regret, gamma = doc["mean_realized_regret"]["regret"], doc["gamma_levels"]["regret"]
+    assert regret <= gamma**2 * energy * (1 + 1e-9), (regret, gamma**2 * energy)
+
+
 class TestSimulateAugmented:
+    def test_smoke_augmented_mean_regret_bound(self, runner, tmp_path):
+        """tests/data/smoke_augmented.json (a lookahead of 2 and a delay of 1
+        on the pendulum): simulate scores the regret controller on the
+        system it was synthesized for, so the bound holds."""
+        _assert_mean_pathwise_bound(runner, tmp_path, "smoke_augmented.json")
+
     @pytest.mark.parametrize("lookahead, delay", [(2, 0), (0, 1), (3, 1)])
     def test_pathwise_regret_bound(self, tmp_path, lookahead, delay):
         """simulate scores its controllers on the system they were
@@ -448,19 +486,7 @@ class TestSimulateUnstableMultiInput:
         closed, so its mean realized regret stays within gamma_opt^2 times
         the mean disturbance energy (it read 12,917 against 9.17 while the
         scored trajectory was re-simulated from R-normalized controls)."""
-        out = tmp_path / "sim.json"
-        argv = ["simulate", "--config", str(DATA / "unstable_multi_input.json"),
-                "--csv", str(tmp_path / "sim.csv"), "--json", str(out)]
-        result = runner.invoke(main, argv)
-        assert result.exit_code == 0, result.output
-        doc = json.loads(out.read_text())
-        d, trials, T = doc["config"]["disturbance"], doc["config"]["trials"], doc["config"]["horizon"]
-        energy = np.mean([
-            np.sum(generate(DisturbanceSpec(d["kind"], d["params"], seed=d["seed"] + k), T, 2) ** 2)
-            for k in range(trials)
-        ])
-        regret, gamma = doc["mean_realized_regret"]["regret"], doc["gamma_levels"]["regret"]
-        assert regret <= gamma**2 * energy * (1 + 1e-9), (regret, gamma**2 * energy)
+        _assert_mean_pathwise_bound(runner, tmp_path, "unstable_multi_input.json")
 
 
 class TestErrors:
@@ -742,6 +768,18 @@ def test_boolean_disturbance_params_refused_before_echo(runner, tmp_path, kind, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", BAD_CONFIGS)
+def test_bad_config_is_one_config_error_record(runner, monkeypatch, name):
+    """Each refused config of tests/data exits 1 before any synthesis, with
+    nothing on stdout and one ConfigError record on stderr."""
+    _refuse_synthesis(monkeypatch)
+    result = runner.invoke(main, ["simulate", "--config", str(DATA / name)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert json.loads(line)["error"]["type"] == "ConfigError"
+
+
 class TestCertify:
     def test_certificate_matches_gamma(self, runner, s1_config, tmp_path):
         out = tmp_path / "cert.json"
@@ -763,8 +801,9 @@ class TestCertify:
         assert np.abs(cert.witness - doc["witness"]).max() <= 1e-12
 
     def test_smoke_certificate_referees_agree(self, runner, tmp_path):
-        """CI's smoke check of `certify --config smoke.json`: the rollout
-        and dense referees certify the rebuilt controller within
+        """`certify --config smoke.json` writes a schema "3" certificate with
+        no controller operator; its echoed config and gamma_opt rebuild the
+        controller, which the rollout and dense referees certify within
         `dense_oracle.referee_gap_bound` of each other (7.2e-15 relative
         apart, under a bound of 1.0e-12), and the printed gain and witness
         are the rollout referee's to 1e-11 and 1e-12."""
@@ -772,6 +811,8 @@ class TestCertify:
         result = runner.invoke(main, ["certify", "--config", str(DATA / "smoke.json"), "--json", str(out)])
         assert result.exit_code == 0, result.output
         doc = json.loads(out.read_text())
+        assert doc["schema_version"] == "3"
+        assert "controller_operator" not in doc and "regret_quadratic_form" not in doc
         plant = cli._augmented(cli.parse_config(doc["config"]))
         cert = ro.regret_certificate(plant, ct.regret_controller(plant, doc["gamma_opt"]))
         ops = dense.build_operators(normalize_control_weight(plant).system)
@@ -985,6 +1026,23 @@ class TestLazyOracle:
     def test_cli_import_leaves_the_oracle_unloaded(self):
         out = _fresh_python("import regretctl.cli, sys; print('regretctl.operator_oracle' in sys.modules)")
         assert out == "False\n"
+
+    def test_gamma_run_as_main_leaves_the_oracle_unloaded(self, tmp_path):
+        """`gamma` entered as `python -m regretctl.cli` enters it, through
+        `runpy` with `cli` as `__main__`, never loads the certificate."""
+        out = tmp_path / "gamma.json"
+        argv = ["regretctl", "gamma", "--config", str(DATA / "smoke.json"), "--json", str(out)]
+        printed = _fresh_python(
+            "import runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('regretctl.cli', run_name='__main__')\n"
+            "except SystemExit as e:\n"
+            "    assert e.code in (0, None), e.code\n"
+            "print('regretctl.operator_oracle' in sys.modules)\n"
+        )
+        assert printed.splitlines()[-1] == "False"
+        assert out.exists()
 
     def test_attribute_loads_the_oracle(self):
         out = _fresh_python("import regretctl; print(regretctl.operator_oracle.__name__)")
