@@ -24,7 +24,7 @@ from .system_model import LqSystem, validate_system
 
 SCHEMA_VERSION = "2"
 # gains.json (the regret controller's gains) and certificate.json (its
-# certified gain and witness)
+# certified gain, attained gain and witness)
 CONTROLLER_SCHEMA = "3"
 
 # The floats one tape of a probe may hold, T (2n + m)^2 on the augmented
@@ -442,18 +442,20 @@ def certify(config_path, seed, tol, json_path):
 
     cfg = _load(config_path, seed, tol)
     res, ctrl = ct.regret_optimal(_augmented(cfg), cfg["resolved"]["tol"])
-    gain, witness = oo.regret_gain(ctrl, res.bracket_history)
+    gain, witness, attained = oo.regret_gain(ctrl, res.bracket_history)
     doc = {
         "config": cfg["resolved"],
         "gamma_opt": res.gamma_opt,
         "gamma_opt_squared": res.gamma_opt**2,
         "gain": gain,
+        "attained": attained,
         "witness": witness,
     }
     out = json_path or cfg["resolved"]["output"].get("certificate", "certificate.json")
     emit_json(out, doc, CONTROLLER_SCHEMA)
     click.echo(
-        f"gamma_opt^2 = {_float_repr(res.gamma_opt ** 2)}, certified gain = {_float_repr(gain)}"
+        f"gamma_opt^2 = {_float_repr(res.gamma_opt ** 2)}, certified gain = {_float_repr(gain)}, "
+        f"attained = {_float_repr(attained)}"
     )
     click.echo(f"certificate written to {out}")
 

@@ -24,13 +24,17 @@ that the weight has no cross term:
 `analysis_system` gives it one inert control column (B_u = 0, R = 1), so
 the H-infinity probe's margin at level gamma is the largest eigenvalue of
 -gamma^2 I + Bbar'P Bbar, and the gain is at most gamma^2 iff every margin
-is negative. `regret_gain` finds that level with the library's own search,
-`controllers._bisect_gamma` over `riccati._hinf_probe`, every window run as
-the step loop. `certify` starts it on the brackets of the regret search that
-made the controller, since gamma_cert lies close to gamma_opt: on the
-benchmark's n = 8 system it makes 22 probes over 2,552 steps instead of 44
-over 4,856 from gamma = 1, and returns the same bits. The memory is
-O(T (2n + m)^2) floats, for any horizon.
+is negative. `regret_gain` brackets the worst-case regret gain by such a
+level and by the regret quotient RQ = w'Ew/w'w that its witness w attains,
+probing with `riccati._hinf_probe`, every window run as the step loop.
+`certify` starts it on the brackets of the regret search that made the
+controller, since gamma_cert lies close to gamma_opt. Once a bracket's hi
+passes, one probe at sqrt(RQ)(1 + TOL) closes the bracket when it passes
+too: on the benchmark's n = 8 system, 3 probes over 352 steps instead of the
+22 over 2,552 of `controllers._bisect_gamma` on the same brackets (44 over
+4,856 from gamma = 1). Where the witness lags the gain, as on the pendulum
+family, that search runs, with the same bits, for at most one probe more.
+The memory is O(T (2n + m)^2) floats, for any horizon.
 """
 
 from __future__ import annotations
@@ -48,12 +52,15 @@ from .system_model import (
     psd_sqrt,  # noqa: F401
 )
 
-# The relative resolution of the level search. At 1e-10 the gain of
+# The relative resolution of the level search, and the step of the jump
+# above the witness's level. At 1e-10 the bisection's gain of
 # tests/data/smoke.json read 1.0e-10 above the rollout referee's; at 1e-12,
-# 8.1e-13, for 7 more probes. On unstable_multi_input.json it reads 2.0e-10
-# below at both. Started on the brackets of a regret search at tol 1e-6,
-# the search at 1e-12 makes 22 probes on the benchmark's n = 8 system (44
-# from gamma = 1): two for the start bracket and 20 bisections.
+# 8.1e-13, for 7 more probes. The jump's reads 2.0e-12 above, 2 TOL over its
+# witness's attained regret. On unstable_multi_input.json, where the search
+# falls back, the gain reads 2.0e-10 below at both. Started on the brackets
+# of a regret search at tol 1e-6, the bisection at 1e-12 makes 22 probes on
+# the benchmark's n = 8 system (44 from gamma = 1): two for the start bracket
+# and 20 bisections, which the jump replaces by one probe.
 TOL = 1e-12
 
 
@@ -105,24 +112,71 @@ def _witness(ana: LqSystem, tape: riccati.HinfTape) -> np.ndarray:
     return -w if w[np.argmax(np.abs(w))] < 0.0 else w
 
 
-def regret_gain(synthesis: RegretSynthesis, path=()) -> tuple[float, np.ndarray]:
-    """(gain, witness) of the regret controller `regret_optimal` returns.
+def regret_quotient(ana: LqSystem, w: np.ndarray) -> float:
+    """w'Ew / w'w for a disturbance w (T*p,): the analysis system's weighted
+    cost of w along its own loop, sum_t xi_t'Qbar_t xi_t + xi_T'Qbar_T xi_T,
+    which is the regret the controller realizes on w, over w's squared
+    length. A gain the controller attains, so a lower bound on its
+    worst-case regret gain."""
+    w = w.reshape(ana.T, ana.p)
+    xi, cost = np.zeros(ana.n), 0.0
+    for t in range(ana.T):
+        cost += xi @ ana.Q[t] @ xi
+        xi = ana.A[t] @ xi + ana.B_w[t] @ w[t]
+    return float(cost + xi @ ana.Q_T @ xi) / float(np.vdot(w, w))
 
-    gain is gamma_cert^2, with gamma_cert the level the search returns at
-    resolution TOL: a level the recursion proved feasible, so an upper bound
-    on the worst-case regret gain to that resolution. witness is
-    `_witness` of the tape at gamma_cert. On a system whose disturbance
-    produces no cost every level is feasible, so the gain is 0.0 and the
-    witness a unit disturbance, which attains it as every disturbance
-    does.
+
+def regret_gain(synthesis: RegretSynthesis, path=()) -> tuple[float, np.ndarray, float]:
+    """(gain, witness, attained) of the regret controller `regret_optimal`
+    returns: the worst-case regret gain lies in [attained, gain].
+
+    gain is gamma_cert^2, with gamma_cert a level the recursion proved
+    feasible, so an upper bound on the worst-case regret gain. witness is
+    `_witness` of the tape at gamma_cert, and attained its
+    `regret_quotient`, the lower end. On a system whose disturbance produces
+    no cost every level is feasible, so the gain is 0.0 and the witness a
+    unit disturbance, which attains it as every disturbance does.
 
     `path` is the `bracket_history` of the regret search that made the
-    controller, the search's start (`_bisect_gamma`): it starts at the
-    deepest of those brackets whose lo fails and whose hi passes here, and
-    at gamma = 1 when none does or `path` is empty. Both searches bisect the
-    same dyadic tree from gamma = 1, so wherever the analysis verdicts are
-    monotone in the level, gain and witness are those of the search from
-    gamma = 1, bit for bit."""
+    controller. Walking up it from its deepest node that a search at TOL
+    still bisects, each node's lo and then its hi are probed, until a node
+    whose lo fails and whose hi passes here. The witness of hi's tape
+    attains RQ, and a probe at gamma_j = sqrt(RQ)(1 + TOL), made only when
+    lo < gamma_j < hi (at or below lo, which failed, it would fail too),
+    closes the bracket [sqrt(RQ), gamma_j] to TOL if it passes: gamma_cert
+    is then gamma_j, whose gain lies within 2 TOL relative of the
+    bisection's (the jump lands on smoke.json and on the benchmark's n = 8
+    system). Otherwise (the witness lags the gain, as on the pendulum
+    family, or no node brackets) gamma_cert is the level
+    `controllers._bisect_gamma` returns at resolution TOL, started on `path`
+    with the probes made so far: the gain and witness of the search from
+    gamma = 1, bit for bit, wherever the verdicts are monotone, for at
+    most one probe more than that search started on `path`."""
     ana = analysis_system(synthesis)
-    result, tape = _bisect_gamma(lambda g: riccati._hinf_probe(ana, g, scan=False), TOL, path)
-    return result.gamma_opt**2, _witness(ana, tape)
+    probes = {}  # level -> its probe, swept to t = 0 or to its failure
+
+    def passes(g):
+        if g not in probes:
+            for probe in probes.values():
+                probe.forget()  # only the newest probe keeps its tapes
+            probes[g] = riccati._hinf_probe(ana, g, scan=False)
+            probes[g].sweep()
+        return probes[g].failed is None
+
+    for lo, hi in reversed(path):
+        if hi - lo > TOL * hi and not passes(lo) and passes(hi):
+            rq = regret_quotient(ana, _witness(ana, probes[hi].result()))
+            g = float(np.sqrt(max(rq, 0.0))) * (1.0 + TOL)
+            if lo < g < hi and passes(g):
+                return _certificate(ana, g**2, probes[g].result())
+            break
+    result, tape = _bisect_gamma(
+        lambda g: probes.pop(g, None) or riccati._hinf_probe(ana, g, scan=False), TOL, path
+    )
+    return _certificate(ana, result.gamma_opt**2, tape)
+
+
+def _certificate(ana, gain, tape):
+    """(gain, witness, attained) with the witness of `tape`."""
+    witness = _witness(ana, tape)
+    return gain, witness, regret_quotient(ana, witness)

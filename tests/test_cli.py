@@ -788,8 +788,13 @@ class TestCertify:
         doc = json.loads(out.read_text())
         assert doc["gain"] == pytest.approx(doc["gamma_opt_squared"], rel=1e-4)
         assert doc["gamma_opt_squared"] == pytest.approx(0.1, rel=1e-4)
-        assert set(doc) == {"config", "gamma_opt", "gamma_opt_squared", "gain", "witness", "schema_version"}
+        assert set(doc) == {"config", "gamma_opt", "gamma_opt_squared", "gain", "attained", "witness", "schema_version"}
         assert doc["schema_version"] == "3"
+        assert doc["attained"] <= doc["gain"]
+        assert result.output.splitlines()[-2] == (
+            f"gamma_opt^2 = {cli._float_repr(doc['gamma_opt_squared'])}, certified gain = "
+            f"{cli._float_repr(doc['gain'])}, attained = {cli._float_repr(doc['attained'])}"
+        )
         # the echoed config and gamma_opt give the controller back; the
         # rollout and dense referees certify it with the same bits, and the
         # analysis gain is theirs to its search's resolution
@@ -820,6 +825,7 @@ class TestCertify:
         assert abs(referee - cert.gain) <= dense.referee_gap_bound(ops, cert.K, referee), (referee, cert.gain)
         assert abs(doc["gain"] - cert.gain) <= 1e-11 * cert.gain
         assert np.abs(cert.witness - doc["witness"]).max() <= 1e-12
+        assert doc["attained"] <= min(doc["gain"], cert.gain * (1 + 1e-9))
 
     def test_oracle_objects_are_freed_before_encoding(self, runner, tmp_path, monkeypatch):
         """The analysis system and its probes' tapes are gone when the
@@ -865,6 +871,7 @@ class TestCertify:
         assert result.exit_code == 0, result.output
         doc = json.loads(out.read_text())
         assert abs(doc["gain"] - doc["gamma_opt_squared"]) <= 1e-5 * doc["gamma_opt_squared"]
+        assert doc["attained"] <= doc["gain"]
         assert len(doc["witness"]) == 401 * 5
         assert abs(np.linalg.norm(doc["witness"]) - 1.0) <= 1e-15
 
@@ -912,7 +919,7 @@ class TestCertify:
         plant = cli._augmented(cli.parse_config(doc["config"]))
         ops = dense.build_operators(normalize_control_weight(plant).system)
         referee = dense.worst_case_regret_gain(ops, dense.controller_operator(plant, ZeroController(plant)))
-        assert doc["gain"] == referee.gain == 0.0
+        assert doc["gain"] == doc["attained"] == referee.gain == 0.0
         assert len(doc["witness"]) == plant.T * plant.p
         assert sorted(doc["witness"])[-1] == 1.0 and np.count_nonzero(doc["witness"]) == 1
 
